@@ -35,26 +35,14 @@
 // that proves degraded-mode replica re-fetches route to the shard
 // actually holding the copy.
 //
-// -mvm-engine selects the embedded-core execution engine: "compiled" (the
-// default closure-compiled engine with superinstruction fusion) or
-// "interp" (the reference interpreter). Every simulated result — tables,
-// metrics, traces — is byte-identical under either engine; only host
-// wall-clock differs.
-//
-// -sim-engine selects the discrete-event scheduler the same way: "wheel"
-// (the default hierarchical time wheel, built for million-event runs) or
-// "heap" (the reference binary heap, the differential battery's oracle).
-// Fire order and every simulated result are byte-identical under either.
-//
 // -trace-out writes a Chrome trace-event JSON (load it at
 // https://ui.perfetto.dev or chrome://tracing); -metrics-out writes the
 // aggregated metrics registry, as Prometheus text by default or as JSON
 // when the file name ends in .json.
 //
-// -trace-stream (default true) streams trace events to the -trace-out
-// file incrementally through an external-sort spool, so trace memory
-// stays bounded on long runs; the output is byte-identical to the
-// buffered path. -trace-sample enables tail sampling
+// Trace events stream to the -trace-out file incrementally through an
+// external-sort spool, so trace memory stays bounded on long runs and no
+// event is dropped. -trace-sample enables tail sampling
 // ("head=64,lat=10ms,pending=4096,keep=fallback|retry"): a
 // deterministic head of events is kept plus every command tree that
 // crossed the latency threshold, carried a keep-name marker, or hit a
@@ -69,26 +57,21 @@
 // time in violation land in both artifacts. The name scopes the
 // objective to one tenant (an application name, as in multiprog); ""
 // or "*" applies everywhere. All of these artifacts are byte-identical
-// at any -parallel setting and under either -sim-engine.
+// at any -parallel setting.
 //
 // cmd/morpheuscheck compares two -metrics-out JSON artifacts under
 // per-metric tolerances — the CI regression gate.
 //
-// -parallel fans an experiment's independent sweep points (one per
-// application) across a worker pool. Results — tables, -metrics-out,
+// -parallel sets the worker budget. An experiment's independent sweep
+// points (one per application) fan out across it, and within one array
+// (E17) point the shards' event engines run on whatever workers the
+// budget has free, advancing in conservative time windows
+// bounded by the replica-retry lookahead with cross-shard re-fetches
+// exchanged serially at window barriers (see internal/array/parallel.go
+// and DESIGN.md §7). Results — tables, -metrics-out, -timeseries-out,
 // -trace-out — are byte-identical at every worker count: each point runs
 // on an isolated system with private observation sinks, and the harness
 // folds them back in point order (see internal/exp/parallel.go).
-//
-// -shard-parallel goes one level deeper: within one array (E17) point,
-// each shard's event engine runs on its own goroutine, advancing in
-// conservative time windows bounded by the replica-retry lookahead with
-// cross-shard re-fetches exchanged serially at window barriers (see
-// internal/array/parallel.go and DESIGN.md §7). Output stays
-// byte-identical at any positive setting and composes with -parallel:
-// both layers draw from one worker budget of max(-parallel, -shard-
-// parallel) goroutines. 0 (the default) keeps the sequential inline
-// serving loop.
 //
 // -cpuprofile and -memprofile write standard pprof profiles of the whole
 // run (`go tool pprof morpheusbench cpu.pprof`); the heap profile is
@@ -108,8 +91,6 @@ import (
 
 	"morpheus/internal/core"
 	"morpheus/internal/exp"
-	"morpheus/internal/mvm"
-	"morpheus/internal/sim"
 	"morpheus/internal/stats"
 	"morpheus/internal/trace"
 	"morpheus/internal/units"
@@ -171,26 +152,6 @@ func parseSamplePolicy(s string) (trace.SamplePolicy, error) {
 		return p, fmt.Errorf("trace-sample: %q enables nothing (set head, lat, or keep)", s)
 	}
 	return p, nil
-}
-
-// traceCap bounds the shared tracer's memory on long runs; overflow is
-// counted, not fatal.
-const traceCap = 1 << 20
-
-// writeTrace dumps the collected spans as Chrome trace-event JSON.
-func writeTrace(path string, tr *trace.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tr.WriteChromeTrace(f); err != nil {
-		return err
-	}
-	if d := tr.Dropped(); d > 0 {
-		fmt.Fprintf(os.Stderr, "morpheusbench: trace dropped %d events past the %d-event cap\n", d, traceCap)
-	}
-	return f.Close()
 }
 
 // writeSeries dumps the windowed time series: JSON or CSV when the path
@@ -387,16 +348,13 @@ func main() {
 		format      = flag.String("format", "table", "output format: table or csv")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of every run to this file")
 		metricsOut  = flag.String("metrics-out", "", "write aggregated metrics to this file (.json for JSON, else Prometheus text)")
-		parallel    = flag.Int("parallel", 0, "workers for independent sweep points (0 = NumCPU, 1 = sequential); output is byte-identical at any setting")
-		shardPar    = flag.Int("shard-parallel", 0, "array experiment: run each point's shards on up to this many goroutines via the conservative-window executor (0 = sequential inline loop); output is byte-identical at any positive setting")
+		parallel    = flag.Int("parallel", 0, "worker budget shared by sweep points and array shards (0 = NumCPU, 1 = sequential); output is byte-identical at any setting")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile (taken after a final GC) to this file")
 		ssdCache    = flag.Bool("ssd-cache", false, "enable the SSD-DRAM deserialized-object cache in every experiment (extension beyond the paper)")
 		ssdCacheMB  = flag.Int("ssd-cache-mb", 0, "object-cache capacity in MiB (implies -ssd-cache; 0 = the 64MiB default)")
 		batchDepth  = flag.Int("batch-depth", 0, "MREAD commands coalesced per doorbell ring in every experiment (1 = command-at-a-time; 0 = the config default)")
 		windowDepth = flag.Int("window-depth", 0, "bound on in-flight MREAD commands in every experiment (0 = 2x batch depth)")
-		mvmEngine   = flag.String("mvm-engine", "compiled", "embedded-core execution engine: compiled or interp (bit-identical results; compiled is faster in host wall-clock)")
-		simEngine   = flag.String("sim-engine", "wheel", "discrete-event scheduler: wheel (hierarchical time wheel, the default) or heap (reference binary heap); bit-identical results, wheel is faster in host wall-clock")
 
 		shards   = flag.Int("shards", 0, "array experiment: number of Morpheus-SSD shards in the fleet (0 = the E17 default grid)")
 		replicas = flag.Int("replicas", 0, "array experiment: distinct shards holding each object (0 = the E17 default grid)")
@@ -405,7 +363,6 @@ func main() {
 		metricsWindow = flag.String("metrics-window", "", "windowed time-series bucket width as a Go duration (e.g. 100us); enables per-window counters, latency quantiles, and gauges")
 		timeseriesOut = flag.String("timeseries-out", "", "write the windowed time series to this file (.json, .csv, else OpenMetrics text); requires -metrics-window")
 		traceSample   = flag.String("trace-sample", "", "tail-sample the trace: head=N,lat=DUR,pending=N,keep=name|name (requires -trace-out)")
-		traceStream   = flag.Bool("trace-stream", true, "stream -trace-out events through a bounded-memory external-sort spool (byte-identical to the buffered writer)")
 	)
 	var slos []stats.SLOConfig
 	flag.Func("slo", "latency objective name=...,metric=...,target=2ms,budget=0.001, tracked per window (repeatable; name \"\" or \"*\" = every run)", func(s string) error {
@@ -456,19 +413,6 @@ func main() {
 	opts.Scale = *scale
 	opts.Seed = *seed
 	opts.Parallel = *parallel
-	opts.ShardParallel = *shardPar
-	eng, err := mvm.ParseEngine(*mvmEngine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "morpheusbench: %v\n", err)
-		os.Exit(2)
-	}
-	opts.MVMEngine = eng
-	simEng, err := sim.ParseEngineKind(*simEngine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "morpheusbench: %v\n", err)
-		os.Exit(2)
-	}
-	opts.SimEngine = simEng
 	if *ssdCache || *ssdCacheMB > 0 {
 		mb := *ssdCacheMB
 		opts.Mutate = func(cfg *core.SystemConfig) {
@@ -520,7 +464,7 @@ func main() {
 	var stream *trace.ChromeStream
 	var streamFile *os.File
 	if *traceOut != "" {
-		opts.Trace = trace.New(traceCap)
+		opts.Trace = trace.New(0)
 		if *traceSample != "" {
 			p, err := parseSamplePolicy(*traceSample)
 			if err != nil {
@@ -529,16 +473,14 @@ func main() {
 			}
 			opts.Trace.SetSamplePolicy(p)
 		}
-		if *traceStream {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "morpheusbench: trace-out: %v\n", err)
-				os.Exit(1)
-			}
-			streamFile = f
-			stream = trace.NewChromeStream(f)
-			opts.Trace.SetSink(stream)
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "morpheusbench: trace-out: %v\n", err)
+			os.Exit(1)
 		}
+		streamFile = f
+		stream = trace.NewChromeStream(f)
+		opts.Trace.SetSink(stream)
 	}
 	if *metricsOut != "" || *timeseriesOut != "" {
 		opts.Metrics = stats.NewRegistry()
@@ -580,17 +522,12 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		if stream != nil {
-			// Streaming path: merge the spools into the final file.
-			err := stream.Close()
-			if cerr := streamFile.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "morpheusbench: trace-out: %v\n", err)
-				os.Exit(1)
-			}
-		} else if err := writeTrace(*traceOut, opts.Trace); err != nil {
+		// Merge the spools into the final file.
+		err := stream.Close()
+		if cerr := streamFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "morpheusbench: trace-out: %v\n", err)
 			os.Exit(1)
 		}
@@ -606,6 +543,9 @@ func main() {
 		}
 	}
 	if *timeseriesOut != "" {
+		// An experiment that builds no system leaves the aggregate without
+		// a window; give it one so the series is empty rather than missing.
+		opts.Metrics.EnableSeries(int64(opts.MetricsWindow))
 		if err := writeSeries(*timeseriesOut, opts.Metrics); err != nil {
 			fmt.Fprintf(os.Stderr, "morpheusbench: timeseries-out: %v\n", err)
 			os.Exit(1)

@@ -2,7 +2,9 @@ package array
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"morpheus/internal/apps"
@@ -183,17 +185,38 @@ func TestKillShardServesViaReplica(t *testing.T) {
 	}
 }
 
+// TestTrafficRejectsBadConfig: every out-of-range load setting is an
+// error that reports all three values.
+func TestTrafficRejectsBadConfig(t *testing.T) {
+	a, app := testFleet(t, 2, 1, 1)
+	for _, mut := range []func(*TrafficConfig){
+		func(tc *TrafficConfig) { tc.Tenants = 0 },
+		func(tc *TrafficConfig) { tc.Requests = -1 },
+		func(tc *TrafficConfig) { tc.Objects = 0 },
+	} {
+		tc := testTraffic(app, 1, 7)
+		mut(&tc)
+		_, err := RunTrafficParallel(a, tc, 1)
+		if err == nil {
+			t.Fatalf("accepted tenants/requests/objects = %d/%d/%d", tc.Tenants, tc.Requests, tc.Objects)
+		}
+		if want := fmt.Sprintf("got %d/%d/%d", tc.Tenants, tc.Requests, tc.Objects); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not report %q", err, want)
+		}
+	}
+}
+
 // TestTrafficDeterministic: two fleets, same seed, same traffic — byte
 // and value identical results.
 func TestTrafficDeterministic(t *testing.T) {
 	const objects = 8
 	a, app := testFleet(t, 3, 2, objects)
 	b, _ := testFleet(t, 3, 2, objects)
-	ra, err := RunTraffic(a, testTraffic(app, objects, 7))
+	ra, err := RunTrafficParallel(a, testTraffic(app, objects, 7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := RunTraffic(b, testTraffic(app, objects, 7))
+	rb, err := RunTrafficParallel(b, testTraffic(app, objects, 7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,36 +234,26 @@ func TestTrafficDeterministic(t *testing.T) {
 // surviving the boundary. The CI race battery runs this under -race.
 func TestArrayResetReuse(t *testing.T) {
 	const objects = 8
-	fleetJSON := func(a *Array) []byte {
-		var buf bytes.Buffer
-		for _, sh := range a.Shards {
-			if err := sh.Sys.Metrics.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return buf.Bytes()
-	}
-
 	fresh, app := testFleet(t, 3, 2, objects)
-	want, err := RunTraffic(fresh, testTraffic(app, objects, 7))
+	want, err := RunTrafficParallel(fresh, testTraffic(app, objects, 7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON := fleetJSON(fresh)
+	wantJSON := fleetMetricsJSON(t, fresh)
 
 	reused, _ := testFleet(t, 3, 2, objects)
-	if _, err := RunTraffic(reused, testTraffic(app, objects, 11)); err != nil {
+	if _, err := RunTrafficParallel(reused, testTraffic(app, objects, 11), 1); err != nil {
 		t.Fatal(err)
 	}
 	reused.ResetTimers()
-	got, err := RunTraffic(reused, testTraffic(app, objects, 7))
+	got, err := RunTrafficParallel(reused, testTraffic(app, objects, 7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("reused fleet diverged from fresh fleet:\n%+v\nvs\n%+v", want, got)
 	}
-	if gotJSON := fleetJSON(reused); !bytes.Equal(wantJSON, gotJSON) {
+	if gotJSON := fleetMetricsJSON(t, reused); !bytes.Equal(wantJSON, gotJSON) {
 		t.Fatal("reused fleet metrics differ from a fresh fleet's")
 	}
 }

@@ -111,10 +111,9 @@ type TrafficResult struct {
 	FairnessShards  float64
 	// Horizon is the latest completion on the virtual clock.
 	Horizon units.Time
-	// Conservative-window protocol accounting, all zero on the inline
-	// path (RunTraffic): Windows is the number of non-empty lookahead
-	// windows the schedule spanned, Rounds the total barrier rounds
-	// (>= Windows; each re-fetch wave inside a window adds one),
+	// Conservative-window protocol accounting: Windows is the number of
+	// non-empty lookahead windows the schedule spanned, Rounds the total
+	// barrier rounds (>= Windows; each re-fetch wave inside a window adds one),
 	// DeferredFetches the replica re-fetches served by exchange phases,
 	// and EarlyFetches how many of those surfaced in less than one
 	// lookahead (a non-retryable failure shortcut; delivery stays
@@ -157,7 +156,8 @@ func jainPositive(xs []int) float64 {
 // checkTraffic validates a config and resolves the class set.
 func checkTraffic(tc *TrafficConfig) ([]Class, error) {
 	if tc.Tenants < 1 || tc.Requests < 0 || tc.Objects < 1 {
-		return nil, fmt.Errorf("array: traffic needs tenants/objects >= 1, got %d/%d", tc.Tenants, tc.Objects)
+		return nil, fmt.Errorf("array: traffic needs tenants >= 1, requests >= 0 and objects >= 1, got %d/%d/%d",
+			tc.Tenants, tc.Requests, tc.Objects)
 	}
 	if tc.App == nil || tc.Parser == nil {
 		return nil, fmt.Errorf("array: traffic needs an app and a fallback parser")
@@ -196,10 +196,9 @@ type schedReq struct {
 	primary int
 }
 
-// buildSchedule materializes the request stream. It draws from exactly
-// the generators RunTraffic always used — same arrival process, same
-// independent tenant-pick stream, same Zipf shape — and pre-warms the
-// placement memo for every requested object as a side effect (Place
+// buildSchedule materializes the request stream — the arrival process,
+// an independent tenant-pick stream and its Zipf shape — and pre-warms
+// the placement memo for every requested object as a side effect (Place
 // writes its memo map, which must not happen concurrently later).
 func buildSchedule(a *Array, tc *TrafficConfig, classes []Class) []schedReq {
 	gen := NewArrivalGen(tc.Mix, tc.Mean, tc.Seed)
@@ -235,12 +234,13 @@ func buildSchedule(a *Array, tc *TrafficConfig, classes []Class) []schedReq {
 
 // serveOne issues one scheduled request against its primary shard:
 // admission control against the slot window, the full serving path via
-// core.InvokeStorageApp at the arrival time, the differential byte
-// check, and every per-request metric. Counts land in res and serving
-// state in inflight/refs — the sequential path passes fleet-wide
-// instances, the shard-parallel path per-shard partials; the operations
-// are identical either way, which is what keeps the two paths sharing
-// one definition of "serve a request".
+// core.InvokeStorageApp at the arrival time (the shard's resource
+// ledgers arbitrate overlap, exactly as the multi-file app runner does),
+// the differential byte check, and every per-request metric. Every
+// served output is checked against the first response for the same
+// object, so a degraded path silently corrupting bytes fails the run
+// rather than skewing a row. Counts land in the shard's partial res and
+// serving state in its inflight/refs.
 func serveOne(a *Array, tc *TrafficConfig, classes []Class, rq schedReq, res *TrafficResult, inflight *[]units.Time, refs map[string][]byte) error {
 	sh := a.Shards[rq.primary]
 	m := sh.Sys.Metrics
@@ -311,38 +311,6 @@ func serveOne(a *Array, tc *TrafficConfig, classes []Class, rq schedReq, res *Tr
 	m.ObserveLatency("array.request.latency_ps", int64(inv.Done), lat)
 	m.ObserveLatency("array.request.latency_ps."+classes[rq.cidx].Name, int64(inv.Done), lat)
 	return nil
-}
-
-// RunTraffic drives one open-loop request stream against the fleet.
-// Requests are issued in arrival order; each is routed to its object's
-// primary shard, admission-checked against that shard's slot window, and
-// served through core.InvokeStorageApp at its own arrival time (the
-// shard's resource ledgers arbitrate overlap, exactly as the multi-file
-// app runner does). Every served output is differentially checked
-// against the first response for the same object, so a degraded path
-// silently corrupting bytes fails the run rather than skewing a row.
-//
-// This is the inline-interleaved serving order: shards advance strictly
-// in global arrival order, and a degraded request's replica re-fetch
-// runs on the holder the moment it is needed. RunTrafficParallel serves
-// the same schedule under the conservative-window protocol instead.
-func RunTraffic(a *Array, tc TrafficConfig) (*TrafficResult, error) {
-	classes, err := checkTraffic(&tc)
-	if err != nil {
-		return nil, err
-	}
-	res := newTrafficResult(a, &tc, classes)
-	reqs := buildSchedule(a, &tc, classes)
-	inflight := make([][]units.Time, len(a.Shards))
-	refs := map[string][]byte{}
-	for _, rq := range reqs {
-		if err := serveOne(a, &tc, classes, rq, res, &inflight[rq.primary], refs); err != nil {
-			return nil, err
-		}
-	}
-	res.FairnessTenants = jainPositive(res.TenantServed)
-	res.FairnessShards = jain(res.ShardServed)
-	return res, nil
 }
 
 // ObjectName is the canonical staged-object naming scheme shared by

@@ -19,21 +19,18 @@
 //     are partitioned by primary, placement is pre-warmed, and the
 //     deferring fetcher turns the one cross-shard call into a parked
 //     request — so per-shard execution is single-threaded and identical
-//     at any worker-slot count and under either sim engine.
+//     at any worker-slot count.
 //   - Deferred fetches execute in the barrier's serial exchange phase,
 //     single-threaded, sorted by global request sequence, against
 //     holder systems that have quiesced at the same barrier. Delivery
 //     order is therefore a protocol constant — independent of which
-//     goroutine arrived last, of GOMAXPROCS, and of the engine kind.
+//     goroutine arrived last and of GOMAXPROCS.
 //   - Per-shard results, registries, and child tracers fold back in
 //     shard order, the same grouping every run uses.
 //
 // Together: tables, metrics JSON, windowed series, SLO burn, and traces
-// are byte-identical across -shard-parallel 1/4/8/any. The inline
-// sequential path (RunTraffic) interleaves shards in global arrival
-// order with re-fetches served mid-window, so its contended-case bytes
-// are a different — equally valid, equally deterministic — serving
-// order; -shard-parallel 0 keeps it.
+// are byte-identical at any slot count, so the experiment harness sizes
+// the slots from whatever its -parallel worker budget has free.
 package array
 
 import (
@@ -106,7 +103,7 @@ type trafficExec struct {
 	window  units.Duration
 	ends    []units.Time // barriers of the non-empty windows, ascending
 
-	rz    *sim.Rendezvous  // one party per shard
+	rz    *sim.Rendezvous   // one party per shard
 	slots *sim.WorkerBudget // bounds shards simulating concurrently
 
 	shards []*execShard
@@ -145,7 +142,7 @@ func (f *parkingFetcher) FetchReplica(ready units.Time, name string) ([]byte, un
 // finished its window or parked on a fetch, so the coordinator-of-the-
 // round executes all parked fetches single-threaded against the (now
 // quiesced) holder systems, sorted by global request sequence — the
-// ordering that makes delivery engine- and scheduling-independent.
+// ordering that makes delivery scheduling-independent.
 func (ex *trafficExec) exchange(end units.Time) {
 	var parked []*execShard
 	for _, es := range ex.shards {
@@ -161,10 +158,10 @@ func (ex *trafficExec) exchange(end units.Time) {
 			// non-retryable shortcut (e.g. the LBA retired after the first
 			// uncorrectable read turns the retry terminal) surfaces its
 			// fetch in under one lookahead. Delivery order and the
-			// holder's interval ledgers do not care — a sparse acquire at
-			// a past ready is the same mechanism the inline path uses when
-			// the holder's clock runs ahead — so this is accounting, not
-			// an error.
+			// holder's interval ledgers do not care — they place an
+			// acquire at a past ready in its earliest gap, as they do
+			// whenever the holder's clock runs ahead — so this is
+			// accounting, not an error.
 			ex.early++
 		}
 		f := shardFetcher{a: ex.a, self: es.id}
@@ -212,14 +209,16 @@ func (ex *trafficExec) runShard(es *execShard) {
 	}
 }
 
-// RunTrafficParallel serves the same schedule as RunTraffic under the
-// conservative-window protocol, running every shard's engine on its own
+// RunTrafficParallel drives one open-loop request stream against the
+// fleet. Each request is routed to its object's primary shard,
+// admission-checked against that shard's slot window, and served at its
+// own arrival time (serveOne). Shards advance under the
+// conservative-window protocol, every shard's engine on its own
 // goroutine with at most slots of them simulating at once. Output is
-// byte-identical at any slots value (1 included) and under either sim
-// engine; see the package comment at the top of this file for the
-// argument. slots only caps host CPU concurrency — it is clamped to
-// [1, shards] and is safe to size best-effort from a shared
-// sim.WorkerBudget.
+// byte-identical at any slots value (1 included); see the package
+// comment at the top of this file for the argument. slots only caps
+// host CPU concurrency — it is clamped to [1, shards] and is safe to
+// size best-effort from a shared sim.WorkerBudget.
 //
 // The fleet-level tracer attached via AttachTracer (if any) is swapped
 // for per-shard children during the run and re-adopted in shard order,
@@ -300,8 +299,8 @@ func RunTrafficParallel(a *Array, tc TrafficConfig, slots int) (*TrafficResult, 
 		}
 	}
 
-	// The lowest-sequence error is the one the inline path would have
-	// hit first; report it alone, exactly as RunTraffic would.
+	// The lowest-sequence error is the one a sequential pass over the
+	// schedule would have hit first; report it alone.
 	var firstErr error
 	firstSeq := -1
 	for _, es := range ex.shards {

@@ -2,47 +2,15 @@ package array
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"morpheus/internal/apps"
 	"morpheus/internal/core"
-	"morpheus/internal/sim"
 	"morpheus/internal/trace"
 	"morpheus/internal/units"
 )
-
-// buildKind is testBuild with a selectable event engine.
-func buildKind(kind sim.EngineKind) func(int) (*core.System, error) {
-	return func(int) (*core.System, error) {
-		cfg := core.DefaultSystemConfig()
-		cfg.WithGPU = false
-		cfg.SSD.MDTS = 8 * units.KiB
-		cfg.SimEngine = kind
-		return core.NewSystem(cfg)
-	}
-}
-
-// parFleet builds a staged fleet on the chosen engine.
-func parFleet(t *testing.T, kind sim.EngineKind, shards, replicas, objects int) (*Array, *apps.App) {
-	t.Helper()
-	a, err := New(Config{Shards: shards, Replicas: replicas}, buildKind(kind))
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := apps.ByName("grep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < objects; i++ {
-		data := app.Gen(16*units.KiB, 1, 1000+int64(i))
-		if err := a.StageObject(ObjectName(i), data[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.ResetTimers()
-	return a, app
-}
 
 // windowTraffic spans several conservative windows: 60 arrivals at a
 // 200 µs mean cover ~12 ms of virtual time against the ~3 ms lookahead
@@ -84,10 +52,10 @@ func fleetMetricsJSON(t *testing.T, a *Array) []byte {
 // runWindowed builds a fresh fleet, optionally kills the busiest
 // primary, and runs the conservative-window executor at the given slot
 // count with a tracer attached.
-func runWindowed(t *testing.T, kind sim.EngineKind, slots int, kill bool, seed int64) parArtifacts {
+func runWindowed(t *testing.T, slots int, kill bool, seed int64) parArtifacts {
 	t.Helper()
 	const objects = 8
-	a, app := parFleet(t, kind, 4, 2, objects)
+	a, app := testFleet(t, 4, 2, objects)
 	tr := trace.New(0)
 	a.AttachTracer(tr)
 	if kill {
@@ -134,34 +102,48 @@ func TestLookaheadPositive(t *testing.T) {
 	}
 }
 
+// inlineTraffic is the test-only serving oracle: it issues the schedule
+// strictly in global arrival order on one goroutine, with no windows and
+// no parked re-fetches. On a healthy fleet there are no cross-shard
+// edges, so the windowed executor must reproduce it exactly.
+func inlineTraffic(a *Array, tc TrafficConfig) (*TrafficResult, error) {
+	classes, err := checkTraffic(&tc)
+	if err != nil {
+		return nil, err
+	}
+	res := newTrafficResult(a, &tc, classes)
+	inflight := make([][]units.Time, len(a.Shards))
+	refs := map[string][]byte{}
+	for _, rq := range buildSchedule(a, &tc, classes) {
+		if err := serveOne(a, &tc, classes, rq, res, &inflight[rq.primary], refs); err != nil {
+			return nil, err
+		}
+	}
+	res.FairnessTenants = jainPositive(res.TenantServed)
+	res.FairnessShards = jain(res.ShardServed)
+	return res, nil
+}
+
 // TestParallelTrafficMatchesInlineWhenHealthy: with no degraded-mode
 // traffic there are no cross-shard edges at all, and the windowed
-// executor must reproduce the inline path's results and per-shard
-// metrics exactly — the protocols only diverge on contended re-fetch
-// ordering, never on independent serving.
+// executor must reproduce the inline oracle's results and per-shard
+// metrics exactly — the window protocol may only matter for contended
+// re-fetch ordering, never for independent serving.
 func TestParallelTrafficMatchesInlineWhenHealthy(t *testing.T) {
 	const objects = 8
-	a, app := parFleet(t, sim.EngineWheel, 4, 2, objects)
-	inline, err := RunTraffic(a, windowTraffic(app, objects, 7))
+	a, app := testFleet(t, 4, 2, objects)
+	inline, err := inlineTraffic(a, windowTraffic(app, objects, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	inlineJSON := fleetMetricsJSON(t, a)
 
-	b, _ := parFleet(t, sim.EngineWheel, 4, 2, objects)
+	b, _ := testFleet(t, 4, 2, objects)
 	windowed, err := RunTrafficParallel(b, windowTraffic(app, objects, 7), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The windowed run carries protocol accounting the inline path never
-	// populates; with no degraded traffic nothing may have parked.
-	if windowed.Windows == 0 || windowed.Rounds == 0 {
-		t.Fatalf("windowed run recorded no protocol activity: %d windows, %d rounds", windowed.Windows, windowed.Rounds)
-	}
-	if windowed.DeferredFetches != 0 || windowed.EarlyFetches != 0 {
-		t.Fatalf("healthy run deferred %d fetches (%d early); there are no cross-shard edges to defer",
-			windowed.DeferredFetches, windowed.EarlyFetches)
-	}
+	// Protocol accounting is the only thing the oracle never populates.
 	scrubbed := *windowed
 	scrubbed.Windows, scrubbed.Rounds = 0, 0
 	if !reflect.DeepEqual(inline, &scrubbed) {
@@ -176,31 +158,37 @@ func TestParallelTrafficMatchesInlineWhenHealthy(t *testing.T) {
 }
 
 // TestParallelTrafficByteIdenticalAcrossSlots is the core contract at
-// fleet level: the same run at -shard-parallel 1, 4, and 8 — and under
-// the reference heap engine — produces identical results, identical
-// per-shard metrics JSON, and an identical adopted trace, span IDs
-// included. The CI race battery runs this under -race, so the slot>1
-// runs also prove the executor free of data races.
+// fleet level: the same run at 1, 4, and 8 slots produces identical
+// results, identical per-shard metrics JSON, and an identical adopted
+// trace, span IDs included. The test job runs this under -race, so the
+// slot>1 runs also prove the executor free of data races.
 func TestParallelTrafficByteIdenticalAcrossSlots(t *testing.T) {
-	want := runWindowed(t, sim.EngineWheel, 1, false, 7)
+	want := runWindowed(t, 1, false, 7)
 	if want.res.Admitted == 0 {
 		t.Fatal("traffic admitted nothing")
 	}
-	for _, slots := range []int{4, 8} {
-		got := runWindowed(t, sim.EngineWheel, slots, false, 7)
-		diffArtifacts(t, sim.EngineWheel.String(), want, got)
+	// A healthy run still walks the window protocol, but with no
+	// degraded traffic there are no cross-shard edges, so nothing parks.
+	if want.res.Windows == 0 || want.res.Rounds == 0 {
+		t.Fatalf("run recorded no protocol activity: %d windows, %d rounds", want.res.Windows, want.res.Rounds)
 	}
-	heap := runWindowed(t, sim.EngineHeap, 4, false, 7)
-	diffArtifacts(t, "wheel-vs-heap", want, heap)
+	if want.res.DeferredFetches != 0 || want.res.EarlyFetches != 0 {
+		t.Fatalf("healthy run deferred %d fetches (%d early); there are no cross-shard edges to defer",
+			want.res.DeferredFetches, want.res.EarlyFetches)
+	}
+	for _, slots := range []int{4, 8} {
+		got := runWindowed(t, slots, false, 7)
+		diffArtifacts(t, fmt.Sprintf("slots=%d", slots), want, got)
+	}
 }
 
 // TestKillShardDuringWindow is the loss battery: a whole shard dies
 // before traffic, so every request routed to it burns the retry budget
 // and parks a replica re-fetch at a window barrier — across multiple
-// windows, on both engines, at slot counts 1/4/8, everything must stay
-// byte-identical, and the degraded path must actually have been taken.
+// windows, at slot counts 1/4/8, everything must stay byte-identical,
+// and the degraded path must actually have been taken.
 func TestKillShardDuringWindow(t *testing.T) {
-	want := runWindowed(t, sim.EngineWheel, 1, true, 7)
+	want := runWindowed(t, 1, true, 7)
 	if got := want.res.Path[core.PathReplicaFallback]; got == 0 {
 		t.Fatal("shard loss produced no replica-fallback serves; the battery is vacuous")
 	}
@@ -212,32 +200,27 @@ func TestKillShardDuringWindow(t *testing.T) {
 	if span := want.res.Horizon; span < 2*units.Time(ReplicaLookahead()) {
 		t.Fatalf("traffic horizon %v inside two %v windows; widen the schedule", span, ReplicaLookahead())
 	}
-	for _, kind := range []sim.EngineKind{sim.EngineWheel, sim.EngineHeap} {
-		for _, slots := range []int{1, 4, 8} {
-			if kind == sim.EngineWheel && slots == 1 {
-				continue // the baseline itself
-			}
-			got := runWindowed(t, kind, slots, true, 7)
-			diffArtifacts(t, kind.String(), want, got)
-		}
+	for _, slots := range []int{4, 8} {
+		got := runWindowed(t, slots, true, 7)
+		diffArtifacts(t, fmt.Sprintf("slots=%d", slots), want, got)
 	}
 }
 
 // TestParallelTrafficRestoresAndReuses: the executor must leave the
 // fleet exactly as it found it — replica routers and tracer restored —
-// so a reset fleet reruns (windowed or inline) as if fresh, and a
-// killed-shard inline run after a windowed run still routes re-fetches
-// through the real shardFetcher rather than a leaked parking fetcher.
+// so a reset fleet reruns as if fresh, and a single degraded request
+// after a windowed run still routes its re-fetch through the real
+// shardFetcher rather than a leaked parking fetcher.
 func TestParallelTrafficRestoresAndReuses(t *testing.T) {
 	const objects = 8
-	fresh, app := parFleet(t, sim.EngineWheel, 3, 2, objects)
+	fresh, app := testFleet(t, 3, 2, objects)
 	want, err := RunTrafficParallel(fresh, windowTraffic(app, objects, 7), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantJSON := fleetMetricsJSON(t, fresh)
 
-	reused, _ := parFleet(t, sim.EngineWheel, 3, 2, objects)
+	reused, _ := testFleet(t, 3, 2, objects)
 	if _, err := RunTrafficParallel(reused, windowTraffic(app, objects, 11), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +236,8 @@ func TestParallelTrafficRestoresAndReuses(t *testing.T) {
 		t.Fatal("reused fleet metrics differ from a fresh fleet's")
 	}
 
-	// Inline degraded mode still works after a windowed run: the real
-	// replica router was restored.
+	// Degraded mode outside the executor still works after a windowed
+	// run: the real replica router was restored.
 	reused.ResetTimers()
 	name := ObjectName(0)
 	primary := reused.Place(name)[0]
@@ -265,12 +248,12 @@ func TestParallelTrafficRestoresAndReuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv, err := sh.Sys.InvokeStorageApp(0, core.InvokeOptions{
-		App:  app.StorageApp(),
-		File: f,
+		App:      app.StorageApp(),
+		File:     f,
 		Fallback: &core.Fallback{Parser: app.HostParser, Spec: app.Spec},
 	})
 	if err != nil {
-		t.Fatalf("inline degraded request after a windowed run failed: %v", err)
+		t.Fatalf("degraded request after a windowed run failed: %v", err)
 	}
 	if inv.Path != core.PathReplicaFallback {
 		t.Fatalf("served via %v, want %v", inv.Path, core.PathReplicaFallback)

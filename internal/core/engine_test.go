@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"morpheus/internal/sim"
-)
+import "testing"
 
 // TestEngineOverflowOnRealWorkload proves the regime the high-event-count
 // determinism row (internal/exp fig8-hi) relies on: a millisecond-scale
@@ -17,9 +13,6 @@ func TestEngineOverflowOnRealWorkload(t *testing.T) {
 		c.SSD.SampledExecution = true
 		c.WithGPU = false
 	})
-	if sys.Engine.Kind() != sim.EngineWheel {
-		t.Fatalf("default engine = %v, want wheel", sys.Engine.Kind())
-	}
 	data, _ := testInput((2<<20)/8, 9)
 	f, err := sys.WriteFile("ints.txt", data)
 	if err != nil {

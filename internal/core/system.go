@@ -45,11 +45,6 @@ type SystemConfig struct {
 	// SQ/CQ pair saturated. <= 0 derives 2×BatchDepth; values below
 	// BatchDepth clamp the batch down to the window.
 	WindowDepth int
-	// SimEngine selects the discrete-event engine implementation that runs
-	// command dispatch and interrupt delivery. The zero value is the
-	// hierarchical time wheel; sim.EngineHeap selects the reference heap,
-	// kept for byte-identity cross-checks.
-	SimEngine sim.EngineKind
 }
 
 // DefaultSystemConfig matches §VI-A.
@@ -139,7 +134,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.WithGPU {
 		sys.GPU = gpu.New(cfg.GPU, fabric)
 	}
-	sys.Engine = sim.NewEngineKind(sim.NewClock(), cfg.SimEngine)
+	sys.Engine = sim.NewEngine(sim.NewClock())
 	ctrl.SetEngine(sys.Engine)
 	sys.Driver = NewDriver(sys, 1024)
 	id, _, err := sys.Driver.Identify(0)

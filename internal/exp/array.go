@@ -72,6 +72,9 @@ type arrayPoint struct {
 
 // arrayGrid expands the sweep selector into grid points.
 func arrayGrid(sw ArraySweep) ([]arrayPoint, error) {
+	if sw.Shards < 0 || sw.Replicas < 0 {
+		return nil, fmt.Errorf("exp: array shards/replicas must be >= 0 (0 = default), got %d/%d", sw.Shards, sw.Replicas)
+	}
 	if sw.Shards == 0 && sw.Replicas == 0 && sw.Arrival == "" {
 		return []arrayPoint{
 			{shards: 2, replicas: 1, mix: array.MixPoisson},
@@ -82,10 +85,10 @@ func arrayGrid(sw ArraySweep) ([]arrayPoint, error) {
 		}, nil
 	}
 	pt := arrayPoint{shards: sw.Shards, replicas: sw.Replicas}
-	if pt.shards <= 0 {
+	if pt.shards == 0 {
 		pt.shards = 4
 	}
-	if pt.replicas <= 0 {
+	if pt.replicas == 0 {
 		pt.replicas = 2
 	}
 	if sw.Arrival != "" {
@@ -247,25 +250,12 @@ func arrayPointRun(po Options, pt arrayPoint, app *apps.App, tenants, requests, 
 		Spec:     app.Spec,
 		Classes:  classes,
 	}
-	var tr *array.TrafficResult
-	if po.ShardParallel > 0 {
-		// The point's own token (held by runPoints) funds one shard
-		// worker; extra slots are scavenged best-effort from the shared
-		// budget. Slot counts never change bytes, so starvation degrades
-		// wall-clock only.
-		want := po.ShardParallel
-		if want > pt.shards {
-			want = pt.shards
-		}
-		extras := 0
-		if po.budget != nil {
-			extras = po.budget.TryAcquire(want - 1)
-			defer po.budget.Release(extras)
-		}
-		tr, err = array.RunTrafficParallel(a, tc, 1+extras)
-	} else {
-		tr, err = array.RunTraffic(a, tc)
-	}
+	// The point's own token (held by runPoints) funds one shard worker;
+	// extra slots are scavenged best-effort from the shared budget. Slot
+	// counts never change bytes, so starvation costs wall-clock only.
+	extras := po.budget.TryAcquire(pt.shards - 1)
+	defer po.budget.Release(extras)
+	tr, err := array.RunTrafficParallel(a, tc, 1+extras)
 	if err != nil {
 		return ArrayRow{}, err
 	}
@@ -310,21 +300,26 @@ func arrayPointRun(po Options, pt arrayPoint, app *apps.App, tenants, requests, 
 }
 
 // RunArray runs the sweep. Points are independent fleets and fan out
-// across the worker pool; output is byte-identical at any -parallel
-// setting and under either sim engine.
+// across the worker pool, and each point's shards run on whatever slots
+// of the same pool are free; output is byte-identical at any -parallel
+// setting.
 func RunArray(o Options, sw ArraySweep) (*ArrayResult, error) {
 	grid, err := arrayGrid(sw)
 	if err != nil {
 		return nil, err
 	}
+	if sw.Tenants < 0 || sw.Requests < 0 || sw.Objects < 0 {
+		return nil, fmt.Errorf("exp: array tenants/requests/objects must be >= 0 (0 = default), got %d/%d/%d",
+			sw.Tenants, sw.Requests, sw.Objects)
+	}
 	tenants, requests, objects := sw.Tenants, sw.Requests, sw.Objects
-	if tenants <= 0 {
+	if tenants == 0 {
 		tenants = arrayTenants
 	}
-	if requests <= 0 {
+	if requests == 0 {
 		requests = arrayRequests
 	}
-	if objects <= 0 {
+	if objects == 0 {
 		objects = arrayObjects
 	}
 	app, err := apps.ByName(arrayApp)

@@ -15,7 +15,6 @@ import (
 	"morpheus/internal/apps"
 	"morpheus/internal/core"
 	"morpheus/internal/flash"
-	"morpheus/internal/mvm"
 	"morpheus/internal/sim"
 	"morpheus/internal/stats"
 	"morpheus/internal/trace"
@@ -58,32 +57,16 @@ type Options struct {
 	// name, as in the multiprogrammed experiment); "" or "*" applies to
 	// every run under the name "all".
 	SLOs []stats.SLOConfig
-	// Parallel is the worker count for independent sweep points: 0 uses
-	// one worker per CPU, 1 forces the sequential loop. Output (tables,
-	// Metrics, Trace) is byte-identical at every setting; see parallel.go.
+	// Parallel is the worker count: 0 uses one worker per CPU, 1 forces
+	// the sequential loop. Sweep points and the shards of an array point
+	// draw from one budget of this many workers, so the two layers of
+	// parallelism never oversubscribe the machine together. Output
+	// (tables, Metrics, Trace) is byte-identical at every setting; see
+	// parallel.go and internal/array/parallel.go.
 	Parallel int
-	// ShardParallel, when positive, runs each array point's shards through
-	// the conservative-window executor (array.RunTrafficParallel) with up
-	// to this many concurrent shard goroutines; 0 keeps the inline
-	// sequential serving loop. Points and shard goroutines draw from one
-	// shared worker budget sized max(workers, ShardParallel), so the two
-	// layers of parallelism never oversubscribe the machine together.
-	// Output is byte-identical at every positive setting; see
-	// internal/array/parallel.go for the determinism argument.
-	ShardParallel int
 	// budget is the experiment-wide worker semaphore runPoints lazily
 	// creates; tests inject one to pin the cap.
 	budget *sim.WorkerBudget
-	// MVMEngine selects the embedded-core execution engine (default: the
-	// closure-compiled engine). Both engines are bit-identical in every
-	// simulated result — tables, metrics, traces — so this only changes
-	// host wall-clock.
-	MVMEngine mvm.EngineKind
-	// SimEngine selects the discrete-event scheduler implementation
-	// (default: the hierarchical time wheel; sim.EngineHeap is the
-	// reference oracle). As with MVMEngine, both are byte-identical in
-	// every simulated result.
-	SimEngine sim.EngineKind
 }
 
 // observe wires the experiment-wide tracer into a freshly staged system.
@@ -121,10 +104,6 @@ func buildSystem(o Options, withGPU bool) (*core.System, error) {
 	if o.Mutate != nil {
 		o.Mutate(&cfg)
 	}
-	if o.MVMEngine != mvm.EngineDefault {
-		cfg.SSD.VM.Engine = o.MVMEngine
-	}
-	cfg.SimEngine = o.SimEngine
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err

@@ -2,11 +2,12 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
-	"morpheus/internal/mvm"
 	"morpheus/internal/sim"
+	"morpheus/internal/trace"
 )
 
 // shardParArray is the E17 slice the shard-parallel battery runs: a
@@ -20,60 +21,56 @@ func shardParArray(o Options) (tabler, error) {
 }
 
 // TestShardParallelMatches is the experiment-level arm of the
-// conservative-window contract: E17 run at -shard-parallel 1, 4, and 8
-// renders the same table, the same aggregate metrics JSON, and the same
-// adopted trace (span IDs included) — under the point fan-out too, so
-// the shared worker budget is exercised with both layers live.
+// conservative-window contract: E17 renders the same table, the same
+// aggregate metrics JSON, and the same adopted trace (span IDs included)
+// whether its worker budget leaves every shard on one slot or funds all
+// eight, and under the point fan-out too, so the shared budget is
+// exercised with both layers live.
 func TestShardParallelMatches(t *testing.T) {
 	o := testOptions()
 	o.Scale = 1.0 / 8192
-	o.MVMEngine = mvm.EngineCompiled
 
-	o.Parallel = 1
-	o.ShardParallel = 1
-	wantTable, wantJSON, wantEvents := observedRun(t, shardParArray, o)
-	for _, sp := range []int{4, 8} {
-		o.Parallel = 4
-		o.ShardParallel = sp
-		gotTable, gotJSON, gotEvents := observedRun(t, shardParArray, o)
-		if gotTable != wantTable {
-			t.Errorf("shard-parallel=%d table diverged:\n%s\nvs:\n%s", sp, wantTable, gotTable)
+	var wantTable string
+	var wantJSON []byte
+	var wantEvents []trace.Event
+	for _, tokens := range []int{1, 8} {
+		for _, par := range []int{1, 4} {
+			label := fmt.Sprintf("budget=%d parallel=%d", tokens, par)
+			o.Parallel = par
+			o.budget = sim.NewWorkerBudget(tokens)
+			table, js, events := observedRun(t, shardParArray, o)
+			if tokens == 8 && par == 1 {
+				// One point at a time holds one token and scavenges the
+				// other seven for its shards.
+				if peak := o.budget.Peak(); peak != 8 {
+					t.Errorf("%s: budget peak = %d, want all 8 slots in use", label, peak)
+				}
+			}
+			if wantJSON == nil {
+				wantTable, wantJSON, wantEvents = table, js, events
+				continue
+			}
+			if table != wantTable {
+				t.Errorf("%s: table diverged:\n%s\nvs:\n%s", label, wantTable, table)
+			}
+			if !bytes.Equal(js, wantJSON) {
+				t.Errorf("%s: metrics JSON diverged", label)
+			}
+			if !reflect.DeepEqual(events, wantEvents) {
+				t.Errorf("%s: trace diverged", label)
+			}
 		}
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("shard-parallel=%d metrics JSON diverged", sp)
-		}
-		if !reflect.DeepEqual(gotEvents, wantEvents) {
-			t.Errorf("shard-parallel=%d trace diverged: %d vs %d events",
-				sp, len(wantEvents), len(gotEvents))
-		}
-	}
-
-	// The reference heap scheduler under the windowed executor.
-	o.Parallel = 1
-	o.ShardParallel = 4
-	o.SimEngine = sim.EngineHeap
-	heapTable, heapJSON, heapEvents := observedRun(t, shardParArray, o)
-	if heapTable != wantTable {
-		t.Errorf("heap scheduler table diverged:\n%s\nvs:\n%s", wantTable, heapTable)
-	}
-	if !bytes.Equal(heapJSON, wantJSON) {
-		t.Errorf("heap scheduler metrics JSON diverged")
-	}
-	if !reflect.DeepEqual(heapEvents, wantEvents) {
-		t.Errorf("heap scheduler trace diverged: %d vs %d events",
-			len(wantEvents), len(heapEvents))
 	}
 }
 
 // TestWorkerBudgetBoundsSweep is the oversubscription regression test:
-// with an injected 4-token budget, an 8-way point fan-out each asking
-// for 8-way shard parallelism must never hold more than 4 tokens at
+// with an injected 4-token budget, an 8-way point fan-out whose points
+// each ask for a slot per shard must never hold more than 4 tokens at
 // once — points × shards stay inside the one global bound.
 func TestWorkerBudgetBoundsSweep(t *testing.T) {
 	o := testOptions()
 	o.Scale = 1.0 / 8192
 	o.Parallel = 8
-	o.ShardParallel = 8
 	o.budget = sim.NewWorkerBudget(4)
 	r, err := RunArray(o, ArraySweep{Tenants: 64, Requests: 48, Objects: 8})
 	if err != nil {

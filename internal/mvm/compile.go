@@ -2,7 +2,6 @@ package mvm
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -63,17 +62,6 @@ func (e EngineKind) String() string {
 		return "interp"
 	}
 	return "compiled"
-}
-
-// ParseEngine maps an engine flag value to an EngineKind.
-func ParseEngine(s string) (EngineKind, error) {
-	switch s {
-	case "interp", "interpreter":
-		return EngineInterp, nil
-	case "", "default", "compiled":
-		return EngineCompiled, nil
-	}
-	return EngineDefault, fmt.Errorf("mvm: unknown engine %q (want interp or compiled)", s)
 }
 
 // runCompiled is the compiled engine's dispatch loop. The pc-range check

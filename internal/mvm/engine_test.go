@@ -456,15 +456,6 @@ func TestEngineDefaultIsCompiled(t *testing.T) {
 	if vm.code != nil {
 		t.Fatal("EngineInterp must not compile")
 	}
-	if _, err := ParseEngine("nope"); err == nil {
-		t.Fatal("ParseEngine must reject unknown names")
-	}
-	for s, want := range map[string]EngineKind{"interp": EngineInterp, "compiled": EngineCompiled, "": EngineCompiled} {
-		got, err := ParseEngine(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseEngine(%q) = %v, %v", s, got, err)
-		}
-	}
 	if EngineDefault.String() != "compiled" || EngineInterp.String() != "interp" {
 		t.Fatalf("engine names: %v %v", EngineDefault, EngineInterp)
 	}

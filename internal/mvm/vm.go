@@ -67,8 +67,9 @@ type Config struct {
 	// Engine selects the execution engine: the closure-compiled engine
 	// (the default, see compile.go) or the reference interpreter
 	// (EngineInterp). Both produce bit-identical results — output bytes,
-	// cycles, steps, scan counts, traps, profiles — so the choice only
-	// affects host wall-clock.
+	// cycles, steps, scan counts, traps, profiles. Production code leaves
+	// it at the default; the differential suites set EngineInterp to run
+	// the interpreter as their oracle.
 	Engine EngineKind
 }
 

@@ -6,11 +6,35 @@ import (
 	"morpheus/internal/units"
 )
 
+// engineKind names the event-queue implementation behind a test engine.
+type engineKind int
+
+const (
+	engineWheel engineKind = iota // the production time wheel
+	engineHeap                    // the reference heap below
+)
+
+// String names the kind (and so the per-kind subtest).
+func (k engineKind) String() string {
+	if k == engineHeap {
+		return "heap"
+	}
+	return "wheel"
+}
+
+// newEngineKind returns an engine backed by the chosen queue. Both kinds
+// obey the same fire-order contract: (time, scheduling seq).
+func newEngineKind(clock *Clock, kind engineKind) *Engine {
+	if kind == engineHeap {
+		return &Engine{clock: clock, q: &heapQueue{}}
+	}
+	return NewEngine(clock)
+}
+
 // heapQueue is the binary-heap event queue the engine shipped with before
 // the time wheel. It is retained as the reference implementation: the
 // differential scheduler battery and FuzzEngineSchedule replay every
-// script against it as the fire-order oracle, and -sim-engine heap runs
-// whole experiments on it for byte-identity cross-checks.
+// script against it as the fire-order oracle.
 type heapQueue struct {
 	h eventHeap
 }

@@ -176,8 +176,8 @@ func TestPipeLatencyAndSerialization(t *testing.T) {
 // engineKinds runs a subtest per queue implementation: the engine
 // contract must hold identically for the wheel and the reference heap.
 func engineKinds(t *testing.T, f func(t *testing.T, eng *Engine)) {
-	for _, kind := range []EngineKind{EngineWheel, EngineHeap} {
-		t.Run(kind.String(), func(t *testing.T) { f(t, NewEngineKind(NewClock(), kind)) })
+	for _, kind := range []engineKind{engineWheel, engineHeap} {
+		t.Run(kind.String(), func(t *testing.T) { f(t, newEngineKind(NewClock(), kind)) })
 	}
 }
 

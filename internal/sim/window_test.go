@@ -13,9 +13,9 @@ import (
 // inside the window — in (time, seq) order, and leaves the clock at the
 // last fired event rather than the window edge, on both engine kinds.
 func TestDrainWindowCursorContract(t *testing.T) {
-	for _, kind := range []EngineKind{EngineWheel, EngineHeap} {
+	for _, kind := range []engineKind{engineWheel, engineHeap} {
 		t.Run(kind.String(), func(t *testing.T) {
-			e := NewEngineKind(NewClock(), kind)
+			e := newEngineKind(NewClock(), kind)
 			var fired []units.Time
 			note := func(now units.Time) { fired = append(fired, now) }
 			e.Schedule(10, func(now units.Time) {
