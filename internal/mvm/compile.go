@@ -1,9 +1,6 @@
 package mvm
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
 // This file implements the compiled execution engine: a one-time
 // translation of a Program into a chain of Go closures, one handler per
@@ -984,16 +981,7 @@ func compileOne(p *Program, pc int, ins Instr) opFn {
 			return StateRunnable
 		}
 	case OpLd8, OpLd32, OpLd64:
-		op := ins.Op
-		var size int64
-		switch op {
-		case OpLd8:
-			size = 1
-		case OpLd32:
-			size = 4
-		default:
-			size = 8
-		}
+		op, size := ins.Op, memOpSize(ins.Op)
 		return func(vm *VM) State {
 			if !vm.account(op) {
 				return vm.trapStepLimit()
@@ -1004,34 +992,16 @@ func compileOne(p *Program, pc int, ins Instr) opFn {
 				return vm.trapUnderflow()
 			}
 			addr := vm.stack[n-1]
-			if addr < 0 || addr+size > int64(len(vm.sram)) {
+			if addr < 0 || addr+size > int64(vm.cfg.DSRAMSize) {
 				vm.stack = vm.stack[:n-1]
 				return vm.trap("mvm: D-SRAM load out of range: addr=%d size=%d", addr, size)
 			}
-			var v int64
-			switch op {
-			case OpLd8:
-				v = int64(vm.sram[addr])
-			case OpLd32:
-				v = int64(int32(binary.LittleEndian.Uint32(vm.sram[addr:])))
-			default:
-				v = int64(binary.LittleEndian.Uint64(vm.sram[addr:]))
-			}
-			vm.stack[n-1] = v
+			vm.stack[n-1] = vm.load(op, addr)
 			vm.pc = next
 			return StateRunnable
 		}
 	case OpSt8, OpSt32, OpSt64:
-		op := ins.Op
-		var size int64
-		switch op {
-		case OpSt8:
-			size = 1
-		case OpSt32:
-			size = 4
-		default:
-			size = 8
-		}
+		op, size := ins.Op, memOpSize(ins.Op)
 		return func(vm *VM) State {
 			if !vm.account(op) {
 				return vm.trapStepLimit()
@@ -1047,17 +1017,10 @@ func compileOne(p *Program, pc int, ins Instr) opFn {
 			}
 			v, addr := vm.stack[n-1], vm.stack[n-2]
 			vm.stack = vm.stack[:n-2]
-			if addr < 0 || addr+size > int64(len(vm.sram)) {
+			if addr < 0 || addr+size > int64(vm.cfg.DSRAMSize) {
 				return vm.trap("mvm: D-SRAM store out of range: addr=%d size=%d", addr, size)
 			}
-			switch op {
-			case OpSt8:
-				vm.sram[addr] = byte(v)
-			case OpSt32:
-				binary.LittleEndian.PutUint32(vm.sram[addr:], uint32(v))
-			default:
-				binary.LittleEndian.PutUint64(vm.sram[addr:], uint64(v))
-			}
+			vm.store(op, addr, v)
 			vm.pc = next
 			return StateRunnable
 		}

@@ -262,14 +262,11 @@ func TestProgramTooBigForSRAM(t *testing.T) {
 	}
 }
 
-func TestRemaining(t *testing.T) {
+func TestConsumed(t *testing.T) {
 	p, _ := Assemble("sys read_byte\npop\nsys read_byte\npop\nhalt")
 	vm, _ := New(p, DefaultConfig(), DefaultCostModel())
 	vm.Feed([]byte("abcdef"), true)
 	vm.Run()
-	if got := string(vm.Remaining()); got != "cdef" {
-		t.Fatalf("remaining = %q", got)
-	}
 	if vm.Consumed() != 2 {
 		t.Fatalf("consumed = %d", vm.Consumed())
 	}

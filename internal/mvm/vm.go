@@ -99,7 +99,10 @@ type VM struct {
 	stack   []int64
 	frames  []frame
 	globals []int64
-	sram    []byte
+	// sram is the D-SRAM, allocated by mem on the first ld/st: most
+	// StorageApps never address it, and zeroing cfg.DSRAMSize bytes per
+	// MINIT would dominate short streams.
+	sram []byte
 
 	args []int64
 
@@ -141,7 +144,6 @@ func New(prog *Program, cfg Config, cost CostModel) (*VM, error) {
 		cfg:     cfg,
 		cost:    cost,
 		globals: make([]int64, prog.NumGlobals),
-		sram:    make([]byte, cfg.DSRAMSize),
 		frames:  []frame{{retPC: -1, locals: make([]int64, NumLocals)}},
 	}
 	if cfg.Profile {
@@ -204,13 +206,15 @@ func (vm *VM) DrainOutput() []byte {
 	return out
 }
 
-// Remaining returns the unconsumed bytes still in the input window. The
-// sampled-execution mode uses this to hand the partial trailing token over
-// to the native continuation when it stops interpreting.
-func (vm *VM) Remaining() []byte {
-	out := make([]byte, len(vm.input)-vm.inputPos)
-	copy(out, vm.input[vm.inputPos:])
-	return out
+// DiscardOutput drops the buffered output bytes in place, keeping the
+// buffer's capacity, and resumes a VM paused on a full or flushed buffer.
+// The sampled-execution timing rig uses it: its output is never read, so
+// handing it to a caller (DrainOutput) would only allocate.
+func (vm *VM) DiscardOutput() {
+	vm.output = vm.output[:0]
+	if vm.state == StateOutputFull || vm.state == StateFlushRequested {
+		vm.state = StateRunnable
+	}
 }
 
 // Cycles returns the accumulated embedded-core cycles.
@@ -236,6 +240,55 @@ func (vm *VM) FloatOps() int64 { return vm.floatOps }
 
 // ScanCounts returns how many int and float tokens were scanned.
 func (vm *VM) ScanCounts() (ints, floats int64) { return vm.intScans, vm.floatScans }
+
+// mem returns the D-SRAM, allocating it on first use. Callers bound
+// addresses by cfg.DSRAMSize, not len(sram), so an unallocated D-SRAM traps
+// exactly as an allocated one would.
+func (vm *VM) mem() []byte {
+	if vm.sram == nil {
+		vm.sram = make([]byte, vm.cfg.DSRAMSize)
+	}
+	return vm.sram
+}
+
+// memOpSize is the access width in bytes of a D-SRAM load or store.
+func memOpSize(op Op) int64 {
+	switch op {
+	case OpLd8, OpSt8:
+		return 1
+	case OpLd32, OpSt32:
+		return 4
+	default:
+		return 8
+	}
+}
+
+// load reads the op-sized value at an in-range D-SRAM address.
+func (vm *VM) load(op Op, addr int64) int64 {
+	m := vm.mem()
+	switch op {
+	case OpLd8:
+		return int64(m[addr])
+	case OpLd32:
+		return int64(int32(binary.LittleEndian.Uint32(m[addr:])))
+	default:
+		return int64(binary.LittleEndian.Uint64(m[addr:]))
+	}
+}
+
+// store writes v, truncated to the op's width, at an in-range D-SRAM
+// address.
+func (vm *VM) store(op Op, addr, v int64) {
+	m := vm.mem()
+	switch op {
+	case OpSt8:
+		m[addr] = byte(v)
+	case OpSt32:
+		binary.LittleEndian.PutUint32(m[addr:], uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(m[addr:], uint64(v))
+	}
+}
 
 func (vm *VM) push(v int64) error {
 	if len(vm.stack) >= vm.cfg.StackLimit {
@@ -389,20 +442,11 @@ func (vm *VM) Run() State {
 			if err != nil {
 				return vm.trap("%v", err)
 			}
-			size := map[Op]int64{OpLd8: 1, OpLd32: 4, OpLd64: 8}[ins.Op]
-			if addr < 0 || addr+size > int64(len(vm.sram)) {
+			size := memOpSize(ins.Op)
+			if addr < 0 || addr+size > int64(vm.cfg.DSRAMSize) {
 				return vm.trap("mvm: D-SRAM load out of range: addr=%d size=%d", addr, size)
 			}
-			var v int64
-			switch ins.Op {
-			case OpLd8:
-				v = int64(vm.sram[addr])
-			case OpLd32:
-				v = int64(int32(binary.LittleEndian.Uint32(vm.sram[addr:])))
-			case OpLd64:
-				v = int64(binary.LittleEndian.Uint64(vm.sram[addr:]))
-			}
-			if err := vm.push(v); err != nil {
+			if err := vm.push(vm.load(ins.Op, addr)); err != nil {
 				return vm.trap("%v", err)
 			}
 			vm.pc++
@@ -416,18 +460,11 @@ func (vm *VM) Run() State {
 			if err != nil {
 				return vm.trap("%v", err)
 			}
-			size := map[Op]int64{OpSt8: 1, OpSt32: 4, OpSt64: 8}[ins.Op]
-			if addr < 0 || addr+size > int64(len(vm.sram)) {
+			size := memOpSize(ins.Op)
+			if addr < 0 || addr+size > int64(vm.cfg.DSRAMSize) {
 				return vm.trap("mvm: D-SRAM store out of range: addr=%d size=%d", addr, size)
 			}
-			switch ins.Op {
-			case OpSt8:
-				vm.sram[addr] = byte(v)
-			case OpSt32:
-				binary.LittleEndian.PutUint32(vm.sram[addr:], uint32(v))
-			case OpSt64:
-				binary.LittleEndian.PutUint64(vm.sram[addr:], uint64(v))
-			}
+			vm.store(ins.Op, addr, v)
 			vm.pc++
 		case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpXor, OpShl, OpShr,
 			OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:

@@ -42,28 +42,42 @@ func (k FieldKind) Width() int {
 func (k FieldKind) IsFloat() bool { return k == FieldFloat32 || k == FieldFloat64 }
 
 // Tokenize splits b into whitespace/comma-separated tokens, returning the
-// byte ranges. It allocates only the index slice.
+// byte ranges. The parsers walk tokens with nextToken instead, so they
+// allocate no index slice.
 func Tokenize(b []byte) [][]byte {
 	var out [][]byte
-	i := 0
-	for i < len(b) {
-		for i < len(b) && isSep(b[i]) {
-			i++
-		}
-		start := i
-		for i < len(b) && !isSep(b[i]) {
-			i++
-		}
-		if i > start {
-			out = append(out, b[start:i])
-		}
+	for start, end := nextToken(b, 0); start < end; start, end = nextToken(b, end) {
+		out = append(out, b[start:end])
 	}
 	return out
 }
 
-func isSep(c byte) bool {
-	return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == ','
+// nextToken returns the bounds of the first token at or after i; start ==
+// end == len(b) when none is left.
+func nextToken(b []byte, i int) (start, end int) {
+	for i < len(b) && isSep(b[i]) {
+		i++
+	}
+	start = i
+	for i < len(b) && !isSep(b[i]) {
+		i++
+	}
+	return start, i
 }
+
+// countTokens returns how many tokens b holds.
+func countTokens(b []byte) int {
+	n := 0
+	for start, end := nextToken(b, 0); start < end; start, end = nextToken(b, end) {
+		n++
+	}
+	return n
+}
+
+// sepTable marks the token separators: space, newline, tab, CR, comma.
+var sepTable = [256]bool{' ': true, '\n': true, '\t': true, '\r': true, ',': true}
+
+func isSep(c byte) bool { return sepTable[c] }
 
 // ParseError describes a malformed token.
 type ParseError struct {
@@ -93,16 +107,42 @@ func (p TokenParser) Parse(chunk []byte, final bool) []byte {
 
 // ParseTokens converts all tokens in chunk to the binary encoding of kind.
 func ParseTokens(chunk []byte, kind FieldKind) ([]byte, error) {
-	toks := Tokenize(chunk)
-	out := make([]byte, 0, len(toks)*kind.Width())
-	for _, tok := range toks {
+	out := make([]byte, 0, countTokens(chunk)*kind.Width())
+	for start, end := nextToken(chunk, 0); start < end; start, end = nextToken(chunk, end) {
 		var err error
-		out, err = appendField(out, tok, kind)
+		out, err = appendField(out, chunk[start:end], kind)
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// maxFastDigits is the longest digit run parseSmallInt accepts: any
+// 18-digit decimal fits in an int64, so no overflow check is needed.
+const maxFastDigits = 18
+
+// parseSmallInt parses an optionally signed decimal of at most
+// maxFastDigits digits. ok is false for anything else, which the caller
+// hands to strconv.ParseInt so that it decides both value and error.
+func parseSmallInt(tok []byte) (n int64, ok bool) {
+	digits := tok
+	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > maxFastDigits {
+		return 0, false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if tok[0] == '-' {
+		n = -n
+	}
+	return n, true
 }
 
 func appendField(out []byte, tok []byte, kind FieldKind) ([]byte, error) {
@@ -111,25 +151,22 @@ func appendField(out []byte, tok []byte, kind FieldKind) ([]byte, error) {
 		if err != nil {
 			return nil, &ParseError{Token: string(tok), Err: err}
 		}
-		var buf [8]byte
 		if kind == FieldFloat32 {
-			binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(float32(f)))
-			return append(out, buf[:4]...), nil
+			return binary.LittleEndian.AppendUint32(out, math.Float32bits(float32(f))), nil
 		}
-		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(f))
-		return append(out, buf[:8]...), nil
+		return binary.LittleEndian.AppendUint64(out, math.Float64bits(f)), nil
 	}
-	n, err := strconv.ParseInt(string(tok), 10, 64)
-	if err != nil {
-		return nil, &ParseError{Token: string(tok), Err: err}
+	n, ok := parseSmallInt(tok)
+	if !ok {
+		var err error
+		if n, err = strconv.ParseInt(string(tok), 10, 64); err != nil {
+			return nil, &ParseError{Token: string(tok), Err: err}
+		}
 	}
-	var buf [8]byte
 	if kind == FieldInt32 {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(int32(n)))
-		return append(out, buf[:4]...), nil
+		return binary.LittleEndian.AppendUint32(out, uint32(int32(n))), nil
 	}
-	binary.LittleEndian.PutUint64(buf[:8], uint64(n))
-	return append(out, buf[:8]...), nil
+	return binary.LittleEndian.AppendUint64(out, uint64(n)), nil
 }
 
 // RecordParser converts line-structured records whose tokens cycle
@@ -148,21 +185,31 @@ func (p RecordParser) Parse(chunk []byte, final bool) []byte {
 	return out
 }
 
-// ParseRecords converts tokens cycling through the field kinds.
+// ParseRecords converts tokens cycling through the field kinds. A counting
+// pass checks the record count before any token is parsed and sizes the
+// output exactly.
 func ParseRecords(chunk []byte, fields []FieldKind) ([]byte, error) {
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("serial: RecordParser needs at least one field")
 	}
-	toks := Tokenize(chunk)
-	if len(toks)%len(fields) != 0 {
-		return nil, fmt.Errorf("serial: %d tokens do not fill records of %d fields", len(toks), len(fields))
+	n := countTokens(chunk)
+	if n%len(fields) != 0 {
+		return nil, fmt.Errorf("serial: %d tokens do not fill records of %d fields", n, len(fields))
 	}
-	var out []byte
-	for i, tok := range toks {
+	recWidth := 0
+	for _, f := range fields {
+		recWidth += f.Width()
+	}
+	out := make([]byte, 0, n/len(fields)*recWidth)
+	i := 0
+	for start, end := nextToken(chunk, 0); start < end; start, end = nextToken(chunk, end) {
 		var err error
-		out, err = appendField(out, tok, fields[i%len(fields)])
+		out, err = appendField(out, chunk[start:end], fields[i])
 		if err != nil {
 			return nil, err
+		}
+		if i++; i == len(fields) {
+			i = 0
 		}
 	}
 	return out, nil

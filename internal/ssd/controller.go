@@ -632,8 +632,10 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 	}
 	// Collect the chunk's pages into D-SRAM (via DRAM), then run the
 	// StorageApp over the whole chunk on the pinned core. Page reads
-	// overlap; VM execution starts when the data is buffered.
-	var chunk []byte
+	// overlap; VM execution starts when the data is buffered. The buffer
+	// is sized once for the command; the MDTS cap keeps a malformed NLB
+	// from reserving more than a well-formed command could.
+	chunk := make([]byte, 0, min(int64(nlb)*nvme.LBASize, int64(c.cfg.MDTS)))
 	status, dataAt := c.readPages(t, ctx.Cmd.SLBA(), nlb, func(data []byte, at units.Time) units.Time {
 		chunk = append(chunk, data...)
 		return at
@@ -777,7 +779,7 @@ func (c *Controller) doMWrite(ready units.Time, ctx *CmdContext) (nvme.Status, u
 		c.releaseInstance(in.id)
 		return nvme.StatusAppFault, t
 	}
-	res, err := in.interpretChunk(ctx.Data, ctx.LastChunk)
+	res, err := in.interpretChunk(ctx.Data, ctx.LastChunk, true)
 	if err != nil {
 		c.releaseInstance(in.id)
 		return nvme.StatusAppFault, t

@@ -90,7 +90,7 @@ func (in *instance) processChunk(chunk []byte, final bool, sampleWindow int64) (
 	}
 	in.inBytes += int64(len(chunk))
 	if !in.sampled {
-		res, err := in.interpretChunk(chunk, final)
+		res, err := in.interpretChunk(chunk, final, true)
 		if err == nil {
 			in.cycles += res.cycles
 			in.outBytes += int64(len(res.out))
@@ -103,8 +103,7 @@ func (in *instance) processChunk(chunk []byte, final bool, sampleWindow int64) (
 	}
 	// Sampled mode: keep the timing rig running over the sample window.
 	if in.vm != nil && in.vm.Consumed() < sampleWindow {
-		rigFinal := final
-		if _, err := in.interpretChunk(chunk, rigFinal); err != nil {
+		if _, err := in.interpretChunk(chunk, final, false); err != nil {
 			return chunkResult{}, err
 		}
 	}
@@ -140,23 +139,32 @@ func (in *instance) updateCPB() {
 	}
 }
 
-// interpretChunk feeds the VM one chunk and runs it to quiescence,
-// draining outputs as they fill. It does not update instance accounting;
-// callers decide whether the VM is the data plane or just the timing rig.
-func (in *instance) interpretChunk(chunk []byte, final bool) (chunkResult, error) {
+// interpretChunk feeds the VM one chunk and runs it to quiescence. With
+// keep it drains outputs as they fill and returns them; without keep (the
+// timing rig) it discards them in place, so a paused rig costs no
+// allocation. It does not update instance accounting; callers decide
+// whether the VM is the data plane or just the timing rig.
+func (in *instance) interpretChunk(chunk []byte, final, keep bool) (chunkResult, error) {
 	startCycles := in.vm.Cycles()
 	if err := in.vm.Feed(chunk, final); err != nil {
 		return chunkResult{}, err
 	}
 	var out []byte
+	drain := func() {
+		if keep {
+			out = append(out, in.vm.DrainOutput()...)
+		} else {
+			in.vm.DiscardOutput()
+		}
+	}
 	for {
 		switch st := in.vm.Run(); st {
 		case mvm.StateNeedInput:
 			return chunkResult{out: out, cycles: in.vm.Cycles() - startCycles}, nil
 		case mvm.StateOutputFull, mvm.StateFlushRequested:
-			out = append(out, in.vm.DrainOutput()...)
+			drain()
 		case mvm.StateHalted:
-			out = append(out, in.vm.DrainOutput()...)
+			drain()
 			return chunkResult{out: out, cycles: in.vm.Cycles() - startCycles, halted: true}, nil
 		case mvm.StateTrapped:
 			return chunkResult{}, fmt.Errorf("ssd: StorageApp %q trapped: %w", in.prog.Name, in.vm.TrapErr())
@@ -168,9 +176,13 @@ func (in *instance) interpretChunk(chunk []byte, final bool) (chunkResult, error
 
 // align prepends the carried partial record and cuts the chunk at the
 // last record (newline) boundary, carrying the tail to the next call.
-// With final==true everything is flushed.
+// With final==true everything is flushed. With nothing carried the result
+// aliases chunk instead of copying it; carry never aliases chunk.
 func (in *instance) align(chunk []byte, final bool) []byte {
-	buf := append(in.carry, chunk...)
+	buf := chunk
+	if len(in.carry) > 0 {
+		buf = append(in.carry, chunk...)
+	}
 	in.carry = nil
 	if final {
 		return buf
@@ -180,7 +192,7 @@ func (in *instance) align(chunk []byte, final bool) []byte {
 		i--
 	}
 	if i < 0 {
-		in.carry = buf
+		in.carry = append([]byte(nil), buf...)
 		return nil
 	}
 	in.carry = append([]byte(nil), buf[i+1:]...)
