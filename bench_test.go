@@ -226,7 +226,7 @@ func BenchmarkSlowHost(b *testing.B) {
 func BenchmarkMultiprog(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunMultiprog(o, 0.5)
+		r, err := exp.RunMultiprog(o)
 		if err != nil {
 			b.Fatal(err)
 		}

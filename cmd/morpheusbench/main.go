@@ -10,21 +10,24 @@
 //	morpheusbench -exp fig8 -parallel 8   # fan sweep points across 8 workers
 //	morpheusbench -list                   # show the experiment index
 //
-// Experiments: table1, fig2, fig3, profile, fig8, fig9, fig10, traffic,
-// endtoend, slowhost, multiprog, serialize, faults, cachesweep, serve,
-// array, ablation, all.
+// -exp takes one experiment name, a comma-separated list, or all; the
+// names and their order come from exp.Experiments.
 //
-// -ssd-cache enables the SSD-DRAM deserialized-object cache (an extension
-// beyond the paper) in every experiment; -ssd-cache-mb sizes it. The
-// cachesweep experiment manages the cache itself and ignores both flags'
+// -ssd-cache-mb N (N > 0) enables an N MiB SSD-DRAM deserialized-object
+// cache (an extension beyond the paper) in every experiment. The
+// cachesweep experiment manages the cache itself and overrides the flag's
 // cache fields where it must.
 //
-// -batch-depth and -window-depth tune the batched submission front-end in
-// every experiment: batch-depth MREAD commands are coalesced into one
-// doorbell ring (1 = command-at-a-time) and up to window-depth commands
-// stay in flight before the runtime reaps the oldest completions. The
-// serve experiment (E16) sweeps both itself and overrides the flags. The
+// -batch-depth tunes the batched submission front-end in every
+// experiment: that many MREAD commands are coalesced into one doorbell
+// ring (1 = command-at-a-time), and up to twice as many stay in flight
+// before the runtime reaps the oldest completions. The serve experiment
+// (E16) sweeps batch and window depth itself and overrides the flag. The
 // per-command host submission cost lands in the host.submit.* metrics.
+//
+// A malformed value — -scale <= 0, a negative -parallel, -batch-depth or
+// -ssd-cache-mb, a -format other than table or csv — exits with status 2
+// and a message naming the flag instead of falling back to a default.
 //
 // The array experiment (E17) scales the testbed to a sharded fleet:
 // -shards Morpheus-SSD systems behind consistent-hash placement with
@@ -80,11 +83,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -196,176 +202,38 @@ func writeMetrics(path string, reg *stats.Registry) error {
 	return f.Close()
 }
 
-type experiment struct {
-	name  string
-	paper string
-	run   func(exp.Options) ([]*exp.Table, error)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// arraySweep carries the -shards/-replicas/-arrival selections into the
-// array experiment; zero values run the E17 default grid.
-var arraySweep exp.ArraySweep
-
-func experiments() []experiment {
-	one := func(f func(exp.Options) (*exp.Table, error)) func(exp.Options) ([]*exp.Table, error) {
-		return func(o exp.Options) ([]*exp.Table, error) {
-			t, err := f(o)
-			if err != nil {
-				return nil, err
-			}
-			return []*exp.Table{t}, nil
-		}
-	}
-	return []experiment{
-		{"table1", "Table I — benchmark applications and inputs", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunTable1(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"fig2", "Figure 2 — baseline execution-time breakdown", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunFig2(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"fig3", "Figure 3 — effective bandwidth vs storage device and CPU frequency", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunFig3(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"profile", "§II — parse-cost profile (conversion vs OS overhead)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunProfile(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"fig8", "Figure 8 — deserialization speedup with Morpheus-SSD", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunFig8(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"fig9", "Figure 9 — normalized power and energy", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunFig9(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"fig10", "Figure 10 — context switches", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunFig10(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"traffic", "§VII-A — PCIe and memory-bus traffic", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunTraffic(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"endtoend", "§VII-B — end-to-end speedups (incl. NVMe-P2P)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunEndToEnd(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"slowhost", "slower-server sensitivity (1.2 GHz host)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunSlowHost(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"multiprog", "multiprogrammed environment (E12, extension of §III)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunMultiprog(o, 0.5)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"serialize", "MWRITE serialization (E13, extension)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunSerialize(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"faults", "fault campaign — retries and degraded mode (E14, extension)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunFaults(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"cachesweep", "SSD object-cache sweep (E15, extension)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunCachesweep(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"serve", "batched submission sweep (E16, extension)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunServe(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"array", "sharded array serving sweep (E17, extension)", one(func(o exp.Options) (*exp.Table, error) {
-			r, err := exp.RunArray(o, arraySweep)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})},
-		{"ablation", "design-choice ablations (DESIGN.md §4)", func(o exp.Options) ([]*exp.Table, error) {
-			r, err := exp.RunAblation(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Tables(), nil
-		}},
-	}
-}
-
-func main() {
+// run executes one command line and returns the process exit status: 0 on
+// success, 1 when an experiment or an output file fails, 2 for a bad
+// command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("morpheusbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		which       = flag.String("exp", "all", "experiment to run (or 'all')")
-		scale       = flag.Float64("scale", 1.0/256, "input size as a fraction of the Table I sizes")
-		seed        = flag.Int64("seed", 20160618, "workload generator seed")
-		list        = flag.Bool("list", false, "list available experiments")
-		format      = flag.String("format", "table", "output format: table or csv")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of every run to this file")
-		metricsOut  = flag.String("metrics-out", "", "write aggregated metrics to this file (.json for JSON, else Prometheus text)")
-		parallel    = flag.Int("parallel", 0, "worker budget shared by sweep points and array shards (0 = NumCPU, 1 = sequential); output is byte-identical at any setting")
-		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-		memProfile  = flag.String("memprofile", "", "write a pprof heap profile (taken after a final GC) to this file")
-		ssdCache    = flag.Bool("ssd-cache", false, "enable the SSD-DRAM deserialized-object cache in every experiment (extension beyond the paper)")
-		ssdCacheMB  = flag.Int("ssd-cache-mb", 0, "object-cache capacity in MiB (implies -ssd-cache; 0 = the 64MiB default)")
-		batchDepth  = flag.Int("batch-depth", 0, "MREAD commands coalesced per doorbell ring in every experiment (1 = command-at-a-time; 0 = the config default)")
-		windowDepth = flag.Int("window-depth", 0, "bound on in-flight MREAD commands in every experiment (0 = 2x batch depth)")
+		which      = fs.String("exp", "all", "experiment to run (or 'all')")
+		scale      = fs.Float64("scale", 1.0/256, "input size as a fraction of the Table I sizes (> 0)")
+		seed       = fs.Int64("seed", 20160618, "workload generator seed")
+		list       = fs.Bool("list", false, "list available experiments")
+		format     = fs.String("format", "table", "output format: table or csv")
+		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON of every run to this file")
+		metricsOut = fs.String("metrics-out", "", "write aggregated metrics to this file (.json for JSON, else Prometheus text)")
+		parallel   = fs.Int("parallel", 0, "worker budget shared by sweep points and array shards (0 = NumCPU, 1 = sequential); output is byte-identical at any setting")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+		memProfile = fs.String("memprofile", "", "write a pprof heap profile (taken after a final GC) to this file")
+		ssdCacheMB = fs.Int("ssd-cache-mb", 0, "enable an SSD-DRAM deserialized-object cache of this many MiB in every experiment (extension beyond the paper; 0 = no cache)")
+		batchDepth = fs.Int("batch-depth", 0, "MREAD commands coalesced per doorbell ring in every experiment, with twice as many in flight (1 = command-at-a-time; 0 = the config default)")
 
-		shards   = flag.Int("shards", 0, "array experiment: number of Morpheus-SSD shards in the fleet (0 = the E17 default grid)")
-		replicas = flag.Int("replicas", 0, "array experiment: distinct shards holding each object (0 = the E17 default grid)")
-		arrival  = flag.String("arrival", "", "array experiment: arrival process poisson|bursty|diurnal with optional mean interarrival, e.g. bursty:20us (empty = the E17 default grid)")
+		shards   = fs.Int("shards", 0, "array experiment: number of Morpheus-SSD shards in the fleet (0 = the E17 default grid)")
+		replicas = fs.Int("replicas", 0, "array experiment: distinct shards holding each object (0 = the E17 default grid)")
+		arrival  = fs.String("arrival", "", "array experiment: arrival process poisson|bursty|diurnal with optional mean interarrival, e.g. bursty:20us (empty = the E17 default grid)")
 
-		metricsWindow = flag.String("metrics-window", "", "windowed time-series bucket width as a Go duration (e.g. 100us); enables per-window counters, latency quantiles, and gauges")
-		timeseriesOut = flag.String("timeseries-out", "", "write the windowed time series to this file (.json, .csv, else OpenMetrics text); requires -metrics-window")
-		traceSample   = flag.String("trace-sample", "", "tail-sample the trace: head=N,lat=DUR,pending=N,keep=name|name (requires -trace-out)")
+		metricsWindow = fs.String("metrics-window", "", "windowed time-series bucket width as a Go duration (e.g. 100us); enables per-window counters, latency quantiles, and gauges")
+		timeseriesOut = fs.String("timeseries-out", "", "write the windowed time series to this file (.json, .csv, else OpenMetrics text); requires -metrics-window")
+		traceSample   = fs.String("trace-sample", "", "tail-sample the trace: head=N,lat=DUR,pending=N,keep=name|name (requires -trace-out)")
 	)
 	var slos []stats.SLOConfig
-	flag.Func("slo", "latency objective name=...,metric=...,target=2ms,budget=0.001, tracked per window (repeatable; name \"\" or \"*\" = every run)", func(s string) error {
+	fs.Func("slo", "latency objective name=...,metric=...,target=2ms,budget=0.001, tracked per window (repeatable; name \"\" or \"*\" = every run)", func(s string) error {
 		c, err := stats.ParseSLO(s, parsePS)
 		if err != nil {
 			return err
@@ -373,23 +241,46 @@ func main() {
 		slos = append(slos, c)
 		return nil
 	})
-	flag.Parse()
-	exps := experiments()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "morpheusbench: "+format+"\n", args...)
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "morpheusbench: "+format+"\n", args...)
+		return 1
+	}
+	switch {
+	case !(*scale > 0):
+		return usage("-scale must be > 0, got %v", *scale)
+	case *parallel < 0:
+		return usage("-parallel must be >= 0 (0 = NumCPU), got %d", *parallel)
+	case *batchDepth < 0:
+		return usage("-batch-depth must be >= 0 (0 = the config default), got %d", *batchDepth)
+	case *ssdCacheMB < 0:
+		return usage("-ssd-cache-mb must be >= 0 (0 = no cache), got %d", *ssdCacheMB)
+	case *format != "table" && *format != "csv":
+		return usage("-format must be table or csv, got %q", *format)
+	}
+	exps := exp.Experiments()
 	if *list {
 		for _, e := range exps {
-			fmt.Printf("  %-10s %s\n", e.name, e.paper)
+			fmt.Fprintf(stdout, "  %-10s %s\n", e.Name, e.Title)
 		}
-		return
+		return 0
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "morpheusbench: cpuprofile: %v\n", err)
-			os.Exit(1)
+			return fail("cpuprofile: %v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "morpheusbench: cpuprofile: %v\n", err)
-			os.Exit(1)
+			return fail("cpuprofile: %v", err)
 		}
 		defer f.Close()
 		defer pprof.StopCPUProfile()
@@ -399,13 +290,13 @@ func main() {
 		defer func() {
 			f, err := os.Create(path)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "morpheusbench: memprofile: %v\n", err)
+				fail("memprofile: %v", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle allocations so the profile reflects live heap
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "morpheusbench: memprofile: %v\n", err)
+				fail("memprofile: %v", err)
 			}
 		}()
 	}
@@ -413,53 +304,36 @@ func main() {
 	opts.Scale = *scale
 	opts.Seed = *seed
 	opts.Parallel = *parallel
-	if *ssdCache || *ssdCacheMB > 0 {
-		mb := *ssdCacheMB
+	if mb, batch := *ssdCacheMB, *batchDepth; mb > 0 || batch > 0 {
 		opts.Mutate = func(cfg *core.SystemConfig) {
-			cfg.SSD.ObjectCache = true
 			if mb > 0 {
+				cfg.SSD.ObjectCache = true
 				cfg.SSD.ObjectCacheSize = units.Bytes(mb) * units.MiB
 			}
-		}
-	}
-	if *batchDepth != 0 || *windowDepth != 0 {
-		prev := opts.Mutate
-		b, w := *batchDepth, *windowDepth
-		opts.Mutate = func(cfg *core.SystemConfig) {
-			if prev != nil {
-				prev(cfg)
-			}
-			if b != 0 {
-				cfg.BatchDepth = b
-			}
-			if w != 0 {
-				cfg.WindowDepth = w
+			if batch > 0 {
+				cfg.BatchDepth = batch
 			}
 		}
 	}
 	if *metricsWindow != "" {
 		ps, err := parsePS(*metricsWindow)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "morpheusbench: -metrics-window: %v\n", err)
-			os.Exit(2)
+			return usage("-metrics-window: %v", err)
 		}
 		opts.MetricsWindow = units.Duration(ps)
 	}
 	if *timeseriesOut != "" && opts.MetricsWindow == 0 {
-		fmt.Fprintln(os.Stderr, "morpheusbench: -timeseries-out requires -metrics-window")
-		os.Exit(2)
+		return usage("-timeseries-out requires -metrics-window")
 	}
 	opts.SLOs = slos
 	if *arrival != "" {
 		if _, err := exp.ParseArrivalSpec(*arrival); err != nil {
-			fmt.Fprintf(os.Stderr, "morpheusbench: -arrival: %v\n", err)
-			os.Exit(2)
+			return usage("-arrival: %v", err)
 		}
 	}
-	arraySweep = exp.ArraySweep{Shards: *shards, Replicas: *replicas, Arrival: *arrival}
+	opts.Array = exp.ArraySweep{Shards: *shards, Replicas: *replicas, Arrival: *arrival}
 	if *traceSample != "" && *traceOut == "" {
-		fmt.Fprintln(os.Stderr, "morpheusbench: -trace-sample requires -trace-out")
-		os.Exit(2)
+		return usage("-trace-sample requires -trace-out")
 	}
 	var stream *trace.ChromeStream
 	var streamFile *os.File
@@ -468,15 +342,13 @@ func main() {
 		if *traceSample != "" {
 			p, err := parseSamplePolicy(*traceSample)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "morpheusbench: %v\n", err)
-				os.Exit(2)
+				return usage("%v", err)
 			}
 			opts.Trace.SetSamplePolicy(p)
 		}
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "morpheusbench: trace-out: %v\n", err)
-			os.Exit(1)
+			return fail("trace-out: %v", err)
 		}
 		streamFile = f
 		stream = trace.NewChromeStream(f)
@@ -486,38 +358,29 @@ func main() {
 		opts.Metrics = stats.NewRegistry()
 	}
 
-	run := func(e experiment) {
-		fmt.Printf("running %s (%s)...\n", e.name, e.paper)
-		tables, err := e.run(opts)
+	var selected []exp.Experiment
+	if *which == "all" {
+		selected = exps
+	} else {
+		for _, name := range strings.Split(*which, ",") {
+			i := slices.IndexFunc(exps, func(e exp.Experiment) bool { return e.Name == name })
+			if i < 0 {
+				return usage("unknown experiment %q (use -list)", name)
+			}
+			selected = append(selected, exps[i])
+		}
+	}
+	for _, e := range selected {
+		fmt.Fprintf(stdout, "running %s (%s)...\n", e.Name, e.Title)
+		tables, err := e.Run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "morpheusbench: %s: %v\n", e.name, err)
-			os.Exit(1)
+			return fail("%s: %v", e.Name, err)
 		}
 		for _, t := range tables {
 			if *format == "csv" {
-				t.WriteCSV(os.Stdout)
+				t.WriteCSV(stdout)
 			} else {
-				t.Render(os.Stdout)
-			}
-		}
-	}
-	if *which == "all" {
-		for _, e := range exps {
-			run(e)
-		}
-	} else {
-		for _, name := range strings.Split(*which, ",") {
-			found := false
-			for _, e := range exps {
-				if e.name == name {
-					run(e)
-					found = true
-					break
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "morpheusbench: unknown experiment %q (use -list)\n", name)
-				os.Exit(2)
+				t.Render(stdout)
 			}
 		}
 	}
@@ -528,18 +391,16 @@ func main() {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "morpheusbench: trace-out: %v\n", err)
-			os.Exit(1)
+			return fail("trace-out: %v", err)
 		}
 		if *traceSample != "" {
-			fmt.Fprintf(os.Stderr, "morpheusbench: trace sampling kept %d of %d events (%d sampled out)\n",
+			fmt.Fprintf(stderr, "morpheusbench: trace sampling kept %d of %d events (%d sampled out)\n",
 				opts.Trace.Kept(), opts.Trace.Recorded(), opts.Trace.SampledOut())
 		}
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, opts.Metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "morpheusbench: metrics-out: %v\n", err)
-			os.Exit(1)
+			return fail("metrics-out: %v", err)
 		}
 	}
 	if *timeseriesOut != "" {
@@ -547,8 +408,8 @@ func main() {
 		// a window; give it one so the series is empty rather than missing.
 		opts.Metrics.EnableSeries(int64(opts.MetricsWindow))
 		if err := writeSeries(*timeseriesOut, opts.Metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "morpheusbench: timeseries-out: %v\n", err)
-			os.Exit(1)
+			return fail("timeseries-out: %v", err)
 		}
 	}
+	return 0
 }

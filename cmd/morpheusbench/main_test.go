@@ -1,0 +1,72 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestRejectsBadValues: a malformed flag value exits 2 with a message
+// naming the flag, before any experiment runs, instead of silently
+// running with a default.
+func TestRejectsBadValues(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		flag string
+	}{
+		{"scale-zero", []string{"-scale", "0"}, "-scale"},
+		{"scale-negative", []string{"-scale", "-0.5"}, "-scale"},
+		{"scale-nan", []string{"-scale", "NaN"}, "-scale"},
+		{"parallel-negative", []string{"-parallel", "-1"}, "-parallel"},
+		{"batch-depth-negative", []string{"-batch-depth", "-4"}, "-batch-depth"},
+		{"ssd-cache-mb-negative", []string{"-ssd-cache-mb", "-64"}, "-ssd-cache-mb"},
+		{"format-unknown", []string{"-format", "json"}, "-format"},
+		{"removed-ssd-cache", []string{"-ssd-cache"}, "-ssd-cache"},
+		{"removed-window-depth", []string{"-window-depth", "32"}, "-window-depth"},
+		{"unknown-exp", []string{"-exp", "fig99"}, "-list"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-exp", "table1", "-scale", "0.001"}, tc.args...)
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Fatalf("run(%q) = %d, want 2 (stderr: %s)", args, code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.flag) {
+				t.Errorf("stderr %q does not name %s", stderr.String(), tc.flag)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("an experiment ran despite the bad value:\n%s", stdout.String())
+			}
+		})
+	}
+}
+
+// TestList: -list prints the experiment index, one aligned line each.
+func TestList(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-list exited %d: %s", code, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+	if len(lines) != 17 {
+		t.Fatalf("-list printed %d lines, want 17:\n%s", len(lines), stdout.String())
+	}
+	if want := "  fig8       Figure 8 — deserialization speedup with Morpheus-SSD"; lines[4] != want {
+		t.Errorf("-list line 5 = %q, want %q", lines[4], want)
+	}
+}
+
+// TestRunsOneExperiment: a valid command line runs the experiment and
+// renders its table in the chosen format.
+func TestRunsOneExperiment(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "table1", "-scale", "0.001", "-format", "csv"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	if !strings.HasPrefix(out, "running table1 (") || !strings.Contains(out, "\napplication,suite,") {
+		t.Errorf("unexpected output:\n%s", out)
+	}
+}

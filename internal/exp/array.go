@@ -299,11 +299,12 @@ func arrayPointRun(po Options, pt arrayPoint, app *apps.App, tenants, requests, 
 	return row, nil
 }
 
-// RunArray runs the sweep. Points are independent fleets and fan out
-// across the worker pool, and each point's shards run on whatever slots
-// of the same pool are free; output is byte-identical at any -parallel
-// setting.
-func RunArray(o Options, sw ArraySweep) (*ArrayResult, error) {
+// RunArray runs the o.Array sweep. Points are independent fleets and fan
+// out across the worker pool, and each point's shards run on whatever
+// slots of the same pool are free; output is byte-identical at any
+// -parallel setting.
+func RunArray(o Options) (*ArrayResult, error) {
+	sw := o.Array
 	grid, err := arrayGrid(sw)
 	if err != nil {
 		return nil, err

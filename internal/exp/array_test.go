@@ -24,7 +24,8 @@ func TestRunArrayRejectsBadConfig(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := testOptions()
 			o.Parallel = 1
-			_, err := RunArray(o, tc.sw)
+			o.Array = tc.sw
+			_, err := RunArray(o)
 			if err == nil {
 				t.Fatalf("RunArray(%+v) accepted a bad config", tc.sw)
 			}

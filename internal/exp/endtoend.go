@@ -29,16 +29,14 @@ type E2EResult struct {
 // RunEndToEnd regenerates the end-to-end evaluation across the three
 // configurations.
 func RunEndToEnd(o Options) (*E2EResult, error) {
-	res := &E2EResult{}
-	var sp, spP2P []float64
-	for _, app := range apps.All() {
-		base, _, err := runApp(app, apps.ModeBaseline, o)
+	rows, err := runApps(o, func(app *apps.App, po Options) (E2ERow, error) {
+		base, _, err := runApp(app, apps.ModeBaseline, po)
 		if err != nil {
-			return nil, fmt.Errorf("endtoend %s baseline: %w", app.Name, err)
+			return E2ERow{}, fmt.Errorf("endtoend %s baseline: %w", app.Name, err)
 		}
-		morph, _, err := runApp(app, apps.ModeMorpheus, o)
+		morph, _, err := runApp(app, apps.ModeMorpheus, po)
 		if err != nil {
-			return nil, fmt.Errorf("endtoend %s morpheus: %w", app.Name, err)
+			return E2ERow{}, fmt.Errorf("endtoend %s morpheus: %w", app.Name, err)
 		}
 		row := E2ERow{
 			App:      app.Name,
@@ -48,20 +46,24 @@ func RunEndToEnd(o Options) (*E2EResult, error) {
 		}
 		row.SpeedupP2P = row.Speedup
 		if app.UsesGPU {
-			p2p, _, err := runApp(app, apps.ModeMorpheusP2P, o)
+			p2p, _, err := runApp(app, apps.ModeMorpheusP2P, po)
 			if err != nil {
-				return nil, fmt.Errorf("endtoend %s p2p: %w", app.Name, err)
+				return E2ERow{}, fmt.Errorf("endtoend %s p2p: %w", app.Name, err)
 			}
 			row.MorpheusP2P = p2p.Total
 			row.SpeedupP2P = float64(base.Total) / float64(p2p.Total)
 		}
-		res.Rows = append(res.Rows, row)
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var sp, spP2P []float64
+	for _, row := range rows {
 		sp = append(sp, row.Speedup)
 		spP2P = append(spP2P, row.SpeedupP2P)
 	}
-	res.AvgSpeedup = mean(sp)
-	res.AvgSpeedupP2P = mean(spP2P)
-	return res, nil
+	return &E2EResult{Rows: rows, AvgSpeedup: mean(sp), AvgSpeedupP2P: mean(spP2P)}, nil
 }
 
 // Table renders the experiment.

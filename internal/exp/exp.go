@@ -1,8 +1,8 @@
 // Package exp is the experiment harness: one runner per table/figure of
 // the paper's evaluation (plus the ablations DESIGN.md calls out), each
-// regenerating the same rows/series the paper reports. The cmd/morpheusbench
-// binary and the repository's testing.B benchmarks are thin wrappers over
-// this package.
+// regenerating the same rows/series the paper reports. Experiments lists
+// them all; the cmd/morpheusbench binary and the repository's testing.B
+// benchmarks are thin wrappers over this package.
 package exp
 
 import (
@@ -57,8 +57,11 @@ type Options struct {
 	// name, as in the multiprogrammed experiment); "" or "*" applies to
 	// every run under the name "all".
 	SLOs []stats.SLOConfig
-	// Parallel is the worker count: 0 uses one worker per CPU, 1 forces
-	// the sequential loop. Sweep points and the shards of an array point
+	// Array selects the array experiment's (E17) grid; the zero value runs
+	// its default sweep. Every other experiment ignores it.
+	Array ArraySweep
+	// Parallel is the worker count: 0 uses one worker per CPU, 1 runs the
+	// points one at a time. Sweep points and the shards of an array point
 	// draw from one budget of this many workers, so the two layers of
 	// parallelism never oversubscribe the machine together. Output
 	// (tables, Metrics, Trace) is byte-identical at every setting; see

@@ -226,7 +226,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestMultiprogShape(t *testing.T) {
-	r, err := RunMultiprog(testOptions(), 0.5)
+	r, err := RunMultiprog(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,9 +79,7 @@ func faultScenarios(seed uint64) []scenarioSpec {
 // after staging. Completed scenarios are verified bit-for-bit against the
 // clean baseline objects.
 func RunFaults(o Options) (*FaultsResult, error) {
-	all := apps.All()
-	perApp, err := runPoints(o, len(all), func(i int, po Options) ([]FaultRow, error) {
-		app := all[i]
+	perApp, err := runApps(o, func(app *apps.App, po Options) ([]FaultRow, error) {
 		scens := faultScenarios(uint64(po.Seed))
 		cleanBase, _, err := runApp(app, apps.ModeBaseline, po)
 		if err != nil {

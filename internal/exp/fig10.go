@@ -28,9 +28,7 @@ type Fig10Result struct {
 // RunFig10 regenerates Figure 10: context-switch frequencies (and total
 // counts) during object deserialization.
 func RunFig10(o Options) (*Fig10Result, error) {
-	all := apps.All()
-	rows, err := runPoints(o, len(all), func(i int, po Options) (Fig10Row, error) {
-		app := all[i]
+	rows, err := runApps(o, func(app *apps.App, po Options) (Fig10Row, error) {
 		base, _, err := runApp(app, apps.ModeBaseline, po)
 		if err != nil {
 			return Fig10Row{}, fmt.Errorf("fig10 %s baseline: %w", app.Name, err)

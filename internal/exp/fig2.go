@@ -28,12 +28,10 @@ type Fig2Result struct {
 // the conventional model ("Other CPU computation / Deserialization /
 // GPU-CPU Data Copy / GPU Kernels").
 func RunFig2(o Options) (*Fig2Result, error) {
-	res := &Fig2Result{}
-	var fracs []float64
-	for _, app := range apps.All() {
-		rep, _, err := runApp(app, apps.ModeBaseline, o)
+	rows, err := runApps(o, func(app *apps.App, po Options) (Fig2Row, error) {
+		rep, _, err := runApp(app, apps.ModeBaseline, po)
 		if err != nil {
-			return nil, fmt.Errorf("fig2 %s: %w", app.Name, err)
+			return Fig2Row{}, fmt.Errorf("fig2 %s: %w", app.Name, err)
 		}
 		// For CPU (MPI) applications the computation kernel is CPU work;
 		// Figure 2's legend folds it into "Other CPU computation".
@@ -43,7 +41,7 @@ func RunFig2(o Options) (*Fig2Result, error) {
 			other += rep.GPUKernel
 			gpuKernel = 0
 		}
-		row := Fig2Row{
+		return Fig2Row{
 			App:       app.Name,
 			Deser:     rep.Deser,
 			OtherCPU:  other,
@@ -51,12 +49,16 @@ func RunFig2(o Options) (*Fig2Result, error) {
 			GPUKernel: gpuKernel,
 			Total:     rep.Total,
 			DeserFrac: rep.DeserFraction(),
-		}
-		res.Rows = append(res.Rows, row)
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var fracs []float64
+	for _, row := range rows {
 		fracs = append(fracs, row.DeserFrac)
 	}
-	res.AvgDeserFrac = mean(fracs)
-	return res, nil
+	return &Fig2Result{Rows: rows, AvgDeserFrac: mean(fracs)}, nil
 }
 
 // Table renders the figure as normalized stacked fractions.

@@ -36,28 +36,35 @@ var fig3Media = []string{"NVMe SSD", "RamDrive", "HDD"}
 // from the NVMe SSD, a RAM drive, and a hard drive, at 2.5 and 1.2 GHz —
 // demonstrating that object deserialization is CPU-bound.
 func RunFig3(o Options) (*Fig3Result, error) {
-	res := &Fig3Result{}
 	freqs := []units.Frequency{2.5 * units.GHz, 1.2 * units.GHz}
-	var sums [2]map[string]float64
-	sums[0] = map[string]float64{}
-	sums[1] = map[string]float64{}
-	napps := 0
-	for _, app := range apps.All() {
-		napps++
-		for fi, f := range freqs {
+	perApp, err := runApps(o, func(app *apps.App, po Options) ([]Fig3Cell, error) {
+		var cells []Fig3Cell
+		for _, f := range freqs {
 			for _, medium := range fig3Media {
-				bw, err := fig3Run(app, medium, f, o)
+				bw, err := fig3Run(app, medium, f, po)
 				if err != nil {
 					return nil, fmt.Errorf("fig3 %s/%s: %w", app.Name, medium, err)
 				}
-				res.Cells = append(res.Cells, Fig3Cell{
+				cells = append(cells, Fig3Cell{
 					App: app.Name, Medium: medium, CPUFreq: f, Effective: bw,
 				})
-				sums[fi][medium] += float64(bw)
 			}
 		}
+		return cells, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	n := float64(napps)
+	res := &Fig3Result{}
+	sums := [2]map[string]float64{{}, {}}
+	for _, cells := range perApp {
+		for k, c := range cells {
+			// Cells run frequency-major: k/len(fig3Media) indexes freqs.
+			sums[k/len(fig3Media)][c.Medium] += float64(c.Effective)
+		}
+		res.Cells = append(res.Cells, cells...)
+	}
+	n := float64(len(perApp))
 	res.NVMeOverHDD25 = sums[0]["NVMe SSD"] / sums[0]["HDD"]
 	res.RAMOverNVMe25 = sums[0]["RamDrive"] / sums[0]["NVMe SSD"]
 	res.NVMeOverHDD12 = sums[1]["NVMe SSD"] / sums[1]["HDD"]

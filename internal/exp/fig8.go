@@ -28,9 +28,7 @@ type Fig8Result struct {
 // RunFig8 regenerates Figure 8. Applications are independent sweep
 // points, so they fan out across the worker pool.
 func RunFig8(o Options) (*Fig8Result, error) {
-	all := apps.All()
-	rows, err := runPoints(o, len(all), func(i int, po Options) (Fig8Row, error) {
-		app := all[i]
+	rows, err := runApps(o, func(app *apps.App, po Options) (Fig8Row, error) {
 		base, _, err := runApp(app, apps.ModeBaseline, po)
 		if err != nil {
 			return Fig8Row{}, fmt.Errorf("fig8 %s baseline: %w", app.Name, err)

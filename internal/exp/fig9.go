@@ -45,9 +45,7 @@ func deserLoad(rep *apps.Report, freq units.Frequency) power.Load {
 // consumption during object deserialization.
 func RunFig9(o Options) (*Fig9Result, error) {
 	model := power.DefaultModel()
-	all := apps.All()
-	rows, err := runPoints(o, len(all), func(i int, po Options) (Fig9Row, error) {
-		app := all[i]
+	rows, err := runApps(o, func(app *apps.App, po Options) (Fig9Row, error) {
 		base, sysB, err := runApp(app, apps.ModeBaseline, po)
 		if err != nil {
 			return Fig9Row{}, fmt.Errorf("fig9 %s baseline: %w", app.Name, err)

@@ -35,13 +35,13 @@ type MultiprogResult struct {
 	Counters stats.Snapshot
 }
 
-// RunMultiprog measures deserialization under a co-runner consuming the
-// given fraction of every host core (default 0.5 if load <= 0).
-func RunMultiprog(o Options, load float64) (*MultiprogResult, error) {
-	if load <= 0 {
-		load = 0.5
-	}
-	res := &MultiprogResult{Load: load}
+// multiprogLoad is the fraction of every host core the co-runner consumes.
+const multiprogLoad = 0.5
+
+// RunMultiprog measures deserialization under a co-runner consuming
+// multiprogLoad of every host core.
+func RunMultiprog(o Options) (*MultiprogResult, error) {
+	res := &MultiprogResult{Load: multiprogLoad}
 	// A subset representative of both parallel models keeps the sweep
 	// affordable: a 4-thread MPI app, a CUDA app, and the float outlier.
 	names := []string{"pagerank", "bfs", "nn", "spmv"}
@@ -75,7 +75,7 @@ func RunMultiprog(o Options, load float64) (*MultiprogResult, error) {
 				po.observe(sys)
 				if contended {
 					// Generous horizon: several times the isolated time.
-					cr := host.DefaultCoRunner(sys.Host, load)
+					cr := host.DefaultCoRunner(sys.Host, multiprogLoad)
 					cr.Occupy(sys.Host, 10*units.Second)
 				}
 				rep, err := apps.Run(sys, app, files, mode)

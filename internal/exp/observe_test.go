@@ -131,7 +131,7 @@ func TestTailSamplingSoak(t *testing.T) {
 // TestMultiprogCounterAggregation: the multiprog experiment folds every
 // tenant's counters into one read-only snapshot.
 func TestMultiprogCounterAggregation(t *testing.T) {
-	r, err := RunMultiprog(testOptions(), 0.5)
+	r, err := RunMultiprog(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

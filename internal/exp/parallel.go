@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 
+	"morpheus/internal/apps"
 	"morpheus/internal/sim"
 	"morpheus/internal/stats"
 )
@@ -22,17 +23,15 @@ import (
 //   - Each simulated system is single-threaded and seeded from Options
 //     alone, so a point's reports, tables, and per-system registries do
 //     not depend on scheduling.
-//   - Every point — sequential or parallel — records into isolated
+//   - Every point, at every worker count, records into isolated
 //     per-point tracers/registries (pointOptions), folded back into the
-//     caller's via Tracer.Adopt / Registry.Merge strictly in point order
-//     (in the parallel case, as each next-in-order point completes).
-//     Adopt renumbers span IDs to exactly the IDs a shared tracer would
-//     have issued sequentially, and because both paths group additions
-//     identically, even non-associative floating-point accumulations
-//     come out bit-equal.
+//     caller's via Tracer.Adopt / Registry.Merge strictly in point order,
+//     as each next-in-order point completes. Adopt renumbers span IDs to
+//     exactly the IDs a shared tracer would have issued sequentially, and
+//     because every worker count groups additions identically, even
+//     non-associative floating-point accumulations come out bit-equal.
 //   - On failure the runner reports the lowest-index error — the same one
-//     the sequential loop would have hit first — and folds only the
-//     points before it.
+//     a one-worker run hits first — and folds only the points before it.
 
 // workers resolves the worker count: o.Parallel if positive, otherwise
 // one worker per CPU.
@@ -88,12 +87,12 @@ func (o Options) fold(po Options) {
 // runPoints executes n independent sweep points and returns their
 // results in point order. run receives the point index and the Options
 // the point must use for every system it builds (observe/collect write
-// into the per-point sinks). With one effective worker the points run
-// in a plain loop; with more they fan out across the pool. Both paths
-// fold through identical per-point sinks: floating-point accumulation
-// (a gauge's time-weighted integral, say) is not associative, so byte
-// identity across worker counts requires the exact same grouping of
-// additions, not merely the same order.
+// into the per-point sinks). The points fan out across a pool of
+// min(workers, n) goroutines — one worker is simply a pool of one — and
+// every point folds through its own isolated sinks: floating-point
+// accumulation (a gauge's time-weighted integral, say) is not
+// associative, so byte identity across worker counts requires the exact
+// same grouping of additions, not merely the same order.
 func runPoints[T any](o Options, n int, run func(i int, po Options) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -102,21 +101,6 @@ func runPoints[T any](o Options, n int, run func(i int, po Options) (T, error)) 
 	w := o.workers()
 	if w > n {
 		w = n
-	}
-	if w <= 1 {
-		out := make([]T, n)
-		for i := 0; i < n; i++ {
-			po := o.pointOptions()
-			o.budget.Acquire()
-			v, err := run(i, po)
-			o.budget.Release(1)
-			if err != nil {
-				return nil, err
-			}
-			o.fold(po)
-			out[i] = v
-		}
-		return out, nil
 	}
 
 	type pointResult struct {
@@ -151,7 +135,7 @@ func runPoints[T any](o Options, n int, run func(i int, po Options) (T, error)) 
 	// Streaming in-order fold: completed points park in pending until
 	// every lower-index point has folded, so the caller's tracer and
 	// registry see exactly the sequential order. The first (lowest-index)
-	// error stops the fold where the sequential loop would have stopped;
+	// error stops the fold where a one-worker run would have stopped;
 	// later points still drain so the workers exit cleanly.
 	out := make([]T, n)
 	pending := make(map[int]pointResult, w)
@@ -180,4 +164,11 @@ func runPoints[T any](o Options, n int, run func(i int, po Options) (T, error)) 
 		return nil, foldErr
 	}
 	return out, nil
+}
+
+// runApps is runPoints over the application suite: one sweep point per
+// apps.All() entry, in Table I order.
+func runApps[T any](o Options, run func(app *apps.App, po Options) (T, error)) ([]T, error) {
+	all := apps.All()
+	return runPoints(o, len(all), func(i int, po Options) (T, error) { return run(all[i], po) })
 }

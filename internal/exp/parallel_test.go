@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,15 +17,27 @@ import (
 	"morpheus/internal/units"
 )
 
-// tabler is the slice of each experiment the determinism suite needs.
-type tabler interface{ Table() *Table }
+// registryRun returns the named experiment's runner from Experiments().
+func registryRun(t *testing.T, name string) func(Options) ([]*Table, error) {
+	t.Helper()
+	for _, e := range Experiments() {
+		if e.Name == name {
+			return e.Run
+		}
+	}
+	t.Fatalf("no experiment %q in the registry", name)
+	return nil
+}
 
 // parallelCases are the experiments the byte-identity guarantee is
 // checked against: the headline figure, the power figure (whose rows
-// depend on per-run system state), and the fault campaign (whose rows
-// depend on hash-derived fault injection and per-scenario mutation).
+// depend on per-run system state), the fault campaign (whose rows
+// depend on hash-derived fault injection and per-scenario mutation), and
+// the end-to-end comparison (three modes per point, P2P included). Each
+// row runs the registry entry named exp (name when empty).
 var parallelCases = []struct {
 	name  string
+	exp   string
 	heavy bool
 	// scale overrides the suite's default input scale (0 keeps it). The
 	// high-event-count row runs enough simulated time that the time wheel
@@ -32,35 +45,42 @@ var parallelCases = []struct {
 	// overflow/rebase path (see TestEngineOverflowOnRealWorkload in
 	// internal/core for the proof that this regime is reached).
 	scale float64
-	run   func(Options) (tabler, error)
+	array ArraySweep
 }{
-	{"fig8", false, 0, func(o Options) (tabler, error) { return RunFig8(o) }},
-	{"fig9", false, 0, func(o Options) (tabler, error) { return RunFig9(o) }},
-	{"faults", true, 0, func(o Options) (tabler, error) { return RunFaults(o) }},
-	{"cachesweep", false, 0, func(o Options) (tabler, error) { return RunCachesweep(o) }},
-	{"serve", false, 0, func(o Options) (tabler, error) { return RunServe(o) }},
+	{name: "fig8"},
+	{name: "fig9"},
+	{name: "faults", heavy: true},
+	{name: "cachesweep"},
+	{name: "serve"},
+	{name: "endtoend"},
 	// Every array point runs its shards through the conservative-window
 	// executor on slots from the same worker budget, so the point fan-out
 	// and the shard fan-out must compose byte-identically.
-	{"array", false, 0, func(o Options) (tabler, error) {
-		return RunArray(o, ArraySweep{Tenants: 64, Requests: 48, Objects: 8})
-	}},
+	{name: "array", array: ArraySweep{Tenants: 64, Requests: 48, Objects: 8}},
 	// The 8-shard slice: each point wants seven extra shard slots, so at
 	// -parallel 8 the two points contend for the budget and get uneven,
 	// run-dependent slot counts that still must not change a byte.
-	{"array-shardpar", false, 0, func(o Options) (tabler, error) {
-		return RunArray(o, ArraySweep{Shards: 8, Replicas: 2, Tenants: 64, Requests: 48, Objects: 8})
-	}},
-	{"fig8-hi", true, 1.0 / 1024, func(o Options) (tabler, error) { return RunFig8(o) }},
+	{name: "array-shardpar", exp: "array",
+		array: ArraySweep{Shards: 8, Replicas: 2, Tenants: 64, Requests: 48, Objects: 8}},
+	{name: "fig8-hi", exp: "fig8", heavy: true, scale: 1.0 / 1024},
+}
+
+// renderTables concatenates an experiment's rendered tables.
+func renderTables(tables []*Table) string {
+	var sb strings.Builder
+	for _, tb := range tables {
+		tb.Render(&sb)
+	}
+	return sb.String()
 }
 
 // observedRun executes one experiment with a tracer and registry wired in
-// and returns the rendered table, the metrics JSON, and the trace events.
-func observedRun(t *testing.T, run func(Options) (tabler, error), o Options) (string, []byte, []trace.Event) {
+// and returns the rendered tables, the metrics JSON, and the trace events.
+func observedRun(t *testing.T, run func(Options) ([]*Table, error), o Options) (string, []byte, []trace.Event) {
 	t.Helper()
 	o.Trace = trace.New(0)
 	o.Metrics = stats.NewRegistry()
-	r, err := run(o)
+	tables, err := run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +88,7 @@ func observedRun(t *testing.T, run func(Options) (tabler, error), o Options) (st
 	if err := o.Metrics.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	return r.Table().String(), js.Bytes(), o.Trace.Events()
+	return renderTables(tables), js.Bytes(), o.Trace.Events()
 }
 
 // TestParallelMatchesSequential is the contract the -parallel flag
@@ -84,6 +104,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, tc := range parallelCases {
+		name := tc.exp
+		if name == "" {
+			name = tc.name
+		}
+		run := registryRun(t, name)
 		for si, seed := range seeds {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
 				if tc.heavy && testing.Short() {
@@ -98,11 +123,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 					o.Scale = tc.scale
 				}
 				o.Seed = seed
+				o.Array = tc.array
 
 				o.Parallel = 1
-				seqTable, seqJSON, seqEvents := observedRun(t, tc.run, o)
+				seqTable, seqJSON, seqEvents := observedRun(t, run, o)
 				o.Parallel = 8
-				parTable, parJSON, parEvents := observedRun(t, tc.run, o)
+				parTable, parJSON, parEvents := observedRun(t, run, o)
 
 				if seqTable != parTable {
 					t.Errorf("table diverged:\nsequential:\n%s\nparallel:\n%s", seqTable, parTable)
@@ -118,7 +144,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				if si == 0 {
 					o.Parallel = 1
 					o.Mutate = func(cfg *core.SystemConfig) { cfg.SSD.VM.Engine = mvm.EngineInterp }
-					intTable, intJSON, intEvents := observedRun(t, tc.run, o)
+					intTable, intJSON, intEvents := observedRun(t, run, o)
 					if intTable != seqTable {
 						t.Errorf("interp engine table diverged:\ncompiled:\n%s\ninterp:\n%s", seqTable, intTable)
 					}
@@ -150,7 +176,7 @@ type telemetryArtifacts struct {
 // observedTelemetryRun executes one experiment with windowed telemetry,
 // SLO tracking, and tail-sampled tracing all enabled, and captures every
 // artifact.
-func observedTelemetryRun(t *testing.T, run func(Options) (tabler, error), o Options) telemetryArtifacts {
+func observedTelemetryRun(t *testing.T, run func(Options) ([]*Table, error), o Options) telemetryArtifacts {
 	t.Helper()
 	o.Trace = trace.New(0)
 	o.Trace.SetSamplePolicy(trace.SamplePolicy{
@@ -159,11 +185,11 @@ func observedTelemetryRun(t *testing.T, run func(Options) (tabler, error), o Opt
 		MaxPending: 512,
 	})
 	o.Metrics = stats.NewRegistry()
-	r, err := run(o)
+	tables, err := run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := telemetryArtifacts{table: r.Table().String(), events: o.Trace.Events(), tracer: o.Trace}
+	a := telemetryArtifacts{table: renderTables(tables), events: o.Trace.Events(), tracer: o.Trace}
 	var buf bytes.Buffer
 	if err := o.Metrics.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -217,20 +243,14 @@ func diffTelemetry(t *testing.T, label string, a, b telemetryArtifacts) {
 // the same timeseries JSON/CSV/OpenMetrics, the same SLO summary, and
 // the same sampled trace (span IDs included) as the sequential run.
 func TestParallelTelemetryMatchesSequential(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(Options) (tabler, error)
-	}{
-		{"fig8", func(o Options) (tabler, error) { return RunFig8(o) }},
-		{"multiprog", func(o Options) (tabler, error) { return RunMultiprog(o, 0.5) }},
-	}
 	seeds := []int64{20160618, 99}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, tc := range cases {
+	for _, name := range []string{"fig8", "multiprog"} {
+		run := registryRun(t, name)
 		for _, seed := range seeds {
-			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
 				o := testOptions()
 				o.Scale = 1.0 / 8192
 				o.Seed = seed
@@ -243,9 +263,9 @@ func TestParallelTelemetryMatchesSequential(t *testing.T) {
 				}
 
 				o.Parallel = 1
-				seq := observedTelemetryRun(t, tc.run, o)
+				seq := observedTelemetryRun(t, run, o)
 				o.Parallel = 8
-				par := observedTelemetryRun(t, tc.run, o)
+				par := observedTelemetryRun(t, run, o)
 				diffTelemetry(t, "parallel=8 vs sequential", seq, par)
 
 				// The artifacts must actually carry the telemetry: windows
@@ -334,8 +354,8 @@ func TestRunPointsLowestError(t *testing.T) {
 	}
 }
 
-// TestRunPointsSequentialIsolation: the one-worker path derives the same
-// isolated per-point sinks the pool does (identical float grouping is
+// TestRunPointsSequentialIsolation: a one-worker pool derives the same
+// isolated per-point sinks a wider pool does (identical float grouping is
 // what makes worker counts byte-equivalent) and folds them back; with no
 // sinks configured, the caller's Options pass through untouched.
 func TestRunPointsSequentialIsolation(t *testing.T) {

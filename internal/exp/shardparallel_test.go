@@ -13,11 +13,12 @@ import (
 // shardParArray is the E17 slice the shard-parallel battery runs: a
 // single 8-shard point (healthy + loss) with enough traffic that the
 // loss point's degraded re-fetches cross several conservative windows.
-func shardParArray(o Options) (tabler, error) {
-	return RunArray(o, ArraySweep{
+func shardParArray(o Options) ([]*Table, error) {
+	o.Array = ArraySweep{
 		Shards: 8, Replicas: 2,
 		Tenants: 64, Requests: 48, Objects: 8,
-	})
+	}
+	return oneTable(RunArray)(o)
 }
 
 // TestShardParallelMatches is the experiment-level arm of the
@@ -72,7 +73,8 @@ func TestWorkerBudgetBoundsSweep(t *testing.T) {
 	o.Scale = 1.0 / 8192
 	o.Parallel = 8
 	o.budget = sim.NewWorkerBudget(4)
-	r, err := RunArray(o, ArraySweep{Tenants: 64, Requests: 48, Objects: 8})
+	o.Array = ArraySweep{Tenants: 64, Requests: 48, Objects: 8}
+	r, err := RunArray(o)
 	if err != nil {
 		t.Fatal(err)
 	}

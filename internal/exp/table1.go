@@ -27,9 +27,7 @@ type Table1Result struct {
 // RunTable1 regenerates Table I, also verifying that each generator
 // produces (approximately) the requested scaled size.
 func RunTable1(o Options) (*Table1Result, error) {
-	all := apps.All()
-	rows, err := runPoints(o, len(all), func(i int, po Options) (Table1Row, error) {
-		app := all[i]
+	rows, err := runApps(o, func(app *apps.App, po Options) (Table1Row, error) {
 		target := units.Bytes(float64(app.PaperInputSize) * po.scale())
 		shards := app.Gen(target, app.Threads, po.Seed)
 		got := shards.TotalSize()

@@ -63,16 +63,14 @@ type TrafficResult struct {
 // RunTraffic regenerates the §VII-A traffic measurements over the full
 // runs (deserialization + kernel).
 func RunTraffic(o Options) (*TrafficResult, error) {
-	res := &TrafficResult{}
-	var pcieRed, memRed []float64
-	for _, app := range apps.All() {
-		_, sysB, err := runApp(app, apps.ModeBaseline, o)
+	rows, err := runApps(o, func(app *apps.App, po Options) (TrafficRow, error) {
+		_, sysB, err := runApp(app, apps.ModeBaseline, po)
 		if err != nil {
-			return nil, fmt.Errorf("traffic %s baseline: %w", app.Name, err)
+			return TrafficRow{}, fmt.Errorf("traffic %s baseline: %w", app.Name, err)
 		}
-		_, sysM, err := runApp(app, apps.ModeMorpheus, o)
+		_, sysM, err := runApp(app, apps.ModeMorpheus, po)
 		if err != nil {
-			return nil, fmt.Errorf("traffic %s morpheus: %w", app.Name, err)
+			return TrafficRow{}, fmt.Errorf("traffic %s morpheus: %w", app.Name, err)
 		}
 		// Read through point-in-time snapshots so later activity on the
 		// systems (or a tenant sharing the set) cannot skew the rows.
@@ -90,13 +88,17 @@ func RunTraffic(o Options) (*TrafficResult, error) {
 		if row.BaseMemBus > 0 {
 			row.MemBusReduction = 1 - float64(row.MorphMemBus)/float64(row.BaseMemBus)
 		}
-		res.Rows = append(res.Rows, row)
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var pcieRed, memRed []float64
+	for _, row := range rows {
 		pcieRed = append(pcieRed, row.PCIeReduction)
 		memRed = append(memRed, row.MemBusReduction)
 	}
-	res.AvgPCIeReduction = mean(pcieRed)
-	res.AvgMemBusReduction = mean(memRed)
-	return res, nil
+	return &TrafficResult{Rows: rows, AvgPCIeReduction: mean(pcieRed), AvgMemBusReduction: mean(memRed)}, nil
 }
 
 // Table renders the experiment.

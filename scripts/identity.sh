@@ -13,7 +13,7 @@
 # everything else to morpheusbench. A flag set without -metrics-window
 # gets -metrics-window 100us, so every run writes a series.
 #
-#   scripts/identity.sh fig8 -scale 0.01 -batch-depth 16 -window-depth 32
+#   scripts/identity.sh fig8 -scale 0.01 -batch-depth 16
 #   scripts/identity.sh serve -scale 0.01 -rule 'histograms.host.submit.overhead_ps.*:0.05:up'
 set -euo pipefail
 
