@@ -477,7 +477,7 @@ func TestProgramImageRoundTrip(t *testing.T) {
 	}
 	if back.Name != prog.Name || back.NumGlobals != prog.NumGlobals ||
 		back.SRAMStatic != prog.SRAMStatic || len(back.Code) != len(prog.Code) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", back, *prog)
+		t.Fatalf("round trip mismatch: %+v vs %+v", &back, prog)
 	}
 	for i := range back.Code {
 		if back.Code[i] != prog.Code[i] {

@@ -137,6 +137,12 @@ func compileProgram(p *Program) *compiledCode {
 	return &compiledCode{ops: ops}
 }
 
+// compiledCode returns p's closure table, compiling it on first use.
+func (p *Program) compiledCode() *compiledCode {
+	p.compileOnce.Do(func() { p.compiled = compileProgram(p) })
+	return p.compiled
+}
+
 func localIdxOK(arg int64) bool { return arg >= 0 && arg < NumLocals }
 
 func globalIdxOK(p *Program, arg int64) bool { return arg >= 0 && int(arg) < p.NumGlobals }

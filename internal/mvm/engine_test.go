@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -534,5 +535,31 @@ done:
 	}
 	if string(total) != string(input) {
 		t.Fatalf("reassembled output %q != input %q", total, input)
+	}
+}
+
+// TestSharedProgramAcrossGoroutines: VMs built from one Program on several
+// goroutines at once share its compiled closure table, and each produces
+// exactly the trace of a VM built from a Program of its own.
+func TestSharedProgramAcrossGoroutines(t *testing.T) {
+	own := engineKernels(t)
+	for name, p := range engineKernels(t) {
+		input := engineInput(name)
+		want := traceEngine(t, own[name], DefaultConfig(), EngineCompiled, nil, input, 7)
+		got := make([]string, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = traceEngine(t, p, DefaultConfig(), EngineCompiled, nil, input, 7)
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			if g != want {
+				t.Fatalf("%s: goroutine %d's trace differs from a VM on its own Program:\n%s\nwant:\n%s", name, i, g, want)
+			}
+		}
 	}
 }

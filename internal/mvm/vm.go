@@ -154,7 +154,7 @@ func New(prog *Program, cfg Config, cost CostModel) (*VM, error) {
 		vm.stepLimit = math.MaxInt64
 	}
 	if cfg.Engine.compiled() {
-		vm.code = compileProgram(prog)
+		vm.code = prog.compiledCode()
 	}
 	return vm, nil
 }

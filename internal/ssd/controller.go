@@ -6,7 +6,6 @@ import (
 
 	"morpheus/internal/flash"
 	"morpheus/internal/ftl"
-	"morpheus/internal/mvm"
 	"morpheus/internal/nvme"
 	"morpheus/internal/pcie"
 	"morpheus/internal/sim"
@@ -73,6 +72,10 @@ type Controller struct {
 	cache *objectCache
 	// pageBuf caches the logical page size.
 	pageSize units.Bytes
+	// memo holds each code image's decoded Program and memoizes the
+	// sampled timing rig (rigmemo.go). Host-side only: no counter, span
+	// or reset observes it. Nil turns it off (a test seam).
+	memo *rigMemo
 
 	// engine, when set, is the system's discrete-event loop: each command
 	// runs as a firmware-dispatch event on it instead of a plain call. Nil
@@ -100,6 +103,7 @@ func New(cfg Config, counters *stats.Set, fabric *pcie.Fabric) (*Controller, err
 		dram:      sim.NewPipe("ssd.dram", 0, cfg.DRAMBandwidth),
 		instances: make(map[uint32]*instance),
 		pageSize:  cfg.Geometry.PageSize,
+		memo:      newRigMemo(),
 	}
 	for i := 0; i < cfg.EmbeddedCores; i++ {
 		c.cores = append(c.cores, sim.NewResource(fmt.Sprintf("ssd.core%d", i)))
@@ -558,12 +562,16 @@ func (c *Controller) doMInit(ready units.Time, ctx *CmdContext) (nvme.Status, un
 	if units.Bytes(len(ctx.Code)) > c.cfg.ISRAMSize {
 		return nvme.StatusSRAMOverflow, ready
 	}
-	var prog mvm.Program
-	if err := prog.UnmarshalBinary(ctx.Code); err != nil {
+	rp, memoized, err := c.memo.program(ctx.Code, c.cfg.VM, c.cfg.Cost)
+	if err != nil {
 		return nvme.StatusInvalidField, ready
 	}
+	var root *rigNode
+	if memoized && c.cfg.SampledExecution && ctx.Native != nil {
+		root = c.memo.root(rp, ctx.Args)
+	}
 	coreIdx := int(id) % len(c.cores)
-	in, err := newInstance(id, coreIdx, &prog, ctx.Args, ctx.Native, c.cfg.SampledExecution, c.cfg.VM, c.cfg.Cost)
+	in, err := newInstance(id, coreIdx, rp.prog, ctx.Args, ctx.Native, c.cfg.SampledExecution, c.cfg.VM, c.cfg.Cost, c.memo, root)
 	if err != nil {
 		return nvme.StatusSRAMOverflow, ready
 	}
@@ -774,16 +782,25 @@ func (c *Controller) doMWrite(ready units.Time, ctx *CmdContext) (nvme.Status, u
 	_, t = c.dram.Transfer(t, n)
 	// MWRITE always interprets (serialization volumes are small; the
 	// paper's workloads "spend a relatively small amount of time or
-	// almost no time in serializing objects").
-	if in.vm == nil {
+	// almost no time in serializing objects"). A memoized rig's VM may be
+	// behind the stream: catchUp replays the memo path first, and the VM
+	// then leaves the memo for good, since MWRITE data is not part of any
+	// recorded stream. An abandoned VM cannot run the command.
+	if in.rigDone {
 		c.releaseInstance(in.id)
 		return nvme.StatusAppFault, t
 	}
+	if err := in.catchUp(); err != nil {
+		c.releaseInstance(in.id)
+		return nvme.StatusAppFault, t
+	}
+	in.node, in.vmAt = nil, nil
 	res, err := in.interpretChunk(ctx.Data, ctx.LastChunk, true)
 	if err != nil {
 		c.releaseInstance(in.id)
 		return nvme.StatusAppFault, t
 	}
+	in.rig = viewOf(in.vm)
 	_, end := core.Acquire(t, c.cfg.CoreFreq.Cycles(res.cycles))
 	if len(res.out) > 0 {
 		_, end = c.dram.Transfer(end, units.Bytes(len(res.out)))

@@ -33,10 +33,28 @@ type instance struct {
 	id      uint32
 	coreIdx int
 	prog    *mvm.Program
-	vm      *mvm.VM
+	vmCfg   mvm.Config
+	vmCost  mvm.CostModel
 	args    []int64
 	native  NativeFunc
 	sampled bool // sampled mode active (native != nil && cfg.SampledExecution)
+
+	// vm is the data plane in exact mode and the timing rig in sampled
+	// mode. A memoized rig (rigmemo.go) builds it only on its first memo
+	// miss, so it may be nil, or behind the stream, while the rig is live.
+	vm *mvm.VM
+	// rig is the timing rig's view, filled by the live VM or by the memo
+	// node the stream has reached; sampled mode reads only this.
+	rig rigView
+	// rigDone: the rig halted, or a cached terminal chunk was replayed;
+	// the VM is abandoned and cpb frozen.
+	rigDone bool
+	// memo, node and vmAt place a memoized rig: node is where the stream
+	// is in the trie, vmAt where the VM is (nil: no VM yet). node is nil
+	// once the rig runs live for good.
+	memo *rigMemo
+	node *rigNode
+	vmAt *rigNode
 
 	cpb      float64 // measured cycles per input byte
 	carry    []byte  // partial trailing record for the native parser
@@ -59,21 +77,42 @@ type instance struct {
 	extents    []extent
 }
 
-func newInstance(id uint32, coreIdx int, prog *mvm.Program, args []int64, native NativeFunc, sampled bool, cfg mvm.Config, cost mvm.CostModel) (*instance, error) {
-	vm, err := mvm.New(prog, cfg, cost)
-	if err != nil {
-		return nil, err
-	}
-	vm.SetArgs(args)
-	return &instance{
+// newInstance builds an instance. A sampled instance given a memo root
+// starts its timing rig on the memo and builds no VM yet; otherwise the
+// VM is built now.
+func newInstance(id uint32, coreIdx int, prog *mvm.Program, args []int64, native NativeFunc, sampled bool, cfg mvm.Config, cost mvm.CostModel, memo *rigMemo, root *rigNode) (*instance, error) {
+	in := &instance{
 		id:      id,
 		coreIdx: coreIdx,
 		prog:    prog,
-		vm:      vm,
+		vmCfg:   cfg,
+		vmCost:  cost,
 		args:    args,
 		native:  native,
 		sampled: sampled && native != nil,
-	}, nil
+	}
+	if in.sampled && root != nil {
+		in.memo, in.node = memo, root
+		return in, nil
+	}
+	if err := in.newVM(); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+func (in *instance) newVM() error {
+	vm, err := mvm.New(in.prog, in.vmCfg, in.vmCost)
+	if err != nil {
+		return err
+	}
+	vm.SetArgs(in.args)
+	in.vm = vm
+	return nil
+}
+
+func viewOf(vm *mvm.VM) rigView {
+	return rigView{cycles: vm.Cycles(), consumed: vm.Consumed(), state: vm.State()}
 }
 
 // chunkResult is the outcome of processing one MREAD chunk.
@@ -102,8 +141,8 @@ func (in *instance) processChunk(chunk []byte, final bool, sampleWindow int64) (
 		return res, err
 	}
 	// Sampled mode: keep the timing rig running over the sample window.
-	if in.vm != nil && in.vm.Consumed() < sampleWindow {
-		if _, err := in.interpretChunk(chunk, final, false); err != nil {
+	if !in.rigDone && in.rig.consumed < sampleWindow {
+		if err := in.advanceRig(chunk, final); err != nil {
 			return chunkResult{}, err
 		}
 	}
@@ -126,17 +165,76 @@ func (in *instance) processChunk(chunk []byte, final bool, sampleWindow int64) (
 }
 
 func (in *instance) updateCPB() {
-	if in.vm == nil {
+	if in.rigDone {
 		return
 	}
-	if c := in.vm.Consumed(); c > 0 {
-		in.cpb = in.vm.Cycles() / float64(c)
+	if c := in.rig.consumed; c > 0 {
+		in.cpb = in.rig.cycles / float64(c)
 	} else if in.cpb == 0 {
 		in.cpb = 2.0 // degenerate default before any token is consumed
 	}
-	if st := in.vm.State(); st == mvm.StateHalted || st == mvm.StateTrapped {
-		in.vm = nil // rig done; freeze cpb
+	if st := in.rig.state; st == mvm.StateHalted || st == mvm.StateTrapped {
+		in.stopRig() // freeze cpb
 	}
+}
+
+// stopRig abandons the VM for good: later chunks are never fed to it.
+func (in *instance) stopRig() {
+	in.rigDone = true
+	in.vm, in.node, in.vmAt = nil, nil, nil
+}
+
+// advanceRig feeds one chunk to the timing rig. On a memo hit it only
+// moves to the recorded node, leaving the VM behind; on a miss it brings
+// the VM up to the stream, runs the chunk live and records the outcome.
+// A trap is returned, never recorded.
+func (in *instance) advanceRig(chunk []byte, final bool) error {
+	if in.node != nil {
+		if n := in.node.child(chunk, final); n != nil {
+			in.node, in.rig = n, n.view
+			return nil
+		}
+		if err := in.catchUp(); err != nil {
+			return err
+		}
+	}
+	if _, err := in.interpretChunk(chunk, final, false); err != nil {
+		return err
+	}
+	in.rig = viewOf(in.vm)
+	if in.node != nil {
+		// A nil node (memo full) leaves the rig live for good.
+		in.node = in.memo.insert(in.node, chunk, final, in.rig)
+		in.vmAt = in.node
+	}
+	return nil
+}
+
+// catchUp brings a memoized rig's VM to the node the stream has reached:
+// it builds the VM if there is none and re-feeds the chunks on the path
+// from where the VM stands. That is at most the sample window plus one
+// chunk, and every re-fed chunk completed before, so the deterministic VM
+// reaches exactly the recorded view.
+func (in *instance) catchUp() error {
+	if in.node == nil || in.vmAt == in.node {
+		return nil
+	}
+	if in.vm == nil {
+		if err := in.newVM(); err != nil {
+			return err
+		}
+	}
+	var path []*rigNode
+	for n := in.node; n != in.vmAt && n.parent != nil; n = n.parent {
+		path = append(path, n)
+	}
+	for i := len(path) - 1; i >= 0; i-- {
+		if _, err := in.interpretChunk([]byte(path[i].chunk), path[i].final, false); err != nil {
+			return err
+		}
+	}
+	in.vmAt = in.node
+	return nil
 }
 
 // interpretChunk feeds the VM one chunk and runs it to quiescence. With
@@ -220,7 +318,7 @@ func (in *instance) cacheReplayable(final bool, sampleWindow int64) bool {
 		return true
 	}
 	if in.sampled {
-		return in.vm == nil || in.vm.Consumed() >= sampleWindow
+		return in.rigDone || in.rig.consumed >= sampleWindow
 	}
 	return false
 }
@@ -240,7 +338,7 @@ func (in *instance) applyCache(e *cacheEntry) {
 		in.finished = true
 		// Terminal chunk: the rig (or data-plane VM) would have been
 		// abandoned; only scalars are read from here on.
-		in.vm = nil
+		in.stopRig()
 	}
 	in.extents = append(in.extents[:0], e.extents...)
 }

@@ -59,7 +59,7 @@ func TestSampledRigDiscardMatchesExact(t *testing.T) {
 		cfg.OutputFlushThreshold = threshold
 		p := serial.TokenParser{Kind: serial.FieldInt32}
 		native := func(chunk []byte, final bool, args []int64) []byte { return p.Parse(chunk, final) }
-		in, err := newInstance(1, 0, prog, nil, native, sampled, cfg, mvm.DefaultCostModel())
+		in, err := newInstance(1, 0, prog, nil, native, sampled, cfg, mvm.DefaultCostModel(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

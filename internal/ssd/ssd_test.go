@@ -6,6 +6,7 @@ import (
 
 	"morpheus/internal/flash"
 	"morpheus/internal/morphc"
+	"morpheus/internal/mvm"
 	"morpheus/internal/nvme"
 	"morpheus/internal/serial"
 	"morpheus/internal/stats"
@@ -44,7 +45,7 @@ StorageApp int app(ms_stream s) {
 }
 `
 
-func compile(t *testing.T, src string) []byte {
+func compile(t testing.TB, src string) []byte {
 	t.Helper()
 	prog, err := morphc.Compile(src, "")
 	if err != nil {
@@ -176,6 +177,18 @@ func TestMInitRejects(t *testing.T) {
 	comp, _ = c.Submit(0, &CmdContext{Cmd: nvme.BuildMInit(0, 0, uint32(len(big)), 3, 0, 0), Code: big})
 	if comp.Status != nvme.StatusSRAMOverflow {
 		t.Fatalf("oversized image status = %v", comp.Status)
+	}
+	// Static arrays beyond D-SRAM, on a sampled MINIT whose VM the rig
+	// memo would build lazily; a second MINIT must fail the same way.
+	static, err := (&mvm.Program{Code: []mvm.Instr{{Op: mvm.OpHalt}}, SRAMStatic: 1 << 30}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint32(4); id < 6; id++ {
+		comp, _ = c.Submit(0, &CmdContext{Cmd: nvme.BuildMInit(0, 0, uint32(len(static)), id, 0, 0), Code: static, Native: intNative()})
+		if comp.Status != nvme.StatusSRAMOverflow {
+			t.Fatalf("static D-SRAM overflow status = %v", comp.Status)
+		}
 	}
 }
 
