@@ -24,34 +24,25 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"morpheus/internal/gate"
 )
 
-func fail(code int, format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "morpheuscheck: "+format+"\n", args...)
-	os.Exit(code)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func load(path string) gate.Artifact {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(2, "%v", err)
-	}
-	defer f.Close()
-	a, err := gate.Load(f)
-	if err != nil {
-		fail(2, "%s: %v", path, err)
-	}
-	return a
-}
-
-func main() {
+// run is the whole command: it parses args, prints the gate report to
+// stdout and returns the exit status (0 pass, 1 regressions, 2 for a
+// malformed command line or an unreadable artifact).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("morpheuscheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var rules []gate.Rule
-	flag.Func("rule", "pattern:tol[:up|down|both|off] — per-metric tolerance, first match wins (repeatable)", func(s string) error {
+	fs.Func("rule", "pattern:tol[:up|down|both|off] — per-metric tolerance, first match wins (repeatable)", func(s string) error {
 		r, err := gate.ParseRule(s)
 		if err != nil {
 			return err
@@ -59,26 +50,49 @@ func main() {
 		rules = append(rules, r)
 		return nil
 	})
-	defaultTol := flag.Float64("default-tol", 0, "relative tolerance for metrics no rule matches (0 = byte-exact)")
-	quiet := flag.Bool("q", false, "print only the verdict line")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fail(2, "usage: morpheuscheck [flags] baseline.json candidate.json")
+	defaultTol := fs.Float64("default-tol", 0, "relative tolerance for metrics no rule matches (0 = byte-exact)")
+	quiet := fs.Bool("q", false, "print only the verdict line")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	baseline := load(flag.Arg(0))
-	candidate := load(flag.Arg(1))
-	rep := gate.Compare(baseline, candidate, rules, *defaultTol)
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "morpheuscheck: "+format+"\n", args...)
+		return 2
+	}
+	if !gate.ValidTolerance(*defaultTol) {
+		return fail("-default-tol must be finite and >= 0, got %v", *defaultTol)
+	}
+	if fs.NArg() != 2 {
+		return fail("usage: morpheuscheck [flags] baseline.json candidate.json")
+	}
+	var arts [2]gate.Artifact
+	for i, path := range fs.Args() {
+		f, err := os.Open(path)
+		if err != nil {
+			return fail("%v", err)
+		}
+		arts[i], err = gate.Load(f)
+		f.Close()
+		if err != nil {
+			return fail("%s: %v", path, err)
+		}
+	}
+	rep := gate.Compare(arts[0], arts[1], rules, *defaultTol)
 	if *quiet {
 		if rep.OK() {
-			fmt.Printf("ok: %d metrics within tolerance\n", rep.Checked)
+			fmt.Fprintf(stdout, "ok: %d metrics within tolerance\n", rep.Checked)
 		} else {
-			fmt.Printf("gate failed: %d regression(s) across %d checked metrics\n",
+			fmt.Fprintf(stdout, "gate failed: %d regression(s) across %d checked metrics\n",
 				len(rep.Regressions), rep.Checked)
 		}
 	} else {
-		rep.Render(os.Stdout)
+		rep.Render(stdout)
 	}
 	if !rep.OK() {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

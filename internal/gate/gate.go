@@ -102,6 +102,12 @@ type Rule struct {
 	Dir Direction
 }
 
+// ValidTolerance reports whether tol is usable as a relative tolerance:
+// finite and at least zero. Every |delta| > NaN check is false, so a NaN
+// tolerance would pass any change, and a negative one fails even
+// identical artifacts.
+func ValidTolerance(tol float64) bool { return tol >= 0 && !math.IsInf(tol, 1) }
+
 // ParseRule parses "pattern:tol[:up|down|both|off]".
 func ParseRule(s string) (Rule, error) {
 	parts := strings.Split(s, ":")
@@ -116,7 +122,7 @@ func ParseRule(s string) (Rule, error) {
 		return Rule{}, fmt.Errorf("gate: rule %q: bad pattern: %w", s, err)
 	}
 	tol, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil || tol < 0 {
+	if err != nil || !ValidTolerance(tol) {
 		return Rule{}, fmt.Errorf("gate: rule %q: bad tolerance %q", s, parts[1])
 	}
 	r.Tol = tol

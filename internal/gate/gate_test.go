@@ -149,7 +149,7 @@ func TestZeroBaselineMove(t *testing.T) {
 }
 
 func TestParseRuleErrors(t *testing.T) {
-	for _, s := range []string{"", "p99", "p99:x", "p99:-1", "p99:0.1:sideways", ":0.1", "p99:0.1:up:extra", "[:0.1"} {
+	for _, s := range []string{"", "p99", "p99:x", "p99:-1", "*:NaN", "*:nan", "*:Inf", "*:+Inf", "*:-0.5", "p99:0.1:sideways", ":0.1", "p99:0.1:up:extra", "[:0.1"} {
 		if _, err := ParseRule(s); err == nil {
 			t.Errorf("ParseRule(%q) accepted", s)
 		}

@@ -74,19 +74,39 @@ func (vm *VM) sys(b Builtin) State {
 		if err != nil {
 			return vm.trap("%v", err)
 		}
-		vm.sysEmitVal(b, v)
+		n0 := len(vm.output)
+		switch b {
+		case SysEmitI32:
+			vm.output = binary.LittleEndian.AppendUint32(vm.output, uint32(v))
+		case SysEmitF32:
+			vm.output = binary.LittleEndian.AppendUint32(vm.output, math.Float32bits(float32(math.Float64frombits(uint64(v)))))
+		case SysEmitI64, SysEmitF64:
+			vm.output = binary.LittleEndian.AppendUint64(vm.output, uint64(v))
+		case SysEmitByte:
+			vm.output = append(vm.output, byte(v))
+		}
+		vm.cycles += vm.cost.SysFixed + vm.cost.EmitPerByte*float64(len(vm.output)-n0)
+		vm.pc++
+		vm.checkOutput()
 	case SysPrintInt:
 		v, err := vm.pop()
 		if err != nil {
 			return vm.trap("%v", err)
 		}
-		vm.sysPrintIntVal(v)
+		n0 := len(vm.output)
+		vm.output = strconv.AppendInt(vm.output, v, 10)
+		vm.cycles += vm.cost.SysFixed + vm.cost.PrintPerByte*float64(len(vm.output)-n0)
+		vm.pc++
+		vm.checkOutput()
 	case SysPrintChar:
 		v, err := vm.pop()
 		if err != nil {
 			return vm.trap("%v", err)
 		}
-		vm.sysPrintCharVal(v)
+		vm.output = append(vm.output, byte(v))
+		vm.cycles += vm.cost.SysFixed + vm.cost.PrintPerByte
+		vm.pc++
+		vm.checkOutput()
 	case SysFlush:
 		vm.cycles += vm.cost.SysFixed
 		vm.pc++
@@ -102,53 +122,6 @@ func (vm *VM) sys(b Builtin) State {
 		return vm.trap("mvm: unknown builtin %d", int64(b))
 	}
 	return StateRunnable
-}
-
-// sysEmitVal appends v's encoding for one of the binary emit builtins,
-// charges the per-byte cost, advances pc, and applies the flush
-// threshold. Shared between the interpreter's sys dispatch and the
-// compiled engine's (possibly fused) emit handlers.
-func (vm *VM) sysEmitVal(b Builtin, v int64) {
-	var buf [8]byte
-	var n int
-	switch b {
-	case SysEmitI32:
-		binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-		n = 4
-	case SysEmitI64:
-		binary.LittleEndian.PutUint64(buf[:8], uint64(v))
-		n = 8
-	case SysEmitF32:
-		binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(float32(math.Float64frombits(uint64(v)))))
-		n = 4
-	case SysEmitF64:
-		binary.LittleEndian.PutUint64(buf[:8], uint64(v))
-		n = 8
-	case SysEmitByte:
-		buf[0] = byte(v)
-		n = 1
-	}
-	vm.output = append(vm.output, buf[:n]...)
-	vm.cycles += vm.cost.SysFixed + vm.cost.EmitPerByte*float64(n)
-	vm.pc++
-	vm.checkOutput()
-}
-
-// sysPrintIntVal implements ms_printf("%d") for an already-popped value.
-func (vm *VM) sysPrintIntVal(v int64) {
-	n0 := len(vm.output)
-	vm.output = strconv.AppendInt(vm.output, v, 10)
-	vm.cycles += vm.cost.SysFixed + vm.cost.PrintPerByte*float64(len(vm.output)-n0)
-	vm.pc++
-	vm.checkOutput()
-}
-
-// sysPrintCharVal implements ms_printf("%c") for an already-popped value.
-func (vm *VM) sysPrintCharVal(v int64) {
-	vm.output = append(vm.output, byte(v))
-	vm.cycles += vm.cost.SysFixed + vm.cost.PrintPerByte
-	vm.pc++
-	vm.checkOutput()
 }
 
 func (vm *VM) checkOutput() {
@@ -199,19 +172,21 @@ func (vm *VM) scanToken(isFloat bool) State {
 		vm.pc++
 		return StateRunnable
 	}
-	tok := string(in[start:i])
+	// The string conversions passed straight to strconv do not escape, so
+	// a well-formed token allocates nothing; only the trap message keeps
+	// a copy of the token.
 	var value int64
 	if isFloat {
-		f, err := strconv.ParseFloat(tok, 64)
+		f, err := strconv.ParseFloat(string(in[start:i]), 64)
 		if err != nil {
-			return vm.trap("mvm: ms_scanf(%%f): bad token %q", tok)
+			return vm.trap("mvm: ms_scanf(%%f): bad token %q", in[start:i])
 		}
 		value = int64(math.Float64bits(f))
 		vm.floatScans++
 	} else {
-		n, err := strconv.ParseInt(tok, 10, 64)
+		n, err := strconv.ParseInt(string(in[start:i]), 10, 64)
 		if err != nil {
-			return vm.trap("mvm: ms_scanf(%%d): bad token %q", tok)
+			return vm.trap("mvm: ms_scanf(%%d): bad token %q", in[start:i])
 		}
 		value = n
 		vm.intScans++

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// runDSRAM runs src to completion under one engine and returns the VM.
-func runDSRAM(t *testing.T, src string, cfg Config, eng EngineKind) *VM {
+// runDSRAM runs src to completion and returns the VM.
+func runDSRAM(t *testing.T, src string, cfg Config) *VM {
 	t.Helper()
-	cfg.Engine = eng
 	vm, err := New(mustAssemble(t, src), cfg, DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
@@ -21,9 +20,9 @@ func runDSRAM(t *testing.T, src string, cfg Config, eng EngineKind) *VM {
 }
 
 // TestLazyDSRAMBounds pins the lazily allocated D-SRAM's address checks to
-// cfg.DSRAMSize under both engines: every width reaches the last byte, one
-// byte further traps, and so does a negative address, with the messages
-// the eagerly allocated D-SRAM produced.
+// cfg.DSRAMSize: every width reaches the last byte, one byte further
+// traps, and so does a negative address, with the messages the eagerly
+// allocated D-SRAM produced.
 func TestLazyDSRAMBounds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DSRAMSize = 256
@@ -36,31 +35,30 @@ func TestLazyDSRAMBounds(t *testing.T) {
 		{"ld32", "st32", 4, -123456},
 		{"ld64", "st64", 8, -1 << 40},
 	}
-	for _, eng := range []EngineKind{EngineInterp, EngineCompiled} {
-		for _, w := range widths {
-			last := cfg.DSRAMSize - w.size
-			t.Run(fmt.Sprintf("%v/%s", eng, w.ld), func(t *testing.T) {
-				vm := runDSRAM(t, fmt.Sprintf("push %d\npush %d\n%s\npush %d\n%s\nhalt", last, w.val, w.st, last, w.ld), cfg, eng)
-				if vm.State() != StateHalted || vm.ReturnValue() != w.val {
-					t.Fatalf("%s/%s at %d: state %v ret %d err %v, want %d", w.st, w.ld, last, vm.State(), vm.ReturnValue(), vm.TrapErr(), w.val)
+	// The subtests keep the interp/ prefix of their stable names.
+	for _, w := range widths {
+		last := cfg.DSRAMSize - w.size
+		t.Run("interp/"+w.ld, func(t *testing.T) {
+			vm := runDSRAM(t, fmt.Sprintf("push %d\npush %d\n%s\npush %d\n%s\nhalt", last, w.val, w.st, last, w.ld), cfg)
+			if vm.State() != StateHalted || vm.ReturnValue() != w.val {
+				t.Fatalf("%s/%s at %d: state %v ret %d err %v, want %d", w.st, w.ld, last, vm.State(), vm.ReturnValue(), vm.TrapErr(), w.val)
+			}
+			if len(vm.sram) != cfg.DSRAMSize {
+				t.Fatalf("D-SRAM is %d bytes after a store, want %d", len(vm.sram), cfg.DSRAMSize)
+			}
+			for _, addr := range []int{last + 1, -1} {
+				vm = runDSRAM(t, fmt.Sprintf("push %d\n%s\nhalt", addr, w.ld), cfg)
+				want := fmt.Sprintf("mvm: D-SRAM load out of range: addr=%d size=%d", addr, w.size)
+				if vm.State() != StateTrapped || vm.TrapErr().Error() != want {
+					t.Fatalf("%s at %d: state %v err %v, want trap %q", w.ld, addr, vm.State(), vm.TrapErr(), want)
 				}
-				if len(vm.sram) != cfg.DSRAMSize {
-					t.Fatalf("D-SRAM is %d bytes after a store, want %d", len(vm.sram), cfg.DSRAMSize)
+				vm = runDSRAM(t, fmt.Sprintf("push %d\npush 1\n%s\nhalt", addr, w.st), cfg)
+				want = fmt.Sprintf("mvm: D-SRAM store out of range: addr=%d size=%d", addr, w.size)
+				if vm.State() != StateTrapped || vm.TrapErr().Error() != want {
+					t.Fatalf("%s at %d: state %v err %v, want trap %q", w.st, addr, vm.State(), vm.TrapErr(), want)
 				}
-				for _, addr := range []int{last + 1, -1} {
-					vm = runDSRAM(t, fmt.Sprintf("push %d\n%s\nhalt", addr, w.ld), cfg, eng)
-					want := fmt.Sprintf("mvm: D-SRAM load out of range: addr=%d size=%d", addr, w.size)
-					if vm.State() != StateTrapped || vm.TrapErr().Error() != want {
-						t.Fatalf("%s at %d: state %v err %v, want trap %q", w.ld, addr, vm.State(), vm.TrapErr(), want)
-					}
-					vm = runDSRAM(t, fmt.Sprintf("push %d\npush 1\n%s\nhalt", addr, w.st), cfg, eng)
-					want = fmt.Sprintf("mvm: D-SRAM store out of range: addr=%d size=%d", addr, w.size)
-					if vm.State() != StateTrapped || vm.TrapErr().Error() != want {
-						t.Fatalf("%s at %d: state %v err %v, want trap %q", w.st, addr, vm.State(), vm.TrapErr(), want)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -80,22 +78,18 @@ loop:
 done:
 	halt
 `
-	for _, eng := range []EngineKind{EngineInterp, EngineCompiled} {
-		cfg := DefaultConfig()
-		cfg.Engine = eng
-		vm, err := New(mustAssemble(t, src), cfg, DefaultCostModel())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := vm.Feed([]byte("1 2 3\n"), true); err != nil {
-			t.Fatal(err)
-		}
-		if st := vm.Run(); st != StateHalted {
-			t.Fatalf("%v: state %v (%v)", eng, st, vm.TrapErr())
-		}
-		if vm.sram != nil {
-			t.Fatalf("%v: D-SRAM allocated (%d bytes) by a program with no ld/st", eng, len(vm.sram))
-		}
+	vm, err := New(mustAssemble(t, src), DefaultConfig(), DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.Feed([]byte("1 2 3\n"), true); err != nil {
+		t.Fatal(err)
+	}
+	if st := vm.Run(); st != StateHalted {
+		t.Fatalf("state %v (%v)", st, vm.TrapErr())
+	}
+	if vm.sram != nil {
+		t.Fatalf("D-SRAM allocated (%d bytes) by a program with no ld/st", len(vm.sram))
 	}
 }
 

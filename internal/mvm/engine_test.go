@@ -1,6 +1,7 @@
 package mvm
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,12 +10,10 @@ import (
 	"testing"
 )
 
-// The differential battery: every test in this file executes the same
-// program, input, and Feed/Run/DrainOutput schedule under the interpreter
-// and the compiled engine and requires the full observable traces —
-// states after every Run, drained bytes, steps, bit-exact cycles,
-// consumed counts, float ops, scan counts, return values, trap messages,
-// and profile histograms — to be identical.
+// The schedule battery: the interpreter is resumable at every pause, so
+// how the input is windowed and when output is drained must never change
+// what an app computes. Each test here drives the same program under
+// different Feed/Run/DrainOutput schedules and compares the results.
 
 func mustAssemble(tb testing.TB, src string) *Program {
 	tb.Helper()
@@ -25,83 +24,82 @@ func mustAssemble(tb testing.TB, src string) *Program {
 	return p
 }
 
-// traceEngine drives one VM through a deterministic schedule and renders
-// everything observable into a comparable trace. chunk <= 0 feeds the
-// whole input up front; otherwise input arrives in chunk-sized windows as
-// the VM asks for it.
-func traceEngine(tb testing.TB, p *Program, cfg Config, eng EngineKind, args []int64, input []byte, chunk int) string {
-	tb.Helper()
-	cfg.Engine = eng
-	vm, err := New(p, cfg, DefaultCostModel())
-	if err != nil {
-		return "newerr: " + err.Error()
-	}
-	vm.SetArgs(args)
-	var sb strings.Builder
-	var out []byte
-	pos := 0
-	finalFed := false
-	if chunk <= 0 {
-		err := vm.Feed(input, true)
-		finalFed = true
-		pos = len(input)
-		fmt.Fprintf(&sb, "feed n=%d final=true err=%v\n", len(input), err)
-	}
-	for iter := 0; iter < 1_000_000; iter++ {
-		st := vm.Run()
-		fmt.Fprintf(&sb, "run st=%v steps=%d cyc=%016x consumed=%d outbuf=%d\n",
-			st, vm.Steps(), math.Float64bits(vm.Cycles()), vm.Consumed(), 0)
-		switch st {
-		case StateNeedInput:
-			if finalFed {
-				sb.WriteString("stuck: need-input after final\n")
-				goto done
-			}
-			n := chunk
-			if pos+n > len(input) {
-				n = len(input) - pos
-			}
-			final := pos+n >= len(input)
-			err := vm.Feed(input[pos:pos+n], final)
-			pos += n
-			finalFed = final
-			fmt.Fprintf(&sb, "feed n=%d final=%v err=%v\n", n, final, err)
-		case StateOutputFull, StateFlushRequested:
-			d := vm.DrainOutput()
-			out = append(out, d...)
-			fmt.Fprintf(&sb, "drain n=%d\n", len(d))
-		case StateHalted:
-			out = append(out, vm.DrainOutput()...)
-			fmt.Fprintf(&sb, "halt ret=%d\n", vm.ReturnValue())
-			goto done
-		case StateTrapped:
-			fmt.Fprintf(&sb, "trap %v\n", vm.TrapErr())
-			goto done
-		default:
-			fmt.Fprintf(&sb, "unexpected state %v\n", st)
-			goto done
-		}
-	}
-	sb.WriteString("iteration cap\n")
-done:
-	ints, floats := vm.ScanCounts()
-	fmt.Fprintf(&sb, "final steps=%d cyc=%016x floatops=%d scans=%d/%d out=%x\n",
-		vm.Steps(), math.Float64bits(vm.Cycles()), vm.FloatOps(), ints, floats, out)
-	if prof := vm.Profile(); prof != nil {
-		sb.WriteString(prof.String())
-	}
-	return sb.String()
+// result is everything a schedule must not change. Steps and cycles are
+// kept for the tests that pin them but left out of sameObjects: a
+// NeedInput pause re-executes its sys instruction, so feeding in smaller
+// windows charges those again.
+type result struct {
+	state    State
+	trap     string
+	ret      int64
+	out      []byte
+	consumed int64
+	ints     int64
+	floats   int64
+	floatOps int64
+	steps    int64
+	cycles   float64
 }
 
-// assertEnginesAgree runs the schedule under both engines and diffs the
-// traces.
-func assertEnginesAgree(t *testing.T, p *Program, cfg Config, args []int64, input []byte, chunk int) {
-	t.Helper()
-	it := traceEngine(t, p, cfg, EngineInterp, args, input, chunk)
-	ct := traceEngine(t, p, cfg, EngineCompiled, args, input, chunk)
-	if it != ct {
-		t.Fatalf("engines diverge (chunk=%d)\ninterp:\n%s\ncompiled:\n%s", chunk, it, ct)
+func resultOf(vm *VM, out []byte) result {
+	r := result{state: vm.State(), ret: vm.ReturnValue(), out: out, consumed: vm.Consumed(),
+		floatOps: vm.FloatOps(), steps: vm.Steps(), cycles: vm.Cycles()}
+	if err := vm.TrapErr(); err != nil {
+		r.trap = err.Error()
 	}
+	r.ints, r.floats = vm.ScanCounts()
+	return r
+}
+
+// sameObjects reports whether two runs produced the same objects and
+// app-visible accounting.
+func sameObjects(a, b result) bool {
+	return a.state == b.state && a.trap == b.trap && a.ret == b.ret && bytes.Equal(a.out, b.out) &&
+		a.consumed == b.consumed && a.ints == b.ints && a.floats == b.floats && a.floatOps == b.floatOps
+}
+
+func (r result) String() string {
+	return fmt.Sprintf("state=%v trap=%q ret=%d consumed=%d scans=%d/%d floatops=%d steps=%d out=%x",
+		r.state, r.trap, r.ret, r.consumed, r.ints, r.floats, r.floatOps, r.steps, r.out)
+}
+
+// stream drives one VM to a terminal state the way the SSD firmware does:
+// feed a window when the app asks for input, drain on every pause. chunk
+// <= 0 feeds the whole input up front.
+func stream(tb testing.TB, p *Program, cfg Config, args []int64, input []byte, chunk int) result {
+	tb.Helper()
+	vm, err := New(p, cfg, DefaultCostModel())
+	if err != nil {
+		tb.Fatalf("New: %v", err)
+	}
+	vm.SetArgs(args)
+	pos := 0
+	if chunk <= 0 {
+		if err := vm.Feed(input, true); err != nil {
+			tb.Fatalf("feed: %v", err)
+		}
+		pos = len(input)
+	}
+	var out []byte
+	for range 1_000_000 {
+		switch st := vm.Run(); st {
+		case StateNeedInput:
+			if pos >= len(input) {
+				tb.Fatal("need-input after the final window")
+			}
+			n := min(chunk, len(input)-pos)
+			if err := vm.Feed(input[pos:pos+n], pos+n >= len(input)); err != nil {
+				tb.Fatalf("feed: %v", err)
+			}
+			pos += n
+		case StateOutputFull, StateFlushRequested:
+			out = append(out, vm.DrainOutput()...)
+		default:
+			return resultOf(vm, append(out, vm.DrainOutput()...))
+		}
+	}
+	tb.Fatal("iteration cap")
+	return result{}
 }
 
 const scanEchoSrc = `
@@ -253,213 +251,246 @@ func engineInput(kernel string) []byte {
 	}
 }
 
-// TestEngineDifferentialKernels sweeps chunk sizes (NeedInput landing at
-// arbitrary token boundaries) and flush thresholds (OutputFull landing
-// mid-block) across representative kernels.
+// TestEngineDifferentialKernels pins each kernel's whole-input steps and
+// cycles bit for bit (the cost model is the simulated time), then sweeps
+// chunk sizes (NeedInput landing at arbitrary token boundaries) and flush
+// thresholds (OutputFull landing mid-loop): every schedule must match the
+// whole-input feed's objects.
 func TestEngineDifferentialKernels(t *testing.T) {
+	golden := map[string]struct {
+		steps  int64
+		cycles uint64 // math.Float64bits
+	}{
+		"scanecho": {967, 0x40a11199999999c1},
+		"emitbin":  {1254, 0x40a04d800000004e},
+		"floatk":   {1030, 0x40c4e1c666666697},
+		"callk":    {857, 0x4083f4cccccccce7},
+		"sramk":    {1544, 0x4090dd00000000a4},
+	}
 	for name, p := range engineKernels(t) {
 		input := engineInput(name)
+		want := stream(t, p, DefaultConfig(), nil, input, 0)
+		if want.state != StateHalted || len(want.out) == 0 {
+			t.Fatalf("%s: whole-input run: %v", name, want)
+		}
+		if g := golden[name]; want.steps != g.steps || math.Float64bits(want.cycles) != g.cycles {
+			t.Fatalf("%s: %d steps, %g cycles (%#x); want %d steps, %g cycles",
+				name, want.steps, want.cycles, math.Float64bits(want.cycles), g.steps, math.Float64frombits(g.cycles))
+		}
 		for _, chunk := range []int{0, 1, 3, 7, 64, 1 << 20} {
 			for _, thresh := range []int{1, 4, 64, 64 << 10} {
 				cfg := DefaultConfig()
-				cfg.Profile = true
 				cfg.OutputFlushThreshold = thresh
-				assertEnginesAgree(t, p, cfg, nil, input, chunk)
+				if got := stream(t, p, cfg, nil, input, chunk); !sameObjects(got, want) {
+					t.Fatalf("%s chunk=%d thresh=%d:\ngot  %v\nwant %v", name, chunk, thresh, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestEngineMaxStepsSweep lands the step limit on every instruction
-// position of the first loop iterations — including the interior of every
-// fused pair.
+// TestEngineMaxStepsSweep lands the step limit on every instruction of
+// the first loop iterations: a limited run stops after exactly that many
+// steps with the step-limit trap, having emitted a prefix of the
+// unlimited run's output.
 func TestEngineMaxStepsSweep(t *testing.T) {
 	for name, p := range engineKernels(t) {
 		input := engineInput(name)
+		full := stream(t, p, DefaultConfig(), nil, input, 16)
 		for limit := int64(1); limit <= 48; limit++ {
 			cfg := DefaultConfig()
-			cfg.Profile = true
 			cfg.MaxSteps = limit
-			assertEnginesAgree(t, p, cfg, nil, input, 16)
+			got := stream(t, p, cfg, nil, input, 16)
+			want := fmt.Sprintf("mvm: step limit exceeded (%d)", limit)
+			if got.state != StateTrapped || got.trap != want || got.steps != limit ||
+				!bytes.HasPrefix(full.out, got.out) || got.consumed > full.consumed {
+				t.Fatalf("%s MaxSteps=%d: %v", name, limit, got)
+			}
 		}
-		_ = name
 	}
 }
 
-// TestEngineTrapEdges covers every trap class: stack underflow/overflow
-// (including the dup and swap partial-pop quirks), divide/modulo by zero
-// (standalone and fused), D-SRAM range, bad local/global indices, illegal
-// opcodes, unknown builtins, pc out of range, bad scan tokens, and
-// argument range.
+// TestEngineTrapEdges pins every trap class — stack underflow/overflow
+// (including the dup and swap partial-pop quirks), divide/modulo by zero,
+// D-SRAM range, bad local/global indices, illegal opcodes, unknown
+// builtins, pc out of range, bad scan tokens, argument range — to its
+// final state, exact message, output and step count, with the input fed
+// whole and in 2-byte windows.
 func TestEngineTrapEdges(t *testing.T) {
-	type tc struct {
+	asm := func(src string) *Program { return mustAssemble(t, src) }
+	const (
+		underflow0 = "mvm: operand stack underflow at pc=0"
+		underflow1 = "mvm: operand stack underflow at pc=1"
+		divZero    = "mvm: integer divide by zero"
+		modZero    = "mvm: integer modulo by zero"
+	)
+	cases := []struct {
 		name  string
 		prog  *Program
 		cfg   func(*Config)
 		args  []int64
 		input string
-	}
-	asm := func(src string) *Program { return mustAssemble(t, src) }
-	cases := []tc{
-		{name: "pop-underflow", prog: asm("pop\nhalt")},
-		{name: "add-underflow-empty", prog: asm("add\nhalt")},
-		{name: "add-underflow-one", prog: asm("push 1\nadd\nhalt")},
-		{name: "dup-underflow", prog: asm("dup\nhalt")},
-		{name: "swap-underflow-one", prog: asm("push 1\nswap\nhalt")},
-		{name: "push-overflow", prog: asm("push 1\npush 2\npush 3\nhalt"),
-			cfg: func(c *Config) { c.StackLimit = 2 }},
-		{name: "dup-overflow", prog: asm("push 1\ndup\nhalt"),
-			cfg: func(c *Config) { c.StackLimit = 1 }},
-		{name: "load-overflow", prog: asm("push 1\nload 0\nhalt"),
-			cfg: func(c *Config) { c.StackLimit = 1 }},
-		{name: "div-zero", prog: asm("push 1\npush 0\ndiv\nhalt")},
-		{name: "mod-zero", prog: asm("push 1\npush 0\nmod\nhalt")},
-		{name: "fused-load-div-zero", prog: asm("push 0\nstore 1\npush 6\nload 1\ndiv\nhalt")},
-		{name: "fused-binop-store-div-zero", prog: asm("push 6\npush 0\ndiv\nstore 0\nhalt")},
-		// Triple/quad superinstruction trap paths: the leading nops place
-		// execution on the pc whose handler fuses the faulting shape.
-		{name: "quad-store-div-zero", prog: asm("push 6\npush 0\ndiv\nstore 0\nnop\nhalt")},
-		{name: "quad-branch-mod-zero", prog: asm("push 6\npush 0\nmod\njz 5\npush 1\nhalt")},
-		{name: "chain-second-div-zero", prog: asm("push 7\nnop\npush 3\nmul\npush 0\ndiv\nhalt")},
-		{name: "chain-first-div-zero", prog: asm("push 5\nnop\npush 0\ndiv\npush 1\nadd\nhalt")},
-		{name: "chain-underflow", prog: asm("push 1\nadd\npush 2\nadd\nhalt")},
-		{name: "triple-store-div-zero", prog: asm("push 6\nnop\npush 0\ndiv\nstore 2\nhalt")},
-		{name: "triple-branch-mod-zero", prog: asm("push 3\nnop\npush 0\nmod\njz 0\nhalt")},
-		{name: "ld-oor-negative", prog: asm("push -1\nld8\nhalt")},
-		{name: "ld-oor-high", prog: asm("push 1048576\nld64\nhalt")},
-		{name: "st-oor", prog: asm("push 1048576\npush 7\nst32\nhalt")},
-		{name: "st-underflow", prog: asm("push 1\nst64\nhalt")},
-		{name: "bad-local-load", prog: asm("load 99\nhalt")},
-		{name: "bad-local-store", prog: asm("push 1\nstore 99\nhalt")},
-		{name: "bad-global", prog: asm(".globals 2\ngload 5\nhalt")},
-		{name: "bad-gstore", prog: asm(".globals 2\npush 1\ngstore 7\nhalt")},
-		{name: "illegal-opcode", prog: &Program{Code: []Instr{{Op: 99}}}},
-		{name: "unknown-builtin", prog: &Program{Code: []Instr{{Op: OpSys, Arg: 999}}}},
-		{name: "pc-off-end", prog: asm("push 1\npop")},
-		{name: "jmp-negative", prog: asm("jmp -5")},
-		{name: "empty-program", prog: &Program{}},
-		{name: "halt-empty-stack", prog: asm("halt")},
-		{name: "ret-main", prog: asm("push 42\nret")},
-		{name: "bad-token", prog: asm(scanEchoSrc), input: "12 34 9z9 55"},
-		{name: "bad-float-token", prog: asm(floatKernelSrc), input: "1.5 2.5 no.pe 4"},
-		{name: "arg-oor", prog: asm("push 7\nsys arg\nhalt"), args: []int64{1, 2}},
-		{name: "argc", prog: asm("sys argc\nhalt"), args: []int64{1, 2, 3}},
-		{name: "scan-eof-trailing-space", prog: asm(scanEchoSrc), input: "1 2 3   "},
+
+		state State
+		trap  string
+		ret   int64
+		out   string
+		steps [2]int64 // at chunk 0 and chunk 2
+	}{
+		{name: "pop-underflow", prog: asm("pop\nhalt"), state: StateTrapped, trap: underflow0, steps: [2]int64{1, 1}},
+		{name: "add-underflow-empty", prog: asm("add\nhalt"), state: StateTrapped, trap: underflow0, steps: [2]int64{1, 1}},
+		{name: "add-underflow-one", prog: asm("push 1\nadd\nhalt"), state: StateTrapped, trap: underflow1, steps: [2]int64{2, 2}},
+		{name: "dup-underflow", prog: asm("dup\nhalt"), state: StateTrapped, trap: underflow0, steps: [2]int64{1, 1}},
+		{name: "swap-underflow-one", prog: asm("push 1\nswap\nhalt"), state: StateTrapped, trap: underflow1, steps: [2]int64{2, 2}},
+		{name: "push-overflow", prog: asm("push 1\npush 2\npush 3\nhalt"), cfg: func(c *Config) { c.StackLimit = 2 },
+			state: StateTrapped, trap: "mvm: operand stack overflow at pc=2", steps: [2]int64{3, 3}},
+		{name: "dup-overflow", prog: asm("push 1\ndup\nhalt"), cfg: func(c *Config) { c.StackLimit = 1 },
+			state: StateTrapped, trap: "mvm: operand stack overflow at pc=1", steps: [2]int64{2, 2}},
+		{name: "load-overflow", prog: asm("push 1\nload 0\nhalt"), cfg: func(c *Config) { c.StackLimit = 1 },
+			state: StateTrapped, trap: "mvm: operand stack overflow at pc=1", steps: [2]int64{2, 2}},
+		{name: "div-zero", prog: asm("push 1\npush 0\ndiv\nhalt"), state: StateTrapped, trap: divZero, steps: [2]int64{3, 3}},
+		{name: "mod-zero", prog: asm("push 1\npush 0\nmod\nhalt"), state: StateTrapped, trap: modZero, steps: [2]int64{3, 3}},
+		{name: "fused-load-div-zero", prog: asm("push 0\nstore 1\npush 6\nload 1\ndiv\nhalt"), state: StateTrapped, trap: divZero, steps: [2]int64{5, 5}},
+		{name: "fused-binop-store-div-zero", prog: asm("push 6\npush 0\ndiv\nstore 0\nhalt"), state: StateTrapped, trap: divZero, steps: [2]int64{3, 3}},
+		{name: "quad-store-div-zero", prog: asm("push 6\npush 0\ndiv\nstore 0\nnop\nhalt"), state: StateTrapped, trap: divZero, steps: [2]int64{3, 3}},
+		{name: "quad-branch-mod-zero", prog: asm("push 6\npush 0\nmod\njz 5\npush 1\nhalt"), state: StateTrapped, trap: modZero, steps: [2]int64{3, 3}},
+		{name: "chain-second-div-zero", prog: asm("push 7\nnop\npush 3\nmul\npush 0\ndiv\nhalt"), state: StateTrapped, trap: divZero, steps: [2]int64{6, 6}},
+		{name: "chain-first-div-zero", prog: asm("push 5\nnop\npush 0\ndiv\npush 1\nadd\nhalt"), state: StateTrapped, trap: divZero, steps: [2]int64{4, 4}},
+		{name: "chain-underflow", prog: asm("push 1\nadd\npush 2\nadd\nhalt"), state: StateTrapped, trap: underflow1, steps: [2]int64{2, 2}},
+		{name: "triple-store-div-zero", prog: asm("push 6\nnop\npush 0\ndiv\nstore 2\nhalt"), state: StateTrapped, trap: divZero, steps: [2]int64{4, 4}},
+		{name: "triple-branch-mod-zero", prog: asm("push 3\nnop\npush 0\nmod\njz 0\nhalt"), state: StateTrapped, trap: modZero, steps: [2]int64{4, 4}},
+		{name: "ld-oor-negative", prog: asm("push -1\nld8\nhalt"), state: StateTrapped,
+			trap: "mvm: D-SRAM load out of range: addr=-1 size=1", steps: [2]int64{2, 2}},
+		{name: "ld-oor-high", prog: asm("push 1048576\nld64\nhalt"), state: StateTrapped,
+			trap: "mvm: D-SRAM load out of range: addr=1048576 size=8", steps: [2]int64{2, 2}},
+		{name: "st-oor", prog: asm("push 1048576\npush 7\nst32\nhalt"), state: StateTrapped,
+			trap: "mvm: D-SRAM store out of range: addr=1048576 size=4", steps: [2]int64{3, 3}},
+		{name: "st-underflow", prog: asm("push 1\nst64\nhalt"), state: StateTrapped, trap: underflow1, steps: [2]int64{2, 2}},
+		{name: "bad-local-load", prog: asm("load 99\nhalt"), state: StateTrapped,
+			trap: "mvm: local index 99 out of range", steps: [2]int64{1, 1}},
+		{name: "bad-local-store", prog: asm("push 1\nstore 99\nhalt"), state: StateTrapped,
+			trap: "mvm: local index 99 out of range", steps: [2]int64{2, 2}},
+		{name: "bad-global", prog: asm(".globals 2\ngload 5\nhalt"), state: StateTrapped,
+			trap: "mvm: global index 5 out of range", steps: [2]int64{1, 1}},
+		{name: "bad-gstore", prog: asm(".globals 2\npush 1\ngstore 7\nhalt"), state: StateTrapped,
+			trap: "mvm: global index 7 out of range", steps: [2]int64{2, 2}},
+		{name: "illegal-opcode", prog: &Program{Code: []Instr{{Op: 99}}}, state: StateTrapped,
+			trap: "mvm: illegal opcode 99 at pc=0", steps: [2]int64{1, 1}},
+		{name: "unknown-builtin", prog: &Program{Code: []Instr{{Op: OpSys, Arg: 999}}}, state: StateTrapped,
+			trap: "mvm: unknown builtin 999", steps: [2]int64{1, 1}},
+		{name: "pc-off-end", prog: asm("push 1\npop"), state: StateTrapped, trap: "mvm: pc out of range: 2", steps: [2]int64{2, 2}},
+		{name: "jmp-negative", prog: asm("jmp -5"), state: StateTrapped, trap: "mvm: pc out of range: -5", steps: [2]int64{1, 1}},
+		{name: "empty-program", prog: &Program{}, state: StateTrapped, trap: "mvm: pc out of range: 0"},
+		{name: "halt-empty-stack", prog: asm("halt"), state: StateHalted, steps: [2]int64{1, 1}},
+		{name: "ret-main", prog: asm("push 42\nret"), state: StateHalted, ret: 42, steps: [2]int64{2, 2}},
+		{name: "bad-token", prog: asm(scanEchoSrc), input: "12 34 9z9 55", state: StateTrapped,
+			trap: `mvm: ms_scanf(%d): bad token "9z9"`, out: "12\n34\n", steps: [2]int64{21, 26}},
+		{name: "bad-float-token", prog: asm(floatKernelSrc), input: "1.5 2.5 no.pe 4", state: StateTrapped,
+			trap: `mvm: ms_scanf(%f): bad token "no.pe"`,
+			out:  "\x00\x00\x00\x00\x00\x00\b@\x00\x00\xc0?\x00\x00\x00\x00\x00\x00\x14@\x00\x00 @", steps: [2]int64{33, 40}},
+		{name: "arg-oor", prog: asm("push 7\nsys arg\nhalt"), args: []int64{1, 2}, state: StateTrapped,
+			trap: "mvm: argument index 7 out of range (argc=2)", steps: [2]int64{2, 2}},
+		{name: "argc", prog: asm("sys argc\nhalt"), args: []int64{1, 2, 3}, state: StateHalted, ret: 3, steps: [2]int64{2, 2}},
+		{name: "scan-eof-trailing-space", prog: asm(scanEchoSrc), input: "1 2 3   ", state: StateHalted,
+			out: "1\n2\n3\n", steps: [2]int64{37, 41}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Profile = true
 			if c.cfg != nil {
 				c.cfg(&cfg)
 			}
-			for _, chunk := range []int{0, 2} {
-				assertEnginesAgree(t, c.prog, cfg, c.args, []byte(c.input), chunk)
+			for i, chunk := range []int{0, 2} {
+				got := stream(t, c.prog, cfg, c.args, []byte(c.input), chunk)
+				if got.state != c.state || got.trap != c.trap || got.ret != c.ret ||
+					string(got.out) != c.out || got.steps != c.steps[i] {
+					t.Fatalf("chunk %d: got %v\nwant state=%v trap=%q ret=%d steps=%d out=%x",
+						chunk, got, c.state, c.trap, c.ret, c.steps[i], c.out)
+				}
 			}
 		})
 	}
 }
 
-// TestEngineRandomSchedules is the resumable-state property test: random
-// interleavings of Feed (random window sizes, sometimes empty), Run
-// (including re-running a paused VM without feeding), and DrainOutput
-// (sometimes deferred past the flush threshold) must drive both engines
-// through identical state sequences. The rng is consumed identically on
-// both sides, so any divergence shows up as a trace mismatch.
-func TestEngineRandomSchedules(t *testing.T) {
-	kernels := engineKernels(t)
-	for name, p := range kernels {
-		input := engineInput(name)
-		for seed := int64(1); seed <= 12; seed++ {
-			it := randomSchedule(t, p, EngineInterp, input, seed)
-			ct := randomSchedule(t, p, EngineCompiled, input, seed)
-			if it != ct {
-				t.Fatalf("%s seed %d: engines diverge\ninterp:\n%s\ncompiled:\n%s", name, seed, it, ct)
-			}
-		}
-	}
-}
-
-func randomSchedule(tb testing.TB, p *Program, eng EngineKind, input []byte, seed int64) string {
+// randomSchedule drives one VM through random interleavings of Feed
+// (random window sizes, sometimes empty, final at a random point past the
+// end), Run (including re-running a paused VM without feeding it) and
+// DrainOutput (sometimes deferred past the flush threshold), then
+// finishes the stream.
+func randomSchedule(tb testing.TB, p *Program, input []byte, seed int64, thresh int) result {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := DefaultConfig()
-	cfg.Profile = true
-	cfg.OutputFlushThreshold = 1 + rng.Intn(96)
-	if rng.Intn(2) == 0 {
-		cfg.MaxSteps = int64(50 + rng.Intn(4000))
-	}
-	cfg.Engine = eng
+	cfg.OutputFlushThreshold = thresh
 	vm, err := New(p, cfg, DefaultCostModel())
 	if err != nil {
-		return "newerr: " + err.Error()
+		tb.Fatalf("New: %v", err)
 	}
-	var sb strings.Builder
 	var out []byte
 	pos := 0
 	finalFed := false
-	for i := 0; i < 400; i++ {
-		switch rng.Intn(4) {
-		case 0: // feed a random window
-			if finalFed {
-				sb.WriteString("skip-feed\n")
-				continue
-			}
-			n := rng.Intn(25)
-			if pos+n > len(input) {
-				n = len(input) - pos
-			}
-			final := pos+n >= len(input) && rng.Intn(2) == 0
-			err := vm.Feed(input[pos:pos+n], final)
-			pos += n
-			finalFed = finalFed || final
-			fmt.Fprintf(&sb, "feed n=%d final=%v err=%v\n", n, final, err)
-		case 1, 2: // run
-			st := vm.Run()
-			ints, floats := vm.ScanCounts()
-			fmt.Fprintf(&sb, "run st=%v steps=%d cyc=%016x consumed=%d fl=%d scans=%d/%d ret=%d trap=%v\n",
-				st, vm.Steps(), math.Float64bits(vm.Cycles()), vm.Consumed(),
-				vm.FloatOps(), ints, floats, vm.ReturnValue(), vm.TrapErr())
-		case 3: // drain
-			d := vm.DrainOutput()
-			out = append(out, d...)
-			fmt.Fprintf(&sb, "drain n=%d state=%v\n", len(d), vm.State())
+	feed := func(n int, final bool) {
+		if err := vm.Feed(input[pos:pos+n], final); err != nil {
+			tb.Fatalf("feed: %v", err)
 		}
-		if vm.State() == StateHalted || vm.State() == StateTrapped {
+		pos += n
+		finalFed = final
+	}
+	for range 400 {
+		if st := vm.State(); st == StateHalted || st == StateTrapped {
 			break
 		}
+		switch rng.Intn(4) {
+		case 0:
+			if !finalFed {
+				n := min(rng.Intn(25), len(input)-pos)
+				feed(n, pos+n >= len(input) && rng.Intn(2) == 0)
+			}
+		case 1, 2:
+			vm.Run()
+		case 3:
+			out = append(out, vm.DrainOutput()...)
+		}
 	}
-	out = append(out, vm.DrainOutput()...)
-	fmt.Fprintf(&sb, "final state=%v out=%x\n", vm.State(), out)
-	if prof := vm.Profile(); prof != nil {
-		sb.WriteString(prof.String())
+	for {
+		switch st := vm.Run(); st {
+		case StateNeedInput:
+			if finalFed {
+				tb.Fatal("need-input after the final window")
+			}
+			feed(len(input)-pos, true)
+		case StateOutputFull, StateFlushRequested:
+			out = append(out, vm.DrainOutput()...)
+		default:
+			return resultOf(vm, append(out, vm.DrainOutput()...))
+		}
 	}
-	return sb.String()
 }
 
-// TestEngineDefaultIsCompiled pins the config plumbing: the zero value
-// and DefaultConfig select the compiled engine; EngineInterp opts out.
-func TestEngineDefaultIsCompiled(t *testing.T) {
-	p := mustAssemble(t, "halt")
-	vm, err := New(p, DefaultConfig(), DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
+// FuzzVMSchedule is the resumable-state property: with MaxSteps unset, a
+// random Feed/Run/DrainOutput schedule produces the same output bytes,
+// return value, consumed count, scan counts and float ops as one
+// whole-input feed. Its seed corpus is every kernel × 30 schedules × 3
+// flush thresholds.
+func FuzzVMSchedule(f *testing.F) {
+	names := []string{"scanecho", "emitbin", "floatk", "callk", "sramk"}
+	for k := range names {
+		for seed := int64(1); seed <= 30; seed++ {
+			for _, thresh := range []uint16{1, 17, 64<<10 - 1} {
+				f.Add(uint8(k), seed, thresh)
+			}
+		}
 	}
-	if vm.code == nil {
-		t.Fatal("default config must use the compiled engine")
-	}
-	cfg := DefaultConfig()
-	cfg.Engine = EngineInterp
-	vm, err = New(p, cfg, DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vm.code != nil {
-		t.Fatal("EngineInterp must not compile")
-	}
-	if EngineDefault.String() != "compiled" || EngineInterp.String() != "interp" {
-		t.Fatalf("engine names: %v %v", EngineDefault, EngineInterp)
-	}
+	kernels := engineKernels(f)
+	f.Fuzz(func(t *testing.T, k uint8, seed int64, thresh uint16) {
+		name := names[int(k)%len(names)]
+		p, input := kernels[name], engineInput(name)
+		want := stream(t, p, DefaultConfig(), nil, input, 0)
+		got := randomSchedule(t, p, input, seed, 1+int(thresh))
+		if !sameObjects(got, want) {
+			t.Fatalf("%s seed=%d thresh=%d:\ngot  %v\nwant %v", name, seed, 1+int(thresh), got, want)
+		}
+	})
 }
 
 // TestFeedCompactionRetainsCapacity pins the Feed satellite fix: windowed
@@ -539,26 +570,27 @@ done:
 }
 
 // TestSharedProgramAcrossGoroutines: VMs built from one Program on several
-// goroutines at once share its compiled closure table, and each produces
-// exactly the trace of a VM built from a Program of its own.
+// goroutines at once (as the rig memo shares each decoded image) each
+// produce exactly the result, steps and cycles included, of a VM built
+// from a Program of its own.
 func TestSharedProgramAcrossGoroutines(t *testing.T) {
 	own := engineKernels(t)
 	for name, p := range engineKernels(t) {
 		input := engineInput(name)
-		want := traceEngine(t, own[name], DefaultConfig(), EngineCompiled, nil, input, 7)
-		got := make([]string, 4)
+		want := stream(t, own[name], DefaultConfig(), nil, input, 7)
+		got := make([]result, 4)
 		var wg sync.WaitGroup
 		for i := range got {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i] = traceEngine(t, p, DefaultConfig(), EngineCompiled, nil, input, 7)
+				got[i] = stream(t, p, DefaultConfig(), nil, input, 7)
 			}()
 		}
 		wg.Wait()
 		for i, g := range got {
-			if g != want {
-				t.Fatalf("%s: goroutine %d's trace differs from a VM on its own Program:\n%s\nwant:\n%s", name, i, g, want)
+			if !sameObjects(g, want) || g.steps != want.steps || g.cycles != want.cycles {
+				t.Fatalf("%s: goroutine %d differs from a VM on its own Program:\n%v\nwant:\n%v", name, i, g, want)
 			}
 		}
 	}

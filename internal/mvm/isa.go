@@ -16,7 +16,6 @@ package mvm
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // Op is a bytecode opcode.
@@ -265,13 +264,6 @@ type Program struct {
 	SRAMStatic int
 	// Name is carried for diagnostics.
 	Name string
-
-	// compiled is the closure-compiled form (compile.go), built by the
-	// first compiled-engine New and shared by every later VM of this
-	// Program: the closures read only static program data, never VM
-	// state. Code must not change once a VM has been built from it.
-	compileOnce sync.Once
-	compiled    *compiledCode
 }
 
 const imageMagic = 0x4D564D31 // "MVM1"

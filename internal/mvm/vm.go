@@ -64,13 +64,6 @@ type Config struct {
 	// Profile collects a per-opcode execution histogram (small runtime
 	// overhead; off by default).
 	Profile bool
-	// Engine selects the execution engine: the closure-compiled engine
-	// (the default, see compile.go) or the reference interpreter
-	// (EngineInterp). Both produce bit-identical results — output bytes,
-	// cycles, steps, scan counts, traps, profiles. Production code leaves
-	// it at the default; the differential suites set EngineInterp to run
-	// the interpreter as their oracle.
-	Engine EngineKind
 }
 
 // DefaultConfig matches a controller-class core: 512 KiB D-SRAM with a
@@ -122,12 +115,6 @@ type VM struct {
 	intScans   int64
 	floatScans int64
 	profile    *Profile
-
-	// code is the closure-compiled form of prog (nil under EngineInterp).
-	code *compiledCode
-	// stepLimit is cfg.MaxSteps with 0 mapped to MaxInt64, so the
-	// per-instruction gate is a single compare.
-	stepLimit int64
 }
 
 // NumLocals is the fixed local-slot count per frame; the compiler enforces
@@ -148,13 +135,6 @@ func New(prog *Program, cfg Config, cost CostModel) (*VM, error) {
 	}
 	if cfg.Profile {
 		vm.profile = newProfile()
-	}
-	vm.stepLimit = cfg.MaxSteps
-	if vm.stepLimit <= 0 {
-		vm.stepLimit = math.MaxInt64
-	}
-	if cfg.Engine.compiled() {
-		vm.code = prog.compiledCode()
 	}
 	return vm, nil
 }
@@ -343,9 +323,6 @@ func (vm *VM) Run() State {
 		return vm.state
 	}
 	vm.state = StateRunnable
-	if vm.code != nil {
-		return vm.runCompiled()
-	}
 	code := vm.prog.Code
 	for {
 		if vm.pc < 0 || vm.pc >= len(code) {

@@ -43,7 +43,7 @@ func newDiffHarness(t *testing.T) *diffHarness {
 	return &diffHarness{
 		t:     t,
 		wheel: NewEngine(NewClock()),
-		heap:  newEngineKind(NewClock(), engineHeap),
+		heap:  newEngineOn(NewClock(), engineHeap),
 	}
 }
 

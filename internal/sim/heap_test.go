@@ -22,9 +22,9 @@ func (k engineKind) String() string {
 	return "wheel"
 }
 
-// newEngineKind returns an engine backed by the chosen queue. Both kinds
+// newEngineOn returns an engine backed by the chosen queue. Both kinds
 // obey the same fire-order contract: (time, scheduling seq).
-func newEngineKind(clock *Clock, kind engineKind) *Engine {
+func newEngineOn(clock *Clock, kind engineKind) *Engine {
 	if kind == engineHeap {
 		return &Engine{clock: clock, q: &heapQueue{}}
 	}

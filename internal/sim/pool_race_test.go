@@ -118,7 +118,7 @@ func TestEventPoolParallelEngines(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			eng := newEngineKind(NewClock(), engineKind(w%2))
+			eng := newEngineOn(NewClock(), engineKind(w%2))
 			fired := 0
 			for i := 0; i < 2000; i++ {
 				h := eng.Schedule(eng.Clock().Now().Add(units.Duration(i%11)), func(units.Time) { fired++ })

@@ -177,7 +177,7 @@ func TestPipeLatencyAndSerialization(t *testing.T) {
 // contract must hold identically for the wheel and the reference heap.
 func engineKinds(t *testing.T, f func(t *testing.T, eng *Engine)) {
 	for _, kind := range []engineKind{engineWheel, engineHeap} {
-		t.Run(kind.String(), func(t *testing.T) { f(t, newEngineKind(NewClock(), kind)) })
+		t.Run(kind.String(), func(t *testing.T) { f(t, newEngineOn(NewClock(), kind)) })
 	}
 }
 

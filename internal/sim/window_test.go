@@ -15,7 +15,7 @@ import (
 func TestDrainWindowCursorContract(t *testing.T) {
 	for _, kind := range []engineKind{engineWheel, engineHeap} {
 		t.Run(kind.String(), func(t *testing.T) {
-			e := newEngineKind(NewClock(), kind)
+			e := newEngineOn(NewClock(), kind)
 			var fired []units.Time
 			note := func(now units.Time) { fired = append(fired, now) }
 			e.Schedule(10, func(now units.Time) {

@@ -30,8 +30,8 @@ type rigMemo struct {
 }
 
 // rigProg is one code image: its decoded Program, shared by every VM the
-// controller builds for it (so its closure table is compiled once), and
-// one trie root per distinct argument vector.
+// controller builds for it, and one trie root per distinct argument
+// vector.
 type rigProg struct {
 	prog  *mvm.Program
 	roots []*rigNode

@@ -1,18 +1,15 @@
-// The interpreter-vs-compiled differential battery at the application
-// level: every Table I StorageApp, compiled from its real MorphC source,
-// streamed through the VM exactly as the SSD firmware streams it
-// (windowed Feed, Run to quiescence, drain on every pause), under both
-// engines and multiple seeds and window sizes. Everything observable must
-// match bit for bit: output bytes, cycles, steps, float ops, scan counts,
-// consumed bytes, the state sequence, return values, trap text, and the
-// profile histogram. Package-level edge cases (traps, MaxSteps inside
-// fused pairs, random schedules) live in internal/mvm/engine_test.go.
+// Differentials for the MVM interpreter at the application level: every
+// Table I StorageApp, compiled from its real MorphC source, streamed
+// through the VM exactly as the SSD firmware streams it (windowed Feed,
+// Run to quiescence, drain on every pause). The window size and the
+// optimization level must not change the objects an app produces.
+// Package-level edge cases (traps, step limits, random schedules) live in
+// internal/mvm/engine_test.go.
 package morpheus
 
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"testing"
 
 	"morpheus/internal/apps"
@@ -21,123 +18,82 @@ import (
 	"morpheus/internal/units"
 )
 
-// vmRun is everything observable about one streamed VM execution.
+// vmRun is what a window size or optimization level must not change.
 type vmRun struct {
 	out        []byte
-	states     []mvm.State
-	cycles     uint64 // Float64bits — compared exactly
-	steps      int64
 	floatOps   int64
 	intScans   int64
 	floatScans int64
 	consumed   int64
 	ret        int64
-	trap       string
-	profile    string
 }
 
 // streamVM drives one VM over input the way ssd.instance.interpretChunk
 // does: feed a window, run to quiescence draining as output fills, feed
 // the next window when asked. chunk <= 0 feeds everything up front.
-func streamVM(tb testing.TB, prog *mvm.Program, cfg mvm.Config, eng mvm.EngineKind, input []byte, chunk int) vmRun {
+func streamVM(tb testing.TB, prog *mvm.Program, input []byte, chunk int) vmRun {
 	tb.Helper()
-	cfg.Engine = eng
-	vm, err := mvm.New(prog, cfg, mvm.DefaultCostModel())
+	vm, err := mvm.New(prog, mvm.DefaultConfig(), mvm.DefaultCostModel())
 	if err != nil {
 		tb.Fatalf("mvm.New: %v", err)
 	}
 	var r vmRun
-	pos := 0
+	pos, final := 0, false
 	if chunk <= 0 {
-		if err := vm.Feed(input, true); err != nil {
-			tb.Fatalf("feed: %v", err)
-		}
-		pos = len(input)
+		chunk = len(input)
 	}
-	for i := 0; i < 50_000_000; i++ {
-		st := vm.Run()
-		r.states = append(r.states, st)
-		switch st {
+	for range 50_000_000 {
+		switch st := vm.Run(); st {
 		case mvm.StateNeedInput:
-			if pos >= len(input) {
+			if final {
 				tb.Fatal("need-input after the final window")
 			}
 			n := min(chunk, len(input)-pos)
-			if err := vm.Feed(input[pos:pos+n], pos+n >= len(input)); err != nil {
+			pos += n
+			final = pos == len(input)
+			if err := vm.Feed(input[pos-n:pos], final); err != nil {
 				tb.Fatalf("feed: %v", err)
 			}
-			pos += n
 		case mvm.StateOutputFull, mvm.StateFlushRequested:
 			r.out = append(r.out, vm.DrainOutput()...)
 		case mvm.StateHalted:
 			r.out = append(r.out, vm.DrainOutput()...)
 			r.ret = vm.ReturnValue()
-			goto done
+			r.floatOps = vm.FloatOps()
+			r.intScans, r.floatScans = vm.ScanCounts()
+			r.consumed = vm.Consumed()
+			return r
 		case mvm.StateTrapped:
-			r.trap = vm.TrapErr().Error()
-			goto done
+			tb.Fatalf("app trapped: %v", vm.TrapErr())
 		default:
 			tb.Fatalf("unexpected state %v", st)
 		}
 	}
 	tb.Fatal("iteration cap exceeded")
-done:
-	r.cycles = math.Float64bits(vm.Cycles())
-	r.steps = vm.Steps()
-	r.floatOps = vm.FloatOps()
-	r.intScans, r.floatScans = vm.ScanCounts()
-	r.consumed = vm.Consumed()
-	r.profile = vm.Profile().String()
 	return r
 }
 
-// diffVMRuns fails the test on the first field where the two engines'
-// runs disagree.
-func diffVMRuns(t *testing.T, interp, compiled vmRun) {
+// diffVMRuns fails the test on the first field where two runs disagree.
+func diffVMRuns(t *testing.T, want, got vmRun) {
 	t.Helper()
-	if !bytes.Equal(interp.out, compiled.out) {
-		t.Fatalf("output bytes diverge: interp %d bytes, compiled %d bytes", len(interp.out), len(compiled.out))
-	}
-	if interp.cycles != compiled.cycles {
-		t.Fatalf("cycles diverge: interp %x (%g) compiled %x (%g)",
-			interp.cycles, math.Float64frombits(interp.cycles),
-			compiled.cycles, math.Float64frombits(compiled.cycles))
-	}
-	if interp.steps != compiled.steps {
-		t.Fatalf("steps diverge: %d vs %d", interp.steps, compiled.steps)
-	}
-	if interp.floatOps != compiled.floatOps {
-		t.Fatalf("float ops diverge: %d vs %d", interp.floatOps, compiled.floatOps)
-	}
-	if interp.intScans != compiled.intScans || interp.floatScans != compiled.floatScans {
+	switch {
+	case !bytes.Equal(want.out, got.out):
+		t.Fatalf("output bytes diverge: %d bytes vs %d", len(want.out), len(got.out))
+	case want.floatOps != got.floatOps:
+		t.Fatalf("float ops diverge: %d vs %d", want.floatOps, got.floatOps)
+	case want.intScans != got.intScans || want.floatScans != got.floatScans:
 		t.Fatalf("scan counts diverge: %d/%d vs %d/%d",
-			interp.intScans, interp.floatScans, compiled.intScans, compiled.floatScans)
-	}
-	if interp.consumed != compiled.consumed {
-		t.Fatalf("consumed diverges: %d vs %d", interp.consumed, compiled.consumed)
-	}
-	if interp.ret != compiled.ret {
-		t.Fatalf("return value diverges: %d vs %d", interp.ret, compiled.ret)
-	}
-	if interp.trap != compiled.trap {
-		t.Fatalf("trap diverges: %q vs %q", interp.trap, compiled.trap)
-	}
-	if len(interp.states) != len(compiled.states) {
-		t.Fatalf("state sequences diverge in length: %d vs %d", len(interp.states), len(compiled.states))
-	}
-	for i := range interp.states {
-		if interp.states[i] != compiled.states[i] {
-			t.Fatalf("state sequence diverges at step %d: %v vs %v", i, interp.states[i], compiled.states[i])
-		}
-	}
-	if interp.profile != compiled.profile {
-		t.Fatalf("profile histograms diverge:\ninterp:\n%s\ncompiled:\n%s", interp.profile, compiled.profile)
+			want.intScans, want.floatScans, got.intScans, got.floatScans)
+	case want.consumed != got.consumed:
+		t.Fatalf("consumed diverges: %d vs %d", want.consumed, got.consumed)
+	case want.ret != got.ret:
+		t.Fatalf("return value diverges: %d vs %d", want.ret, got.ret)
 	}
 }
 
-// TestEngineDifferentialApps proves the compiled engine bit-identical to
-// the interpreter on every Table I StorageApp across seeds and window
-// sizes.
+// TestEngineDifferentialApps streams every Table I StorageApp across
+// seeds and window sizes: each windowed run must match the whole-input
+// run, which must consume the whole input and emit objects.
 func TestEngineDifferentialApps(t *testing.T) {
 	seeds := []int64{20160618, 7, 424242}
 	chunks := []int{0, 512, 4096}
@@ -147,43 +103,33 @@ func TestEngineDifferentialApps(t *testing.T) {
 			t.Fatalf("%s: compile: %v", app.Name, err)
 		}
 		for _, seed := range seeds {
-			shards := app.Gen(24*units.KiB, 1, seed)
-			input := shards[0]
+			input := app.Gen(24*units.KiB, 1, seed)[0]
+			whole := streamVM(t, prog, input, 0)
 			for _, chunk := range chunks {
 				t.Run(fmt.Sprintf("%s/seed%d/chunk%d", app.Name, seed, chunk), func(t *testing.T) {
-					cfg := mvm.DefaultConfig()
-					cfg.Profile = true
-					interp := streamVM(t, prog, cfg, mvm.EngineInterp, input, chunk)
-					compiled := streamVM(t, prog, cfg, mvm.EngineCompiled, input, chunk)
-					diffVMRuns(t, interp, compiled)
-					if interp.trap != "" {
-						t.Fatalf("app trapped: %s", interp.trap)
+					if len(whole.out) == 0 || whole.consumed != int64(len(input)) {
+						t.Fatalf("whole-input run emitted %d bytes, consumed %d of %d",
+							len(whole.out), whole.consumed, len(input))
 					}
-					if len(interp.out) == 0 {
-						t.Fatal("app produced no output")
-					}
+					diffVMRuns(t, whole, streamVM(t, prog, input, chunk))
 				})
 			}
 		}
 	}
 }
 
-// TestEngineDifferentialOptLevels repeats the battery on the optimizer's
-// output (the SSD path compiles at the default level, but fused-pair
-// selection must hold at every optimization level the toolchain offers).
+// TestEngineDifferentialOptLevels: the optimizer changes the instruction
+// stream, never the objects it produces.
 func TestEngineDifferentialOptLevels(t *testing.T) {
 	for _, app := range apps.All() {
+		var runs []vmRun
 		for _, lvl := range []morphc.OptLevel{morphc.O0, morphc.O1} {
 			prog, err := morphc.CompileWithOptions(app.StorageSrc, app.Entry, lvl)
 			if err != nil {
 				t.Fatalf("%s: compile O%d: %v", app.Name, lvl, err)
 			}
-			input := app.Gen(8*units.KiB, 1, 99)[0]
-			cfg := mvm.DefaultConfig()
-			cfg.Profile = true
-			interp := streamVM(t, prog, cfg, mvm.EngineInterp, input, 1024)
-			compiled := streamVM(t, prog, cfg, mvm.EngineCompiled, input, 1024)
-			diffVMRuns(t, interp, compiled)
+			runs = append(runs, streamVM(t, prog, app.Gen(8*units.KiB, 1, 99)[0], 1024))
 		}
+		diffVMRuns(t, runs[0], runs[1])
 	}
 }
