@@ -66,9 +66,8 @@ func main() {
 		Name:   "inputapplet",
 		Source: inputApplet,
 		NativeFactory: func() ssd.NativeFunc {
-			p := serial.TokenParser{Kind: serial.FieldInt32}
-			return func(chunk []byte, final bool, args []int64) []byte {
-				return p.Parse(chunk, final)
+			return func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
+				return serial.AppendTokens(dst, chunk, serial.FieldInt32)
 			}
 		},
 	}

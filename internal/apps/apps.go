@@ -64,14 +64,13 @@ func (a *App) StorageApp() *core.StorageApp {
 		EntryPoint: a.Entry,
 		NativeFactory: func() ssd.NativeFunc {
 			if len(fields) == 1 {
-				p := serial.TokenParser{Kind: fields[0]}
-				return func(chunk []byte, final bool, args []int64) []byte {
-					return p.Parse(chunk, final)
+				kind := fields[0]
+				return func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
+					return serial.AppendTokens(dst, chunk, kind)
 				}
 			}
-			p := serial.RecordParser{Fields: fields}
-			return func(chunk []byte, final bool, args []int64) []byte {
-				return p.Parse(chunk, final)
+			return func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
+				return serial.AppendRecords(dst, chunk, fields)
 			}
 		},
 	}

@@ -106,7 +106,10 @@ func TestStorageAppMatchesHostParser(t *testing.T) {
 				t.Fatalf("StorageApp output (%d bytes) != host parser output (%d bytes)", len(vmOut), len(hostOut))
 			}
 			// And the native continuation equals both.
-			nativeOut := app.StorageApp().NativeFactory()(shard, true, nil)
+			nativeOut, err := app.StorageApp().NativeFactory()(nil, shard, true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !bytes.Equal(nativeOut, hostOut) {
 				t.Fatalf("native continuation diverges from host parser")
 			}

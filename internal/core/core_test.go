@@ -30,9 +30,8 @@ func intApp(sampled bool) *StorageApp {
 	app := &StorageApp{Name: "inputapplet", Source: intDeserSrc}
 	if sampled {
 		app.NativeFactory = func() ssd.NativeFunc {
-			p := serial.TokenParser{Kind: serial.FieldInt32}
-			return func(chunk []byte, final bool, args []int64) []byte {
-				return p.Parse(chunk, final)
+			return func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
+				return serial.AppendTokens(dst, chunk, serial.FieldInt32)
 			}
 		}
 	}

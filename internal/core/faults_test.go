@@ -126,3 +126,36 @@ func TestSimulationDeterminism(t *testing.T) {
 			d1, d2, n1, n2, c1, c2)
 	}
 }
+
+// TestMalformedTokenPastSampleWindowFaults: a bad token the timing rig
+// never sees (it lies past the sample window) must still surface as a
+// StorageApp fault in sampled mode, as it does in exact mode: the native
+// data plane's parse error makes the firmware reap the instance and fail
+// the MREAD, with no panic and no slot or controller DRAM left behind.
+func TestMalformedTokenPastSampleWindowFaults(t *testing.T) {
+	var data []byte
+	for i := int64(0); len(data) < 512<<10; i++ {
+		data = serial.AppendIntText(data, i*7919%100003, " \n"[i%8/7])
+	}
+	data = append(data, "12 abc 34\n"...)
+	for _, sampled := range []bool{false, true} {
+		sys := newTestSystem(t, func(c *SystemConfig) {
+			c.WithGPU = false
+			c.SSD.SampledExecution = sampled
+		})
+		if w := int(sys.Cfg.SSD.SampleWindow); w >= len(data)-10 {
+			t.Fatalf("sample window %d covers the bad token at %d", w, len(data)-10)
+		}
+		f, err := sys.WriteFile("ints", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sys.InvokeStorageApp(0, InvokeOptions{App: intApp(sampled), File: f})
+		if !errors.Is(err, ErrAppTrap) || !errors.Is(err, nvme.ErrAppTrap) {
+			t.Fatalf("sampled=%v: err = %v, want a StorageApp trap", sampled, err)
+		}
+		if n, d := sys.SSD.Instances(), sys.SSD.PinnedDRAM(); n != 0 || d != 0 {
+			t.Fatalf("sampled=%v: %d instances and %d bytes of controller DRAM left after the fault", sampled, n, d)
+		}
+	}
+}

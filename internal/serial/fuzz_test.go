@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -69,9 +70,28 @@ func sameResult(got, want []byte, gotErr, wantErr error) string {
 	return ""
 }
 
-// FuzzParseTokens checks the single-pass ParseTokens and ParseRecords
-// against the Tokenize + strconv reference, for every FieldKind and for
-// record layouts decoded from the layout byte.
+// digitSeeds are chunks whose last token has 1 to 20 digits, unsigned or
+// signed, and ends 0 to 8 bytes before the end of the chunk: around the
+// 18-digit fast-path limit, across the 8-byte word boundary and into the
+// scalar tail.
+func digitSeeds() []string {
+	var seeds []string
+	for d := 1; d <= 20; d++ {
+		digits := strings.Repeat("9876543210", 2)[:d]
+		for _, sign := range []string{"", "-", "+"} {
+			for pad := 0; pad <= 8; pad++ {
+				seeds = append(seeds, "7 "+sign+digits+strings.Repeat(" ", pad))
+			}
+		}
+	}
+	return seeds
+}
+
+// FuzzParseTokens checks the single-pass parsers against the Tokenize +
+// strconv reference, for every FieldKind and for record layouts decoded
+// from the layout byte: ParseTokens and ParseRecords directly, and
+// AppendTokens and AppendRecords after a non-empty prefix, which must come
+// back unchanged.
 func FuzzParseTokens(f *testing.F) {
 	for _, s := range []string{
 		"+5 -0 7\n",
@@ -82,15 +102,24 @@ func FuzzParseTokens(f *testing.F) {
 		"1_000 2\n",
 		"1 2 0.5\n3 4 -1.25\n",
 		"+ - -- +-1 0x10 1e3\n",
+		"12345678x 1234567x8 12345678901234567x\n",
 		"",
 	} {
 		// Each kind alone, then 2- and 3-field layouts: [Int64 Int32],
 		// [Int32 Int32 Float64] and [Int32 Int64 Float64].
 		for _, layout := range []byte{0, 1, 2, 3, 0x41, 0xb0, 0xb4} {
-			f.Add([]byte(s), layout)
+			f.Add([]byte(s), layout, []byte("prefix"))
 		}
 	}
-	f.Fuzz(func(t *testing.T, chunk []byte, layout byte) {
+	for _, s := range digitSeeds() {
+		for _, layout := range []byte{0, 1} {
+			f.Add([]byte(s), layout, []byte{0xff})
+		}
+	}
+	f.Fuzz(func(t *testing.T, chunk []byte, layout byte, prefix []byte) {
+		if len(prefix) == 0 {
+			prefix = []byte{layout}
+		}
 		// Low two bits pick the kind for ParseTokens; the record layout
 		// takes 1-3 fields, two bits each, from the whole byte.
 		kind := FieldKind(layout & 3)
@@ -98,6 +127,10 @@ func FuzzParseTokens(f *testing.F) {
 		want, wantErr := refParse(chunk, []FieldKind{kind})
 		if msg := sameResult(got, want, gotErr, wantErr); msg != "" {
 			t.Fatalf("ParseTokens(%q, %d): %s", chunk, kind, msg)
+		}
+		got, gotErr = AppendTokens(bytes.Clone(prefix), chunk, kind)
+		if msg := samePrefixed(got, want, gotErr, wantErr, prefix); msg != "" {
+			t.Fatalf("AppendTokens(%x, %q, %d): %s", prefix, chunk, kind, msg)
 		}
 		fields := make([]FieldKind, 1+int(layout>>6)%3)
 		for i := range fields {
@@ -108,5 +141,22 @@ func FuzzParseTokens(f *testing.F) {
 		if msg := sameResult(got, want, gotErr, wantErr); msg != "" {
 			t.Fatalf("ParseRecords(%q, %v): %s", chunk, fields, msg)
 		}
+		got, gotErr = AppendRecords(bytes.Clone(prefix), chunk, fields)
+		if msg := samePrefixed(got, want, gotErr, wantErr, prefix); msg != "" {
+			t.Fatalf("AppendRecords(%x, %q, %v): %s", prefix, chunk, fields, msg)
+		}
 	})
+}
+
+// samePrefixed is sameResult for the append parsers: got must start with
+// prefix, unchanged, whatever the outcome, and the bytes after it must
+// match the reference.
+func samePrefixed(got, want []byte, gotErr, wantErr error, prefix []byte) string {
+	if !bytes.HasPrefix(got, prefix) {
+		return fmt.Sprintf("prefix %x came back as %x", prefix, got)
+	}
+	if gotErr != nil && len(got) != len(prefix) {
+		return fmt.Sprintf("err = %v but %d bytes appended", gotErr, len(got)-len(prefix))
+	}
+	return sameResult(got[len(prefix):], want, gotErr, wantErr)
 }

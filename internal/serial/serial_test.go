@@ -3,6 +3,7 @@ package serial
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -193,5 +194,64 @@ func TestAppendFloatTextPrec(t *testing.T) {
 	out := AppendFloatTextPrec(nil, 0.8414709848078965, 6, '\n')
 	if string(out) != "0.841471\n" {
 		t.Fatalf("got %q", out)
+	}
+}
+
+// benchInts is 8 KiB of Zipf-distributed 8-digit word ids, 16 to a line:
+// the shape and size of one grep chunk.
+func benchInts() []byte {
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, 199999)
+	var b []byte
+	for i := 1; len(b) < 8<<10; i++ {
+		b = AppendIntText(b, 10_000_000+int64(zipf.Uint64()), " \n"[i%16/15])
+	}
+	return b
+}
+
+// benchOut keeps the benchmarked parser output live.
+var benchOut []byte
+
+func BenchmarkAppendTokens(b *testing.B) {
+	chunk := benchInts()
+	dst, _ := AppendTokens(nil, chunk, FieldInt64)
+	b.SetBytes(int64(len(chunk)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, _ = AppendTokens(dst[:0], chunk, FieldInt64)
+	}
+	benchOut = dst
+}
+
+func BenchmarkParseTokens(b *testing.B) {
+	chunk := benchInts()
+	b.SetBytes(int64(len(chunk)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchOut, _ = ParseTokens(chunk, FieldInt64)
+	}
+}
+
+// TestAppendParsersDoNotAllocate: into a destination that already has
+// room, the append parsers allocate nothing, for integer and float tokens.
+func TestAppendParsersDoNotAllocate(t *testing.T) {
+	ints := benchInts()
+	recs := []byte("1 -2 0.5\n30 40 -1.25e3\n123456789 7 3\n")
+	fields := []FieldKind{FieldInt32, FieldInt64, FieldFloat64}
+	for _, c := range []struct {
+		name  string
+		parse func(dst []byte) ([]byte, error)
+	}{
+		{"AppendTokens/int32", func(dst []byte) ([]byte, error) { return AppendTokens(dst, ints, FieldInt32) }},
+		{"AppendTokens/float32", func(dst []byte) ([]byte, error) { return AppendTokens(dst, recs, FieldFloat32) }},
+		{"AppendRecords", func(dst []byte) ([]byte, error) { return AppendRecords(dst, recs, fields) }},
+	} {
+		dst, err := c.parse(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { dst, _ = c.parse(dst[:0]) }); n != 0 {
+			t.Errorf("%s: %v allocations per run into a warmed dst, want 0", c.name, n)
+		}
 	}
 }

@@ -51,9 +51,8 @@ func cacheConfigMutate(sampled bool) func(*Config) {
 }
 
 func intNative() NativeFunc {
-	p := serial.TokenParser{Kind: serial.FieldInt32}
-	return func(chunk []byte, final bool, args []int64) []byte {
-		return p.Parse(chunk, final)
+	return func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
+		return serial.AppendTokens(dst, chunk, serial.FieldInt32)
 	}
 }
 

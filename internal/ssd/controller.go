@@ -31,7 +31,10 @@ type CmdContext struct {
 	Data []byte
 
 	// READ / MREAD data sink: receives the bytes the device DMAs to the
-	// destination address (host DRAM or a peer BAR).
+	// destination address (host DRAM or a peer BAR). p is borrowed: it is
+	// read-only and valid only until Sink returns, since the controller
+	// reuses the buffer behind it for the next command. A sink that keeps
+	// the bytes copies them.
 	Sink func(p []byte)
 
 	// LastChunk marks the final MREAD of a stream so the firmware can
@@ -76,6 +79,9 @@ type Controller struct {
 	// sampled timing rig (rigmemo.go). Host-side only: no counter, span
 	// or reset observes it. Nil turns it off (a test seam).
 	memo *rigMemo
+	// stage is the MREAD data plane's scratch (instance.go), reused by
+	// every command and instance.
+	stage stagingBufs
 
 	// engine, when set, is the system's discrete-event loop: each command
 	// runs as a firmware-dispatch event on it instead of a plain call. Nil
@@ -641,9 +647,13 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 	// Collect the chunk's pages into D-SRAM (via DRAM), then run the
 	// StorageApp over the whole chunk on the pinned core. Page reads
 	// overlap; VM execution starts when the data is buffered. The buffer
-	// is sized once for the command; the MDTS cap keeps a malformed NLB
-	// from reserving more than a well-formed command could.
-	chunk := make([]byte, 0, min(int64(nlb)*nvme.LBASize, int64(c.cfg.MDTS)))
+	// is the controller's staging buffer, grown once to the command's
+	// size; the MDTS cap keeps a malformed NLB from reserving more than a
+	// well-formed command could.
+	if want := min(int64(nlb)*nvme.LBASize, int64(c.cfg.MDTS)); int64(cap(c.stage.chunk)) < want {
+		c.stage.chunk = make([]byte, 0, want)
+	}
+	chunk := c.stage.chunk[:0]
 	status, dataAt := c.readPages(t, ctx.Cmd.SLBA(), nlb, func(data []byte, at units.Time) units.Time {
 		chunk = append(chunk, data...)
 		return at
@@ -654,9 +664,10 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 	if ctx.ValidBytes > 0 && len(chunk) > ctx.ValidBytes {
 		chunk = chunk[:ctx.ValidBytes]
 	}
-	res, err := in.processChunk(chunk, ctx.LastChunk, int64(c.cfg.SampleWindow))
+	res, err := in.processChunk(chunk, ctx.LastChunk, int64(c.cfg.SampleWindow), &c.stage)
 	if err != nil {
-		// A trapped StorageApp cannot be resumed: the firmware reaps the
+		// A trapped StorageApp (or a native data plane that hit a
+		// malformed token) cannot be resumed: the firmware reaps the
 		// instance so its slot and chunk buffer are free immediately,
 		// without waiting for the host's abort MDEINIT.
 		c.releaseInstance(in.id)
@@ -701,9 +712,9 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 	}
 	if c.cache != nil && replayable && (in.finished || in.sampled) {
 		// The command fully succeeded and the post-chunk transition is
-		// replayable: record it. out/carry/extents are cloned so neither
-		// later instance mutation nor a retaining Sink can corrupt the
-		// entry.
+		// replayable: record it. out/carry/extents are cloned: out lives
+		// in the staging buffer the next command overwrites, and carry
+		// and extents change with the instance.
 		e := &cacheEntry{
 			key:      key,
 			out:      append([]byte(nil), res.out...),
@@ -751,7 +762,7 @@ func (c *Controller) serveCached(t units.Time, ctx *CmdContext, in *instance, e 
 			end = dmaEnd
 		}
 		if ctx.Sink != nil {
-			ctx.Sink(append([]byte(nil), e.out...))
+			ctx.Sink(e.out) // borrowed: the entry owns its clone
 		}
 	}
 	if c.tracer != nil {

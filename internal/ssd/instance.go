@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"bytes"
 	"fmt"
 
 	"morpheus/internal/mvm"
@@ -10,11 +11,16 @@ import (
 // NativeFunc is the native-parser equivalent of a StorageApp, used by the
 // sampled-execution mode for the data plane. It receives a record-aligned
 // (newline-terminated) chunk of the input stream (final==true for the last
-// one, which may lack a trailing newline) and returns the output bytes the
-// StorageApp would have emitted for it. Correctness tests assert
-// NativeFunc ≡ the interpreted StorageApp on whole inputs. Implementations
-// may be stateful closures; a fresh one is created per MINIT.
-type NativeFunc func(chunk []byte, final bool, args []int64) []byte
+// one, which may lack a trailing newline), appends the output bytes the
+// StorageApp would have emitted for it to dst and returns the extended
+// slice. An error means the StorageApp would have trapped; the controller
+// then reaps the instance. The chunk is borrowed: it is read-only and only
+// valid until the call returns. dst is a controller-owned buffer shared by
+// all instances, so the function must not keep it either. Correctness
+// tests assert NativeFunc ≡ the interpreted StorageApp on whole inputs.
+// Implementations may be stateful closures; a fresh one is created per
+// MINIT.
+type NativeFunc func(dst, chunk []byte, final bool, args []int64) ([]byte, error)
 
 // instance is one StorageApp execution (one MINIT..MDEINIT lifetime),
 // pinned to an embedded core by its instance ID.
@@ -57,7 +63,7 @@ type instance struct {
 	vmAt *rigNode
 
 	cpb      float64 // measured cycles per input byte
-	carry    []byte  // partial trailing record for the native parser
+	carry    []byte  // partial trailing record for the native parser, reused in place
 	finished bool
 	retVal   int64
 
@@ -122,8 +128,19 @@ type chunkResult struct {
 	halted bool
 }
 
-// processChunk runs the StorageApp over one stream chunk.
-func (in *instance) processChunk(chunk []byte, final bool, sampleWindow int64) (chunkResult, error) {
+// stagingBufs is a controller's data-plane scratch, shared by all its
+// instances. A controller runs on one goroutine and no buffer outlives the
+// command that fills it, so one set serves every instance: chunk holds the
+// MREAD's pages, aligned joins an instance's carried partial record with
+// the chunk, and out receives the native parser's objects (the bytes the
+// command's Sink borrows).
+type stagingBufs struct {
+	chunk, aligned, out []byte
+}
+
+// processChunk runs the StorageApp over one stream chunk. In sampled mode
+// the returned out aliases st.out.
+func (in *instance) processChunk(chunk []byte, final bool, sampleWindow int64, st *stagingBufs) (chunkResult, error) {
 	if in.finished {
 		return chunkResult{}, fmt.Errorf("ssd: instance %d already finished its stream", in.id)
 	}
@@ -148,10 +165,14 @@ func (in *instance) processChunk(chunk []byte, final bool, sampleWindow int64) (
 	}
 	in.updateCPB()
 	cyc := in.cpb * float64(len(chunk))
-	aligned := in.align(chunk, final)
-	var out []byte
+	aligned := in.align(&st.aligned, chunk, final)
+	out := st.out[:0]
 	if len(aligned) > 0 || final {
-		out = in.native(aligned, final, in.args)
+		var err error
+		if out, err = in.native(out, aligned, final, in.args); err != nil {
+			return chunkResult{}, fmt.Errorf("ssd: StorageApp %q native data plane: %w", in.prog.Name, err)
+		}
+		st.out = out
 	}
 	in.cycles += cyc
 	in.outBytes += int64(len(out))
@@ -275,25 +296,20 @@ func (in *instance) interpretChunk(chunk []byte, final, keep bool) (chunkResult,
 // align prepends the carried partial record and cuts the chunk at the
 // last record (newline) boundary, carrying the tail to the next call.
 // With final==true everything is flushed. With nothing carried the result
-// aliases chunk instead of copying it; carry never aliases chunk.
-func (in *instance) align(chunk []byte, final bool) []byte {
+// aliases chunk; otherwise the carry and chunk are joined in *scratch.
+// carry is reused in place and never aliases chunk or *scratch.
+func (in *instance) align(scratch *[]byte, chunk []byte, final bool) []byte {
 	buf := chunk
 	if len(in.carry) > 0 {
-		buf = append(in.carry, chunk...)
+		*scratch = append(append((*scratch)[:0], in.carry...), chunk...)
+		buf = *scratch
 	}
-	in.carry = nil
 	if final {
+		in.carry = in.carry[:0]
 		return buf
 	}
-	i := len(buf) - 1
-	for i >= 0 && buf[i] != '\n' {
-		i--
-	}
-	if i < 0 {
-		in.carry = append([]byte(nil), buf...)
-		return nil
-	}
-	in.carry = append([]byte(nil), buf[i+1:]...)
+	i := bytes.LastIndexByte(buf, '\n')
+	in.carry = append(in.carry[:0], buf[i+1:]...)
 	return buf[:i+1]
 }
 
@@ -332,7 +348,7 @@ func (in *instance) applyCache(e *cacheEntry) {
 	in.outBytes = e.outBytes
 	in.cycles = e.cycles
 	in.cpb = e.cpb
-	in.carry = append([]byte(nil), e.carry...)
+	in.carry = append(in.carry[:0], e.carry...)
 	in.retVal = e.retVal
 	if e.finished {
 		in.finished = true

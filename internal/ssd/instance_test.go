@@ -7,7 +7,6 @@ import (
 
 	"morpheus/internal/morphc"
 	"morpheus/internal/mvm"
-	"morpheus/internal/serial"
 )
 
 // byteCountAppSrc returns the number of object bytes it emitted, the value
@@ -57,19 +56,18 @@ func TestSampledRigDiscardMatchesExact(t *testing.T) {
 		t.Helper()
 		cfg := mvm.DefaultConfig()
 		cfg.OutputFlushThreshold = threshold
-		p := serial.TokenParser{Kind: serial.FieldInt32}
-		native := func(chunk []byte, final bool, args []int64) []byte { return p.Parse(chunk, final) }
-		in, err := newInstance(1, 0, prog, nil, native, sampled, cfg, mvm.DefaultCostModel(), nil, nil)
+		in, err := newInstance(1, 0, prog, nil, intNative(), sampled, cfg, mvm.DefaultCostModel(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out []byte
+		var st stagingBufs
 		for off := 0; off < len(text); off += chunkSize {
 			end := min(off+chunkSize, len(text))
 			// Hand over a private copy and clobber it afterwards, as a
 			// reused DMA buffer would: nothing may keep aliasing it.
 			chunk := append([]byte(nil), text[off:end]...)
-			res, err := in.processChunk(chunk, end == len(text), sampleWindow)
+			res, err := in.processChunk(chunk, end == len(text), sampleWindow, &st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,10 +114,12 @@ func TestSampledRigDiscardMatchesExact(t *testing.T) {
 }
 
 // TestAlignCarryNeverAliasesChunk: align may return a slice of the chunk
-// it was given, but the carried partial record must be its own copy, or
-// overwriting the chunk buffer would corrupt the next call's record.
+// it was given or of the shared scratch buffer, but the carried partial
+// record must be its own copy, or overwriting either buffer would corrupt
+// the next call's record.
 func TestAlignCarryNeverAliasesChunk(t *testing.T) {
 	in := &instance{}
+	var scratch []byte
 	steps := []struct {
 		chunk       string
 		final       bool
@@ -134,9 +134,12 @@ func TestAlignCarryNeverAliasesChunk(t *testing.T) {
 	}
 	for i, s := range steps {
 		chunk := []byte(s.chunk)
-		got := string(in.align(chunk, s.final))
+		got := string(in.align(&scratch, chunk, s.final))
 		for j := range chunk {
 			chunk[j] = '#'
+		}
+		for j := range scratch {
+			scratch[j] = '#'
 		}
 		if got != s.want || string(in.carry) != s.carry {
 			t.Fatalf("step %d: align(%q) = %q carry %q, want %q carry %q", i, s.chunk, got, in.carry, s.want, s.carry)

@@ -29,9 +29,8 @@ StorageApp int app(ms_stream s) {
 `
 
 func floatNative() NativeFunc {
-	p := serial.TokenParser{Kind: serial.FieldFloat32}
-	return func(chunk []byte, final bool, args []int64) []byte {
-		return p.Parse(chunk, final)
+	return func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
+		return serial.AppendTokens(dst, chunk, serial.FieldFloat32)
 	}
 }
 
@@ -105,7 +104,7 @@ func runRigStream(t testing.TB, c *Controller, s rigStream) (o rigObs, path stri
 		default:
 			path += rigLive
 		}
-		res, err := in.processChunk(st.chunk, st.final, window)
+		res, err := in.processChunk(st.chunk, st.final, window, &c.stage)
 		if err != nil {
 			c.releaseInstance(id)
 			o.Chunks = append(o.Chunks, rigChunkObs{Err: true})
@@ -379,7 +378,7 @@ func TestMWriteCatchesUpBehindRig(t *testing.T) {
 		c.Submit(0, &CmdContext{Cmd: nvme.BuildMInit(0, 0, uint32(len(img)), id, 0, 0), Code: img, Native: intNative()})
 		in := c.instances[id]
 		for _, s := range steps {
-			if _, err := in.processChunk(s.chunk, s.final, int64(c.cfg.SampleWindow)); err != nil {
+			if _, err := in.processChunk(s.chunk, s.final, int64(c.cfg.SampleWindow), &c.stage); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -393,11 +392,11 @@ func TestMWriteCatchesUpBehindRig(t *testing.T) {
 		})
 		o.Status = comp.Status
 		if !final {
-			res, err := in.processChunk(tail.chunk, tail.final, int64(c.cfg.SampleWindow))
+			res, err := in.processChunk(tail.chunk, tail.final, int64(c.cfg.SampleWindow), &c.stage)
 			if err != nil {
 				t.Fatal(err)
 			}
-			o.Tail = rigChunkObs{Cycles: res.cycles, CPB: in.CyclesPerByte(), Out: res.out, Halted: res.halted}
+			o.Tail = rigChunkObs{Cycles: res.cycles, CPB: in.CyclesPerByte(), Out: append([]byte(nil), res.out...), Halted: res.halted}
 		}
 		o.OutBytes = in.outBytes
 		comp, _ = c.Submit(0, &CmdContext{Cmd: nvme.BuildMDeinit(0, id)})

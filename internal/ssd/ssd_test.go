@@ -234,10 +234,7 @@ func TestSampledMatchesExactDataPlane(t *testing.T) {
 		img := compile(t, intAppSrc)
 		ctx := &CmdContext{Cmd: nvme.BuildMInit(0, 0, uint32(len(img)), 1, 0, 0), Code: img}
 		if sampled {
-			p := serial.TokenParser{Kind: serial.FieldInt32}
-			ctx.Native = func(chunk []byte, final bool, args []int64) []byte {
-				return p.Parse(chunk, final)
-			}
+			ctx.Native = intNative()
 		}
 		c.Submit(0, ctx)
 		var out []byte

@@ -1,0 +1,106 @@
+package ssd
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"morpheus/internal/nvme"
+	"morpheus/internal/serial"
+	"morpheus/internal/units"
+)
+
+// FuzzMReadStaging interleaves the MREAD trains of two sampled instances
+// on one controller, each over its own random integer text cut into
+// random LBA-granular chunks. The controller's staging, align and output
+// buffers are shared by both, so a buffer that leaked one stream into the
+// other, or a carry that aliased one, would change a stream's objects:
+// each stream's Sink bytes must equal serial.ParseTokens of its whole
+// text.
+func FuzzMReadStaging(f *testing.F) {
+	f.Add(int64(1), uint16(300), uint16(500), uint8(3), uint16(64))
+	f.Add(int64(2), uint16(2000), uint16(7), uint8(40), uint16(1))
+	f.Add(int64(3), uint16(1), uint16(1500), uint8(0), uint16(4000))
+	img := compile(f, intAppSrc)
+	f.Fuzz(func(t *testing.T, seed int64, tokensA, tokensB uint16, maxLBAs uint8, window uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		c := newController(t, func(cfg *Config) {
+			cfg.SampledExecution = true
+			cfg.SampleWindow = units.Bytes(window) + 1
+		})
+		type stream struct {
+			id     uint32
+			text   []byte
+			chunks []mreadChunk
+			out    []byte
+		}
+		var streams [2]*stream
+		page := int64(0)
+		for i, n := range []uint16{tokensA, tokensB} {
+			// No trailing separator: the final chunk ends mid-record.
+			text := bytes.TrimRight(tokenText(rng, 1+int(n)%2000, false), " \n")
+			slba, _, err := c.LoadFile(page, text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			page += (int64(len(text)) + int64(c.pageSize) - 1) / int64(c.pageSize)
+			s := &stream{id: uint32(i + 1), text: text}
+			for off := 0; off < len(text); {
+				n := min((1+rng.Intn(int(maxLBAs)%64+1))*nvme.LBASize, len(text)-off)
+				nlb := (n + nvme.LBASize - 1) / nvme.LBASize
+				ch := mreadChunk{slba: slba + uint64(off/nvme.LBASize), nlb: uint32(nlb)}
+				if off+n == len(text) || rng.Intn(2) == 0 {
+					ch.valid = n // else 0: the whole chunk is valid
+				}
+				s.chunks = append(s.chunks, ch)
+				off += n
+			}
+			comp, _ := c.Submit(0, &CmdContext{
+				Cmd:  nvme.BuildMInit(0, 0, uint32(len(img)), s.id, 0, 0),
+				Code: img, Native: intNative(),
+			})
+			if comp.Status != nvme.StatusSuccess {
+				t.Fatalf("stream %d: MINIT status %v", s.id, comp.Status)
+			}
+			streams[i] = s
+		}
+		for len(streams[0].chunks)+len(streams[1].chunks) > 0 {
+			s := streams[rng.Intn(2)]
+			if len(s.chunks) == 0 {
+				continue
+			}
+			ch := s.chunks[0]
+			s.chunks = s.chunks[1:]
+			comp, _ := c.Submit(0, &CmdContext{
+				Cmd:        nvme.BuildMRead(0, ch.slba, ch.nlb, s.id, 0),
+				Sink:       func(p []byte) { s.out = append(s.out, p...) },
+				LastChunk:  len(s.chunks) == 0,
+				ValidBytes: ch.valid,
+			})
+			if comp.Status != nvme.StatusSuccess {
+				t.Fatalf("stream %d: MREAD status %v", s.id, comp.Status)
+			}
+		}
+		for _, s := range streams {
+			want, err := serial.ParseTokens(s.text, serial.FieldInt32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(s.out, want) {
+				t.Fatalf("stream %d: %d object bytes, want %d (first diff at %d)", s.id, len(s.out), len(want), firstDiff(s.out, want))
+			}
+			if comp, _ := c.Submit(0, &CmdContext{Cmd: nvme.BuildMDeinit(0, s.id)}); comp.Status != nvme.StatusSuccess {
+				t.Fatalf("stream %d: MDEINIT status %v", s.id, comp.Status)
+			}
+		}
+	})
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
