@@ -25,6 +25,8 @@ func TestRejectsBadValues(t *testing.T) {
 		{"removed-ssd-cache", []string{"-ssd-cache"}, "-ssd-cache"},
 		{"removed-window-depth", []string{"-window-depth", "32"}, "-window-depth"},
 		{"unknown-exp", []string{"-exp", "fig99"}, "-list"},
+		{"slo-budget-nan", []string{"-slo", "metric=nvme.MREAD.latency_ps,target=10ms,budget=NaN"}, "-slo"},
+		{"slo-budget-trailing", []string{"-slo", "metric=nvme.MREAD.latency_ps,target=10ms,budget=0.5abc"}, "-slo"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

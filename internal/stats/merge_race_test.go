@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"time"
 )
 
 // makeRegistry builds a registry with every metric kind populated.
@@ -17,7 +18,7 @@ func makeRegistry(n int64) *Registry {
 }
 
 // makeSeriesRegistry additionally enables windowed collection and an SLO,
-// so the race batteries cover the series/SLO copy-then-apply paths.
+// so the race batteries cover the series and SLO folds.
 func makeSeriesRegistry(n int64) *Registry {
 	r := makeRegistry(n)
 	r.EnableSeries(64)
@@ -56,7 +57,7 @@ func TestConcurrentMergeIntoOneRegistry(t *testing.T) {
 }
 
 // TestCrossMergeDoesNotDeadlock: a.Merge(b) while b.Merge(a) must finish
-// (the copy-then-apply pattern never holds both registries' locks).
+// (Merge takes the two registries' locks in creation order).
 func TestCrossMergeDoesNotDeadlock(t *testing.T) {
 	a, b := makeRegistry(1), makeRegistry(2)
 	var wg sync.WaitGroup
@@ -95,7 +96,7 @@ func TestConcurrentSeriesMerge(t *testing.T) {
 
 // TestCrossMergeSeriesDoesNotDeadlock: a.Merge(b) alongside b.Merge(a)
 // with series + SLO state on both sides — the gauge-integral and window
-// folds must also never hold both registry locks.
+// folds run under the same fixed lock order.
 func TestCrossMergeSeriesDoesNotDeadlock(t *testing.T) {
 	a, b := makeSeriesRegistry(1), makeSeriesRegistry(2)
 	var wg sync.WaitGroup
@@ -160,5 +161,36 @@ func TestMergeFoldOrderMatchesSequential(t *testing.T) {
 	}
 	if m := sequential.Gauge("g").Mean(); m == 0 {
 		t.Fatal("gauge integral lost in merge")
+	}
+}
+
+// TestCrossMergeLockOrder: many a.Merge(b) alongside many b.Merge(a), so
+// the two folds overlap often enough that taking the locks in call order
+// instead of creation order would deadlock.
+func TestCrossMergeLockOrder(t *testing.T) {
+	a, b := makeSeriesRegistry(1), makeSeriesRegistry(2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				a.Merge(b)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				b.Merge(a)
+			}
+		}()
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("a.Merge(b) alongside b.Merge(a) did not finish: lock-order deadlock")
 	}
 }

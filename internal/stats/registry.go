@@ -1,12 +1,15 @@
 package stats
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
+
+	"morpheus/internal/jsonw"
 )
 
 // Registry joins the three metric kinds — monotonic counters, latency
@@ -16,6 +19,7 @@ import (
 // Safe for concurrent use.
 type Registry struct {
 	mu       sync.Mutex
+	seq      uint64 // creation order, for Merge's lock order
 	counters *Set
 	hists    map[string]*Histogram
 	gauges   map[string]*Gauge
@@ -31,6 +35,7 @@ type Registry struct {
 // NewRegistry returns an empty registry with a fresh counter set.
 func NewRegistry() *Registry {
 	return &Registry{
+		seq:      registrySeq.Add(1),
 		counters: NewSet(),
 		hists:    make(map[string]*Histogram),
 		gauges:   make(map[string]*Gauge),
@@ -45,6 +50,10 @@ func (r *Registry) Counters() *Set { return r.counters }
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.histLocked(name)
+}
+
+func (r *Registry) histLocked(name string) *Histogram {
 	h := r.hists[name]
 	if h == nil {
 		h = &Histogram{}
@@ -57,6 +66,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.gaugeLocked(name)
+}
+
+func (r *Registry) gaugeLocked(name string) *Gauge {
 	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{}
@@ -65,69 +78,80 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// histNames returns the histogram names sorted; gaugeNames likewise.
-func (r *Registry) histNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func (r *Registry) gaugeNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// registrySeq numbers registries in creation order; Merge locks the
+// lower-numbered of two registries first.
+var registrySeq atomic.Uint64
 
 // Merge folds every metric of o into r: counters add, histograms merge
-// bucket-wise, gauges merge as summaries. Used by experiments that run
-// several systems (tenants, modes, parallel sweep points) and want one
-// aggregate emission. The source's counters are snapshotted under the
-// source lock and applied under the receiver lock — the two locks are
-// never held together, so concurrent merges (even a.Merge(b) alongside
-// b.Merge(a)) cannot deadlock, and two merges into the same receiver
-// cannot race on its counter map.
+// bucket-wise, gauges merge as summaries, series windows and SLO counts
+// add window by window. Used by experiments that run several systems
+// (tenants, modes, parallel sweep points) and want one aggregate
+// emission. Both registries are locked for the fold, always the older one
+// (by creation) first, so concurrent merges, even a.Merge(b) alongside
+// b.Merge(a), cannot deadlock.
+//
+// Every metric of r receives at most one add from o, so the order in
+// which o's maps are walked cannot change a float fold; the result
+// depends only on the order callers merge sources in.
 func (r *Registry) Merge(o *Registry) {
 	if o == nil || o == r {
 		return
 	}
-	o.mu.Lock()
-	snap := o.counters.Snapshot()
-	series := o.copySeriesLocked()
-	slos := o.copySLOsLocked()
-	o.mu.Unlock()
-	r.mu.Lock()
-	for n, v := range snap.counters {
-		r.counters.Add(n, v)
+	first, second := r, o
+	if o.seq < r.seq {
+		first, second = o, r
 	}
-	r.applySeriesLocked(series)
-	if r.series != nil {
-		// The merged counter totals were already attributed to windows by
-		// the source; raise the receiver's boundary snapshot past them so
-		// its own next window close doesn't re-attribute them.
-		for n, v := range snap.counters {
+	first.mu.Lock()
+	defer first.mu.Unlock()
+	second.mu.Lock()
+	defer second.mu.Unlock()
+
+	if so := o.series; so != nil {
+		o.closeCounterWindowLocked()
+		if r.series == nil {
+			r.series = newSeries(so.window)
+		}
+		for idx, src := range so.cells {
+			dst := r.series.cell(idx)
+			for n, v := range src.counters {
+				dst.counters[n] += v
+			}
+			for n, h := range src.hists {
+				dst.hist(n).Merge(h)
+			}
+			for n, g := range src.gauges {
+				dst.gauge(n).Merge(g)
+			}
+		}
+	}
+	for n, v := range o.counters.counters {
+		r.counters.counters[n] += v
+		if r.series != nil {
+			// The source already attributed these totals to windows;
+			// raise the receiver's boundary snapshot past them so its
+			// own next window close doesn't re-attribute them.
 			r.series.lastSnap[n] += v
 		}
 	}
-	r.applySLOsLocked(slos)
-	r.mu.Unlock()
-	// Histograms and gauges synchronize themselves with the same
-	// copy-then-apply pattern; the name listings lock one registry at a
-	// time.
-	for _, n := range o.histNames() {
-		r.Histogram(n).Merge(o.Histogram(n))
+	for _, src := range o.slos {
+		dst := r.addSLOLocked(src.cfg)
+		dst.total += src.total
+		dst.bad += src.bad
+		for idx, w := range src.windows {
+			dw := dst.windows[idx]
+			if dw == nil {
+				dw = &sloWindow{}
+				dst.windows[idx] = dw
+			}
+			dw.total += w.total
+			dw.bad += w.bad
+		}
 	}
-	for _, n := range o.gaugeNames() {
-		r.Gauge(n).Merge(o.Gauge(n))
+	for n, h := range o.hists {
+		r.histLocked(n).Merge(h)
+	}
+	for n, g := range o.gauges {
+		r.gaugeLocked(n).Merge(g)
 	}
 }
 
@@ -176,90 +200,131 @@ var histQuantiles = []struct {
 // format: counters and gauges as their namesake types, histograms as
 // summaries with p50/p95/p99/max quantile lines plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	for _, n := range r.counters.Names() {
-		pn := promName(n)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, r.counters.Get(n)); err != nil {
-			return err
-		}
-	}
-	for _, n := range r.histNames() {
-		h := r.Histogram(n)
-		pn := promName(n)
-		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", pn); err != nil {
-			return err
-		}
-		for _, qt := range histQuantiles {
-			if _, err := fmt.Fprintf(w, "%s{quantile=\"%s\"} %d\n", pn, qt.label, h.Quantile(qt.q)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", pn, h.Sum(), pn, h.Count()); err != nil {
-			return err
-		}
-	}
-	for _, n := range r.gaugeNames() {
-		g := r.Gauge(n)
-		pn := promName(n)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n%s_mean %g\n%s_max %g\n",
-			pn, pn, g.Last(), pn, g.Mean(), pn, g.Max()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// histJSON is a histogram's JSON snapshot shape.
-type histJSON struct {
-	Count   int64         `json:"count"`
-	Sum     int64         `json:"sum"`
-	Min     int64         `json:"min"`
-	Max     int64         `json:"max"`
-	P50     int64         `json:"p50"`
-	P95     int64         `json:"p95"`
-	P99     int64         `json:"p99"`
-	Buckets []BucketCount `json:"buckets,omitempty"`
-}
-
-// gaugeJSON is a gauge's JSON snapshot shape.
-type gaugeJSON struct {
-	Samples int64   `json:"samples"`
-	Last    float64 `json:"last"`
-	Min     float64 `json:"min"`
-	Max     float64 `json:"max"`
-	Mean    float64 `json:"mean"`
-}
-
-// WriteJSON emits a machine-readable snapshot of every metric. Map keys
-// are emitted sorted by encoding/json, so output is deterministic.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	counters := map[string]int64{}
-	snap := r.counters.Snapshot()
-	for _, n := range snap.Names() {
-		counters[n] = snap.Get(n)
-	}
-	hists := map[string]histJSON{}
-	for _, n := range r.histNames() {
-		h := r.Histogram(n)
-		hists[n] = histJSON{
-			Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max(),
-			P50: h.Quantile(0.5), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
-			Buckets: h.Buckets(),
-		}
-	}
-	gauges := map[string]gaugeJSON{}
-	for _, n := range r.gaugeNames() {
-		g := r.Gauge(n)
-		gauges[n] = gaugeJSON{Samples: g.Samples(), Last: g.Last(), Min: g.Min(), Max: g.Max(), Mean: g.Mean()}
-	}
 	r.mu.Lock()
-	slos := r.sloSummaryLocked()
-	r.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(struct {
-		Counters   map[string]int64     `json:"counters"`
-		Histograms map[string]histJSON  `json:"histograms"`
-		Gauges     map[string]gaugeJSON `json:"gauges"`
-		SLOs       map[string]sloJSON   `json:"slos,omitempty"`
-	}{counters, hists, gauges, slos})
+	defer r.mu.Unlock()
+	// bw keeps its first write error and Flush returns it, so the
+	// per-line writes need no checks of their own.
+	bw := bufio.NewWriter(w)
+	for _, n := range sortedNames(nil, r.counters.counters) {
+		pn := promName(n)
+		fmt.Fprintf(bw, "# TYPE %s counter\n%s %d\n", pn, pn, r.counters.counters[n])
+	}
+	for _, n := range sortedNames(nil, r.hists) {
+		h := r.hists[n]
+		pn := promName(n)
+		fmt.Fprintf(bw, "# TYPE %s summary\n", pn)
+		for _, qt := range histQuantiles {
+			fmt.Fprintf(bw, "%s{quantile=\"%s\"} %d\n", pn, qt.label, h.Quantile(qt.q))
+		}
+		fmt.Fprintf(bw, "%s_sum %d\n%s_count %d\n", pn, h.Sum(), pn, h.Count())
+	}
+	for _, n := range sortedNames(nil, r.gauges) {
+		g := r.gauges[n]
+		pn := promName(n)
+		fmt.Fprintf(bw, "# TYPE %s gauge\n%s %g\n%s_mean %g\n%s_max %g\n",
+			pn, pn, g.Last(), pn, g.Mean(), pn, g.Max())
+	}
+	return bw.Flush()
+}
+
+// sortedNames appends m's keys to dst in sort.Strings order, the order
+// encoding/json gives map keys.
+func sortedNames[V any](dst []string, m map[string]V) []string {
+	for k := range m {
+		dst = append(dst, k)
+	}
+	sort.Strings(dst)
+	return dst
+}
+
+// WriteJSON emits a machine-readable snapshot of every metric: counters,
+// histograms (with their non-empty buckets), gauges and, when any are
+// registered, the SLO summary, each keyed by metric name in sorted order.
+// A NaN or infinite gauge value fails it with *json.UnsupportedValueError.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	jw := jsonw.New(w)
+	jw.BeginObject()
+	jw.Key("counters")
+	jw.BeginObject()
+	for _, n := range sortedNames(nil, r.counters.counters) {
+		jw.Key(n)
+		jw.Int(r.counters.counters[n])
+	}
+	jw.EndObject()
+	jw.Key("histograms")
+	jw.BeginObject()
+	for _, n := range sortedNames(nil, r.hists) {
+		jw.Key(n)
+		writeHist(jw, r.hists[n], true)
+	}
+	jw.EndObject()
+	jw.Key("gauges")
+	jw.BeginObject()
+	for _, n := range sortedNames(nil, r.gauges) {
+		jw.Key(n)
+		writeGauge(jw, r.gauges[n])
+	}
+	jw.EndObject()
+	if len(r.slos) > 0 {
+		jw.Key("slos")
+		r.writeSLOSummaryLocked(jw)
+	}
+	jw.EndObject()
+	return jw.Close()
+}
+
+// writeHist writes a histogram's summary object; the run-wide artifact
+// adds its non-empty buckets, the per-window rows do not.
+func writeHist(jw *jsonw.Writer, h *Histogram, buckets bool) {
+	jw.BeginObject()
+	jw.Key("count")
+	jw.Int(h.Count())
+	jw.Key("sum")
+	jw.Int(h.Sum())
+	jw.Key("min")
+	jw.Int(h.Min())
+	jw.Key("max")
+	jw.Int(h.Max())
+	jw.Key("p50")
+	jw.Int(h.Quantile(0.5))
+	jw.Key("p95")
+	jw.Int(h.Quantile(0.95))
+	jw.Key("p99")
+	jw.Int(h.Quantile(0.99))
+	var bs []BucketCount
+	if buckets {
+		bs = h.Buckets()
+	}
+	if len(bs) > 0 {
+		jw.Key("buckets")
+		jw.BeginArray()
+		for _, b := range bs {
+			jw.BeginObject()
+			jw.Key("Upper")
+			jw.Int(b.Upper)
+			jw.Key("Count")
+			jw.Int(b.Count)
+			jw.EndObject()
+		}
+		jw.EndArray()
+	}
+	jw.EndObject()
+}
+
+// writeGauge writes a gauge's summary object.
+func writeGauge(jw *jsonw.Writer, g *Gauge) {
+	jw.BeginObject()
+	jw.Key("samples")
+	jw.Int(g.Samples())
+	jw.Key("last")
+	jw.Float(g.Last())
+	jw.Key("min")
+	jw.Float(g.Min())
+	jw.Key("max")
+	jw.Float(g.Max())
+	jw.Key("mean")
+	jw.Float(g.Mean())
+	jw.EndObject()
 }

@@ -1,11 +1,13 @@
 package stats
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
+
+	"morpheus/internal/jsonw"
 )
 
 // seriesData is the windowed time-series collector a Registry grows when
@@ -100,6 +102,11 @@ func newSeries(windowPS int64) *seriesData {
 func (r *Registry) SeriesWindow() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.seriesWindowLocked()
+}
+
+// seriesWindowLocked is SeriesWindow for a caller holding r.mu.
+func (r *Registry) seriesWindowLocked() int64 {
 	if r.series == nil {
 		return 0
 	}
@@ -207,125 +214,6 @@ func (r *Registry) AddAt(name string, t int64, v int64) {
 	r.counters.Add(name, v)
 }
 
-// copySeriesLocked deep-copies the series (flushing the open counter
-// window first) for a lock-free apply on the receiving side of a Merge.
-// Caller holds the owning registry's mu.
-func (r *Registry) copySeriesLocked() *seriesData {
-	s := r.series
-	if s == nil {
-		return nil
-	}
-	r.closeCounterWindowLocked()
-	cp := newSeries(s.window)
-	cp.cur = s.cur
-	for idx, cell := range s.cells {
-		nc := newSeriesCell()
-		for n, v := range cell.counters {
-			nc.counters[n] = v
-		}
-		for n, h := range cell.hists {
-			hc := &Histogram{}
-			hc.Merge(h)
-			nc.hist(n) // ensure map
-			nc.hists[n] = hc
-		}
-		for n, g := range cell.gauges {
-			gc := &Gauge{}
-			gc.Merge(g)
-			nc.gauge(n)
-			nc.gauges[n] = gc
-		}
-		cp.cells[idx] = nc
-	}
-	return cp
-}
-
-// applySeriesLocked folds a copied series into r's. Window indices and
-// metric names are applied in sorted order so floating-point folds (gauge
-// integrals) group identically at any worker count. Caller holds r.mu.
-func (r *Registry) applySeriesLocked(cp *seriesData) {
-	if cp == nil {
-		return
-	}
-	if r.series == nil {
-		r.series = newSeries(cp.window)
-	}
-	s := r.series
-	idxs := make([]int64, 0, len(cp.cells))
-	for idx := range cp.cells {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		src := cp.cells[idx]
-		dst := s.cell(idx)
-		for _, n := range sortedKeys(src.counters) {
-			dst.counters[n] += src.counters[n]
-		}
-		for _, n := range sortedHistKeys(src.hists) {
-			dst.hist(n).Merge(src.hists[n])
-		}
-		for _, n := range sortedGaugeKeys(src.gauges) {
-			dst.gauge(n).Merge(src.gauges[n])
-		}
-	}
-}
-
-func sortedKeys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedHistKeys(m map[string]*Histogram) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedGaugeKeys(m map[string]*Gauge) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// seriesHistJSON is a per-window histogram row (quantiles, no buckets).
-type seriesHistJSON struct {
-	Count int64 `json:"count"`
-	Sum   int64 `json:"sum"`
-	Min   int64 `json:"min"`
-	Max   int64 `json:"max"`
-	P50   int64 `json:"p50"`
-	P95   int64 `json:"p95"`
-	P99   int64 `json:"p99"`
-}
-
-// seriesWindowJSON is one emitted window.
-type seriesWindowJSON struct {
-	StartPS    int64                     `json:"start_ps"`
-	EndPS      int64                     `json:"end_ps"`
-	Counters   map[string]int64          `json:"counters,omitempty"`
-	Histograms map[string]seriesHistJSON `json:"histograms,omitempty"`
-	Gauges     map[string]gaugeJSON      `json:"gauges,omitempty"`
-	SLOs       map[string]sloWindowJSON  `json:"slos,omitempty"`
-}
-
-// seriesFileJSON is the whole timeseries artifact.
-type seriesFileJSON struct {
-	WindowPS int64              `json:"window_ps"`
-	Windows  []seriesWindowJSON `json:"windows"`
-	SLOs     map[string]sloJSON `json:"slo_summary,omitempty"`
-}
-
 // ErrNoSeries is returned by the series writers when windowed collection
 // was never enabled.
 var ErrNoSeries = fmt.Errorf("stats: windowed series collection is not enabled")
@@ -353,7 +241,7 @@ func (r *Registry) seriesWindowsLocked() []int64 {
 // WriteSeriesJSON emits the windowed artifact as JSON: the window width,
 // every non-empty window in ascending order (per-window counters,
 // histogram quantiles, gauge summaries, SLO burn), and the SLO summary.
-// Output is deterministic (sorted windows, encoding/json-sorted maps).
+// Metric names are sorted within each window, so output is deterministic.
 func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -362,38 +250,90 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 	}
 	r.closeCounterWindowLocked()
 	s := r.series
-	out := seriesFileJSON{WindowPS: s.window, Windows: []seriesWindowJSON{}}
+	sloKeys := sortedNames(nil, r.slos)
+	var names []string // reused for every window's sorted names
+	jw := jsonw.New(w)
+	jw.BeginObject()
+	jw.Key("window_ps")
+	jw.Int(s.window)
+	jw.Key("windows")
+	jw.BeginArray()
 	for _, idx := range r.seriesWindowsLocked() {
-		wj := seriesWindowJSON{StartPS: idx * s.window, EndPS: (idx + 1) * s.window}
+		jw.BeginObject()
+		jw.Key("start_ps")
+		jw.Int(idx * s.window)
+		jw.Key("end_ps")
+		jw.Int((idx + 1) * s.window)
 		if cell := s.cells[idx]; cell != nil {
 			if len(cell.counters) > 0 {
-				wj.Counters = cell.counters
+				jw.Key("counters")
+				jw.BeginObject()
+				names = sortedNames(names[:0], cell.counters)
+				for _, n := range names {
+					jw.Key(n)
+					jw.Int(cell.counters[n])
+				}
+				jw.EndObject()
 			}
 			if len(cell.hists) > 0 {
-				wj.Histograms = map[string]seriesHistJSON{}
-				for n, h := range cell.hists {
-					wj.Histograms[n] = seriesHistJSON{
-						Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max(),
-						P50: h.Quantile(0.5), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
-					}
+				jw.Key("histograms")
+				jw.BeginObject()
+				names = sortedNames(names[:0], cell.hists)
+				for _, n := range names {
+					jw.Key(n)
+					writeHist(jw, cell.hists[n], false)
 				}
+				jw.EndObject()
 			}
 			if len(cell.gauges) > 0 {
-				wj.Gauges = map[string]gaugeJSON{}
-				for n, g := range cell.gauges {
-					wj.Gauges[n] = gaugeJSON{Samples: g.Samples(), Last: g.Last(), Min: g.Min(), Max: g.Max(), Mean: g.Mean()}
+				jw.Key("gauges")
+				jw.BeginObject()
+				names = sortedNames(names[:0], cell.gauges)
+				for _, n := range names {
+					jw.Key(n)
+					writeGauge(jw, cell.gauges[n])
 				}
+				jw.EndObject()
 			}
 		}
-		if slos := r.sloWindowJSONLocked(idx); len(slos) > 0 {
-			wj.SLOs = slos
+		opened := false
+		for _, key := range sloKeys {
+			st := r.slos[key]
+			sw := st.windows[idx]
+			if sw == nil {
+				continue
+			}
+			if !opened {
+				jw.Key("slos")
+				jw.BeginObject()
+				opened = true
+			}
+			jw.Key(key)
+			jw.BeginObject()
+			jw.Key("total")
+			jw.Int(sw.total)
+			jw.Key("violations")
+			jw.Int(sw.bad)
+			jw.Key("burn_rate")
+			jw.Float(st.burnRate(sw))
+			if st.violating(sw) {
+				jw.Key("violating")
+				jw.Bool(true)
+			}
+			jw.EndObject()
 		}
-		out.Windows = append(out.Windows, wj)
+		if opened {
+			jw.EndObject()
+		}
+		jw.EndObject()
 	}
-	out.SLOs = r.sloSummaryLocked()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	jw.EndArray()
+	if len(r.slos) > 0 {
+		jw.Key("slo_summary")
+		r.writeSLOSummaryLocked(jw)
+	}
+	jw.EndObject()
+	return jw.Close()
 }
 
 // seriesCSVHeader is the flat per-(window, metric) schema of the CSV
@@ -412,56 +352,48 @@ func (r *Registry) WriteSeriesCSV(w io.Writer) error {
 	}
 	r.closeCounterWindowLocked()
 	s := r.series
-	if _, err := io.WriteString(w, seriesCSVHeader); err != nil {
-		return err
-	}
+	// bw keeps its first write error and Flush returns it, so the
+	// per-row writes need no checks of their own.
+	bw := bufio.NewWriter(w)
+	bw.WriteString(seriesCSVHeader)
+	sloKeys := sortedNames(nil, r.slos)
 	for _, idx := range r.seriesWindowsLocked() {
 		start, end := idx*s.window, (idx+1)*s.window
-		row := func(kind, name, count, sum, min, max, p50, p95, p99, mean, last, value string) error {
-			_, err := fmt.Fprintf(w, "%d,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n",
+		row := func(kind, name, count, sum, min, max, p50, p95, p99, mean, last, value string) {
+			fmt.Fprintf(bw, "%d,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n",
 				start, end, kind, name, count, sum, min, max, p50, p95, p99, mean, last, value)
-			return err
 		}
-		cell := s.cells[idx]
-		if cell != nil {
-			for _, n := range sortedKeys(cell.counters) {
-				if err := row("counter", n, "", "", "", "", "", "", "", "", "", strconv.FormatInt(cell.counters[n], 10)); err != nil {
-					return err
-				}
+		if cell := s.cells[idx]; cell != nil {
+			for _, n := range sortedNames(nil, cell.counters) {
+				row("counter", n, "", "", "", "", "", "", "", "", "", strconv.FormatInt(cell.counters[n], 10))
 			}
-			for _, n := range sortedHistKeys(cell.hists) {
+			for _, n := range sortedNames(nil, cell.hists) {
 				h := cell.hists[n]
-				if err := row("histogram", n,
+				row("histogram", n,
 					strconv.FormatInt(h.Count(), 10), strconv.FormatInt(h.Sum(), 10),
 					strconv.FormatInt(h.Min(), 10), strconv.FormatInt(h.Max(), 10),
 					strconv.FormatInt(h.Quantile(0.5), 10), strconv.FormatInt(h.Quantile(0.95), 10),
-					strconv.FormatInt(h.Quantile(0.99), 10), "", "", ""); err != nil {
-					return err
-				}
+					strconv.FormatInt(h.Quantile(0.99), 10), "", "", "")
 			}
-			for _, n := range sortedGaugeKeys(cell.gauges) {
+			for _, n := range sortedNames(nil, cell.gauges) {
 				g := cell.gauges[n]
-				if err := row("gauge", n,
+				row("gauge", n,
 					strconv.FormatInt(g.Samples(), 10), "",
 					csvFloat(g.Min()), csvFloat(g.Max()), "", "", "",
-					csvFloat(g.Mean()), csvFloat(g.Last()), ""); err != nil {
-					return err
-				}
+					csvFloat(g.Mean()), csvFloat(g.Last()), "")
 			}
 		}
-		for _, key := range r.sortedSLOKeysLocked() {
+		for _, key := range sloKeys {
 			sw := r.slos[key].windows[idx]
 			if sw == nil {
 				continue
 			}
-			if err := row("slo", key,
+			row("slo", key,
 				strconv.FormatInt(sw.total, 10), strconv.FormatInt(sw.bad, 10),
-				"", "", "", "", "", "", "", csvFloat(r.slos[key].burnRate(sw))); err != nil {
-				return err
-			}
+				"", "", "", "", "", "", "", csvFloat(r.slos[key].burnRate(sw)))
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 // WriteSeriesOpenMetrics emits the windowed artifact in OpenMetrics-style
@@ -477,58 +409,45 @@ func (r *Registry) WriteSeriesOpenMetrics(w io.Writer) error {
 	}
 	r.closeCounterWindowLocked()
 	s := r.series
+	// bw keeps its first write error and Flush returns it, so the
+	// per-line writes need no checks of their own.
+	bw := bufio.NewWriter(w)
 	typed := map[string]bool{}
-	emitType := func(pn, kind string) error {
-		if typed[pn] {
-			return nil
+	emitType := func(pn, kind string) {
+		if !typed[pn] {
+			typed[pn] = true
+			fmt.Fprintf(bw, "# TYPE %s %s\n", pn, kind)
 		}
-		typed[pn] = true
-		_, err := fmt.Fprintf(w, "# TYPE %s %s\n", pn, kind)
-		return err
 	}
 	cum := map[string]int64{}
 	for _, idx := range r.seriesWindowsLocked() {
-		ts := strconv.FormatFloat(float64((idx+1)*s.window)/1e12, 'g', -1, 64)
 		cell := s.cells[idx]
 		if cell == nil {
 			continue
 		}
-		for _, n := range sortedKeys(cell.counters) {
+		ts := strconv.FormatFloat(float64((idx+1)*s.window)/1e12, 'g', -1, 64)
+		for _, n := range sortedNames(nil, cell.counters) {
 			cum[n] += cell.counters[n]
 			pn := promName(n)
-			if err := emitType(pn, "counter"); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_total %d %s\n", pn, cum[n], ts); err != nil {
-				return err
-			}
+			emitType(pn, "counter")
+			fmt.Fprintf(bw, "%s_total %d %s\n", pn, cum[n], ts)
 		}
-		for _, n := range sortedHistKeys(cell.hists) {
+		for _, n := range sortedNames(nil, cell.hists) {
 			h := cell.hists[n]
 			pn := promName(n)
-			if err := emitType(pn, "summary"); err != nil {
-				return err
-			}
+			emitType(pn, "summary")
 			for _, qt := range histQuantiles {
-				if _, err := fmt.Fprintf(w, "%s{quantile=\"%s\"} %d %s\n", pn, qt.label, h.Quantile(qt.q), ts); err != nil {
-					return err
-				}
+				fmt.Fprintf(bw, "%s{quantile=\"%s\"} %d %s\n", pn, qt.label, h.Quantile(qt.q), ts)
 			}
-			if _, err := fmt.Fprintf(w, "%s_count %d %s\n%s_sum %d %s\n", pn, h.Count(), ts, pn, h.Sum(), ts); err != nil {
-				return err
-			}
+			fmt.Fprintf(bw, "%s_count %d %s\n%s_sum %d %s\n", pn, h.Count(), ts, pn, h.Sum(), ts)
 		}
-		for _, n := range sortedGaugeKeys(cell.gauges) {
+		for _, n := range sortedNames(nil, cell.gauges) {
 			g := cell.gauges[n]
 			pn := promName(n)
-			if err := emitType(pn, "gauge"); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %g %s\n", pn, g.Mean(), ts); err != nil {
-				return err
-			}
+			emitType(pn, "gauge")
+			fmt.Fprintf(bw, "%s %g %s\n", pn, g.Mean(), ts)
 		}
 	}
-	_, err := io.WriteString(w, "# EOF\n")
-	return err
+	bw.WriteString("# EOF\n")
+	return bw.Flush()
 }

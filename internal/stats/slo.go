@@ -3,7 +3,10 @@ package stats
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+
+	"morpheus/internal/jsonw"
 )
 
 // SLOConfig declares a latency service-level objective over one latency
@@ -45,14 +48,17 @@ func ParseSLO(s string, parseDur func(string) (int64, error)) (SLOConfig, error)
 			}
 			c.TargetPS = ps
 		case "budget":
-			if _, err := fmt.Sscanf(kv[1], "%g", &c.Budget); err != nil {
+			b, err := strconv.ParseFloat(kv[1], 64)
+			if err != nil {
 				return c, fmt.Errorf("slo: bad budget %q", kv[1])
 			}
+			c.Budget = b
 		default:
 			return c, fmt.Errorf("slo: unknown field %q", kv[0])
 		}
 	}
-	if c.Metric == "" || c.TargetPS <= 0 || c.Budget <= 0 || c.Budget > 1 {
+	// Written so that a NaN budget fails too.
+	if c.Metric == "" || c.TargetPS <= 0 || !(c.Budget > 0 && c.Budget <= 1) {
 		return c, fmt.Errorf("slo: need metric=..., target>0, budget in (0,1]: %q", s)
 	}
 	return c, nil
@@ -141,123 +147,47 @@ func (r *Registry) SLOConfigs() []SLOConfig {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]SLOConfig, 0, len(r.slos))
-	for _, key := range r.sortedSLOKeysLocked() {
+	for _, key := range sortedNames(nil, r.slos) {
 		out = append(out, r.slos[key].cfg)
 	}
 	return out
 }
 
-func (r *Registry) sortedSLOKeysLocked() []string {
-	keys := make([]string, 0, len(r.slos))
-	for k := range r.slos {
-		keys = append(keys, k)
+// windowsViolating counts the series windows that overran the budget.
+func (s *sloState) windowsViolating() int64 {
+	var n int64
+	for _, w := range s.windows {
+		if s.violating(w) {
+			n++
+		}
 	}
-	sort.Strings(keys)
-	return keys
+	return n
 }
 
-// copySLOsLocked deep-copies the SLO states for a lock-free Merge apply.
-func (r *Registry) copySLOsLocked() []*sloState {
-	out := make([]*sloState, 0, len(r.slos))
-	for _, key := range r.sortedSLOKeysLocked() {
+// writeSLOSummaryLocked writes the run-wide SLO block, one object per
+// objective keyed "name|metric". Caller holds r.mu.
+func (r *Registry) writeSLOSummaryLocked(jw *jsonw.Writer) {
+	jw.BeginObject()
+	for _, key := range sortedNames(nil, r.slos) {
 		s := r.slos[key]
-		cp := newSLOState(s.cfg)
-		cp.total, cp.bad = s.total, s.bad
-		for idx, w := range s.windows {
-			cp.windows[idx] = &sloWindow{total: w.total, bad: w.bad}
-		}
-		out = append(out, cp)
+		violating := s.windowsViolating()
+		jw.Key(key)
+		jw.BeginObject()
+		jw.Key("target_ps")
+		jw.Int(s.cfg.TargetPS)
+		jw.Key("budget")
+		jw.Float(s.cfg.Budget)
+		jw.Key("total")
+		jw.Int(s.total)
+		jw.Key("violations")
+		jw.Int(s.bad)
+		jw.Key("burn_rate")
+		jw.Float(s.burnRate(&sloWindow{total: s.total, bad: s.bad}))
+		jw.Key("windows_violating")
+		jw.Int(violating)
+		jw.Key("time_in_violation_ps")
+		jw.Int(violating * r.seriesWindowLocked())
+		jw.EndObject()
 	}
-	return out
-}
-
-// applySLOsLocked folds copied SLO states into r, adopting configs the
-// receiver has not seen. Caller holds r.mu.
-func (r *Registry) applySLOsLocked(src []*sloState) {
-	for _, cp := range src {
-		dst := r.addSLOLocked(cp.cfg)
-		dst.total += cp.total
-		dst.bad += cp.bad
-		for idx, w := range cp.windows {
-			dw := dst.windows[idx]
-			if dw == nil {
-				dw = &sloWindow{}
-				dst.windows[idx] = dw
-			}
-			dw.total += w.total
-			dw.bad += w.bad
-		}
-	}
-}
-
-// sloJSON is an objective's run-wide summary in artifacts.
-type sloJSON struct {
-	TargetPS          int64   `json:"target_ps"`
-	Budget            float64 `json:"budget"`
-	Total             int64   `json:"total"`
-	Violations        int64   `json:"violations"`
-	BurnRate          float64 `json:"burn_rate"`
-	WindowsViolating  int64   `json:"windows_violating"`
-	TimeInViolationPS int64   `json:"time_in_violation_ps"`
-}
-
-// sloWindowJSON is an objective's per-window row in the series artifact.
-type sloWindowJSON struct {
-	Total      int64   `json:"total"`
-	Violations int64   `json:"violations"`
-	BurnRate   float64 `json:"burn_rate"`
-	Violating  bool    `json:"violating,omitempty"`
-}
-
-// sloSummaryLocked renders the run-wide SLO block (nil when no SLOs are
-// registered, which keeps default artifacts schema-identical).
-func (r *Registry) sloSummaryLocked() map[string]sloJSON {
-	if len(r.slos) == 0 {
-		return nil
-	}
-	window := int64(0)
-	if r.series != nil {
-		window = r.series.window
-	}
-	out := map[string]sloJSON{}
-	for key, s := range r.slos {
-		var violating int64
-		for _, w := range s.windows {
-			if s.violating(w) {
-				violating++
-			}
-		}
-		run := &sloWindow{total: s.total, bad: s.bad}
-		out[key] = sloJSON{
-			TargetPS:          s.cfg.TargetPS,
-			Budget:            s.cfg.Budget,
-			Total:             s.total,
-			Violations:        s.bad,
-			BurnRate:          s.burnRate(run),
-			WindowsViolating:  violating,
-			TimeInViolationPS: violating * window,
-		}
-	}
-	return out
-}
-
-// sloWindowJSONLocked renders one window's SLO rows (nil when empty).
-func (r *Registry) sloWindowJSONLocked(idx int64) map[string]sloWindowJSON {
-	var out map[string]sloWindowJSON
-	for key, s := range r.slos {
-		w := s.windows[idx]
-		if w == nil {
-			continue
-		}
-		if out == nil {
-			out = map[string]sloWindowJSON{}
-		}
-		out[key] = sloWindowJSON{
-			Total:      w.total,
-			Violations: w.bad,
-			BurnRate:   s.burnRate(w),
-			Violating:  s.violating(w),
-		}
-	}
-	return out
+	jw.EndObject()
 }

@@ -28,12 +28,14 @@ func TestParseSLO(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"",
-		"metric=m",                         // no target/budget
-		"metric=m,target=1ms",              // no budget
-		"metric=m,target=1ms,budget=2",     // budget > 1
-		"metric=m,target=-1ms,budget=0.1",  // negative target
-		"metric=m,target=1ms,budget=0.1,x", // malformed field
-		"metric=m,target=oops,budget=0.1",  // bad duration
+		"metric=m",                          // no target/budget
+		"metric=m,target=1ms",               // no budget
+		"metric=m,target=1ms,budget=2",      // budget > 1
+		"metric=m,target=-1ms,budget=0.1",   // negative target
+		"metric=m,target=1ms,budget=0.1,x",  // malformed field
+		"metric=m,target=oops,budget=0.1",   // bad duration
+		"metric=m,target=1ms,budget=NaN",    // NaN passes no comparison
+		"metric=m,target=1ms,budget=0.5abc", // trailing input
 	} {
 		if _, err := ParseSLO(bad, testParseDur); err == nil {
 			t.Fatalf("ParseSLO(%q) accepted", bad)

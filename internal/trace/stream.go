@@ -2,14 +2,14 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"sync"
+
+	"morpheus/internal/jsonw"
 )
 
 // EventSink receives kept events as they are recorded. Install one on a
@@ -200,11 +200,15 @@ func (c *ChromeStream) mergeLocked() error {
 	sort.Strings(tracks)
 	pidOf, tidOf, unitNames := chromeLayout(tracks)
 
-	bw := bufio.NewWriter(c.w)
-	jw := &chromeJSONWriter{w: bw}
-	jw.open()
-	for _, ce := range chromeMetaEvents(tracks, pidOf, tidOf, unitNames) {
-		jw.event(ce)
+	jw := jsonw.New(c.w)
+	jw.BeginObject()
+	jw.Key("traceEvents")
+	jw.BeginArray()
+	for _, u := range unitNames {
+		writeChromeMeta(jw, "process_name", pidOf[u], 0, u)
+	}
+	for _, track := range tracks {
+		writeChromeMeta(jw, "thread_name", pidOf[trackUnit(track)], tidOf[track], track)
 	}
 	for {
 		// Pick the earliest head; ties go to the lowest (oldest) chunk,
@@ -219,67 +223,88 @@ func (c *ChromeStream) mergeLocked() error {
 		if best < 0 {
 			break
 		}
-		jw.event(toChromeEvent(cursors[best].head, pidOf, tidOf))
+		writeChromeEvent(jw, cursors[best].head, pidOf, tidOf)
 		if err := cursors[best].advance(); err != nil {
 			return err
 		}
 	}
-	jw.close()
-	if jw.err != nil {
-		return fmt.Errorf("trace stream: %w", jw.err)
+	jw.EndArray()
+	jw.Key("displayTimeUnit")
+	jw.String("ns")
+	jw.EndObject()
+	if err := jw.Close(); err != nil {
+		return fmt.Errorf("trace stream: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
-// chromeJSONWriter reproduces, event by event, the exact bytes
-// json.Encoder with SetIndent("", " ") produces for a chromeFile — the
-// property the byte-identity contract with WriteChromeTrace rests on
-// (and that stream_test.go enforces).
-type chromeJSONWriter struct {
-	w     io.Writer
-	n     int
-	err   error
-	inner bytes.Buffer
+// writeChromeMeta writes one process_name or thread_name metadata event
+// as chromeMetaEvents renders it under encoding/json.
+func writeChromeMeta(jw *jsonw.Writer, name string, pid, tid int, arg string) {
+	jw.BeginObject()
+	jw.Key("name")
+	jw.String(name)
+	jw.Key("ph")
+	jw.String("M")
+	jw.Key("ts")
+	jw.Int(0)
+	jw.Key("pid")
+	jw.Int(int64(pid))
+	jw.Key("tid")
+	jw.Int(int64(tid))
+	jw.Key("args")
+	jw.BeginObject()
+	jw.Key("name")
+	jw.String(arg)
+	jw.EndObject()
+	jw.EndObject()
 }
 
-func (j *chromeJSONWriter) writeString(s string) {
-	if j.err == nil {
-		_, j.err = io.WriteString(j.w, s)
-	}
-}
-
-func (j *chromeJSONWriter) open() {
-	j.writeString("{\n \"traceEvents\": [")
-}
-
-func (j *chromeJSONWriter) event(ce chromeEvent) {
-	if j.err != nil {
-		return
-	}
-	raw, err := json.Marshal(ce)
-	if err != nil {
-		j.err = err
-		return
-	}
-	if j.n == 0 {
-		j.writeString("\n  ")
+// writeChromeEvent writes one recorded event with the fields, order and
+// omissions of toChromeEvent's chromeEvent under encoding/json: spans are
+// complete ("X") events with a duration, instants thread-scoped ("i"),
+// and args holds the non-zero detail, parent and span in key order.
+func writeChromeEvent(jw *jsonw.Writer, e Event, pidOf, tidOf map[string]int) {
+	jw.BeginObject()
+	jw.Key("name")
+	jw.String(e.Name)
+	point := e.Point()
+	jw.Key("ph")
+	if point {
+		jw.String("i")
 	} else {
-		j.writeString(",\n  ")
+		jw.String("X")
 	}
-	j.n++
-	j.inner.Reset()
-	if j.err = json.Indent(&j.inner, raw, "  ", " "); j.err != nil {
-		return
+	jw.Key("ts")
+	jw.Float(float64(e.Start) / psPerMicro)
+	if !point {
+		jw.Key("dur")
+		jw.Float(float64(e.End-e.Start) / psPerMicro)
 	}
-	if j.err == nil {
-		_, j.err = j.w.Write(j.inner.Bytes())
+	jw.Key("pid")
+	jw.Int(int64(pidOf[trackUnit(e.Track)]))
+	jw.Key("tid")
+	jw.Int(int64(tidOf[e.Track]))
+	if point {
+		jw.Key("s")
+		jw.String("t")
 	}
-}
-
-func (j *chromeJSONWriter) close() {
-	if j.n == 0 {
-		j.writeString("],\n \"displayTimeUnit\": \"ns\"\n}\n")
-		return
+	if e.Span != 0 || e.Parent != 0 || e.Detail != "" {
+		jw.Key("args")
+		jw.BeginObject()
+		if e.Detail != "" {
+			jw.Key("detail")
+			jw.String(e.Detail)
+		}
+		if e.Parent != 0 {
+			jw.Key("parent")
+			jw.Uint(uint64(e.Parent))
+		}
+		if e.Span != 0 {
+			jw.Key("span")
+			jw.Uint(uint64(e.Span))
+		}
+		jw.EndObject()
 	}
-	j.writeString("\n ],\n \"displayTimeUnit\": \"ns\"\n}\n")
+	jw.EndObject()
 }

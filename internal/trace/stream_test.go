@@ -106,6 +106,37 @@ func TestChromeStreamByteIdenticalToBuffered(t *testing.T) {
 	}
 }
 
+// TestChromeStreamEscapedStrings: names, tracks and details that
+// encoding/json escapes (HTML characters, quotes, backslashes, control
+// bytes, non-ASCII, U+2028 and invalid UTF-8) must stream the same bytes
+// as the buffered exporter, including through gob-spilled chunks.
+func TestChromeStreamEscapedStrings(t *testing.T) {
+	awkward := []string{
+		"a<b", "c>d", "a&b", `say "hi"`, `C:\path`, "tab\tnl\n", "\x00\x1f\x7f",
+		"ünïcödé", "line\u2028sep", "bad\xff\xfeutf8", "plain",
+	}
+	rng := rand.New(rand.NewSource(4242))
+	events := randomEvents(rng, 300)
+	for i := range events {
+		switch i % 4 {
+		case 0:
+			events[i].Detail = awkward[rng.Intn(len(awkward))]
+		case 1:
+			events[i].Name = awkward[rng.Intn(len(awkward))]
+		case 2:
+			events[i].Track = "ssd." + awkward[rng.Intn(len(awkward))]
+		default:
+			events[i].Track = awkward[rng.Intn(len(awkward))]
+		}
+	}
+	for _, chunk := range []int{3, 16, 1000} {
+		buffered, streamed := streamVsBuffered(t, events, chunk)
+		if buffered != streamed {
+			t.Fatalf("chunk=%d: streamed trace with escaped strings differs from buffered", chunk)
+		}
+	}
+}
+
 func TestChromeStreamWithSampling(t *testing.T) {
 	// Sampling upstream of the sink: the streamed output must equal the
 	// buffered export of the same sampled tracer.
