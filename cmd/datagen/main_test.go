@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -66,5 +67,30 @@ func TestList(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "grep") {
 		t.Errorf("-list output lacks grep:\n%s", stdout.String())
+	}
+}
+
+// TestPagerankFilesGolden pins the bytes datagen writes for pagerank over
+// three shards. The digests were recorded from the math/rand-driven
+// generator; a generator rewrite must reproduce them exactly.
+func TestPagerankFilesGolden(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-app", "pagerank", "-scale", "0.0002", "-shards", "3", "-o", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	want := []string{
+		"06a5b9207a38227d0a1230c726df1d717f4cba8b9034b2d1ea75872658cf5828",
+		"e5bb70b5550e01e21c73ceb885da2f1b791390fb3c9676859018997046ca1cd1",
+		"50ef38185b08f850d710a05bf3a53a3a2cd3414154fde6c1377ad0a4d8abdd1d",
+	}
+	for i, w := range want {
+		b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("pagerank.shard%d.txt", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != w {
+			t.Errorf("shard %d: SHA-256 %s, want %s", i, got, w)
+		}
 	}
 }
