@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"testing"
 
 	"morpheus/internal/flash"
@@ -123,4 +124,59 @@ func TestReplicaFetcherMissIsHardError(t *testing.T) {
 	}); err == nil {
 		t.Fatal("fetcher miss served the request anyway (silent local fallback)")
 	}
+}
+
+// TestReplicaRefetchLeavesStagedBufferIntact: WriteFile keeps the
+// caller's buffer as the replica, so the degraded-mode re-fetch (local
+// pages lost, no fetcher: the single-system E14 path) parses that very
+// buffer. The runtime must hand the parser copies — here a parser that
+// scribbles over every chunk it gets — and leave the staged bytes as
+// they were.
+func TestReplicaRefetchLeavesStagedBufferIntact(t *testing.T) {
+	scribbler := func() HostParser {
+		p := serial.TokenParser{Kind: serial.FieldInt32}
+		return func(chunk []byte, final bool) []byte {
+			out := p.Parse(chunk, final)
+			for i := range chunk {
+				chunk[i] = 'x'
+			}
+			return out
+		}
+	}
+	sys := newTestSystem(t, func(c *SystemConfig) { c.WithGPU = false })
+	// Several MDTS chunks, ending mid-record, so the aligner carries.
+	data, vals := testInput(1<<15, 31)
+	data = data[:len(data)-3]
+	vals = vals[:len(vals)-1]
+	before := sha256.Sum256(data)
+	f, err := sys.WriteFile("ints", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.ResetTimers()
+	sys.SSD.Flash.SetFaultModel(flash.FaultModel{UncorrectablePerM: 1_000_000})
+	inv, err := sys.InvokeStorageApp(0, InvokeOptions{
+		App:      intApp(true),
+		File:     f,
+		Fallback: &Fallback{Parser: scribbler},
+	})
+	if err != nil {
+		t.Fatalf("degraded invocation failed: %v", err)
+	}
+	if inv.Path != PathReplicaFallback {
+		t.Fatalf("served via %v, want %v", inv.Path, PathReplicaFallback)
+	}
+	if sha256.Sum256(data) != before {
+		t.Fatal("the replica re-fetch modified the caller's staged buffer")
+	}
+	got := serial.DecodeI32(inv.Out)
+	if len(got) < len(vals) {
+		t.Fatalf("decoded %d of %d values", len(got), len(vals))
+	}
+	for i := range vals {
+		if int64(got[i]) != int64(int32(vals[i])) {
+			t.Fatalf("value %d: got %d want %d", i, got[i], vals[i])
+		}
+	}
+	checkNoLeaks(t, sys)
 }

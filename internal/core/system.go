@@ -154,6 +154,11 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 // WriteFile stages data onto the SSD under name at setup time (through the
 // ordinary FTL write path) and returns its extent. Call ResetTimers before
 // measuring.
+//
+// The system retains data itself, not a copy, as the file's replica (the
+// bytes ReplicaData returns and the degraded-mode re-fetch parses). The
+// caller must not modify data after staging it; sharing one read-only
+// buffer across systems, as array.StageObject does, is fine.
 func (s *System) WriteFile(name string, data []byte) (*File, error) {
 	if _, dup := s.files[name]; dup {
 		return nil, fmt.Errorf("core: file %q already exists", name)
@@ -166,14 +171,15 @@ func (s *System) WriteFile(name string, data []byte) (*File, error) {
 	s.nextPage += (int64(len(data)) + pageSize - 1) / pageSize
 	f := &File{Name: name, Size: units.Bytes(len(data)), SLBA: slba, NLB: nlb}
 	s.files[name] = f
-	// Keep the replica copy every staged dataset has in practice; the
+	// Keep the replica every staged dataset has in practice; the
 	// degraded-mode runtime re-fetches it when the local media loses data.
-	s.replicas[name] = append([]byte(nil), data...)
+	s.replicas[name] = data
 	return f, nil
 }
 
 // ReplicaData returns the remote copy of a staged file (the degraded-mode
-// last resort when the local flash has lost pages).
+// last resort when the local flash has lost pages). It is the buffer
+// WriteFile was given; callers read it and must not modify it.
 func (s *System) ReplicaData(name string) ([]byte, bool) {
 	data, ok := s.replicas[name]
 	return data, ok

@@ -872,19 +872,16 @@ func (c *Controller) ResetTimers() {
 // LoadFile writes data onto the SSD starting at the first LBA of a fresh
 // page-aligned extent and returns the start LBA and LBA count. It is a
 // setup-time convenience used to stage benchmark inputs; it goes through
-// the ordinary FTL write path.
+// the ordinary FTL write path. Each page is handed over as a slice of
+// data: programming copies it into a fresh, zero-padded flash page, so a
+// short last page reads back as the file's tail followed by zeros.
 func (c *Controller) LoadFile(startPage int64, data []byte) (slba uint64, nlb uint32, err error) {
 	lpp := c.lbasPerPage()
 	pages := (int64(len(data)) + int64(c.pageSize) - 1) / int64(c.pageSize)
 	for p := int64(0); p < pages; p++ {
 		start := p * int64(c.pageSize)
-		end := start + int64(c.pageSize)
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
-		page := make([]byte, c.pageSize)
-		copy(page, data[start:end])
-		if _, err := c.FTL.Write(0, ftl.LBA(startPage+p), page); err != nil {
+		end := min(start+int64(c.pageSize), int64(len(data)))
+		if _, err := c.FTL.Write(0, ftl.LBA(startPage+p), data[start:end]); err != nil {
 			return 0, 0, err
 		}
 	}

@@ -104,3 +104,42 @@ func firstDiff(a, b []byte) int {
 	}
 	return min(len(a), len(b))
 }
+
+// TestLoadFileShortLastPage stages a file whose size is neither a page
+// nor an LBA multiple. Reading its pages back returns the file's bytes
+// followed by zeros, and the flash holds its own copy: scribbling over
+// the caller's buffer afterwards changes nothing on the device.
+func TestLoadFileShortLastPage(t *testing.T) {
+	c := newController(t, nil)
+	pageSize := int(c.pageSize)
+	data := bytes.Repeat([]byte("12345 67\n"), (2*pageSize+1000)/9+1)[:2*pageSize+1000]
+	want := append(bytes.Clone(data), make([]byte, pageSize-1000)...)
+	slba, nlb, err := c.LoadFile(0, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantNLB := (len(data) + nvme.LBASize - 1) / nvme.LBASize; int(nlb) != wantNLB {
+		t.Fatalf("nlb = %d, want %d", nlb, wantNLB)
+	}
+	// A neighbour staged on the next page must not bleed into the tail.
+	if _, _, err := c.LoadFile(3, bytes.Repeat([]byte{'9'}, pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 'x'
+	}
+	lpp := uint32(c.lbasPerPage())
+	var got []byte
+	for p := uint32(0); p < 3; p++ {
+		comp, _ := c.Submit(0, &CmdContext{
+			Cmd:  nvme.BuildRead(0, slba+uint64(p*lpp), lpp, 0),
+			Sink: func(b []byte) { got = append(got, b...) },
+		})
+		if comp.Status != nvme.StatusSuccess {
+			t.Fatalf("READ of page %d: status %v", p, comp.Status)
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("read back %d bytes that differ from the file plus zero padding (%d bytes)", len(got), len(want))
+	}
+}
