@@ -86,6 +86,61 @@ func TestConventionalWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteUnalignedMergesPartialPages pins WRITE's page read-modify-write
+// against a byte model of the namespace: the partial first and last pages
+// keep their old bytes outside [slba, slba+nlb), a payload shorter than
+// nlb LBAs is zero-padded, a longer one is cut at nlb LBAs, and a partial
+// page with no old content merges with zeros.
+func TestWriteUnalignedMergesPartialPages(t *testing.T) {
+	c := newController(t, nil)
+	lpp := int(c.lbasPerPage())
+	const pages = 6
+	model := make([]byte, pages*int(c.pageSize))
+	write := func(slba, nlb int, data []byte) {
+		t.Helper()
+		comp, _ := c.Submit(0, &CmdContext{Cmd: nvme.BuildWrite(0, uint64(slba), uint32(nlb), 0), Data: data})
+		if comp.Status != nvme.StatusSuccess {
+			t.Fatalf("write slba=%d nlb=%d: status %v", slba, nlb, comp.Status)
+		}
+		dst := model[slba*nvme.LBASize : (slba+nlb)*nvme.LBASize]
+		clear(dst)
+		copy(dst, data)
+	}
+	pattern := func(n int, seed byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = seed + byte(i*7+i/nvme.LBASize)
+		}
+		return b
+	}
+	// Pages 0-3 fully written, then overwritten from the middle of page 0
+	// to the middle of page 3 with a payload that stops inside page 2.
+	write(0, 4*lpp, pattern(4*lpp*nvme.LBASize, 1))
+	write(1, 3*lpp+1, pattern(2*lpp*nvme.LBASize+nvme.LBASize/2+3, 100))
+	// An oversized payload into the middle of page 3: only nlb LBAs land.
+	write(3*lpp+1, 2, pattern(5*nvme.LBASize, 200))
+	// Pages 4-5 were never written: the partial first page merges with
+	// zeros, and a short payload pads the rest of the range with zeros.
+	write(4*lpp+2, lpp, pattern(nvme.LBASize+11, 50))
+
+	var got []byte
+	comp, _ := c.Submit(0, &CmdContext{
+		Cmd:  nvme.BuildRead(0, 0, uint32(pages*lpp), 0),
+		Sink: func(p []byte) { got = append(got, p...) },
+	})
+	if comp.Status != nvme.StatusSuccess {
+		t.Fatalf("read status %v", comp.Status)
+	}
+	if len(got) != len(model) {
+		t.Fatalf("read %d bytes, want %d", len(got), len(model))
+	}
+	for i := range model {
+		if got[i] != model[i] {
+			t.Fatalf("byte %d (LBA %d): got %#x, want %#x", i, i/nvme.LBASize, got[i], model[i])
+		}
+	}
+}
+
 func TestReadUnmappedLBAFails(t *testing.T) {
 	c := newController(t, nil)
 	ctx := &CmdContext{Cmd: nvme.BuildRead(0, 999999, 1, 0)}
