@@ -39,6 +39,9 @@ func (sp ParseSpec) cyclesPerByte(pc host.ParseCosts) float64 {
 
 // DeserResult reports one conventional deserialization run.
 type DeserResult struct {
+	// Out is the parsed object bytes: a fresh buffer the caller owns,
+	// whose capacity may exceed its length by the projection slack (see
+	// appendProjected).
 	Out      []byte
 	Done     units.Time
 	RawBytes units.Bytes
@@ -99,12 +102,22 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 	chunks := s.chunksOf(f)
 	raws := make([][]byte, len(chunks))
 	pending := make([]Pending, len(chunks))
+	// rawSink collects chunk k page by page into a buffer reserved at the
+	// chunk's extent on its first page.
+	rawSink := func(k int) func(p []byte) {
+		return func(p []byte) {
+			if raws[k] == nil {
+				raws[k] = make([]byte, 0, int(chunks[k].nlb)*nvme.LBASize)
+			}
+			raws[k] = append(raws[k], p...)
+		}
+	}
 	issued := 0
 	issue := func() error {
 		k := issued
 		ctx := &ssd.CmdContext{
 			Cmd:  nvme.BuildRead(0, chunks[k].slba, chunks[k].nlb, uint64(bufAddr)),
-			Sink: func(p []byte) { raws[k] = append(raws[k], p...) },
+			Sink: rawSink(k),
 		}
 		p, t2, err := s.Driver.SubmitAsync(t, ctx)
 		if err != nil {
@@ -145,7 +158,7 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 				raws[k] = nil
 				return &ssd.CmdContext{
 					Cmd:  nvme.BuildRead(0, chunks[k].slba, chunks[k].nlb, uint64(bufAddr)),
-					Sink: func(p []byte) { raws[k] = append(raws[k], p...) },
+					Sink: rawSink(k),
 				}
 			})
 			t = t2
@@ -200,7 +213,7 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 		if len(objs) > 0 {
 			t = s.Host.PageFault(t)
 		}
-		res.Out = append(res.Out, objs...)
+		res.Out = appendProjected(res.Out, objs, int64(res.RawBytes), int64(f.Size))
 		res.Commands++
 	}
 	res.Done = t
@@ -261,7 +274,7 @@ func (s *System) DeserializeFromMedium(ready units.Time, medium host.Medium, dat
 		if len(objs) > 0 {
 			t = s.Host.PageFault(t)
 		}
-		res.Out = append(res.Out, objs...)
+		res.Out = appendProjected(res.Out, objs, int64(end), int64(len(data)))
 		res.Commands++
 	}
 	res.Done = t

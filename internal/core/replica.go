@@ -41,7 +41,7 @@ func (s *System) ReadRaw(ready units.Time, f *File) ([]byte, units.Time, error) 
 		return nil, ready, err
 	}
 	defer s.Host.FreeDMA(bufAddr)
-	var out []byte
+	out := make([]byte, 0, int(f.NLB)*nvme.LBASize) // the chunks' extents
 	for _, ch := range s.chunksOf(f) {
 		ctx := &ssd.CmdContext{
 			Cmd:  nvme.BuildRead(0, ch.slba, ch.nlb, uint64(bufAddr)),

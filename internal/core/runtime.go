@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 
 	"morpheus/internal/morphc"
@@ -98,6 +100,8 @@ type Fallback struct {
 type InvokeResult struct {
 	// Out is the data-plane shadow of the object bytes delivered to the
 	// destination (or produced by the host parser on a fallback path).
+	// It is a fresh buffer the caller owns; its capacity may exceed its
+	// length by the projection slack (see appendProjected).
 	Out []byte
 	// RetVal is the MDEINIT completion value (device path only).
 	RetVal uint32
@@ -301,7 +305,7 @@ func (s *System) invokeMorpheusOnce(ready units.Time, opt InvokeOptions, rp Retr
 	// train reaps just enough of the oldest completions to make room,
 	// rather than draining everything it has in flight.
 	res = &InvokeResult{Commands: 1}
-	sink := func(p []byte) { res.Out = append(res.Out, p...) }
+	size := int64(opt.File.Size)
 	dstAddr := uint64(dest.Addr)
 	batch := s.Cfg.BatchDepth
 	if batch <= 0 {
@@ -392,14 +396,17 @@ func (s *System) invokeMorpheusOnce(ready units.Time, opt InvokeOptions, rp Retr
 	var offset int64
 	for _, ch := range s.chunksOf(opt.File) {
 		chunkBytes := int64(ch.nlb) * nvme.LBASize
-		valid := int64(opt.File.Size) - offset
+		valid := size - offset
 		if valid > chunkBytes {
 			valid = chunkBytes
 		}
 		offset += chunkBytes
+		// The controller calls Sink only for chunks with output, so each
+		// chunk's sink carries its own input watermark.
+		upto := min(offset, size)
 		stage = append(stage, &ssd.CmdContext{
 			Cmd:        nvme.BuildMRead(0, ch.slba, ch.nlb, id, dstAddr),
-			Sink:       sink,
+			Sink:       func(p []byte) { res.Out = appendProjected(res.Out, p, upto, size) },
 			LastChunk:  ch.last,
 			ValidBytes: int(valid),
 		})
@@ -437,6 +444,41 @@ func (s *System) invokeMorpheusOnce(ready units.Time, opt InvokeOptions, rp Retr
 	res.RetVal = comp.Result
 	res.Done = t
 	return res, end, nil
+}
+
+// projectionSlack is the headroom appendProjected adds to a projected
+// size, as a right shift: 1/32 of it.
+const projectionSlack = 5
+
+// appendProjected appends p to dst, the output so far of a stream whose
+// first upto of total input bytes produced dst+p. When p fits in dst's
+// capacity it is a plain append. Otherwise dst is reallocated once, to
+// the whole output projected at the ratio seen so far plus 1/32 slack,
+// and never to less than dst+p; once upto reaches total the output is
+// complete and the size is exact. A stream whose chunks expand at a steady
+// ratio is thus copied into its result once, where append's growth
+// policy would copy it several times over.
+func appendProjected(dst, p []byte, upto, total int64) []byte {
+	need := len(dst) + len(p)
+	if need <= cap(dst) {
+		return append(dst, p...)
+	}
+	upto = max(upto, 1)
+	size := need
+	if total > upto {
+		// need × total / upto in 128 bits: need can be twice a file and
+		// total the device's capacity, so the product can pass 2^63. With
+		// total > upto the projection is at least need.
+		hi, lo := bits.Mul64(uint64(need), uint64(total))
+		if hi < uint64(upto) { // else the quotient overflows 64 bits
+			if proj, _ := bits.Div64(hi, lo, uint64(upto)); proj <= math.MaxInt/2 {
+				size = int(proj + proj>>projectionSlack)
+			}
+		}
+	}
+	out := make([]byte, need, size)
+	copy(out[copy(out, dst):], p)
+	return out
 }
 
 // invokeFallback serves an invocation on the degraded host path: first
