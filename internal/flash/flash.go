@@ -198,7 +198,7 @@ func (a *Array) Read(ready units.Time, addr PPA) (data []byte, done units.Time, 
 	_, done = a.channels[addr.Channel].Transfer(arrayDone, a.geo.PageSize)
 	a.readBytes += a.geo.PageSize
 	if a.tracer != nil {
-		a.tracer.RecordSpan(fmt.Sprintf("flash.ch%d", addr.Channel), "read",
+		a.tracer.RecordSpan(a.channels[addr.Channel].Name(), "read",
 			addr.String(), a.tracer.NextSpan(), a.span, dieStart, done)
 	}
 	if d, ok := a.data[addr]; ok {
@@ -235,7 +235,7 @@ func (a *Array) Program(ready units.Time, addr PPA, data []byte) (done units.Tim
 	a.programs++
 	a.progBytes += a.geo.PageSize
 	if a.tracer != nil {
-		a.tracer.RecordSpan(fmt.Sprintf("flash.ch%d", addr.Channel), "program",
+		a.tracer.RecordSpan(a.channels[addr.Channel].Name(), "program",
 			addr.String(), a.tracer.NextSpan(), a.span, xferStart, done)
 	}
 	return done, nil

@@ -82,9 +82,10 @@ func (w *Window) Contains(a Addr) bool {
 // Endpoint is a device (or the root complex) attached to the switch, with
 // a full-duplex link: one pipe per direction.
 type Endpoint struct {
-	name string
-	up   *sim.Pipe // device -> switch
-	down *sim.Pipe // switch -> device
+	name  string
+	track string    // trace track of its DMA spans: "pcie." + name
+	up    *sim.Pipe // device -> switch
+	down  *sim.Pipe // switch -> device
 }
 
 // Name returns the endpoint name.
@@ -145,9 +146,10 @@ func (f *Fabric) Attach(name string, bw units.Bandwidth, latency units.Duration)
 		panic("pcie: duplicate endpoint " + name)
 	}
 	e := &Endpoint{
-		name: name,
-		up:   sim.NewPipe("pcie."+name+".up", latency, bw),
-		down: sim.NewPipe("pcie."+name+".down", latency, bw),
+		name:  name,
+		track: "pcie." + name,
+		up:    sim.NewPipe("pcie."+name+".up", latency, bw),
+		down:  sim.NewPipe("pcie."+name+".down", latency, bw),
 	}
 	f.endpoints[name] = e
 	return e
@@ -236,7 +238,7 @@ func (f *Fabric) WriteTo(ready units.Time, dev string, dst Addr, n units.Bytes) 
 	t = w.Sink.Deliver(t, n)
 	f.count(dev, w, n)
 	if f.tracer != nil {
-		f.tracer.RecordSpan("pcie."+dev, "dma-out",
+		f.tracer.RecordSpan(src.track, "dma-out",
 			fmt.Sprintf("%v -> %s", n, w.Name), f.tracer.NextSpan(), f.span, ready, t)
 	}
 	return t, nil
@@ -256,7 +258,7 @@ func (f *Fabric) ReadFrom(ready units.Time, dev string, src Addr, n units.Bytes)
 	_, t = dst.down.Transfer(t, wireBytes(n))
 	f.count(dev, w, n)
 	if f.tracer != nil {
-		f.tracer.RecordSpan("pcie."+dev, "dma-in",
+		f.tracer.RecordSpan(dst.track, "dma-in",
 			fmt.Sprintf("%v <- %s", n, w.Name), f.tracer.NextSpan(), f.span, ready, t)
 	}
 	return t, nil

@@ -501,36 +501,41 @@ func (c *Controller) doWrite(ready units.Time, ctx *CmdContext) (nvme.Status, un
 }
 
 // writePages writes data covering [slba, slba+nlb) through the FTL,
-// read-modify-writing partial pages.
+// read-modify-writing partial pages. data is cut at nlb LBAs and
+// zero-padded up to them. Whole pages go to the FTL as slices of data
+// (Program copies and zero-pads them); only a partial first or last page
+// is built, in one scratch page, on top of its old content.
 func (c *Controller) writePages(ready units.Time, slba uint64, nlb uint32, data []byte) (nvme.Status, units.Time) {
 	lpp := c.lbasPerPage()
-	want := int64(nlb) * nvme.LBASize
-	buf := make([]byte, want)
-	copy(buf, data)
+	pageSize := int64(c.pageSize)
+	reqStart := int64(slba) * nvme.LBASize
+	reqEnd := reqStart + int64(nlb)*nvme.LBASize
+	n := int64(len(data))
 	firstPage := int64(slba) / lpp
 	lastPage := (int64(slba) + int64(nlb) - 1) / lpp
+	var scratch []byte
 	done := ready
-	srcOff := int64(0)
 	for p := firstPage; p <= lastPage; p++ {
-		pageStart := p * int64(c.pageSize)
-		reqStart := int64(slba) * nvme.LBASize
-		start := int64(0)
-		if p == firstPage {
-			start = reqStart - pageStart
-		}
-		end := int64(c.pageSize)
-		if pageStart+end > reqStart+want {
-			end = reqStart + want - pageStart
-		}
-		page := make([]byte, c.pageSize)
-		if start > 0 || end < int64(c.pageSize) {
+		pageStart := p * pageSize
+		start := max(reqStart, pageStart) - pageStart
+		end := min(reqEnd, pageStart+pageSize) - pageStart
+		// What data holds of the page's range: possibly short or empty.
+		off := pageStart + start - reqStart
+		src := data[min(off, n):min(off+end-start, n)]
+		page := src
+		if start > 0 || end < pageSize {
 			// Partial page: merge with existing content if mapped.
+			if scratch == nil {
+				scratch = make([]byte, pageSize)
+			}
+			page = scratch
+			clear(page)
 			if old, _, err := c.FTL.Read(ready, ftl.LBA(p)); err == nil {
 				copy(page, old)
 			}
+			clear(page[start:end])
+			copy(page[start:end], src)
 		}
-		copy(page[start:end], buf[srcOff:srcOff+(end-start)])
-		srcOff += end - start
 		t, err := c.FTL.Write(ready, ftl.LBA(p), page)
 		if err != nil {
 			return nvme.StatusInternal, done
@@ -691,7 +696,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 	vmStart, end := core.Acquire(dataAt, c.cfg.CoreFreq.Cycles(res.cycles))
 	in.lastVMEnd = end
 	if c.tracer != nil {
-		c.tracer.RecordSpan(fmt.Sprintf("ssd.core%d", in.coreIdx), "storageapp",
+		c.tracer.RecordSpan(core.Name(), "storageapp",
 			fmt.Sprintf("instance=%d chunk=%dB cycles=%.0f", in.id, len(chunk), res.cycles),
 			c.tracer.NextSpan(), ctx.Span, vmStart, end)
 	}
