@@ -4,23 +4,42 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"morpheus/internal/serial"
 )
+
+// recordAligner is the conventional path's record aligner: one carry and
+// one join scratch for the whole stream.
+type recordAligner struct{ carry, scratch []byte }
+
+func (r *recordAligner) align(chunk []byte, final bool) []byte {
+	return serial.AlignRecords(&r.carry, &r.scratch, chunk, final)
+}
 
 func TestRecordAlignerBasics(t *testing.T) {
 	a := &recordAligner{}
-	// Mid-record cut carries the tail.
-	out := a.align([]byte("1 2\n3 "), false)
+	// Mid-record cut carries the tail; with nothing carried the result
+	// is the chunk itself, not a copy.
+	in := []byte("1 2\n3 ")
+	out := a.align(in, false)
 	if string(out) != "1 2\n" {
 		t.Fatalf("first chunk = %q", out)
+	}
+	if &out[0] != &in[0] {
+		t.Fatal("aligning with no carry copied the chunk")
 	}
 	out = a.align([]byte("4\n"), false)
 	if string(out) != "3 4\n" {
 		t.Fatalf("second chunk = %q", out)
 	}
-	// No newline at all: everything carried.
+	// No newline at all: everything carried, in the carry's own array.
+	carry := a.carry[:1]
 	out = a.align([]byte("567"), false)
 	if out != nil {
 		t.Fatalf("carry-only chunk returned %q", out)
+	}
+	if &a.carry[0] != &carry[0] {
+		t.Fatal("carrying a record reallocated the carry")
 	}
 	// Final flushes the carry even without a trailing newline.
 	out = a.align([]byte("8"), true)

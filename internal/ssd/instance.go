@@ -1,10 +1,10 @@
 package ssd
 
 import (
-	"bytes"
 	"fmt"
 
 	"morpheus/internal/mvm"
+	"morpheus/internal/serial"
 	"morpheus/internal/units"
 )
 
@@ -165,7 +165,7 @@ func (in *instance) processChunk(chunk []byte, final bool, sampleWindow int64, s
 	}
 	in.updateCPB()
 	cyc := in.cpb * float64(len(chunk))
-	aligned := in.align(&st.aligned, chunk, final)
+	aligned := serial.AlignRecords(&in.carry, &st.aligned, chunk, final)
 	out := st.out[:0]
 	if len(aligned) > 0 || final {
 		var err error
@@ -291,26 +291,6 @@ func (in *instance) interpretChunk(chunk []byte, final, keep bool) (chunkResult,
 			return chunkResult{}, fmt.Errorf("ssd: unexpected VM state %v", st)
 		}
 	}
-}
-
-// align prepends the carried partial record and cuts the chunk at the
-// last record (newline) boundary, carrying the tail to the next call.
-// With final==true everything is flushed. With nothing carried the result
-// aliases chunk; otherwise the carry and chunk are joined in *scratch.
-// carry is reused in place and never aliases chunk or *scratch.
-func (in *instance) align(scratch *[]byte, chunk []byte, final bool) []byte {
-	buf := chunk
-	if len(in.carry) > 0 {
-		*scratch = append(append((*scratch)[:0], in.carry...), chunk...)
-		buf = *scratch
-	}
-	if final {
-		in.carry = in.carry[:0]
-		return buf
-	}
-	i := bytes.LastIndexByte(buf, '\n')
-	in.carry = append(in.carry[:0], buf[i+1:]...)
-	return buf[:i+1]
 }
 
 // cacheReplayable reports whether the next chunk's state transition can be

@@ -7,6 +7,7 @@ import (
 
 	"morpheus/internal/morphc"
 	"morpheus/internal/mvm"
+	"morpheus/internal/serial"
 )
 
 // byteCountAppSrc returns the number of object bytes it emitted, the value
@@ -113,10 +114,10 @@ func TestSampledRigDiscardMatchesExact(t *testing.T) {
 	}
 }
 
-// TestAlignCarryNeverAliasesChunk: align may return a slice of the chunk
-// it was given or of the shared scratch buffer, but the carried partial
-// record must be its own copy, or overwriting either buffer would corrupt
-// the next call's record.
+// TestAlignCarryNeverAliasesChunk: the record aligner an instance runs
+// may return a slice of the chunk it was given or of the controller's
+// shared scratch buffer, but the carried partial record must be its own
+// copy, or overwriting either buffer would corrupt the next call's record.
 func TestAlignCarryNeverAliasesChunk(t *testing.T) {
 	in := &instance{}
 	var scratch []byte
@@ -134,7 +135,7 @@ func TestAlignCarryNeverAliasesChunk(t *testing.T) {
 	}
 	for i, s := range steps {
 		chunk := []byte(s.chunk)
-		got := string(in.align(&scratch, chunk, s.final))
+		got := string(serial.AlignRecords(&in.carry, &scratch, chunk, s.final))
 		for j := range chunk {
 			chunk[j] = '#'
 		}
