@@ -55,7 +55,7 @@ func main() {
 	parser := serial.TokenParser{Kind: serial.FieldInt32}
 	conv, err := sys.DeserializeConventional(0, file,
 		func(chunk []byte, final bool) []byte { return parser.Parse(chunk, final) },
-		core.ParseSpec{}, 0)
+		core.ParseSpec{}, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

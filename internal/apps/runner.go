@@ -152,7 +152,7 @@ func Run(sys *core.System, app *App, files []*core.File, mode Mode) (*Report, er
 	switch mode {
 	case ModeBaseline:
 		for i, f := range files {
-			res, err := sys.DeserializeConventional(0, f, app.HostParser(), app.Spec, i)
+			res, err := sys.DeserializeConventional(0, f, app.HostParser(), app.Spec, i, nil)
 			if err != nil {
 				return nil, err
 			}

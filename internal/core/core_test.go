@@ -83,7 +83,7 @@ func TestMorpheusMatchesConventional(t *testing.T) {
 			parser := serial.TokenParser{Kind: serial.FieldInt32}
 			conv, err := sys.DeserializeConventional(0, f,
 				func(chunk []byte, final bool) []byte { return parser.Parse(chunk, final) },
-				ParseSpec{}, 0)
+				ParseSpec{}, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestMorpheusFasterAndFewerSwitches(t *testing.T) {
 	parser := serial.TokenParser{Kind: serial.FieldInt32}
 	conv, err := sys.DeserializeConventional(0, f,
 		func(chunk []byte, final bool) []byte { return parser.Parse(chunk, final) },
-		ParseSpec{}, 0)
+		ParseSpec{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestFTLUntouchedByMorpheus(t *testing.T) {
 	parser := serial.TokenParser{Kind: serial.FieldInt32}
 	if _, err := sys.DeserializeConventional(0, f,
 		func(chunk []byte, final bool) []byte { return parser.Parse(chunk, final) },
-		ParseSpec{}, 0); err != nil {
+		ParseSpec{}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	afterConv := sys.SSD.FTL.Snapshot()

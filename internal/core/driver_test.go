@@ -84,7 +84,7 @@ func TestDeserializeFromMediumMatchesConventional(t *testing.T) {
 		return func(chunk []byte, final bool) []byte { return parser.Parse(chunk, final) }
 	}
 	ram := host.NewRAMDrive(sys.Host)
-	res, err := sys.DeserializeFromMedium(0, ram, data, mk(), ParseSpec{}, 0)
+	res, err := sys.DeserializeFromMedium(0, ram, data, mk(), ParseSpec{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +110,12 @@ func TestHDDSlowerThanRAMDrive(t *testing.T) {
 		return func(chunk []byte, final bool) []byte { return parser.Parse(chunk, final) }
 	}
 	sys1 := newTestSystem(t, func(c *SystemConfig) { c.WithGPU = false })
-	hdd, err := sys1.DeserializeFromMedium(0, host.NewHDD(sys1.Host), data, mk(), ParseSpec{}, 0)
+	hdd, err := sys1.DeserializeFromMedium(0, host.NewHDD(sys1.Host), data, mk(), ParseSpec{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys2 := newTestSystem(t, func(c *SystemConfig) { c.WithGPU = false })
-	ram, err := sys2.DeserializeFromMedium(0, host.NewRAMDrive(sys2.Host), data, mk(), ParseSpec{}, 0)
+	ram, err := sys2.DeserializeFromMedium(0, host.NewRAMDrive(sys2.Host), data, mk(), ParseSpec{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

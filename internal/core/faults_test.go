@@ -54,7 +54,7 @@ func TestMediaErrorSurfacesToHost(t *testing.T) {
 		parser := serial.TokenParser{Kind: serial.FieldInt32}
 		_, err = sys.DeserializeConventional(0, f,
 			func(chunk []byte, final bool) []byte { return parser.Parse(chunk, final) },
-			ParseSpec{}, 0)
+			ParseSpec{}, 0, nil)
 		if err == nil {
 			t.Fatal("conventional read of damaged media succeeded")
 		}

@@ -44,7 +44,7 @@ func TestStockControllerRejectsMorpheus(t *testing.T) {
 	}
 	// Conventional reads still work on the stock device.
 	parser := func(chunk []byte, final bool) []byte { return nil }
-	if _, err := sys.DeserializeConventional(0, f, parser, ParseSpec{}, 0); err != nil {
+	if _, err := sys.DeserializeConventional(0, f, parser, ParseSpec{}, 0, nil); err != nil {
 		t.Fatalf("conventional path must survive: %v", err)
 	}
 }

@@ -99,9 +99,10 @@ type Fallback struct {
 // InvokeResult reports one StorageApp run.
 type InvokeResult struct {
 	// Out is the data-plane shadow of the object bytes delivered to the
-	// destination (or produced by the host parser on a fallback path).
-	// It is a fresh buffer the caller owns; its capacity may exceed its
-	// length by the projection slack (see appendProjected).
+	// destination (or produced by the host parser on a fallback path),
+	// owned by the caller. It is InvokeOptions.Into[:n] when Into has room
+	// for all n bytes; otherwise it is a fresh buffer whose capacity may
+	// exceed its length by the projection slack (see appendProjected).
 	Out []byte
 	// RetVal is the MDEINIT completion value (device path only).
 	RetVal uint32
@@ -133,6 +134,13 @@ type InvokeOptions struct {
 	// after the device path fails (degraded mode). Fallback output always
 	// lands in host memory, even when Dest.OnGPU was requested.
 	Fallback *Fallback
+	// Into is caller-owned memory for InvokeResult.Out. Every serving path
+	// (each train attempt, the host fallback, the replica re-fetch) starts
+	// writing at Into[:0], so when cap(Into) covers the output, Out is
+	// Into[:n] and nothing is allocated or cleared for it; otherwise Out is
+	// a fresh buffer and Into is left partly overwritten. Nil means a
+	// fresh buffer.
+	Into []byte
 }
 
 // InvokeStorageApp runs the full §V-B protocol on behalf of one host
@@ -304,7 +312,7 @@ func (s *System) invokeMorpheusOnce(ready units.Time, opt InvokeOptions, rp Retr
 	// window decouples submission from completion — before each batch the
 	// train reaps just enough of the oldest completions to make room,
 	// rather than draining everything it has in flight.
-	res = &InvokeResult{Commands: 1}
+	res = &InvokeResult{Out: opt.Into[:0], Commands: 1}
 	size := int64(opt.File.Size)
 	dstAddr := uint64(dest.Addr)
 	batch := s.Cfg.BatchDepth
@@ -493,7 +501,7 @@ func (s *System) invokeFallback(ready units.Time, opt InvokeOptions, cause error
 	fbSpan := s.tracer.NextSpan()
 	s.tracer.RecordSpan("host", "fallback", "path=host", fbSpan, 0, ready, ready)
 	s.tracer.Flag(fbSpan)
-	res, derr := s.DeserializeConventional(ready, opt.File, fb.Parser(), fb.Spec, fb.CoreIdx)
+	res, derr := s.DeserializeConventional(ready, opt.File, fb.Parser(), fb.Spec, fb.CoreIdx, opt.Into)
 	if derr == nil {
 		return &InvokeResult{
 			Out: res.Out, Done: res.Done, Commands: res.Commands,
@@ -536,7 +544,7 @@ func (s *System) invokeFallback(ready units.Time, opt InvokeOptions, cause error
 	rfSpan := s.tracer.NextSpan()
 	s.tracer.RecordSpan("host", "fallback", "path=replica", rfSpan, 0, t, rt)
 	s.tracer.Flag(rfSpan)
-	rres, rerr := s.DeserializeFromMedium(rt, s.ReplicaMedium(), data, fb.Parser(), fb.Spec, fb.CoreIdx)
+	rres, rerr := s.DeserializeFromMedium(rt, s.ReplicaMedium(), data, fb.Parser(), fb.Spec, fb.CoreIdx, opt.Into)
 	if rerr != nil {
 		return nil, rerr
 	}

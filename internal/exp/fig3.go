@@ -92,19 +92,19 @@ func fig3Run(app *apps.App, medium string, freq units.Frequency, o Options) (uni
 			return 0, err
 		}
 		sys.ResetTimers()
-		res, err := sys.DeserializeConventional(0, f, app.HostParser(), app.Spec, 0)
+		res, err := sys.DeserializeConventional(0, f, app.HostParser(), app.Spec, 0, nil)
 		if err != nil {
 			return 0, err
 		}
 		done, objBytes = res.Done, len(res.Out)
 	case "RamDrive":
-		res, err := sys.DeserializeFromMedium(0, host.NewRAMDrive(sys.Host), shard, app.HostParser(), app.Spec, 0)
+		res, err := sys.DeserializeFromMedium(0, host.NewRAMDrive(sys.Host), shard, app.HostParser(), app.Spec, 0, nil)
 		if err != nil {
 			return 0, err
 		}
 		done, objBytes = res.Done, len(res.Out)
 	case "HDD":
-		res, err := sys.DeserializeFromMedium(0, host.NewHDD(sys.Host), shard, app.HostParser(), app.Spec, 0)
+		res, err := sys.DeserializeFromMedium(0, host.NewHDD(sys.Host), shard, app.HostParser(), app.Spec, 0, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -38,7 +38,7 @@ func RunProfile(o Options) (*ProfileResult, error) {
 	parser := serial.TokenParser{Kind: serial.FieldInt32}
 	full, err := sys.DeserializeConventional(0, f,
 		func(chunk []byte, final bool) []byte { return parser.Parse(chunk, final) },
-		core.ParseSpec{}, 0)
+		core.ParseSpec{}, 0, nil)
 	if err != nil {
 		return nil, err
 	}
