@@ -241,7 +241,12 @@ func buildSchedule(a *Array, tc *TrafficConfig, classes []Class) []schedReq {
 // object, so a degraded path silently corrupting bytes fails the run
 // rather than skewing a row. Counts land in the shard's partial res and
 // serving state in its inflight/refs.
-func serveOne(a *Array, tc *TrafficConfig, classes []Class, rq schedReq, res *TrafficResult, inflight *[]units.Time, refs map[string][]byte) error {
+//
+// The objects land in *scratch (core.InvokeOptions.Into). A first
+// response moves into refs, which owns it from then on, and *scratch is
+// reset to nil; a later response only has to be compared, so its buffer
+// becomes *scratch for the next request.
+func serveOne(a *Array, tc *TrafficConfig, classes []Class, rq schedReq, res *TrafficResult, inflight *[]units.Time, refs map[string][]byte, scratch *[]byte) error {
 	sh := a.Shards[rq.primary]
 	m := sh.Sys.Metrics
 
@@ -282,6 +287,7 @@ func serveOne(a *Array, tc *TrafficConfig, classes []Class, rq schedReq, res *Tr
 			Parser: tc.Parser,
 			Spec:   tc.Spec,
 		},
+		Into: *scratch,
 	})
 	if err != nil {
 		// A fully unservable request (every replica gone); counted,
@@ -292,8 +298,12 @@ func serveOne(a *Array, tc *TrafficConfig, classes []Class, rq schedReq, res *Tr
 	}
 	if ref, seen := refs[rq.name]; !seen {
 		refs[rq.name] = inv.Out
-	} else if !bytes.Equal(ref, inv.Out) {
-		return fmt.Errorf("array: %q served different bytes via %s than its first response", rq.name, inv.Path)
+		*scratch = nil
+	} else {
+		if !bytes.Equal(ref, inv.Out) {
+			return fmt.Errorf("array: %q served different bytes via %s than its first response", rq.name, inv.Path)
+		}
+		*scratch = inv.Out
 	}
 	*inflight = append(*inflight, inv.Done)
 	if inv.Done > res.Horizon {

@@ -67,6 +67,7 @@ type execShard struct {
 	cursor   int
 	inflight []units.Time
 	refs     map[string][]byte
+	scratch  []byte         // serveOne's recycled result buffer
 	res      *TrafficResult // per-shard partial, merged in shard order
 	end      units.Time     // current window barrier
 
@@ -186,7 +187,7 @@ func (ex *trafficExec) runShard(es *execShard) {
 				for !es.failed && es.cursor < len(es.reqs) && es.reqs[es.cursor].at < end {
 					rq := es.reqs[es.cursor]
 					es.seq = rq.seq
-					if err := serveOne(ex.a, ex.tc, ex.classes, rq, es.res, &es.inflight, es.refs); err != nil {
+					if err := serveOne(ex.a, ex.tc, ex.classes, rq, es.res, &es.inflight, es.refs, &es.scratch); err != nil {
 						es.fail(rq.seq, err)
 						break
 					}

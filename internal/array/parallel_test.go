@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"morpheus/internal/apps"
 	"morpheus/internal/core"
+	"morpheus/internal/nvme"
+	"morpheus/internal/ssd"
 	"morpheus/internal/trace"
 	"morpheus/internal/units"
 )
@@ -113,9 +116,10 @@ func inlineTraffic(a *Array, tc TrafficConfig) (*TrafficResult, error) {
 	}
 	res := newTrafficResult(a, &tc, classes)
 	inflight := make([][]units.Time, len(a.Shards))
+	scratch := make([][]byte, len(a.Shards))
 	refs := map[string][]byte{}
 	for _, rq := range buildSchedule(a, &tc, classes) {
-		if err := serveOne(a, &tc, classes, rq, res, &inflight[rq.primary], refs); err != nil {
+		if err := serveOne(a, &tc, classes, rq, res, &inflight[rq.primary], refs, &scratch[rq.primary]); err != nil {
 			return nil, err
 		}
 	}
@@ -257,5 +261,110 @@ func TestParallelTrafficRestoresAndReuses(t *testing.T) {
 	}
 	if inv.Path != core.PathReplicaFallback {
 		t.Fatalf("served via %v, want %v", inv.Path, core.PathReplicaFallback)
+	}
+}
+
+// recycleShard is a one-shard fleet with two grep objects of equal size
+// but different bytes, A and B, and serve calls serveOne directly with
+// one recycled result buffer, as a shard's executor does.
+type recycleShard struct {
+	a        *Array
+	tc       TrafficConfig
+	classes  []Class
+	res      *TrafficResult
+	inflight []units.Time
+	refs     map[string][]byte
+	scratch  []byte
+	dataB    []byte
+}
+
+func newRecycleShard(t *testing.T) *recycleShard {
+	t.Helper()
+	a, app := testFleet(t, 1, 1, 0)
+	dataA := app.Gen(16*units.KiB, 1, 7)[0]
+	// B keeps A's token count, so its objects fit in A's buffer.
+	dataB := bytes.ReplaceAll(dataA, []byte("1"), []byte("2"))
+	for name, data := range map[string][]byte{"A": dataA, "B": dataB} {
+		if err := a.StageObject(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.ResetTimers()
+	r := &recycleShard{a: a, tc: windowTraffic(app, 2, 1), refs: map[string][]byte{}, dataB: dataB}
+	var err error
+	if r.classes, err = checkTraffic(&r.tc); err != nil {
+		t.Fatal(err)
+	}
+	r.res = newTrafficResult(a, &r.tc, r.classes)
+	return r
+}
+
+// serve issues request seq for name, 10 ms after the previous one so
+// admission never refuses it.
+func (r *recycleShard) serve(seq int, name string) error {
+	rq := schedReq{seq: seq, at: units.Time(seq) * units.Time(10*units.Millisecond), name: name}
+	return serveOne(r.a, &r.tc, r.classes, rq, r.res, &r.inflight, r.refs, &r.scratch)
+}
+
+// TestServeOneRecyclingKeepsFirstResponses: serving A, B, A, B through one
+// recycled buffer must leave each object's reference equal to its first
+// response. A reference that shared the recycled buffer would take the
+// next object's bytes.
+func TestServeOneRecyclingKeepsFirstResponses(t *testing.T) {
+	r := newRecycleShard(t)
+	first := map[string][]byte{}
+	for seq, name := range []string{"A", "B", "A", "B"} {
+		if err := r.serve(seq, name); err != nil {
+			t.Fatalf("request %d (%s): %v", seq, name, err)
+		}
+		if _, ok := first[name]; !ok {
+			first[name] = bytes.Clone(r.refs[name])
+		}
+		for obj, want := range first {
+			if !bytes.Equal(r.refs[obj], want) {
+				t.Fatalf("after request %d (%s): refs[%s] no longer equals its first response", seq, name, obj)
+			}
+		}
+	}
+	if bytes.Equal(first["A"], first["B"]) {
+		t.Fatal("A and B serve the same objects; the check is vacuous")
+	}
+	if r.res.Path[core.PathMorpheus] != 4 {
+		t.Fatalf("served %v, want 4 requests on the Morpheus path", r.res.Path)
+	}
+}
+
+// TestServeOneCatchesRewrittenObject: when an object's staged bytes change
+// between two requests, the byte differential must still fail the run,
+// even though the second response lands in a recycled buffer.
+func TestServeOneCatchesRewrittenObject(t *testing.T) {
+	r := newRecycleShard(t)
+	for seq, name := range []string{"A", "B", "B"} {
+		if err := r.serve(seq, name); err != nil {
+			t.Fatalf("request %d (%s): %v", seq, name, err)
+		}
+	}
+	// Overwrite A's extent with B's text, which has A's length.
+	sys := r.a.Shards[0].Sys
+	f, err := sys.OpenFile("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := units.Time(35 * units.Millisecond)
+	addr, at, err := sys.Host.AllocDMA(at, units.Bytes(f.NLB)*nvme.LBASize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, _, err := sys.Driver.Submit(at, &ssd.CmdContext{
+		Cmd:  nvme.BuildWrite(0, f.SLBA, f.NLB, uint64(addr)),
+		Data: r.dataB,
+	})
+	if err != nil || comp.Status.Err() != nil {
+		t.Fatalf("rewriting A: %v %v", err, comp.Status.Err())
+	}
+	sys.Host.FreeDMA(addr)
+	err = r.serve(4, "A")
+	if err == nil || !strings.Contains(err.Error(), "served different bytes") {
+		t.Fatalf("serving the rewritten A returned %v, want a served-different-bytes error", err)
 	}
 }
