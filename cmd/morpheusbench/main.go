@@ -6,7 +6,7 @@
 //	morpheusbench -exp all                 # everything
 //	morpheusbench -exp fig8               # one experiment
 //	morpheusbench -exp endtoend -scale 0.01 -seed 7
-//	morpheusbench -exp fig8 -trace-out trace.json -metrics-out metrics.prom
+//	morpheusbench -exp fig8 -trace-out trace.json -metrics-out metrics.json
 //	morpheusbench -exp fig8 -parallel 8   # fan sweep points across 8 workers
 //	morpheusbench -list                   # show the experiment index
 //
@@ -25,9 +25,11 @@
 // (E16) sweeps batch and window depth itself and overrides the flag. The
 // per-command host submission cost lands in the host.submit.* metrics.
 //
-// A malformed value — -scale <= 0, a negative -parallel, -batch-depth or
-// -ssd-cache-mb, a -format other than table or csv — exits with status 2
-// and a message naming the flag instead of falling back to a default.
+// A malformed value — -scale <= 0, a negative -parallel, -batch-depth,
+// -ssd-cache-mb, -shards or -replicas, a -format other than table or csv,
+// a -metrics-out or -timeseries-out name not ending in .json — exits with
+// status 2 and a message naming the flag instead of falling back to a
+// default. A rejected command line runs no experiment and creates no file.
 //
 // The array experiment (E17) scales the testbed to a sharded fleet:
 // -shards Morpheus-SSD systems behind consistent-hash placement with
@@ -40,8 +42,7 @@
 //
 // -trace-out writes a Chrome trace-event JSON (load it at
 // https://ui.perfetto.dev or chrome://tracing); -metrics-out writes the
-// aggregated metrics registry, as Prometheus text by default or as JSON
-// when the file name ends in .json.
+// aggregated metrics registry as JSON.
 //
 // Trace events stream to the -trace-out file incrementally through an
 // external-sort spool, so trace memory stays bounded on long runs and no
@@ -53,8 +54,7 @@
 //
 // -metrics-window enables windowed time-series collection (counters,
 // latency quantiles, gauges per fixed virtual-time window);
-// -timeseries-out writes the series as JSON (.json), CSV (.csv), or
-// OpenMetrics text with timestamps (anything else). -slo declares a
+// -timeseries-out writes the series as JSON. -slo declares a
 // latency objective ("name=gold,metric=nvme.MREAD.latency_ps,
 // target=2ms,budget=0.001") tracked per window; its burn rate and
 // time in violation land in both artifacts. The name scopes the
@@ -78,8 +78,9 @@
 //
 // -cpuprofile and -memprofile write standard pprof profiles of the whole
 // run (`go tool pprof morpheusbench cpu.pprof`); the heap profile is
-// taken after a final GC so it reflects live memory, and both compose
-// with every experiment and flag.
+// taken after a final GC at the end of a successful run, so it reflects
+// live memory. Both compose with every experiment and flag, and a profile
+// that cannot be written exits 1.
 package main
 
 import (
@@ -160,46 +161,25 @@ func parseSamplePolicy(s string) (trace.SamplePolicy, error) {
 	return p, nil
 }
 
-// writeSeries dumps the windowed time series: JSON or CSV when the path
-// says so, OpenMetrics text exposition (with window-end timestamps)
-// otherwise.
-func writeSeries(path string, reg *stats.Registry) error {
+// writeFile creates path, fills it with write and closes it, returning
+// the first error.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".json"):
-		err = reg.WriteSeriesJSON(f)
-	case strings.HasSuffix(path, ".csv"):
-		err = reg.WriteSeriesCSV(f)
-	default:
-		err = reg.WriteSeriesOpenMetrics(f)
-	}
-	if err != nil {
+	if err := write(f); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// writeMetrics dumps the aggregated registry: JSON when the path says so,
-// Prometheus text exposition otherwise.
-func writeMetrics(path string, reg *stats.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".json") {
-		err = reg.WriteJSON(f)
-	} else {
-		err = reg.WritePrometheus(f)
-	}
-	if err != nil {
-		return err
-	}
-	return f.Close()
+// writeHeapProfile writes a pprof heap profile, taken after a final GC so
+// it reflects live memory.
+func writeHeapProfile(w io.Writer) error {
+	runtime.GC()
+	return pprof.WriteHeapProfile(w)
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -217,7 +197,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list       = fs.Bool("list", false, "list available experiments")
 		format     = fs.String("format", "table", "output format: table or csv")
 		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON of every run to this file")
-		metricsOut = fs.String("metrics-out", "", "write aggregated metrics to this file (.json for JSON, else Prometheus text)")
+		metricsOut = fs.String("metrics-out", "", "write aggregated metrics as JSON to this file (name must end in .json)")
 		parallel   = fs.Int("parallel", 0, "worker budget shared by sweep points and array shards (0 = NumCPU, 1 = sequential); output is byte-identical at any setting")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile (taken after a final GC) to this file")
@@ -229,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		arrival  = fs.String("arrival", "", "array experiment: arrival process poisson|bursty|diurnal with optional mean interarrival, e.g. bursty:20us (empty = the E17 default grid)")
 
 		metricsWindow = fs.String("metrics-window", "", "windowed time-series bucket width as a Go duration (e.g. 100us); enables per-window counters, latency quantiles, and gauges")
-		timeseriesOut = fs.String("timeseries-out", "", "write the windowed time series to this file (.json, .csv, else OpenMetrics text); requires -metrics-window")
+		timeseriesOut = fs.String("timeseries-out", "", "write the windowed time series as JSON to this file (name must end in .json); requires -metrics-window")
 		traceSample   = fs.String("trace-sample", "", "tail-sample the trace: head=N,lat=DUR,pending=N,keep=name|name (requires -trace-out)")
 	)
 	var slos []stats.SLOConfig
@@ -266,6 +246,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-ssd-cache-mb must be >= 0 (0 = no cache), got %d", *ssdCacheMB)
 	case *format != "table" && *format != "csv":
 		return usage("-format must be table or csv, got %q", *format)
+	case *shards < 0:
+		return usage("-shards must be >= 0 (0 = the E17 default grid), got %d", *shards)
+	case *replicas < 0:
+		return usage("-replicas must be >= 0 (0 = the E17 default grid), got %d", *replicas)
+	case *metricsOut != "" && !strings.HasSuffix(*metricsOut, ".json"):
+		return usage("-metrics-out writes JSON; the file name must end in .json, got %q", *metricsOut)
+	case *timeseriesOut != "" && !strings.HasSuffix(*timeseriesOut, ".json"):
+		return usage("-timeseries-out writes JSON; the file name must end in .json, got %q", *timeseriesOut)
 	}
 	exps := exp.Experiments()
 	if *list {
@@ -274,31 +262,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fail("cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail("cpuprofile: %v", err)
-		}
-		defer f.Close()
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		path := *memProfile
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fail("memprofile: %v", err)
-				return
+	var selected []exp.Experiment
+	if *which == "all" {
+		selected = exps
+	} else {
+		for _, name := range strings.Split(*which, ",") {
+			i := slices.IndexFunc(exps, func(e exp.Experiment) bool { return e.Name == name })
+			if i < 0 {
+				return usage("unknown experiment %q (use -list)", name)
 			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the profile reflects live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail("memprofile: %v", err)
-			}
-		}()
+			selected = append(selected, exps[i])
+		}
 	}
 	opts := exp.DefaultOptions()
 	opts.Scale = *scale
@@ -332,20 +306,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	opts.Array = exp.ArraySweep{Shards: *shards, Replicas: *replicas, Arrival: *arrival}
-	if *traceSample != "" && *traceOut == "" {
-		return usage("-trace-sample requires -trace-out")
+	var policy trace.SamplePolicy
+	if *traceSample != "" {
+		if *traceOut == "" {
+			return usage("-trace-sample requires -trace-out")
+		}
+		var err error
+		if policy, err = parseSamplePolicy(*traceSample); err != nil {
+			return usage("%v", err)
+		}
+	}
+
+	// The command line is valid: only now create output files.
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return fail("cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail("cpuprofile: %v", err)
+		}
+		defer f.Close()
+		defer pprof.StopCPUProfile()
 	}
 	var stream *trace.ChromeStream
 	var streamFile *os.File
 	if *traceOut != "" {
 		opts.Trace = trace.New(0)
-		if *traceSample != "" {
-			p, err := parseSamplePolicy(*traceSample)
-			if err != nil {
-				return usage("%v", err)
-			}
-			opts.Trace.SetSamplePolicy(p)
-		}
+		opts.Trace.SetSamplePolicy(policy) // the zero policy keeps every event
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			return fail("trace-out: %v", err)
@@ -358,18 +346,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Metrics = stats.NewRegistry()
 	}
 
-	var selected []exp.Experiment
-	if *which == "all" {
-		selected = exps
-	} else {
-		for _, name := range strings.Split(*which, ",") {
-			i := slices.IndexFunc(exps, func(e exp.Experiment) bool { return e.Name == name })
-			if i < 0 {
-				return usage("unknown experiment %q (use -list)", name)
-			}
-			selected = append(selected, exps[i])
-		}
-	}
 	for _, e := range selected {
 		fmt.Fprintf(stdout, "running %s (%s)...\n", e.Name, e.Title)
 		tables, err := e.Run(opts)
@@ -399,7 +375,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, opts.Metrics); err != nil {
+		if err := writeFile(*metricsOut, opts.Metrics.WriteJSON); err != nil {
 			return fail("metrics-out: %v", err)
 		}
 	}
@@ -407,8 +383,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// An experiment that builds no system leaves the aggregate without
 		// a window; give it one so the series is empty rather than missing.
 		opts.Metrics.EnableSeries(int64(opts.MetricsWindow))
-		if err := writeSeries(*timeseriesOut, opts.Metrics); err != nil {
+		if err := writeFile(*timeseriesOut, opts.Metrics.WriteSeriesJSON); err != nil {
 			return fail("timeseries-out: %v", err)
+		}
+	}
+	if *memProfile != "" {
+		if err := writeFile(*memProfile, writeHeapProfile); err != nil {
+			return fail("memprofile: %v", err)
 		}
 	}
 	return 0

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -46,11 +47,19 @@ func TestOptionsObservability(t *testing.T) {
 	}
 	// And the whole thing exports.
 	var buf bytes.Buffer
-	if err := o.Metrics.WritePrometheus(&buf); err != nil {
+	if err := o.Metrics.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "nvme_MREAD_latency_ps") {
-		t.Error("prometheus export missing MREAD summary")
+	var got struct {
+		Histograms map[string]struct {
+			P50 int64 `json:"p50"`
+		} `json:"histograms"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatalf("metrics export is not JSON: %v", err)
+	}
+	if h, ok := got.Histograms["nvme.MREAD.latency_ps"]; !ok || h.P50 <= 0 {
+		t.Errorf("metrics export MREAD summary = %+v (present %v), want a positive p50", h, ok)
 	}
 }
 

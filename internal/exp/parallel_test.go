@@ -147,8 +147,6 @@ type telemetryArtifacts struct {
 	table   string
 	metrics []byte // WriteJSON, including the SLO summary
 	series  []byte // WriteSeriesJSON
-	csv     []byte // WriteSeriesCSV
-	om      []byte // WriteSeriesOpenMetrics
 	events  []trace.Event
 	tracer  *trace.Tracer
 }
@@ -180,16 +178,6 @@ func observedTelemetryRun(t *testing.T, run func(Options) ([]*Table, error), o O
 		t.Fatal(err)
 	}
 	a.series = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := o.Metrics.WriteSeriesCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	a.csv = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := o.Metrics.WriteSeriesOpenMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	a.om = append([]byte(nil), buf.Bytes()...)
 	return a
 }
 
@@ -205,8 +193,6 @@ func diffTelemetry(t *testing.T, label string, a, b telemetryArtifacts) {
 	}{
 		{"metrics JSON", a.metrics, b.metrics},
 		{"timeseries JSON", a.series, b.series},
-		{"timeseries CSV", a.csv, b.csv},
-		{"OpenMetrics", a.om, b.om},
 	} {
 		if !bytes.Equal(art.x, art.y) {
 			t.Errorf("%s: %s diverged (%d vs %d bytes)", label, art.name, len(art.x), len(art.y))
@@ -220,7 +206,7 @@ func diffTelemetry(t *testing.T, label string, a, b telemetryArtifacts) {
 // TestParallelTelemetryMatchesSequential extends the byte-identity
 // contract to the windowed-telemetry artifacts: with time series, SLO
 // tracking, and tail-sampled tracing all on, a parallel run must emit
-// the same timeseries JSON/CSV/OpenMetrics, the same SLO summary, and
+// the same timeseries JSON, the same SLO summary, and
 // the same sampled trace (span IDs included) as the sequential run.
 func TestParallelTelemetryMatchesSequential(t *testing.T) {
 	seeds := []int64{20160618, 99}

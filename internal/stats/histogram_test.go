@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -271,45 +270,6 @@ func TestRegistryMerge(t *testing.T) {
 	}
 }
 
-func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.Counters().Add("nvme.commands", 5)
-	h := r.Histogram("nvme.MREAD.latency_ps")
-	for i := int64(1); i <= 100; i++ {
-		h.Record(i * 1000)
-	}
-	r.Gauge("flash.channel_util").Sample(0, 0.5)
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE nvme_commands counter\nnvme_commands 5\n",
-		"# TYPE nvme_MREAD_latency_ps summary\n",
-		`nvme_MREAD_latency_ps{quantile="0.5"}`,
-		`nvme_MREAD_latency_ps{quantile="0.99"}`,
-		"nvme_MREAD_latency_ps_sum 5050000\nnvme_MREAD_latency_ps_count 100\n",
-		"# TYPE flash_channel_util gauge\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, ".") && strings.Contains(out, "latency_ps{") {
-		// Names must be sanitized; only float values may carry dots.
-		for _, line := range strings.Split(out, "\n") {
-			if strings.HasPrefix(line, "#") || line == "" {
-				continue
-			}
-			name := strings.FieldsFunc(line, func(r rune) bool { return r == '{' || r == ' ' })[0]
-			if strings.ContainsAny(name, ".-") {
-				t.Errorf("unsanitized metric name %q", name)
-			}
-		}
-	}
-}
-
 func TestWriteJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counters().Add("c", 7)
@@ -343,19 +303,5 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("WriteJSON is not deterministic")
-	}
-}
-
-func TestPromName(t *testing.T) {
-	cases := map[string]string{
-		"nvme.MREAD.latency_ps": "nvme_MREAD_latency_ps",
-		"flash.channel_util":    "flash_channel_util",
-		"a-b c":                 "a_b_c",
-		"ok_already":            "ok_already",
-	}
-	for in, want := range cases {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q) = %q, want %q", in, got, want)
-		}
 	}
 }

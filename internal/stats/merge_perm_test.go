@@ -65,39 +65,33 @@ func permutations(n int) [][]int {
 // to whichever shard merged last.)
 func TestMergePermutationInvariant(t *testing.T) {
 	const n = 3
-	emit := func(order []int) (metrics, series, csv []byte) {
+	emit := func(order []int) (metrics, series []byte) {
 		agg := NewRegistry()
 		for _, i := range order {
 			agg.Merge(shardRegistry(i))
 		}
-		var m, s, c bytes.Buffer
+		var m, s bytes.Buffer
 		if err := agg.WriteJSON(&m); err != nil {
 			t.Fatal(err)
 		}
 		if err := agg.WriteSeriesJSON(&s); err != nil {
 			t.Fatal(err)
 		}
-		if err := agg.WriteSeriesCSV(&c); err != nil {
-			t.Fatal(err)
-		}
-		return m.Bytes(), s.Bytes(), c.Bytes()
+		return m.Bytes(), s.Bytes()
 	}
 
 	perms := permutations(n)
-	refM, refS, refC := emit(perms[0])
+	refM, refS := emit(perms[0])
 	if !bytes.Contains(refM, []byte(`"slos"`)) {
 		t.Fatalf("reference metrics carry no SLO summary:\n%s", refM)
 	}
 	for _, p := range perms[1:] {
-		m, s, c := emit(p)
+		m, s := emit(p)
 		if !bytes.Equal(m, refM) {
 			t.Errorf("metrics JSON diverged for merge order %v:\n%s\nvs reference:\n%s", p, m, refM)
 		}
 		if !bytes.Equal(s, refS) {
 			t.Errorf("series JSON diverged for merge order %v", p)
-		}
-		if !bytes.Equal(c, refC) {
-			t.Errorf("series CSV diverged for merge order %v", p)
 		}
 	}
 }

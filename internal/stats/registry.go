@@ -1,11 +1,8 @@
 package stats
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -171,60 +168,6 @@ func (r *Registry) Reset() {
 		s.total, s.bad = 0, 0
 		s.windows = map[int64]*sloWindow{}
 	}
-}
-
-// promName sanitizes a `unit.metric` name into the Prometheus charset.
-func promName(name string) string {
-	return strings.Map(func(c rune) rune {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-			return c
-		default:
-			return '_'
-		}
-	}, name)
-}
-
-// quantiles emitted for every histogram, in ascending order.
-var histQuantiles = []struct {
-	q     float64
-	label string
-}{
-	{0.5, "0.5"},
-	{0.95, "0.95"},
-	{0.99, "0.99"},
-	{1, "1"},
-}
-
-// WritePrometheus emits every metric in Prometheus text exposition
-// format: counters and gauges as their namesake types, histograms as
-// summaries with p50/p95/p99/max quantile lines plus _sum and _count.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// bw keeps its first write error and Flush returns it, so the
-	// per-line writes need no checks of their own.
-	bw := bufio.NewWriter(w)
-	for _, n := range sortedNames(nil, r.counters.counters) {
-		pn := promName(n)
-		fmt.Fprintf(bw, "# TYPE %s counter\n%s %d\n", pn, pn, r.counters.counters[n])
-	}
-	for _, n := range sortedNames(nil, r.hists) {
-		h := r.hists[n]
-		pn := promName(n)
-		fmt.Fprintf(bw, "# TYPE %s summary\n", pn)
-		for _, qt := range histQuantiles {
-			fmt.Fprintf(bw, "%s{quantile=\"%s\"} %d\n", pn, qt.label, h.Quantile(qt.q))
-		}
-		fmt.Fprintf(bw, "%s_sum %d\n%s_count %d\n", pn, h.Sum(), pn, h.Count())
-	}
-	for _, n := range sortedNames(nil, r.gauges) {
-		g := r.gauges[n]
-		pn := promName(n)
-		fmt.Fprintf(bw, "# TYPE %s gauge\n%s %g\n%s_mean %g\n%s_max %g\n",
-			pn, pn, g.Last(), pn, g.Mean(), pn, g.Max())
-	}
-	return bw.Flush()
 }
 
 // sortedNames appends m's keys to dst in sort.Strings order, the order

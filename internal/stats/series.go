@@ -1,11 +1,9 @@
 package stats
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 
 	"morpheus/internal/jsonw"
 )
@@ -214,8 +212,8 @@ func (r *Registry) AddAt(name string, t int64, v int64) {
 	r.counters.Add(name, v)
 }
 
-// ErrNoSeries is returned by the series writers when windowed collection
-// was never enabled.
+// ErrNoSeries is returned by WriteSeriesJSON when windowed collection was
+// never enabled.
 var ErrNoSeries = fmt.Errorf("stats: windowed series collection is not enabled")
 
 // seriesWindowsLocked returns the sorted union of window indices holding
@@ -334,120 +332,4 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 	}
 	jw.EndObject()
 	return jw.Close()
-}
-
-// seriesCSVHeader is the flat per-(window, metric) schema of the CSV
-// emission; unused fields are left empty.
-const seriesCSVHeader = "window_start_ps,window_end_ps,kind,name,count,sum,min,max,p50,p95,p99,mean,last,value\n"
-
-func csvFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// WriteSeriesCSV emits the windowed artifact as one flat CSV table: a row
-// per (window, metric), kinds counter/histogram/gauge/slo.
-func (r *Registry) WriteSeriesCSV(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.series == nil {
-		return ErrNoSeries
-	}
-	r.closeCounterWindowLocked()
-	s := r.series
-	// bw keeps its first write error and Flush returns it, so the
-	// per-row writes need no checks of their own.
-	bw := bufio.NewWriter(w)
-	bw.WriteString(seriesCSVHeader)
-	sloKeys := sortedNames(nil, r.slos)
-	for _, idx := range r.seriesWindowsLocked() {
-		start, end := idx*s.window, (idx+1)*s.window
-		row := func(kind, name, count, sum, min, max, p50, p95, p99, mean, last, value string) {
-			fmt.Fprintf(bw, "%d,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n",
-				start, end, kind, name, count, sum, min, max, p50, p95, p99, mean, last, value)
-		}
-		if cell := s.cells[idx]; cell != nil {
-			for _, n := range sortedNames(nil, cell.counters) {
-				row("counter", n, "", "", "", "", "", "", "", "", "", strconv.FormatInt(cell.counters[n], 10))
-			}
-			for _, n := range sortedNames(nil, cell.hists) {
-				h := cell.hists[n]
-				row("histogram", n,
-					strconv.FormatInt(h.Count(), 10), strconv.FormatInt(h.Sum(), 10),
-					strconv.FormatInt(h.Min(), 10), strconv.FormatInt(h.Max(), 10),
-					strconv.FormatInt(h.Quantile(0.5), 10), strconv.FormatInt(h.Quantile(0.95), 10),
-					strconv.FormatInt(h.Quantile(0.99), 10), "", "", "")
-			}
-			for _, n := range sortedNames(nil, cell.gauges) {
-				g := cell.gauges[n]
-				row("gauge", n,
-					strconv.FormatInt(g.Samples(), 10), "",
-					csvFloat(g.Min()), csvFloat(g.Max()), "", "", "",
-					csvFloat(g.Mean()), csvFloat(g.Last()), "")
-			}
-		}
-		for _, key := range sloKeys {
-			sw := r.slos[key].windows[idx]
-			if sw == nil {
-				continue
-			}
-			row("slo", key,
-				strconv.FormatInt(sw.total, 10), strconv.FormatInt(sw.bad, 10),
-				"", "", "", "", "", "", "", csvFloat(r.slos[key].burnRate(sw)))
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteSeriesOpenMetrics emits the windowed artifact in OpenMetrics-style
-// text with explicit timestamps (seconds of virtual time at each window's
-// end): histogram windows as timestamped summary samples, counters as
-// timestamped cumulative *_total samples, gauges as timestamped samples.
-// Ends with the OpenMetrics # EOF marker.
-func (r *Registry) WriteSeriesOpenMetrics(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.series == nil {
-		return ErrNoSeries
-	}
-	r.closeCounterWindowLocked()
-	s := r.series
-	// bw keeps its first write error and Flush returns it, so the
-	// per-line writes need no checks of their own.
-	bw := bufio.NewWriter(w)
-	typed := map[string]bool{}
-	emitType := func(pn, kind string) {
-		if !typed[pn] {
-			typed[pn] = true
-			fmt.Fprintf(bw, "# TYPE %s %s\n", pn, kind)
-		}
-	}
-	cum := map[string]int64{}
-	for _, idx := range r.seriesWindowsLocked() {
-		cell := s.cells[idx]
-		if cell == nil {
-			continue
-		}
-		ts := strconv.FormatFloat(float64((idx+1)*s.window)/1e12, 'g', -1, 64)
-		for _, n := range sortedNames(nil, cell.counters) {
-			cum[n] += cell.counters[n]
-			pn := promName(n)
-			emitType(pn, "counter")
-			fmt.Fprintf(bw, "%s_total %d %s\n", pn, cum[n], ts)
-		}
-		for _, n := range sortedNames(nil, cell.hists) {
-			h := cell.hists[n]
-			pn := promName(n)
-			emitType(pn, "summary")
-			for _, qt := range histQuantiles {
-				fmt.Fprintf(bw, "%s{quantile=\"%s\"} %d %s\n", pn, qt.label, h.Quantile(qt.q), ts)
-			}
-			fmt.Fprintf(bw, "%s_count %d %s\n%s_sum %d %s\n", pn, h.Count(), ts, pn, h.Sum(), ts)
-		}
-		for _, n := range sortedNames(nil, cell.gauges) {
-			g := cell.gauges[n]
-			pn := promName(n)
-			emitType(pn, "gauge")
-			fmt.Fprintf(bw, "%s %g %s\n", pn, g.Mean(), ts)
-		}
-	}
-	bw.WriteString("# EOF\n")
-	return bw.Flush()
 }

@@ -41,18 +41,30 @@ func TestSeriesWindowAttribution(t *testing.T) {
 	if w0.StartPS != 0 || w0.EndPS != 100 || w2.StartPS != 200 || w2.EndPS != 300 {
 		t.Fatalf("window boundaries wrong: %+v %+v", w0, w2)
 	}
-	if h := w0.Histograms["lat"]; h.Count != 2 || h.Sum != 20 {
-		t.Fatalf("window 0 hist = %+v, want count 2 sum 20", h)
+	if h := w0.Histograms["lat"]; h.Count != 2 || h.Sum != 20 || h.Min != 5 || h.Max != 15 {
+		t.Fatalf("window 0 hist = %+v, want count 2 sum 20 min 5 max 15", h)
 	}
-	if h := w2.Histograms["lat"]; h.Count != 1 || h.Sum != 40 {
-		t.Fatalf("window 2 hist = %+v, want count 1 sum 40", h)
+	want := seriesHistJSON{Count: 1, Sum: 40, Min: 40, Max: 40, P50: 40, P95: 40, P99: 40}
+	if h := w2.Histograms["lat"]; h != want {
+		t.Fatalf("window 2 hist = %+v, want %+v", h, want)
 	}
-	if g := w0.Gauges["util"]; g.Samples != 1 || g.Last != 0.5 {
+	if g := w0.Gauges["util"]; g != (gaugeJSON{Samples: 1, Last: 0.5, Min: 0.5, Max: 0.5, Mean: 0.5}) {
 		t.Fatalf("window 0 gauge = %+v", g)
 	}
 	// The cumulative histogram saw everything regardless of windows.
 	if c := r.Histogram("lat").Count(); c != 3 {
 		t.Fatalf("cumulative count = %d, want 3", c)
+	}
+	// Emitting again from the same registry gives the same bytes.
+	var a, b bytes.Buffer
+	if err := r.WriteSeriesJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteSeriesJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("series emission not deterministic:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
 	}
 }
 
@@ -78,8 +90,12 @@ func TestSeriesCounterDeltas(t *testing.T) {
 	if got := byStart[100].Counters["cmds"]; got != 5 {
 		t.Fatalf("window 1 cmds delta = %d, want 5", got)
 	}
+	// AddAt lands in t's own window, not the one open before it.
 	if got := byStart[100].Counters["retries"]; got != 1 {
 		t.Fatalf("window 1 retries = %d, want 1", got)
+	}
+	if got, ok := byStart[0].Counters["retries"]; ok {
+		t.Fatalf("window 0 retries = %d, want none", got)
 	}
 	// Window deltas must sum to the cumulative counter.
 	var sum int64
@@ -181,95 +197,11 @@ func TestSeriesResetPreservesConfig(t *testing.T) {
 func TestSeriesWritersDisabled(t *testing.T) {
 	r := NewRegistry()
 	var buf bytes.Buffer
-	for _, err := range []error{
-		r.WriteSeriesJSON(&buf), r.WriteSeriesCSV(&buf), r.WriteSeriesOpenMetrics(&buf),
-	} {
-		if err != ErrNoSeries {
-			t.Fatalf("writer on disabled series: %v, want ErrNoSeries", err)
-		}
+	if err := r.WriteSeriesJSON(&buf); err != ErrNoSeries {
+		t.Fatalf("WriteSeriesJSON on disabled series: %v, want ErrNoSeries", err)
 	}
-}
-
-func TestSeriesCSV(t *testing.T) {
-	r := NewRegistry()
-	r.EnableSeries(100)
-	r.ObserveLatency("lat", 10, 7)
-	r.SampleAt("util", 20, 0.25)
-	r.AddAt("c", 150, 2)
-	var buf bytes.Buffer
-	if err := r.WriteSeriesCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if lines[0] != strings.TrimRight(seriesCSVHeader, "\n") {
-		t.Fatalf("csv header = %q", lines[0])
-	}
-	want := []string{
-		"100,200,counter,c,,,,,,,,,,2", // AddAt attributes to t's own window
-		"0,100,histogram,lat,1,7,7,7,7,7,7,,,",
-		"0,100,gauge,util,1,,0.25,0.25,,,,0.25,0.25,",
-	}
-	for _, w := range want {
-		if !strings.Contains(out, w) {
-			t.Fatalf("csv missing %q:\n%s", w, out)
-		}
-	}
-	// Deterministic across emissions.
-	var buf2 bytes.Buffer
-	if err := r.WriteSeriesCSV(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != out {
-		t.Fatal("csv emission not deterministic")
-	}
-}
-
-func TestSeriesOpenMetrics(t *testing.T) {
-	r := NewRegistry()
-	r.EnableSeries(1e12) // 1s windows → ts of window 0 end = 1 second
-	r.ObserveLatency("nvme.MREAD.latency_ps", 5e11, 123)
-	r.SampleAt("flash.channel_util", 5e11, 0.5)
-	r.AddAt("nvme.commands", 5e11, 9)
-	var buf bytes.Buffer
-	if err := r.WriteSeriesOpenMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, w := range []string{
-		"# TYPE nvme_MREAD_latency_ps summary",
-		"nvme_MREAD_latency_ps{quantile=\"0.5\"} 123 1\n",
-		"nvme_MREAD_latency_ps_count 1 1\n",
-		"# TYPE nvme_commands counter",
-		"nvme_commands_total 9 1\n",
-		"# TYPE flash_channel_util gauge",
-		"flash_channel_util 0.5 1\n",
-	} {
-		if !strings.Contains(out, w) {
-			t.Fatalf("openmetrics missing %q:\n%s", w, out)
-		}
-	}
-	if !strings.HasSuffix(out, "# EOF\n") {
-		t.Fatalf("openmetrics must end with # EOF:\n%s", out)
-	}
-}
-
-func TestSeriesOpenMetricsCountersAreCumulative(t *testing.T) {
-	r := NewRegistry()
-	r.EnableSeries(100)
-	r.AddAt("c", 50, 3)
-	r.AddAt("c", 150, 4) // closes window 0 (delta 3), lands in window 1
-	r.AddAt("c", 250, 5) // closes window 1 (delta 4), lands in window 2
-	r.ObserveLatency("lat", 350, 1)
-	var buf bytes.Buffer
-	if err := r.WriteSeriesOpenMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, w := range []string{"c_total 3 ", "c_total 7 ", "c_total 12 "} {
-		if !strings.Contains(out, w) {
-			t.Fatalf("cumulative counter missing %q:\n%s", w, out)
-		}
+	if buf.Len() != 0 {
+		t.Fatalf("WriteSeriesJSON on disabled series wrote %q", buf.String())
 	}
 }
 

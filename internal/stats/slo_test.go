@@ -3,7 +3,6 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -66,10 +65,10 @@ func TestSLOViolationsAndBurn(t *testing.T) {
 	if s.WindowsViolating != 1 || s.TimeInViolationPS != 100 {
 		t.Fatalf("violation accounting = %+v", s)
 	}
-	if w0 := f.Windows[0].SLOs["t|lat"]; w0.BurnRate != 1 || w0.Violating {
+	if w0 := f.Windows[0].SLOs["t|lat"]; w0 != (sloWindowJSON{Total: 2, Violations: 1, BurnRate: 1}) {
 		t.Fatalf("window 0 slo = %+v", w0)
 	}
-	if w1 := f.Windows[1].SLOs["t|lat"]; w1.BurnRate != 2 || !w1.Violating {
+	if w1 := f.Windows[1].SLOs["t|lat"]; w1 != (sloWindowJSON{Total: 2, Violations: 2, BurnRate: 2, Violating: true}) {
 		t.Fatalf("window 1 slo = %+v", w1)
 	}
 }
@@ -132,22 +131,5 @@ func TestSLOPerWindowCountsAreExact(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"violations": 1`) {
 		t.Fatalf("want exactly 1 violation:\n%s", buf.String())
-	}
-}
-
-func TestSLOCSVRow(t *testing.T) {
-	r := NewRegistry()
-	r.EnableSeries(100)
-	r.AddSLO(SLOConfig{Name: "t", Metric: "lat", TargetPS: 10, Budget: 0.5})
-	r.ObserveLatency("lat", 50, 99)
-	var buf bytes.Buffer
-	if err := r.WriteSeriesCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "0,100,slo,t|lat,1,1,") {
-		t.Fatalf("csv missing slo row:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), ","+strconv.FormatFloat(2, 'g', -1, 64)+"\n") {
-		t.Fatalf("csv missing burn rate 2:\n%s", buf.String())
 	}
 }
