@@ -10,7 +10,7 @@
 // shards share one virtual time axis (each engine starts at zero), and
 // the traffic engine (engine.go) issues arrivals from seeded generators
 // (arrival.go) — so array experiments keep the repository's byte-identity
-// contract at any -parallel setting and under either sim engine.
+// contract at any -parallel setting.
 package array
 
 import (

@@ -44,9 +44,9 @@ func TestSubmitBatchCoalescesDoorbells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps, _ := sys.Driver.WaitBatch(t1, ps)
-	for i, cp := range comps {
-		if serr := cp.Status.Err(); serr != nil {
+	sys.Driver.ReapWindow(t1, ps, len(ps))
+	for i, p := range ps {
+		if serr := p.Comp.Status.Err(); serr != nil {
 			t.Fatalf("READ %d failed: %v", i, serr)
 		}
 	}
@@ -85,7 +85,7 @@ func TestSubmitBatchCoalescesDoorbells(t *testing.T) {
 		tt = t2
 		pend = append(pend, p)
 	}
-	sys2.Driver.WaitBatch(tt, pend)
+	sys2.Driver.ReapWindow(tt, pend, len(pend))
 	if got := sys2.Counters.Get(stats.HostDoorbells); got != n {
 		t.Errorf("command-at-a-time doorbells = %d, want %d", got, n)
 	}

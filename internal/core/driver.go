@@ -105,30 +105,25 @@ func (d *Driver) popSubmitted() {
 	}
 }
 
-// deliverCompletion posts and reaps the command's CQE. With an engine it
-// is an event at the device completion time, delivered when the host waits
-// for the command — or lazily, by a later dispatch draining past it. The
-// post/reap pair is net-zero ring occupancy, so deferral can neither fill
-// the CQ nor change any result; a failure is a broken model invariant,
-// not a recoverable condition.
+// deliverCompletion posts and reaps the command's CQE as an engine event
+// at the device completion time, delivered when the host waits for the
+// command or a shard drains its window past it. The post/reap pair is
+// net-zero ring occupancy, so deferral can neither fill the CQ nor change
+// any result; a failure is a broken model invariant, not a recoverable
+// condition.
 func (d *Driver) deliverCompletion(comp nvme.Completion, done units.Time) {
-	post := func(units.Time) {
+	eng := d.sys.Engine
+	if now := eng.Clock().Now(); done < now {
+		done = now
+	}
+	eng.Schedule(done, func(units.Time) {
 		if err := d.qp.Complete(comp.CID, comp.Status, comp.Result); err != nil {
 			panic(fmt.Sprintf("core: completion post: %v", err))
 		}
 		if _, err := d.qp.CQ.Reap(); err != nil {
 			panic(fmt.Sprintf("core: completion reap: %v", err))
 		}
-	}
-	if eng := d.sys.Engine; eng != nil {
-		at := done
-		if now := eng.Clock().Now(); at < now {
-			at = now
-		}
-		eng.Schedule(at, post)
-		return
-	}
-	post(done)
+	})
 }
 
 // recordSubmit attributes one doorbell's host-side cost: counter bumps
@@ -187,7 +182,7 @@ func (d *Driver) SubmitAsync(ready units.Time, ctx *ssd.CmdContext) (Pending, un
 // host builds every SQE in the ring, then advances the tail once. The CPU
 // cost is N·SQECycles + one DoorbellCycles, so the per-command submission
 // overhead falls toward SQECycles as the batch grows — the submission-side
-// mirror of WaitBatch's reap amortization. All-or-nothing on a full ring
+// mirror of ReapWindow's reap amortization. All-or-nothing on a full ring
 // (no CID is consumed), so the caller can reap and retry the same batch.
 func (d *Driver) SubmitBatch(ready units.Time, ctxs []*ssd.CmdContext) ([]Pending, units.Time, error) {
 	if len(ctxs) == 0 {
@@ -212,10 +207,14 @@ func (d *Driver) SubmitBatch(ready units.Time, ctxs []*ssd.CmdContext) ([]Pendin
 	return ps, tCPU, nil
 }
 
-// reaped accounts one command leaving the queue: the per-opcode latency
+// reaped accounts one command leaving the queue: its completion event
+// (and any earlier one still queued) fires, the per-opcode latency
 // histogram gets the submit-to-device-completion time, and the inflight
-// count drops.
+// count drops. The drain reaches the clock too, since deliverCompletion
+// files a completion that lies behind the clock at the clock.
 func (d *Driver) reaped(p Pending) {
+	eng := d.sys.Engine
+	eng.RunUntil(max(p.Done, eng.Clock().Now()))
 	d.inflight--
 	d.sys.Metrics.ObserveLatency("nvme."+p.Op.String()+".latency_ps",
 		int64(p.Done), int64(p.Done.Sub(p.Submitted)))
@@ -225,11 +224,6 @@ func (d *Driver) reaped(p Pending) {
 // charging the context switches and interrupt of a blocking wait plus the
 // completion-reaping CPU work, and returns the completion.
 func (d *Driver) Wait(ready units.Time, p Pending) (nvme.Completion, units.Time) {
-	// The command's completion interrupt (and any earlier ones still
-	// queued) fires now that the host observes the completion.
-	if eng := d.sys.Engine; eng != nil {
-		eng.RunUntil(p.Done)
-	}
 	var t units.Time
 	if p.Done > ready {
 		t = d.sys.Host.BlockingWait(ready, p.Done)
@@ -283,16 +277,8 @@ func (d *Driver) ReapWindow(ready units.Time, ps []Pending, need int) (int, unit
 	// Opportunistic extension: every further command already complete by
 	// the wake time reaps in the same pass, still in FIFO order.
 	n := need
-	drainTo := latest
 	for n < len(ps) && ps[n].Done <= wake {
-		if ps[n].Done > drainTo {
-			drainTo = ps[n].Done
-		}
 		n++
-	}
-	// One interrupt-delivery drain for everything being reaped.
-	if eng := d.sys.Engine; eng != nil {
-		eng.RunUntil(drainTo)
 	}
 	if latest > ready {
 		t = d.sys.Host.BlockingWait(ready, latest)
@@ -304,20 +290,4 @@ func (d *Driver) ReapWindow(ready units.Time, ps []Pending, need int) (int, unit
 	d.sys.Host.MemTraffic(t, units.Bytes(n)*nvme.CompletionSize)
 	d.sys.sampleGauges(t)
 	return n, t
-}
-
-// WaitBatch waits for a whole batch at once: one blocking wait for the
-// slowest command, then per-completion reaping. This is the Morpheus
-// runtime's amortization — a batch of MREADs costs two context switches
-// total rather than two per command.
-func (d *Driver) WaitBatch(ready units.Time, ps []Pending) ([]nvme.Completion, units.Time) {
-	if len(ps) == 0 {
-		return nil, ready
-	}
-	_, t := d.ReapWindow(ready, ps, len(ps))
-	comps := make([]nvme.Completion, len(ps))
-	for i, p := range ps {
-		comps[i] = p.Comp
-	}
-	return comps, t
 }

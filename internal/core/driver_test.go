@@ -59,9 +59,9 @@ func TestWaitBatchSingleBlockingEpisode(t *testing.T) {
 		pending = append(pending, p)
 	}
 	before := sys.Counters.Get(stats.CtxSwitches)
-	comps, end := sys.Driver.WaitBatch(tNow, pending)
-	if len(comps) != len(pending) {
-		t.Fatalf("completions = %d", len(comps))
+	n, end := sys.Driver.ReapWindow(tNow, pending, len(pending))
+	if n != len(pending) {
+		t.Fatalf("reaped = %d of %d", n, len(pending))
 	}
 	switches := sys.Counters.Get(stats.CtxSwitches) - before
 	if switches > 2 {
@@ -71,7 +71,7 @@ func TestWaitBatchSingleBlockingEpisode(t *testing.T) {
 		t.Fatal("wait must advance time")
 	}
 	// Waiting on an empty batch is a no-op.
-	if _, e := sys.Driver.WaitBatch(end, nil); e != end {
+	if _, e := sys.Driver.ReapWindow(end, nil, 0); e != end {
 		t.Fatal("empty batch wait must not advance time")
 	}
 }

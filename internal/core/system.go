@@ -85,10 +85,10 @@ type System struct {
 	SSD      *ssd.Controller
 	GPU      *gpu.GPU
 	Driver   *Driver
-	// Engine is the discrete-event loop that orders the SSD firmware
-	// dispatch and host interrupt delivery of this system. Each system owns
-	// its engine outright, which is what keeps -parallel sweeps race-free
-	// and byte-identical to sequential runs.
+	// Engine is the discrete-event loop that orders this system's
+	// deferred completion delivery: one event per NVMe command. Each
+	// system owns its engine outright, which is what keeps -parallel
+	// sweeps race-free and byte-identical to sequential runs.
 	Engine *sim.Engine
 	// Identify is the controller's Identify page, fetched by the driver
 	// at attach time — how the runtime learns the device speaks Morpheus
@@ -135,7 +135,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		sys.GPU = gpu.New(cfg.GPU, fabric)
 	}
 	sys.Engine = sim.NewEngine(sim.NewClock())
-	ctrl.SetEngine(sys.Engine)
 	sys.Driver = NewDriver(sys, 1024)
 	id, _, err := sys.Driver.Identify(0)
 	if err != nil {

@@ -37,12 +37,6 @@ var parallelCases = []struct {
 	name  string
 	exp   string
 	heavy bool
-	// scale overrides the suite's default input scale (0 keeps it). The
-	// high-event-count row runs enough simulated time that the time wheel
-	// must cascade across every level and spill past its horizon into the
-	// overflow/rebase path (see TestEngineOverflowOnRealWorkload in
-	// internal/core for the proof that this regime is reached).
-	scale float64
 	array ArraySweep
 }{
 	{name: "fig8"},
@@ -60,7 +54,6 @@ var parallelCases = []struct {
 	// run-dependent slot counts that still must not change a byte.
 	{name: "array-shardpar", exp: "array",
 		array: ArraySweep{Shards: 8, Replicas: 2, Tenants: 64, Requests: 48, Objects: 8}},
-	{name: "fig8-hi", exp: "fig8", heavy: true, scale: 1.0 / 1024},
 }
 
 // renderTables concatenates an experiment's rendered tables.
@@ -115,9 +108,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 				// keep the 3-experiment × 3-seed × 2-run matrix affordable
 				// under -race.
 				o.Scale = 1.0 / 8192
-				if tc.scale != 0 {
-					o.Scale = tc.scale
-				}
 				o.Seed = seed
 				o.Array = tc.array
 

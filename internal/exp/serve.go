@@ -130,8 +130,7 @@ func serveRun(po Options, appName string, batch, window int) (units.Duration, *c
 }
 
 // RunServe runs the grid. Points are independent and fan out across the
-// worker pool; output is byte-identical at any -parallel setting and
-// under either sim engine.
+// worker pool; output is byte-identical at any -parallel setting.
 func RunServe(o Options) (*ServeResult, error) {
 	type point struct {
 		app           string

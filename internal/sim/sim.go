@@ -1,9 +1,8 @@
 // Package sim provides the transaction-level simulation substrate used by
 // every hardware model in the repository: a virtual clock, interval-ledger
 // resources with earliest-gap placement, bandwidth pipes, and a
-// discrete-event engine — a hierarchical time wheel with pooled,
-// allocation-free events (a binary-heap reference kept as the
-// differential oracle) — for agents that need ordered interleaving.
+// discrete-event engine (a binary heap ordered by time, then scheduling
+// sequence) that orders deferred work without costing it.
 //
 // The central abstraction is the Resource: a serially-reusable unit (a CPU
 // core, a flash channel, a DMA engine, a PCIe link) whose occupancy is an

@@ -173,118 +173,92 @@ func TestPipeLatencyAndSerialization(t *testing.T) {
 	}
 }
 
-// engineKinds runs a subtest per queue implementation: the engine
-// contract must hold identically for the wheel and the reference heap.
-func engineKinds(t *testing.T, f func(t *testing.T, eng *Engine)) {
-	for _, kind := range []engineKind{engineWheel, engineHeap} {
-		t.Run(kind.String(), func(t *testing.T) { f(t, newEngineOn(NewClock(), kind)) })
+func TestEngineOrdering(t *testing.T) {
+	eng := NewEngine(NewClock())
+	var got []int
+	eng.Schedule(20, func(units.Time) { got = append(got, 2) })
+	eng.Schedule(10, func(units.Time) { got = append(got, 1) })
+	eng.Schedule(20, func(units.Time) { got = append(got, 3) }) // same time: FIFO
+	eng.Schedule(30, func(units.Time) { got = append(got, 4) })
+	if n := eng.DrainWindow(30); n != 4 {
+		t.Fatalf("fired %d", n)
+	}
+	want := []int{1, 2, 3, 4}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order = %v", got)
+		}
+	}
+	if eng.Clock().Now() != 30 {
+		t.Fatalf("clock = %v", eng.Clock().Now())
 	}
 }
 
-func TestEngineOrdering(t *testing.T) {
-	engineKinds(t, func(t *testing.T, eng *Engine) {
-		var got []int
-		eng.Schedule(20, func(units.Time) { got = append(got, 2) })
-		eng.Schedule(10, func(units.Time) { got = append(got, 1) })
-		eng.Schedule(20, func(units.Time) { got = append(got, 3) }) // same time: FIFO
-		eng.ScheduleAfter(30, func(units.Time) { got = append(got, 4) })
-		n := eng.Run()
-		if n != 4 {
-			t.Fatalf("fired %d", n)
-		}
-		want := []int{1, 2, 3, 4}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("order = %v", got)
-			}
-		}
-		if eng.Clock().Now() != 30 {
-			t.Fatalf("clock = %v", eng.Clock().Now())
-		}
-	})
-}
-
-func TestEngineCancel(t *testing.T) {
-	engineKinds(t, func(t *testing.T, eng *Engine) {
-		fired := false
-		ev := eng.Schedule(10, func(units.Time) { fired = true })
-		if !ev.Pending() {
-			t.Fatal("fresh handle must be pending")
-		}
-		eng.Cancel(ev)
-		if ev.Pending() {
-			t.Fatal("cancelled handle must be stale")
-		}
-		eng.Cancel(ev) // double-cancel is a no-op
-		eng.Cancel(Handle{})
-		eng.Run()
-		if fired {
-			t.Fatal("cancelled event fired")
-		}
-	})
-}
-
 func TestEngineRunUntil(t *testing.T) {
-	engineKinds(t, func(t *testing.T, eng *Engine) {
-		var count int
-		for i := 1; i <= 5; i++ {
-			eng.Schedule(units.Time(i*10), func(units.Time) { count++ })
-		}
-		eng.RunUntil(30)
-		if count != 3 {
-			t.Fatalf("count = %d, want 3", count)
-		}
-		if eng.Clock().Now() != 30 {
-			t.Fatalf("clock = %v", eng.Clock().Now())
-		}
-		if eng.Pending() != 2 {
-			t.Fatalf("pending = %d", eng.Pending())
-		}
-		// Scheduling at the current time after a partial drain must still
-		// fire before the later events.
-		var order []int
-		eng.Schedule(30, func(units.Time) { order = append(order, 30) })
-		eng.Schedule(35, func(units.Time) { order = append(order, 35) })
-		eng.Run()
-		if len(order) != 2 || order[0] != 30 || order[1] != 35 {
-			t.Fatalf("post-drain order = %v", order)
-		}
-	})
+	eng := NewEngine(NewClock())
+	var count int
+	for i := 1; i <= 5; i++ {
+		eng.Schedule(units.Time(i*10), func(units.Time) { count++ })
+	}
+	eng.RunUntil(30)
+	if count != 3 {
+		t.Fatalf("count = %d, want 3", count)
+	}
+	if eng.Clock().Now() != 30 {
+		t.Fatalf("clock = %v", eng.Clock().Now())
+	}
+	if eng.Pending() != 2 {
+		t.Fatalf("pending = %d", eng.Pending())
+	}
+	// Scheduling at the current time after a partial drain must still
+	// fire before the later events.
+	var order []int
+	eng.Schedule(30, func(units.Time) { order = append(order, 30) })
+	eng.Schedule(35, func(units.Time) { order = append(order, 35) })
+	eng.RunUntil(35)
+	if len(order) != 2 || order[0] != 30 || order[1] != 35 {
+		t.Fatalf("post-drain order = %v", order)
+	}
+	// With nothing due, RunUntil still moves the clock to its deadline.
+	eng.RunUntil(45)
+	if eng.Clock().Now() != 45 || count != 4 {
+		t.Fatalf("clock = %v, count = %d after RunUntil(45)", eng.Clock().Now(), count)
+	}
 }
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
-	engineKinds(t, func(t *testing.T, eng *Engine) {
-		eng.Clock().Advance(100)
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic")
-			}
-		}()
-		eng.Schedule(50, func(units.Time) {})
-	})
+	eng := NewEngine(NewClock())
+	eng.Clock().Advance(100)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	eng.Schedule(50, func(units.Time) {})
 }
 
 func TestEngineReset(t *testing.T) {
-	engineKinds(t, func(t *testing.T, eng *Engine) {
-		eng.Schedule(10, func(units.Time) {})
-		h := eng.Schedule(1<<40, func(units.Time) {}) // parks beyond the wheel horizon
-		eng.Step()
-		eng.Reset()
-		if eng.Pending() != 0 || eng.Fired() != 0 || eng.Clock().Now() != 0 {
-			t.Fatalf("reset incomplete: pending=%d fired=%d now=%v", eng.Pending(), eng.Fired(), eng.Clock().Now())
-		}
-		if h.Pending() {
-			t.Fatal("handles must go stale on reset")
-		}
-		// A reset engine replays a fresh run identically (seq restarts).
-		var got []int
-		eng.Schedule(10, func(units.Time) { got = append(got, 1) })
-		eng.Schedule(10, func(units.Time) { got = append(got, 2) })
-		eng.Run()
-		if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-			t.Fatalf("post-reset order = %v", got)
-		}
-	})
+	eng := NewEngine(NewClock())
+	late := false
+	eng.Schedule(10, func(units.Time) {})
+	eng.Schedule(1<<40, func(units.Time) { late = true })
+	eng.RunUntil(10)
+	eng.Reset()
+	if eng.Pending() != 0 || eng.Fired() != 0 || eng.Clock().Now() != 0 {
+		t.Fatalf("reset incomplete: pending=%d fired=%d now=%v", eng.Pending(), eng.Fired(), eng.Clock().Now())
+	}
+	// A reset engine replays a fresh run identically (seq restarts), and
+	// the discarded event never fires.
+	var got []int
+	eng.Schedule(10, func(units.Time) { got = append(got, 1) })
+	eng.Schedule(10, func(units.Time) { got = append(got, 2) })
+	eng.RunUntil(1 << 41)
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("post-reset order = %v", got)
+	}
+	if late {
+		t.Fatal("an event queued before Reset fired after it")
+	}
 }
 
 func TestPipeReset(t *testing.T) {

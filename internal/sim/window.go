@@ -30,8 +30,8 @@ import (
 func (e *Engine) DrainWindow(limit units.Time) int64 {
 	start := e.fired
 	for {
-		ev := e.q.popAtMost(limit)
-		if ev == nil {
+		ev, ok := e.popAtMost(limit)
+		if !ok {
 			return e.fired - start
 		}
 		e.fire(ev)
@@ -99,7 +99,7 @@ func (r *Rendezvous) Arrive(serial func()) {
 // sweep point holds one token, and a point running its shards
 // concurrently scavenges extra tokens (TryAcquire) for the shard
 // executor — so points × shards can never exceed the single global
-// bound, no matter how -parallel and -shard-parallel are combined.
+// bound, whatever -parallel is.
 //
 // Token counts only gate host CPU concurrency. Simulated output is
 // byte-identical whatever Acquire/TryAcquire hand out, which is why the

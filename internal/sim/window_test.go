@@ -11,54 +11,50 @@ import (
 // TestDrainWindowCursorContract: DrainWindow fires exactly the events at
 // or before the limit — cascading into events its callbacks schedule
 // inside the window — in (time, seq) order, and leaves the clock at the
-// last fired event rather than the window edge, on both engine kinds.
+// last fired event rather than the window edge.
 func TestDrainWindowCursorContract(t *testing.T) {
-	for _, kind := range []engineKind{engineWheel, engineHeap} {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := newEngineOn(NewClock(), kind)
-			var fired []units.Time
-			note := func(now units.Time) { fired = append(fired, now) }
-			e.Schedule(10, func(now units.Time) {
-				note(now)
-				// Cascade: lands inside the window and must fire this drain.
-				e.Schedule(40, note)
-			})
-			e.Schedule(30, note)
-			e.Schedule(70, note) // past the window: must stay queued
+	e := NewEngine(NewClock())
+	var fired []units.Time
+	note := func(now units.Time) { fired = append(fired, now) }
+	e.Schedule(10, func(now units.Time) {
+		note(now)
+		// Cascade: lands inside the window and must fire this drain.
+		e.Schedule(40, note)
+	})
+	e.Schedule(30, note)
+	e.Schedule(70, note) // past the window: must stay queued
 
-			if n := e.DrainWindow(50); n != 3 {
-				t.Fatalf("DrainWindow(50) fired %d events, want 3", n)
-			}
-			want := []units.Time{10, 30, 40}
-			if len(fired) != len(want) {
-				t.Fatalf("fired %v, want %v", fired, want)
-			}
-			for i := range want {
-				if fired[i] != want[i] {
-					t.Fatalf("fired %v, want %v", fired, want)
-				}
-			}
-			// Cursor contract: the clock stays at the last fired event, not
-			// the barrier, so post-exchange work at t in (40, 50] is still
-			// schedulable without panicking.
-			if now := e.Clock().Now(); now != 40 {
-				t.Fatalf("clock = %v after drain, want 40 (the last fired event)", now)
-			}
-			e.Schedule(45, note)
-			if n := e.DrainWindow(50); n != 1 {
-				t.Fatalf("second DrainWindow(50) fired %d, want 1", n)
-			}
-			if e.Pending() != 1 {
-				t.Fatalf("pending = %d, want the t=70 event still queued", e.Pending())
-			}
-			// An empty window fires nothing and leaves the clock alone.
-			if n := e.DrainWindow(60); n != 0 {
-				t.Fatalf("empty DrainWindow fired %d", n)
-			}
-			if now := e.Clock().Now(); now != 45 {
-				t.Fatalf("clock moved to %v on an empty drain", now)
-			}
-		})
+	if n := e.DrainWindow(50); n != 3 {
+		t.Fatalf("DrainWindow(50) fired %d events, want 3", n)
+	}
+	want := []units.Time{10, 30, 40}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+	// Cursor contract: the clock stays at the last fired event, not
+	// the barrier, so post-exchange work at t in (40, 50] is still
+	// schedulable without panicking.
+	if now := e.Clock().Now(); now != 40 {
+		t.Fatalf("clock = %v after drain, want 40 (the last fired event)", now)
+	}
+	e.Schedule(45, note)
+	if n := e.DrainWindow(50); n != 1 {
+		t.Fatalf("second DrainWindow(50) fired %d, want 1", n)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d, want the t=70 event still queued", e.Pending())
+	}
+	// An empty window fires nothing and leaves the clock alone.
+	if n := e.DrainWindow(60); n != 0 {
+		t.Fatalf("empty DrainWindow fired %d", n)
+	}
+	if now := e.Clock().Now(); now != 45 {
+		t.Fatalf("clock moved to %v on an empty drain", now)
 	}
 }
 

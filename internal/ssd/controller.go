@@ -83,11 +83,6 @@ type Controller struct {
 	// every command and instance.
 	stage stagingBufs
 
-	// engine, when set, is the system's discrete-event loop: each command
-	// runs as a firmware-dispatch event on it instead of a plain call. Nil
-	// (standalone unit tests) keeps the synchronous path.
-	engine *sim.Engine
-
 	tracer *trace.Tracer
 }
 
@@ -144,11 +139,6 @@ func (c *Controller) SetTracer(t *trace.Tracer) {
 		c.fabric.SetTracer(t)
 	}
 }
-
-// SetEngine attaches the system's discrete-event engine: Submit then runs
-// each command body as a dispatch event instead of a direct call. Nil
-// detaches (the synchronous standalone path).
-func (c *Controller) SetEngine(eng *sim.Engine) { c.engine = eng }
 
 // Cores exposes the embedded-core resources (for utilization reports).
 func (c *Controller) Cores() []*sim.Resource { return c.cores }
@@ -259,34 +249,12 @@ func (c *Controller) InstanceCPB(id uint32) (float64, bool) {
 // lbasPerPage converts between the 4 KiB NVMe LBA and the FTL page.
 func (c *Controller) lbasPerPage() int64 { return int64(c.pageSize) / nvme.LBASize }
 
-// Submit processes one NVMe command and returns its completion and the
+// Submit is the firmware loop body — SQE fetch, opcode dispatch, CQE
+// post — for one NVMe command. It returns the completion and the
 // simulated time at which the completion is posted. The caller (the
 // driver model in internal/core) charges doorbell/interrupt costs and
 // host-side completion handling.
-//
-// With an engine attached, the command body runs as a firmware-dispatch
-// event. The event time is the command's arrival clamped to the engine
-// clock — purely an ordering position, never used in any cost model: the
-// body computes with the caller's real ready time, so results are
-// byte-identical to the synchronous path.
 func (c *Controller) Submit(ready units.Time, ctx *CmdContext) (nvme.Completion, units.Time) {
-	if c.engine == nil {
-		return c.process(ready, ctx)
-	}
-	at := ready
-	if now := c.engine.Clock().Now(); at < now {
-		at = now
-	}
-	var comp nvme.Completion
-	var done units.Time
-	c.engine.Schedule(at, func(units.Time) { comp, done = c.process(ready, ctx) })
-	c.engine.RunUntil(at)
-	return comp, done
-}
-
-// process is the firmware loop body: SQE fetch, opcode dispatch, CQE
-// post.
-func (c *Controller) process(ready units.Time, ctx *CmdContext) (nvme.Completion, units.Time) {
 	c.counters.Add(stats.NVMeCommands, 1)
 	cmd := &ctx.Cmd
 	if cmd.Opcode.IsMorpheus() {
