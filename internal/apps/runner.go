@@ -284,7 +284,7 @@ func Run(sys *core.System, app *App, files []*core.File, mode Mode) (*Report, er
 	// Per-phase latency distributions, named after the Figure 2 legend.
 	recordPhase := func(p stats.Phase, d units.Duration) {
 		if d > 0 {
-			sys.Metrics.ObserveLatency("phase."+string(p)+"_ps", int64(t), int64(d))
+			sys.PhaseLatency(p).Observe(int64(t), int64(d))
 		}
 	}
 	recordPhase(stats.PhaseDeserialize, rep.Deser)

@@ -19,6 +19,7 @@ import (
 
 	"morpheus/internal/core"
 	"morpheus/internal/flash"
+	"morpheus/internal/stats"
 	"morpheus/internal/trace"
 	"morpheus/internal/units"
 )
@@ -64,6 +65,10 @@ type Shard struct {
 	// Requests whose primary it is are still routed to it — that is
 	// exactly the degraded-mode path under test.
 	Down bool
+
+	// remoteReads counts the replica reads this shard serves for others,
+	// resolved when the fleet is built.
+	remoteReads stats.TimedCounter
 }
 
 // ringPoint is one virtual node on the consistent-hash ring.
@@ -96,7 +101,10 @@ func New(cfg Config, build func(shard int) (*core.System, error)) (*Array, error
 			return nil, fmt.Errorf("array: build shard %d: %w", i, err)
 		}
 		sys.SetReplicaFetcher(&shardFetcher{a: a, self: i})
-		a.Shards = append(a.Shards, &Shard{ID: i, Sys: sys})
+		a.Shards = append(a.Shards, &Shard{
+			ID: i, Sys: sys,
+			remoteReads: sys.Metrics.TimedCounter("array.replica.remote_reads"),
+		})
 	}
 	a.ring = make([]ringPoint, 0, cfg.Shards*cfg.VNodes)
 	for i := 0; i < cfg.Shards; i++ {
@@ -229,7 +237,7 @@ func (f *shardFetcher) FetchReplica(ready units.Time, name string) ([]byte, unit
 		if err != nil {
 			continue
 		}
-		sh.Sys.Metrics.AddAt("array.replica.remote_reads", int64(ready), 1)
+		sh.remoteReads.Add(int64(ready), 1)
 		return data, done, true
 	}
 	return nil, 0, false

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"morpheus/internal/core"
+	"morpheus/internal/stats"
 	"morpheus/internal/units"
 )
 
@@ -232,11 +233,39 @@ func buildSchedule(a *Array, tc *TrafficConfig, classes []Class) []schedReq {
 	return reqs
 }
 
+// shardMetrics are one shard's serving metric handles, resolved once per
+// run: serveOne names no metric per request.
+type shardMetrics struct {
+	arrivals, rejected, errors stats.TimedCounter
+	slotsUtil                  stats.Sampler
+	served                     [len(TrafficResult{}.Path)]stats.TimedCounter // by core.ServePath
+	latency                    stats.Latency
+	classLatency               []stats.Latency // by class index
+}
+
+func newShardMetrics(r *stats.Registry, classes []Class) *shardMetrics {
+	m := &shardMetrics{
+		arrivals:  r.TimedCounter("array.arrivals"),
+		rejected:  r.TimedCounter("array.rejected"),
+		errors:    r.TimedCounter("array.errors"),
+		slotsUtil: r.Sampler("array.shard.slots_util"),
+		latency:   r.Latency("array.request.latency_ps"),
+	}
+	for p := range m.served {
+		m.served[p] = r.TimedCounter("array.served." + core.ServePath(p).String())
+	}
+	for _, c := range classes {
+		m.classLatency = append(m.classLatency, r.Latency("array.request.latency_ps."+c.Name))
+	}
+	return m
+}
+
 // serveOne issues one scheduled request against its primary shard:
 // admission control against the slot window, the full serving path via
 // core.InvokeStorageApp at the arrival time (the shard's resource
 // ledgers arbitrate overlap, exactly as the multi-file app runner does),
-// the differential byte check, and every per-request metric. Every
+// the differential byte check, and every per-request metric, through the
+// shard's handles m. Every
 // served output is checked against the first response for the same
 // object, so a degraded path silently corrupting bytes fails the run
 // rather than skewing a row. Counts land in the shard's partial res and
@@ -246,13 +275,12 @@ func buildSchedule(a *Array, tc *TrafficConfig, classes []Class) []schedReq {
 // response moves into refs, which owns it from then on, and *scratch is
 // reset to nil; a later response only has to be compared, so its buffer
 // becomes *scratch for the next request.
-func serveOne(a *Array, tc *TrafficConfig, classes []Class, rq schedReq, res *TrafficResult, inflight *[]units.Time, refs map[string][]byte, scratch *[]byte) error {
+func serveOne(a *Array, tc *TrafficConfig, classes []Class, m *shardMetrics, rq schedReq, res *TrafficResult, inflight *[]units.Time, refs map[string][]byte, scratch *[]byte) error {
 	sh := a.Shards[rq.primary]
-	m := sh.Sys.Metrics
 
 	res.Arrivals++
 	res.ShardArrivals[rq.primary]++
-	m.AddAt("array.arrivals", int64(rq.at), 1)
+	m.arrivals.Add(int64(rq.at), 1)
 
 	// Admission control: reap completed slots, then gate on the
 	// shard's StorageApp slot window.
@@ -269,12 +297,12 @@ func serveOne(a *Array, tc *TrafficConfig, classes []Class, rq schedReq, res *Tr
 	*inflight = live
 	if len(live) >= limit {
 		res.Rejected++
-		m.AddAt("array.rejected", int64(rq.at), 1)
-		m.SampleAt("array.shard.slots_util", int64(rq.at), 1)
+		m.rejected.Add(int64(rq.at), 1)
+		m.slotsUtil.Sample(int64(rq.at), 1)
 		return nil
 	}
 	res.Admitted++
-	m.SampleAt("array.shard.slots_util", int64(rq.at), float64(len(live)+1)/float64(limit))
+	m.slotsUtil.Sample(int64(rq.at), float64(len(live)+1)/float64(limit))
 
 	file, err := sh.Sys.OpenFile(rq.name)
 	if err != nil {
@@ -293,7 +321,7 @@ func serveOne(a *Array, tc *TrafficConfig, classes []Class, rq schedReq, res *Tr
 		// A fully unservable request (every replica gone); counted,
 		// not fatal — brownouts are an outcome, not a crash.
 		res.Errors++
-		m.AddAt("array.errors", int64(rq.at), 1)
+		m.errors.Add(int64(rq.at), 1)
 		return nil
 	}
 	if ref, seen := refs[rq.name]; !seen {
@@ -317,9 +345,9 @@ func serveOne(a *Array, tc *TrafficConfig, classes []Class, rq schedReq, res *Tr
 	if lat > classes[rq.cidx].TargetPS {
 		res.Classes[rq.cidx].Violations++
 	}
-	m.AddAt("array.served."+inv.Path.String(), int64(inv.Done), 1)
-	m.ObserveLatency("array.request.latency_ps", int64(inv.Done), lat)
-	m.ObserveLatency("array.request.latency_ps."+classes[rq.cidx].Name, int64(inv.Done), lat)
+	m.served[inv.Path].Add(int64(inv.Done), 1)
+	m.latency.Observe(int64(inv.Done), lat)
+	m.classLatency[rq.cidx].Observe(int64(inv.Done), lat)
 	return nil
 }
 

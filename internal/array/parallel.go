@@ -68,6 +68,7 @@ type execShard struct {
 	inflight []units.Time
 	refs     map[string][]byte
 	scratch  []byte         // serveOne's recycled result buffer
+	metrics  *shardMetrics  // the shard's serving handles
 	res      *TrafficResult // per-shard partial, merged in shard order
 	end      units.Time     // current window barrier
 
@@ -187,7 +188,7 @@ func (ex *trafficExec) runShard(es *execShard) {
 				for !es.failed && es.cursor < len(es.reqs) && es.reqs[es.cursor].at < end {
 					rq := es.reqs[es.cursor]
 					es.seq = rq.seq
-					if err := serveOne(ex.a, ex.tc, ex.classes, rq, es.res, &es.inflight, es.refs, &es.scratch); err != nil {
+					if err := serveOne(ex.a, ex.tc, ex.classes, es.metrics, rq, es.res, &es.inflight, es.refs, &es.scratch); err != nil {
 						es.fail(rq.seq, err)
 						break
 					}
@@ -249,9 +250,10 @@ func RunTrafficParallel(a *Array, tc TrafficConfig, slots int) (*TrafficResult, 
 	}
 	for i := range a.Shards {
 		ex.shards = append(ex.shards, &execShard{
-			id:   i,
-			res:  newTrafficResult(a, &tc, classes),
-			refs: map[string][]byte{},
+			id:      i,
+			res:     newTrafficResult(a, &tc, classes),
+			refs:    map[string][]byte{},
+			metrics: newShardMetrics(a.Shards[i].Sys.Metrics, classes),
 		})
 	}
 	// Arrivals are monotone, so the distinct window barriers come out

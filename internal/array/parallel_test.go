@@ -117,9 +117,13 @@ func inlineTraffic(a *Array, tc TrafficConfig) (*TrafficResult, error) {
 	res := newTrafficResult(a, &tc, classes)
 	inflight := make([][]units.Time, len(a.Shards))
 	scratch := make([][]byte, len(a.Shards))
+	metrics := make([]*shardMetrics, len(a.Shards))
+	for i, sh := range a.Shards {
+		metrics[i] = newShardMetrics(sh.Sys.Metrics, classes)
+	}
 	refs := map[string][]byte{}
 	for _, rq := range buildSchedule(a, &tc, classes) {
-		if err := serveOne(a, &tc, classes, rq, res, &inflight[rq.primary], refs, &scratch[rq.primary]); err != nil {
+		if err := serveOne(a, &tc, classes, metrics[rq.primary], rq, res, &inflight[rq.primary], refs, &scratch[rq.primary]); err != nil {
 			return nil, err
 		}
 	}
@@ -303,7 +307,8 @@ func newRecycleShard(t *testing.T) *recycleShard {
 // admission never refuses it.
 func (r *recycleShard) serve(seq int, name string) error {
 	rq := schedReq{seq: seq, at: units.Time(seq) * units.Time(10*units.Millisecond), name: name}
-	return serveOne(r.a, &r.tc, r.classes, rq, r.res, &r.inflight, r.refs, &r.scratch)
+	m := newShardMetrics(r.a.Shards[rq.primary].Sys.Metrics, r.classes)
+	return serveOne(r.a, &r.tc, r.classes, m, rq, r.res, &r.inflight, r.refs, &r.scratch)
 }
 
 // TestServeOneRecyclingKeepsFirstResponses: serving A, B, A, B through one

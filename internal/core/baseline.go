@@ -7,7 +7,6 @@ import (
 	"morpheus/internal/nvme"
 	"morpheus/internal/serial"
 	"morpheus/internal/ssd"
-	"morpheus/internal/stats"
 	"morpheus/internal/units"
 )
 
@@ -135,7 +134,7 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 		// Phase A: read(2) consumes the chunk from the page cache.
 		failed := pending[k].Comp.Status.Err() != nil
 		if !failed && rp.expired(pending[k].Submitted, pending[k].Done) {
-			s.Metrics.AddAt(stats.CmdTimeouts, int64(pending[k].Done), 1)
+			s.metrics.timeouts.Add(int64(pending[k].Done), 1)
 			failed = true
 		}
 		if failed {
@@ -150,7 +149,7 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 			// Unlike an MREAD train, conventional READs are stateless and
 			// independent, so a single chunk can be replayed in place.
 			origErr := statusErr("READ", pending[k].Comp.Status)
-			s.Metrics.AddAt(stats.CmdRetries, int64(t), 1)
+			s.metrics.retries.Add(int64(t), 1)
 			_, t2, rerr := s.Driver.SubmitRetry(t, "READ", rp, func() *ssd.CmdContext {
 				raws[k] = nil
 				return &ssd.CmdContext{
@@ -197,7 +196,7 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 		before := t
 		t = s.Host.ComputeOn(coreIdx, t, cpb*float64(len(raw)))
 		s.Host.MemTraffic(t, units.Bytes(len(raw))+units.Bytes(len(objs)))
-		s.Counters.Add("host.parse_cycles", int64(cpb*float64(len(raw))))
+		s.metrics.parseCycles.Add(int64(cpb * float64(len(raw))))
 		// Timeslice preemption: a CPU-bound parse loop sharing a
 		// multiprogrammed host gets descheduled once per quantum.
 		cpuAccum += t.Sub(before)

@@ -5,7 +5,6 @@ import (
 
 	"morpheus/internal/nvme"
 	"morpheus/internal/ssd"
-	"morpheus/internal/stats"
 	"morpheus/internal/trace"
 	"morpheus/internal/units"
 )
@@ -131,14 +130,14 @@ func (d *Driver) deliverCompletion(comp nvme.Completion, done units.Time) {
 // observation per command of its share of the submission CPU time —
 // the driver-side analogue of the paper's OS-overhead measurement.
 func (d *Driver) recordSubmit(ready, done units.Time, n int) {
-	m := d.sys.Metrics
+	m := d.sys.metrics
 	at := int64(done)
-	m.AddAt(stats.HostDoorbells, at, 1)
-	m.AddAt(stats.HostSQEs, at, int64(n))
-	m.AddAt(stats.HostCoalesced, at, int64(n))
+	m.doorbells.Add(at, 1)
+	m.sqes.Add(at, int64(n))
+	m.coalesced.Add(at, int64(n))
 	per := int64(done.Sub(ready)) / int64(n)
 	for i := 0; i < n; i++ {
-		m.ObserveLatency(stats.HostSubmitOverhead, at, per)
+		m.submitOverhead.Observe(at, per)
 	}
 }
 
@@ -216,8 +215,7 @@ func (d *Driver) reaped(p Pending) {
 	eng := d.sys.Engine
 	eng.RunUntil(max(p.Done, eng.Clock().Now()))
 	d.inflight--
-	d.sys.Metrics.ObserveLatency("nvme."+p.Op.String()+".latency_ps",
-		int64(p.Done), int64(p.Done.Sub(p.Submitted)))
+	d.sys.metrics.opLatency(p.Op).Observe(int64(p.Done), int64(p.Done.Sub(p.Submitted)))
 }
 
 // Wait blocks the host thread until the pending command completes,

@@ -5,7 +5,6 @@ import (
 
 	"morpheus/internal/nvme"
 	"morpheus/internal/ssd"
-	"morpheus/internal/stats"
 	"morpheus/internal/units"
 )
 
@@ -108,15 +107,16 @@ func (d *Driver) SubmitRetry(ready units.Time, op string, p RetryPolicy, makeCtx
 	// outcome attributes the whole retried operation's latency: "ok" for a
 	// clean first attempt, "recovered" when a retry saved it, "failed" when
 	// the policy gave up or hit a terminal status.
+	lat := d.sys.metrics.retry(op)
 	outcome := func(attempt int, err error) {
-		o := "ok"
+		o := outcomeOK
 		switch {
 		case err != nil:
-			o = "failed"
+			o = outcomeFailed
 		case attempt > 1:
-			o = "recovered"
+			o = outcomeRecovered
 		}
-		d.sys.Metrics.ObserveLatency("core."+op+".latency_ps."+o, int64(t), int64(t.Sub(ready)))
+		lat[o].Observe(int64(t), int64(t.Sub(ready)))
 	}
 	// record chains failures across attempts with %w, so a media error on
 	// attempt 1 stays classifiable even when the retry fails differently
@@ -144,7 +144,7 @@ func (d *Driver) SubmitRetry(ready units.Time, op string, p RetryPolicy, makeCtx
 		// cycles after the device finished are scheduling noise, not
 		// command latency, and must not tip a command over its deadline.
 		case p.expired(pend.Submitted, pend.Done):
-			d.sys.Metrics.AddAt(stats.CmdTimeouts, int64(t), 1)
+			d.sys.metrics.timeouts.Add(int64(t), 1)
 			d.sys.tracer.Flag(pend.Span)
 			record(fmt.Errorf("core: %s took %v, past its %v deadline: %w",
 				op, pend.Done.Sub(pend.Submitted), p.Deadline, ErrDeadline))
@@ -164,7 +164,7 @@ func (d *Driver) SubmitRetry(ready units.Time, op string, p RetryPolicy, makeCtx
 			outcome(attempt, err)
 			return comp, t, err
 		}
-		d.sys.Metrics.AddAt(stats.CmdRetries, int64(t), 1)
+		d.sys.metrics.retries.Add(int64(t), 1)
 		t = t.Add(backoff)
 		backoff = p.next(backoff)
 	}

@@ -188,7 +188,7 @@ func (s *System) InvokeStorageApp(ready units.Time, opt InvokeOptions) (*InvokeR
 			}
 			// Replaying a train needs a fresh MINIT; the backoff models
 			// the host error handling before the re-submission.
-			s.Metrics.AddAt(stats.CmdRetries, int64(t), 1)
+			s.metrics.retries.Add(int64(t), 1)
 			t = t.Add(backoff)
 			backoff = rp.next(backoff)
 		}
@@ -206,9 +206,8 @@ func (s *System) InvokeStorageApp(ready units.Time, opt InvokeOptions) (*InvokeR
 // recordInvoke charges one served invocation into the latency histograms,
 // attributed to the path that ultimately served it.
 func (s *System) recordInvoke(ready units.Time, res *InvokeResult) {
-	s.Metrics.ObserveLatency("core.invoke.latency_ps."+res.Path.String(),
-		int64(res.Done), int64(res.Done.Sub(ready)))
-	s.Metrics.ObserveLatency("core.invoke.attempts", int64(res.Done), int64(res.Attempts))
+	s.metrics.invoke[res.Path].Observe(int64(res.Done), int64(res.Done.Sub(ready)))
+	s.metrics.attempts.Observe(int64(res.Done), int64(res.Attempts))
 }
 
 // invokeMorpheusOnce runs one complete MINIT/MREAD*/MDEINIT train. On any
@@ -354,7 +353,7 @@ func (s *System) invokeMorpheusOnce(ready units.Time, opt InvokeOptions, rp Retr
 			}
 		}
 		if expired > 0 {
-			s.Metrics.AddAt(stats.CmdTimeouts, int64(t), expired)
+			s.metrics.timeouts.Add(int64(t), expired)
 		}
 		return firstErr
 	}
@@ -495,7 +494,7 @@ func appendProjected(dst, p []byte, upto, total int64) []byte {
 // the same way. cause is the device-path error that triggered degradation.
 func (s *System) invokeFallback(ready units.Time, opt InvokeOptions, cause error, attempts int) (*InvokeResult, error) {
 	fb := opt.Fallback
-	s.Metrics.AddAt(stats.HostFallbacks, int64(ready), 1)
+	s.metrics.hostFallbacks.Add(int64(ready), 1)
 	// Degraded mode is always trace-worthy: the marker both shows up on
 	// the host track and tells the tail sampler to keep the tree.
 	fbSpan := s.tracer.NextSpan()
@@ -540,7 +539,7 @@ func (s *System) invokeFallback(ready units.Time, opt InvokeOptions, cause error
 	if !ok {
 		return nil, fmt.Errorf("core: host fallback failed (%w) and %q has no replica: %w", derr, opt.File.Name, ErrMediaFailure)
 	}
-	s.Metrics.AddAt(stats.ReplicaFallbacks, int64(t), 1)
+	s.metrics.replicaFallbacks.Add(int64(t), 1)
 	rfSpan := s.tracer.NextSpan()
 	s.tracer.RecordSpan("host", "fallback", "path=replica", rfSpan, 0, t, rt)
 	s.tracer.Flag(rfSpan)
@@ -660,7 +659,7 @@ func (s *System) SerializeStorageApp(ready units.Time, app *StorageApp, f *File,
 	}
 	res.RetVal = comp.Result
 	res.Done = t
-	s.Metrics.ObserveLatency("phase."+string(stats.PhaseSerialize)+"_ps", int64(t), int64(t.Sub(ready)))
+	s.PhaseLatency(stats.PhaseSerialize).Observe(int64(t), int64(t.Sub(ready)))
 	return res, nil
 }
 

@@ -105,6 +105,11 @@ type System struct {
 	nextPage       int64
 	nextInstance   uint32
 
+	// metrics holds the command path's resolved metric handles, and
+	// ssdLink the SSD's fabric endpoint the link gauge reads.
+	metrics *sysMetrics
+	ssdLink *pcie.Endpoint
+
 	tracer *trace.Tracer
 }
 
@@ -130,6 +135,8 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		SSD:      ctrl,
 		files:    make(map[string]*File),
 		replicas: make(map[string][]byte),
+		metrics:  newSysMetrics(metrics),
+		ssdLink:  fabric.Endpoint(ssd.EndpointName),
 	}
 	if cfg.WithGPU {
 		sys.GPU = gpu.New(cfg.GPU, fabric)
@@ -256,21 +263,21 @@ func (s *System) sampleGauges(now units.Time) {
 	if now <= 0 {
 		return
 	}
-	m := s.Metrics
+	m := s.metrics
 	t := int64(now)
-	m.SampleAt("nvme.queue_depth", t, float64(s.Driver.inflight))
+	m.queueDepth.Sample(t, float64(s.Driver.inflight))
 	inst := float64(s.SSD.Instances())
-	m.SampleAt("ssd.slots_in_use", t, inst)
-	m.SampleAt("ssd.slots_util", t, inst/float64(s.SSD.MaxInstances()))
+	m.slotsInUse.Sample(t, inst)
+	m.slotsUtil.Sample(t, inst/float64(s.SSD.MaxInstances()))
 	ch := float64(s.Cfg.SSD.Geometry.Channels)
-	m.SampleAt("flash.channel_util", t, float64(s.SSD.Flash.ChannelBusyTime())/(ch*float64(now)))
+	m.channelUtil.Sample(t, float64(s.SSD.Flash.ChannelBusyTime())/(ch*float64(now)))
 	// Full-duplex link: busy time is summed over both directions.
-	m.SampleAt("pcie.ssd_link_util", t, float64(s.Fabric.Endpoint(ssd.EndpointName).BusyTime())/(2*float64(now)))
-	m.SampleAt("host.cpu_util", t, float64(s.Host.Cores.BusyTime())/(float64(s.Cfg.CPU.Cores)*float64(now)))
+	m.linkUtil.Sample(t, float64(s.ssdLink.BusyTime())/(2*float64(now)))
+	m.cpuUtil.Sample(t, float64(s.Host.Cores.BusyTime())/(float64(s.Cfg.CPU.Cores)*float64(now)))
 	if s.SSD.CacheEnabled() {
 		// Only when the object cache is on, so default runs keep their
 		// exact metrics schema.
-		m.SampleAt("ssd.cache.occupancy_bytes", t, float64(s.SSD.CacheBytes()))
+		m.cacheOccupancy.Sample(t, float64(s.SSD.CacheBytes()))
 	}
 }
 

@@ -77,6 +77,8 @@ type Host struct {
 	Cores    *sim.Pool
 	MemBus   *sim.Pipe
 	Counters *stats.Set
+	// The counters the host writes, resolved once from Counters.
+	memBus, syscalls, ctxSwitches, pageFaults stats.Counter
 
 	fabric     *pcie.Fabric
 	dramWindow *pcie.Window
@@ -95,13 +97,17 @@ const DRAMBase pcie.Addr = 0x0000_0000_0000
 // RAM-drive runs).
 func New(cpu CPUConfig, osCosts OSCosts, mem MemConfig, counters *stats.Set, fabric *pcie.Fabric) (*Host, error) {
 	h := &Host{
-		CPU:      cpu,
-		OS:       osCosts,
-		Mem:      mem,
-		Cores:    sim.NewPool("cpu", cpu.Cores),
-		MemBus:   sim.NewPipe("membus", mem.Latency, mem.BusBandwidth),
-		Counters: counters,
-		pinned:   make(map[pcie.Addr]units.Bytes),
+		CPU:         cpu,
+		OS:          osCosts,
+		Mem:         mem,
+		Cores:       sim.NewPool("cpu", cpu.Cores),
+		MemBus:      sim.NewPipe("membus", mem.Latency, mem.BusBandwidth),
+		Counters:    counters,
+		memBus:      counters.Counter(stats.MemBusBytes),
+		syscalls:    counters.Counter(stats.Syscalls),
+		ctxSwitches: counters.Counter(stats.CtxSwitches),
+		pageFaults:  counters.Counter(stats.PageFaults),
+		pinned:      make(map[pcie.Addr]units.Bytes),
 	}
 	if fabric != nil {
 		h.fabric = fabric
@@ -126,7 +132,7 @@ func New(cpu CPUConfig, osCosts OSCosts, mem MemConfig, counters *stats.Set, fab
 // memory bus and is counted as memory traffic.
 func (h *Host) deliverDRAM(ready units.Time, n units.Bytes) units.Time {
 	_, end := h.MemBus.Transfer(ready, n)
-	h.Counters.AddBytes(stats.MemBusBytes, n)
+	h.memBus.AddBytes(n)
 	return end
 }
 
@@ -205,19 +211,19 @@ func (h *Host) ComputeOn(core int, ready units.Time, cycles float64) units.Time 
 // and returns when the bus is done with it.
 func (h *Host) MemTraffic(ready units.Time, n units.Bytes) units.Time {
 	_, end := h.MemBus.Transfer(ready, n)
-	h.Counters.AddBytes(stats.MemBusBytes, n)
+	h.memBus.AddBytes(n)
 	return end
 }
 
 // Syscall charges one system-call entry/exit.
 func (h *Host) Syscall(ready units.Time) units.Time {
-	h.Counters.Add(stats.Syscalls, 1)
+	h.syscalls.Add(1)
 	return ready.Add(h.OS.Syscall)
 }
 
 // ContextSwitch charges one context switch.
 func (h *Host) ContextSwitch(ready units.Time) units.Time {
-	h.Counters.Add(stats.CtxSwitches, 1)
+	h.ctxSwitches.Add(1)
 	return ready.Add(h.OS.ContextSwitch)
 }
 
@@ -237,7 +243,7 @@ func (h *Host) BlockingWait(ready, t units.Time) units.Time {
 
 // PageFault charges one minor page fault.
 func (h *Host) PageFault(ready units.Time) units.Time {
-	h.Counters.Add(stats.PageFaults, 1)
+	h.pageFaults.Add(1)
 	return ready.Add(h.OS.PageFault)
 }
 

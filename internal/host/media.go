@@ -46,7 +46,7 @@ func (d *HDD) ReadChunk(ready units.Time, n units.Bytes) units.Time {
 	}
 	_, t := d.dev.Transfer(ready, n)
 	_, t2 := d.host.MemBus.Transfer(t, n) // DMA into the page cache / buffer
-	d.host.Counters.AddBytes("membus.bytes", n)
+	d.host.memBus.AddBytes(n)
 	return t2
 }
 
@@ -73,7 +73,7 @@ func (d *RAMDrive) Name() string { return "RamDrive" }
 // ReadChunk implements Medium.
 func (d *RAMDrive) ReadChunk(ready units.Time, n units.Bytes) units.Time {
 	_, t := d.host.MemBus.Transfer(ready, 2*n)
-	d.host.Counters.AddBytes("membus.bytes", 2*n)
+	d.host.memBus.AddBytes(2 * n)
 	return t
 }
 
@@ -98,7 +98,7 @@ func (d *PipeMedium) Name() string { return d.name }
 func (d *PipeMedium) ReadChunk(ready units.Time, n units.Bytes) units.Time {
 	_, t := d.dev.Transfer(ready, n)
 	_, t2 := d.host.MemBus.Transfer(t, n)
-	d.host.Counters.AddBytes("membus.bytes", n)
+	d.host.memBus.AddBytes(n)
 	return t2
 }
 

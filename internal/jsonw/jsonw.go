@@ -75,6 +75,18 @@ func (w *Writer) Key(k string) {
 	w.afterKey = true
 }
 
+// QuotedKey writes the next object key from its JSON encoding q, as
+// Quote returns it: a caller writing one key many times escapes it once.
+func (w *Writer) QuotedKey(q string) {
+	if w.err != nil {
+		return
+	}
+	w.element()
+	w.bw.WriteString(q)
+	w.bw.WriteString(": ")
+	w.afterKey = true
+}
+
 // Int writes an integer value.
 func (w *Writer) Int(v int64) {
 	if w.value() {
@@ -183,24 +195,37 @@ func (w *Writer) newline(depth int) {
 	w.bw.WriteString(spaces[:depth])
 }
 
-// quote writes s as a JSON string. Printable ASCII that encoding/json
-// leaves alone is copied; anything else (control bytes, '"', '\\', the
-// HTML-escaped '<', '>' and '&', and every non-ASCII byte, which may be
-// U+2028, U+2029 or invalid UTF-8) goes through json.Marshal, so the
-// escaping rules live in one place.
+// quote writes s as a JSON string.
 func (w *Writer) quote(s string) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, err := json.Marshal(s)
-			if err != nil {
-				w.err = err
-				return
-			}
-			w.bw.Write(b)
-			return
-		}
+	if needsEscape(s) {
+		w.bw.WriteString(Quote(s))
+		return
 	}
 	w.bw.WriteByte('"')
 	w.bw.WriteString(s)
 	w.bw.WriteByte('"')
+}
+
+// Quote returns s encoded as a JSON string, the bytes Key and String
+// write for it. Printable ASCII that encoding/json leaves alone is
+// copied; anything else (control bytes, '"', '\\', the HTML-escaped '<',
+// '>' and '&', and every non-ASCII byte, which may be U+2028, U+2029 or
+// invalid UTF-8) goes through json.Marshal, so the escaping rules live in
+// one place.
+func Quote(s string) string {
+	if !needsEscape(s) {
+		return `"` + s + `"`
+	}
+	// Marshaling a string cannot fail: invalid UTF-8 becomes U+FFFD.
+	b, _ := json.Marshal(s)
+	return string(b)
+}
+
+func needsEscape(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return true
+		}
+	}
+	return false
 }

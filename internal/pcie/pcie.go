@@ -112,7 +112,9 @@ func (e *Endpoint) ResetTimers() {
 type Fabric struct {
 	endpoints map[string]*Endpoint
 	windows   []*Window
-	counters  *stats.Set
+	// hostBytes, p2pBytes and transfers are the traffic counters,
+	// resolved once from the counter set.
+	hostBytes, p2pBytes, transfers stats.Counter
 
 	// HostName identifies the root-complex endpoint; traffic to or from
 	// windows owned by it is counted as host traffic, everything else as
@@ -134,7 +136,9 @@ func (f *Fabric) SetSpan(s trace.SpanID) { f.span = s }
 func NewFabric(counters *stats.Set, hostName string) *Fabric {
 	return &Fabric{
 		endpoints: make(map[string]*Endpoint),
-		counters:  counters,
+		hostBytes: counters.Counter(stats.PCIeHostBytes),
+		p2pBytes:  counters.Counter(stats.PCIeP2PBytes),
+		transfers: counters.Counter(stats.DMATransfers),
 		hostName:  hostName,
 	}
 }
@@ -215,11 +219,11 @@ func (f *Fabric) Resolve(a Addr) (*Window, error) {
 
 func (f *Fabric) count(dev string, w *Window, n units.Bytes) {
 	if w.Endpoint == f.hostName || dev == f.hostName {
-		f.counters.AddBytes(stats.PCIeHostBytes, n)
+		f.hostBytes.AddBytes(n)
 	} else {
-		f.counters.AddBytes(stats.PCIeP2PBytes, n)
+		f.p2pBytes.AddBytes(n)
 	}
-	f.counters.Add(stats.DMATransfers, 1)
+	f.transfers.Add(1)
 }
 
 // WriteTo DMAs n bytes from endpoint dev into the window containing dst:

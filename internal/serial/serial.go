@@ -129,7 +129,16 @@ func ParseTokens(chunk []byte, kind FieldKind) ([]byte, error) {
 // bad token.
 func AppendTokens(dst, chunk []byte, kind FieldKind) ([]byte, error) {
 	base := len(dst)
+	isInt := !kind.IsFloat()
 	for i := 0; i < len(chunk); {
+		if isInt {
+			// The common token and its separator in one step.
+			if v, k, ok := wordToken(chunk, i); ok {
+				dst = appendInt(dst, int64(v), kind)
+				i += k + 1
+				continue
+			}
+		}
 		if sepTable[chunk[i]] {
 			i++
 			continue
@@ -189,6 +198,18 @@ func AppendRecords(dst, chunk []byte, fields []FieldKind) ([]byte, error) {
 	var bad error
 	n, f := 0, 0
 	for i := 0; i < len(chunk); {
+		if bad == nil && !fields[f].IsFloat() {
+			// The common integer token and its separator in one step.
+			if v, k, ok := wordToken(chunk, i); ok {
+				n++
+				dst = appendInt(dst, int64(v), fields[f])
+				i += k + 1
+				if f++; f == len(fields) {
+					f = 0
+				}
+				continue
+			}
+		}
 		if sepTable[chunk[i]] {
 			i++
 			continue
@@ -237,10 +258,31 @@ func appendToken(dst, chunk []byte, i int, kind FieldKind) ([]byte, int, error) 
 			return dst, end, &ParseError{Token: string(chunk[i:end]), Err: err}
 		}
 	}
+	return appendInt(dst, n, kind), end, nil
+}
+
+// appendInt appends n encoded as the integer kind.
+func appendInt(dst []byte, n int64, kind FieldKind) []byte {
 	if kind == FieldInt32 {
-		return binary.LittleEndian.AppendUint32(dst, uint32(int32(n))), end, nil
+		return binary.LittleEndian.AppendUint32(dst, uint32(int32(n)))
 	}
-	return binary.LittleEndian.AppendUint64(dst, uint64(n)), end, nil
+	return binary.LittleEndian.AppendUint64(dst, uint64(n))
+}
+
+// wordToken reads the common token at b[i]: 1-8 unsigned digits in the
+// 8-byte word at i, then a separator. k is the digit count, so the
+// separator is b[i+k]. Anything else, including a token too near the end
+// of b to load a whole word past it, returns ok false.
+func wordToken(b []byte, i int) (v uint64, k int, ok bool) {
+	if i+8 >= len(b) {
+		return 0, 0, false
+	}
+	y := binary.LittleEndian.Uint64(b[i:]) ^ 0x3030303030303030
+	n := digitRun(y)
+	if n == 0 || !sepTable[b[i+int(n)]] {
+		return 0, 0, false
+	}
+	return eightDigits(y << (64 - 8*n)), int(n), true
 }
 
 // maxFastDigits is the longest digit run scanInt accepts: any 18-digit
@@ -261,13 +303,8 @@ const maxFastDigits = 18
 // to the top of the word, where leading zero bytes do not change the
 // value, and combined by eightDigits.
 func scanInt(b []byte, i int) (n int64, end int, ok bool) {
-	if i+8 < len(b) {
-		// The common token: 1-8 unsigned digits in the word at i, then a
-		// separator.
-		y := binary.LittleEndian.Uint64(b[i:]) ^ 0x3030303030303030
-		if k := digitRun(y); k > 0 && sepTable[b[i+int(k)]] {
-			return int64(eightDigits(y << (64 - 8*k))), i + int(k), true
-		}
+	if v, k, ok := wordToken(b, i); ok {
+		return int64(v), i + k, true
 	}
 	neg := false
 	if c := b[i]; c == '-' || c == '+' {

@@ -55,7 +55,7 @@ type CmdContext struct {
 // Controller is the Morpheus-SSD.
 type Controller struct {
 	cfg      Config
-	counters *stats.Set
+	counters ctrlCounters
 	fabric   *pcie.Fabric
 
 	Flash *flash.Array
@@ -86,6 +86,27 @@ type Controller struct {
 	tracer *trace.Tracer
 }
 
+// ctrlCounters are the controller's counter handles, resolved once from
+// the counter set New is given, which stays embedded for readers.
+type ctrlCounters struct {
+	*stats.Set
+	commands, morphCommands, storageAppCycles                  stats.Counter
+	cacheHits, cacheMisses, cacheEvictions, cacheInvalidations stats.Counter
+}
+
+func newCtrlCounters(s *stats.Set) ctrlCounters {
+	return ctrlCounters{
+		Set:                s,
+		commands:           s.Counter(stats.NVMeCommands),
+		morphCommands:      s.Counter(stats.MorphCommands),
+		storageAppCycles:   s.Counter(stats.StorageAppCyc),
+		cacheHits:          s.Counter(stats.SSDCacheHits),
+		cacheMisses:        s.Counter(stats.SSDCacheMisses),
+		cacheEvictions:     s.Counter(stats.SSDCacheEvictions),
+		cacheInvalidations: s.Counter(stats.SSDCacheInvalidations),
+	}
+}
+
 // New builds an SSD and attaches it to the fabric (fabric may be nil for
 // standalone unit tests; DMA then has zero cost and no traffic is
 // counted).
@@ -96,7 +117,7 @@ func New(cfg Config, counters *stats.Set, fabric *pcie.Fabric) (*Controller, err
 	}
 	c := &Controller{
 		cfg:       cfg,
-		counters:  counters,
+		counters:  newCtrlCounters(counters),
 		fabric:    fabric,
 		Flash:     arr,
 		FTL:       ftl.New(arr, cfg.FTL),
@@ -214,7 +235,7 @@ func (c *Controller) invalidateCache(span trace.SpanID, slba uint64, nlb uint32,
 	last := ((int64(slba)+int64(nlb)-1)/lpp + 1) * lpp
 	n := c.cache.invalidate(uint64(first), uint32(last-first))
 	if n > 0 {
-		c.counters.Add(stats.SSDCacheInvalidations, int64(n))
+		c.counters.cacheInvalidations.Add(int64(n))
 		if c.tracer != nil {
 			c.tracer.RecordSpan("ssd.cache", "invalidate",
 				fmt.Sprintf("slba=%d nlb=%d entries=%d", slba, nlb, n),
@@ -255,10 +276,10 @@ func (c *Controller) lbasPerPage() int64 { return int64(c.pageSize) / nvme.LBASi
 // driver model in internal/core) charges doorbell/interrupt costs and
 // host-side completion handling.
 func (c *Controller) Submit(ready units.Time, ctx *CmdContext) (nvme.Completion, units.Time) {
-	c.counters.Add(stats.NVMeCommands, 1)
+	c.counters.commands.Add(1)
 	cmd := &ctx.Cmd
 	if cmd.Opcode.IsMorpheus() {
-		c.counters.Add(stats.MorphCommands, 1)
+		c.counters.morphCommands.Add(1)
 	}
 	if c.tracer != nil {
 		// Command processing is synchronous within this call, so the FTL,
@@ -531,7 +552,7 @@ func (c *Controller) doMInit(ready units.Time, ctx *CmdContext) (nvme.Status, un
 		// objects: shrink the cache before refusing the slot.
 		if c.cache != nil {
 			if n := c.cache.evictFor(need - c.cfg.DRAMSize); n > 0 {
-				c.counters.Add(stats.SSDCacheEvictions, int64(n))
+				c.counters.cacheEvictions.Add(int64(n))
 			}
 		}
 		if c.dramReserved+c.CacheBytes()+c.instanceBufSize() > c.cfg.DRAMSize {
@@ -610,7 +631,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 		if e, hit := c.cache.get(key); hit {
 			return c.serveCached(t, ctx, in, e, key, dst)
 		}
-		c.counters.Add(stats.SSDCacheMisses, 1)
+		c.counters.cacheMisses.Add(1)
 		if c.tracer != nil {
 			c.tracer.RecordSpan("ssd.cache", "miss",
 				fmt.Sprintf("instance=%d slba=%d nlb=%d", in.id, key.slba, key.nlb),
@@ -668,7 +689,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 			fmt.Sprintf("instance=%d chunk=%dB cycles=%.0f", in.id, len(chunk), res.cycles),
 			c.tracer.NextSpan(), ctx.Span, vmStart, end)
 	}
-	c.counters.Add(stats.StorageAppCyc, int64(res.cycles))
+	c.counters.storageAppCycles.Add(int64(res.cycles))
 	// DMA the produced objects to the destination (host DRAM or GPU BAR).
 	if len(res.out) > 0 {
 		_, end = c.dram.Transfer(end, units.Bytes(len(res.out)))
@@ -701,7 +722,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 			extents:  append([]extent(nil), in.extents...),
 		}
 		if n := c.cache.put(e, c.cacheSpareDRAM()); n > 0 {
-			c.counters.Add(stats.SSDCacheEvictions, int64(n))
+			c.counters.cacheEvictions.Add(int64(n))
 		}
 	}
 	return nvme.StatusSuccess, end
@@ -712,7 +733,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 // observable outcome — object bytes, instance accounting, completion
 // status — is identical to the miss path's by construction.
 func (c *Controller) serveCached(t units.Time, ctx *CmdContext, in *instance, e *cacheEntry, key cacheKey, dst pcie.Addr) (nvme.Status, units.Time) {
-	c.counters.Add(stats.SSDCacheHits, 1)
+	c.counters.cacheHits.Add(1)
 	// Chunks of one instance complete in stream order even when served
 	// from cache.
 	if t < in.lastVMEnd {
@@ -807,7 +828,7 @@ func (c *Controller) doMWrite(ready units.Time, ctx *CmdContext) (nvme.Status, u
 	// Commit instance state only once the data is durably on flash.
 	in.cycles += res.cycles
 	in.outBytes += int64(len(res.out))
-	c.counters.Add(stats.StorageAppCyc, int64(res.cycles))
+	c.counters.storageAppCycles.Add(int64(res.cycles))
 	if res.halted {
 		in.finished = true
 		in.retVal = in.vm.ReturnValue()

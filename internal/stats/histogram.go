@@ -16,13 +16,34 @@ const histBuckets = 65
 // since bucket width < bucket lower bound). Values are int64 — by
 // convention picoseconds for latency metrics, but any non-negative
 // quantity works. Safe for concurrent use; the zero value is ready.
+//
+// A registry's histograms share the registry's lock (reg), so a handle
+// observation takes that one lock and writes the data directly.
 type Histogram struct {
-	mu      sync.Mutex
+	mu  sync.Mutex
+	reg *sync.Mutex // the owning registry's lock; nil for a standalone histogram
+	d   histData
+}
+
+// histData is a histogram's state without a lock: the registry's series
+// cells hold it bare, and Histogram wraps it.
+type histData struct {
 	buckets [histBuckets]int64
 	count   int64
 	sum     int64
 	min     int64
 	max     int64
+}
+
+// locked takes the histogram's lock and returns it for the deferred
+// unlock.
+func (h *Histogram) locked() *sync.Mutex {
+	l := &h.mu
+	if h.reg != nil {
+		l = h.reg
+	}
+	l.Lock()
+	return l
 }
 
 // bucketOf maps a value to its bucket index.
@@ -46,55 +67,53 @@ func bucketUpper(i int) int64 {
 
 // Record adds one observation.
 func (h *Histogram) Record(v int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.buckets[bucketOf(v)]++
-	h.count++
-	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
+	defer h.locked().Unlock()
+	h.d.record(v)
+}
+
+func (d *histData) record(v int64) {
+	d.buckets[bucketOf(v)]++
+	d.count++
+	d.sum += v
+	if d.count == 1 || v < d.min {
+		d.min = v
 	}
-	if v > h.max {
-		h.max = v
+	if v > d.max {
+		d.max = v
 	}
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
+	defer h.locked().Unlock()
+	return h.d.count
 }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
+	defer h.locked().Unlock()
+	return h.d.sum
 }
 
 // Min returns the smallest observation (0 when empty).
 func (h *Histogram) Min() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
+	defer h.locked().Unlock()
+	return h.d.min
 }
 
 // Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
+	defer h.locked().Unlock()
+	return h.d.max
 }
 
 // Mean returns the average observation (0 when empty).
 func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	defer h.locked().Unlock()
+	if h.d.count == 0 {
 		return 0
 	}
-	return float64(h.sum) / float64(h.count)
+	return float64(h.d.sum) / float64(h.d.count)
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) as the upper bound of
@@ -103,33 +122,38 @@ func (h *Histogram) Mean() float64 {
 // by more than zero and never overshoots it by more than the bucket
 // width, and is monotone in q. Returns 0 when empty.
 func (h *Histogram) Quantile(q float64) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	defer h.locked().Unlock()
+	return h.d.quantile(q)
+}
+
+func (d *histData) quantile(q float64) int64 {
+	if d.count == 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(q * float64(h.count)))
+	rank := int64(math.Ceil(q * float64(d.count)))
 	if rank < 1 {
 		rank = 1
 	}
-	if rank > h.count {
-		rank = h.count
+	if rank > d.count {
+		rank = d.count
 	}
+	// Every observation lies in [min, max], so no bucket below min's
+	// holds any.
 	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i]
+	for i := bucketOf(d.min); i < histBuckets; i++ {
+		cum += d.buckets[i]
 		if cum >= rank {
 			v := bucketUpper(i)
-			if v < h.min {
-				v = h.min
+			if v < d.min {
+				v = d.min
 			}
-			if v > h.max {
-				v = h.max
+			if v > d.max {
+				v = d.max
 			}
 			return v
 		}
 	}
-	return h.max
+	return d.max
 }
 
 // Merge adds every observation of o into h.
@@ -137,34 +161,41 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o == nil {
 		return
 	}
-	o.mu.Lock()
-	buckets, count, sum, min, max := o.buckets, o.count, o.sum, o.min, o.max
-	o.mu.Unlock()
-	if count == 0 {
+	l := o.locked()
+	src := o.d
+	l.Unlock()
+	defer h.locked().Unlock()
+	h.d.merge(&src)
+}
+
+func (d *histData) merge(o *histData) {
+	if o.count == 0 {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, c := range buckets {
-		h.buckets[i] += c
+	// Only the buckets between o's min and max can be non-zero; a window's
+	// histogram spans a few of the 65.
+	for i := bucketOf(o.min); i <= bucketOf(o.max); i++ {
+		d.buckets[i] += o.buckets[i]
 	}
-	if h.count == 0 || min < h.min {
-		h.min = min
+	if d.count == 0 || o.min < d.min {
+		d.min = o.min
 	}
-	if max > h.max {
-		h.max = max
+	if o.max > d.max {
+		d.max = o.max
 	}
-	h.count += count
-	h.sum += sum
+	d.count += o.count
+	d.sum += o.sum
 }
 
 // Buckets returns the non-empty buckets as (upper bound, count) pairs in
 // ascending order, for rendering.
 func (h *Histogram) Buckets() []BucketCount {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []BucketCount
-	for i, c := range h.buckets {
+	defer h.locked().Unlock()
+	return h.d.appendBuckets(nil)
+}
+
+func (d *histData) appendBuckets(out []BucketCount) []BucketCount {
+	for i, c := range d.buckets {
 		if c > 0 {
 			out = append(out, BucketCount{Upper: bucketUpper(i), Count: c})
 		}
@@ -180,9 +211,16 @@ type BucketCount struct {
 
 // Gauge tracks a sampled quantity over virtual time: the last value, the
 // range, and the time-weighted mean (each sample holds until the next).
-// Safe for concurrent use; the zero value is ready.
+// Safe for concurrent use; the zero value is ready. Like Histogram, a
+// registry's gauges share the registry's lock.
 type Gauge struct {
-	mu       sync.Mutex
+	mu  sync.Mutex
+	reg *sync.Mutex // the owning registry's lock; nil for a standalone gauge
+	d   gaugeData
+}
+
+// gaugeData is a gauge's state without a lock.
+type gaugeData struct {
 	samples  int64
 	last     float64
 	min      float64
@@ -192,12 +230,25 @@ type Gauge struct {
 	lastT    int64
 }
 
+// locked takes the gauge's lock and returns it for the deferred unlock.
+func (g *Gauge) locked() *sync.Mutex {
+	l := &g.mu
+	if g.reg != nil {
+		l = g.reg
+	}
+	l.Lock()
+	return l
+}
+
 // Sample records value v at virtual time t (picoseconds). Out-of-order
 // samples (t before the previous sample) update the value without
 // accumulating negative weight.
 func (g *Gauge) Sample(t int64, v float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	defer g.locked().Unlock()
+	g.d.sample(t, v)
+}
+
+func (g *gaugeData) sample(t int64, v float64) {
 	if g.samples == 0 {
 		g.firstT = t
 		g.min, g.max = v, v
@@ -221,37 +272,36 @@ func (g *Gauge) Sample(t int64, v float64) {
 
 // Samples returns the number of recorded samples.
 func (g *Gauge) Samples() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.samples
+	defer g.locked().Unlock()
+	return g.d.samples
 }
 
 // Last returns the most recent sample value.
 func (g *Gauge) Last() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.last
+	defer g.locked().Unlock()
+	return g.d.last
 }
 
 // Min returns the smallest sample value.
 func (g *Gauge) Min() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.min
+	defer g.locked().Unlock()
+	return g.d.min
 }
 
 // Max returns the largest sample value.
 func (g *Gauge) Max() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.max
+	defer g.locked().Unlock()
+	return g.d.max
 }
 
 // Mean returns the time-weighted mean over the sampled interval, or the
 // plain last value when the interval is empty.
 func (g *Gauge) Mean() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	defer g.locked().Unlock()
+	return g.d.mean()
+}
+
+func (g *gaugeData) mean() float64 {
 	span := g.lastT - g.firstT
 	if g.samples == 0 || span <= 0 {
 		return g.last
@@ -271,33 +321,35 @@ func (g *Gauge) Merge(o *Gauge) {
 	if o == nil {
 		return
 	}
-	o.mu.Lock()
-	samples, last, min, max, weighted := o.samples, o.last, o.min, o.max, o.weighted
-	firstT, lastT := o.firstT, o.lastT
-	o.mu.Unlock()
-	if samples == 0 {
+	l := o.locked()
+	src := o.d
+	l.Unlock()
+	defer g.locked().Unlock()
+	g.d.merge(&src)
+}
+
+func (g *gaugeData) merge(o *gaugeData) {
+	if o.samples == 0 {
 		return
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.samples == 0 {
-		g.min, g.max, g.firstT, g.lastT = min, max, firstT, lastT
-		g.last = last
+		g.min, g.max, g.firstT, g.lastT = o.min, o.max, o.firstT, o.lastT
+		g.last = o.last
 	} else {
-		if min < g.min {
-			g.min = min
+		if o.min < g.min {
+			g.min = o.min
 		}
-		if max > g.max {
-			g.max = max
+		if o.max > g.max {
+			g.max = o.max
 		}
-		if firstT < g.firstT {
-			g.firstT = firstT
+		if o.firstT < g.firstT {
+			g.firstT = o.firstT
 		}
-		if lastT > g.lastT || (lastT == g.lastT && last > g.last) {
-			g.lastT = lastT
-			g.last = last
+		if o.lastT > g.lastT || (o.lastT == g.lastT && o.last > g.last) {
+			g.lastT = o.lastT
+			g.last = o.last
 		}
 	}
-	g.samples += samples
-	g.weighted += weighted
+	g.samples += o.samples
+	g.weighted += o.weighted
 }

@@ -56,6 +56,33 @@ func TestConcurrentMergeIntoOneRegistry(t *testing.T) {
 	}
 }
 
+// TestConcurrentAddAt: AddAt and a timed-counter handle on one registry
+// from two goroutines. Run under -race; the counter-set write used to
+// happen after the registry lock was released.
+func TestConcurrentAddAt(t *testing.T) {
+	r := NewRegistry()
+	r.EnableSeries(64)
+	h := r.TimedCounter("c.at")
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if w == 0 {
+					r.AddAt("c.at", int64(i), 1)
+				} else {
+					h.Add(int64(i), 1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := r.Counters().Get("c.at"); got != 2000 {
+		t.Fatalf("counter = %d after 2,000 increments", got)
+	}
+}
+
 // TestCrossMergeDoesNotDeadlock: a.Merge(b) while b.Merge(a) must finish
 // (Merge takes the two registries' locks in creation order).
 func TestCrossMergeDoesNotDeadlock(t *testing.T) {

@@ -78,28 +78,62 @@ type seriesFileJSON struct {
 	SLOs     map[string]sloJSON `json:"slo_summary,omitempty"`
 }
 
-func gaugeRow(g *Gauge) gaugeJSON {
-	return gaugeJSON{Samples: g.Samples(), Last: g.Last(), Min: g.Min(), Max: g.Max(), Mean: g.Mean()}
+func gaugeRow(g *gaugeData) gaugeJSON {
+	return gaugeJSON{Samples: g.samples, Last: g.last, Min: g.min, Max: g.max, Mean: g.mean()}
+}
+
+// counterMap is the name-keyed view of a dense counter slice: the
+// written counters.
+func counterMap(vals []counterVal) map[string]int64 {
+	out := map[string]int64{}
+	for id, c := range vals {
+		if c.set {
+			out[metricNames()[id]] = c.v
+		}
+	}
+	return out
+}
+
+// listMap is the name-keyed view of one window's entries of a kind.
+func listMap[T any](l cellList[T]) map[string]T {
+	out := map[string]T{}
+	for _, e := range l {
+		out[metricNames()[e.id]] = e.v
+	}
+	return out
+}
+
+// presentMap is the name-keyed view of a dense slice of metrics: the
+// non-nil entries.
+func presentMap[T any](s []*T) map[string]*T {
+	out := map[string]*T{}
+	for id, p := range s {
+		if p != nil {
+			out[metricNames()[id]] = p
+		}
+	}
+	return out
 }
 
 // oracleWriteJSON is the encoding/json rendering of Registry.WriteJSON.
 func oracleWriteJSON(r *Registry, w io.Writer) error {
 	r.mu.Lock()
-	counters := map[string]int64{}
-	for n, v := range r.counters.counters {
-		counters[n] = v
-	}
+	counters := counterMap(r.counters.vals)
 	hists := map[string]histJSON{}
-	for n, h := range r.hists {
-		hists[n] = histJSON{
-			Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max(),
-			P50: h.Quantile(0.5), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
-			Buckets: h.Buckets(),
+	for _, m := range r.lats {
+		if m == nil || m.h == nil {
+			continue
+		}
+		h := &m.h.d
+		hists[metricNames()[m.id]] = histJSON{
+			Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
+			P50: h.quantile(0.5), P95: h.quantile(0.95), P99: h.quantile(0.99),
+			Buckets: h.appendBuckets(nil),
 		}
 	}
 	gauges := map[string]gaugeJSON{}
-	for n, g := range r.gauges {
-		gauges[n] = gaugeRow(g)
+	for n, g := range presentMap(r.gauges) {
+		gauges[n] = gaugeRow(&g.d)
 	}
 	slos := oracleSLOSummaryLocked(r)
 	r.mu.Unlock()
@@ -127,22 +161,22 @@ func oracleWriteSeriesJSON(r *Registry, w io.Writer) error {
 	for _, idx := range r.seriesWindowsLocked() {
 		wj := seriesWindowJSON{StartPS: idx * s.window, EndPS: (idx + 1) * s.window}
 		if cell := s.cells[idx]; cell != nil {
-			if len(cell.counters) > 0 {
-				wj.Counters = cell.counters
+			if counters := listMap(cell.counters); len(counters) > 0 {
+				wj.Counters = counters
 			}
-			if len(cell.hists) > 0 {
+			if hists := listMap(cell.hists); len(hists) > 0 {
 				wj.Histograms = map[string]seriesHistJSON{}
-				for n, h := range cell.hists {
+				for n, h := range hists {
 					wj.Histograms[n] = seriesHistJSON{
-						Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max(),
-						P50: h.Quantile(0.5), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
+						Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
+						P50: h.quantile(0.5), P95: h.quantile(0.95), P99: h.quantile(0.99),
 					}
 				}
 			}
-			if len(cell.gauges) > 0 {
+			if gauges := listMap(cell.gauges); len(gauges) > 0 {
 				wj.Gauges = map[string]gaugeJSON{}
-				for n, g := range cell.gauges {
-					wj.Gauges[n] = gaugeRow(g)
+				for n, g := range gauges {
+					wj.Gauges[n] = gaugeRow(&g)
 				}
 			}
 		}

@@ -14,29 +14,40 @@ import (
 // and the bench binary can emit them together. Names follow the
 // `unit.metric` convention ("nvme.MREAD.latency_ps", "flash.channel_util").
 // Safe for concurrent use.
+//
+// Metrics live in dense slices indexed by interned metric ID. Hot paths
+// resolve a name once to a handle (Latency, Sampler, TimedCounter, or
+// Set.Counter for raw counter writes) and observe through it: one lock,
+// no name hashing. The name-keyed methods are the same operations
+// resolved on every call. Resolving a handle adds nothing to any
+// artifact; only an observation does.
 type Registry struct {
 	mu       sync.Mutex
 	seq      uint64 // creation order, for Merge's lock order
 	counters *Set
-	hists    map[string]*Histogram
-	gauges   map[string]*Gauge
-	// series is the optional windowed time-series collector (EnableSeries);
-	// slos the optional latency objectives (AddSLO), with sloByMetric the
-	// dispatch index ObserveLatency consults. All nil by default so plain
-	// registries keep their PR-2 behavior and artifact schema.
-	series      *seriesData
-	slos        map[string]*sloState
-	sloByMetric map[string][]*sloState
+	lats     []*latMetric // by metricID; nil until resolved
+	gauges   []*Gauge     // by metricID; nil until sampled
+	// series is the optional windowed time-series collector
+	// (EnableSeries); slos the optional latency objectives (AddSLO), each
+	// also listed on the latMetric it watches. Both nil by default so
+	// plain registries keep their PR-2 behavior and artifact schema.
+	series *seriesData
+	slos   map[string]*sloState
+}
+
+// latMetric is one latency metric's registry state: its run-wide
+// histogram (nil until the first observation or Histogram call, so a
+// resolved but unobserved metric stays out of the artifacts) and the
+// objectives watching it.
+type latMetric struct {
+	id   metricID
+	h    *Histogram
+	slos []*sloState // in key order
 }
 
 // NewRegistry returns an empty registry with a fresh counter set.
 func NewRegistry() *Registry {
-	return &Registry{
-		seq:      registrySeq.Add(1),
-		counters: NewSet(),
-		hists:    make(map[string]*Histogram),
-		gauges:   make(map[string]*Gauge),
-	}
+	return &Registry{seq: registrySeq.Add(1), counters: NewSet()}
 }
 
 // Counters returns the registry's counter set. The models write to it
@@ -45,32 +56,47 @@ func (r *Registry) Counters() *Set { return r.counters }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
+	id := intern(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.histLocked(name)
+	return r.histLocked(r.latLocked(id))
 }
 
-func (r *Registry) histLocked(name string) *Histogram {
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
+// latLocked returns id's latency slot, creating it. Caller holds r.mu.
+func (r *Registry) latLocked(id metricID) *latMetric {
+	r.lats = grow(r.lats, id, 0)
+	m := r.lats[id]
+	if m == nil {
+		m = &latMetric{id: id}
+		r.lats[id] = m
 	}
-	return h
+	return m
+}
+
+// histLocked returns m's run-wide histogram, creating it. Caller holds
+// r.mu.
+func (r *Registry) histLocked(m *latMetric) *Histogram {
+	if m.h == nil {
+		m.h = &Histogram{reg: &r.mu}
+	}
+	return m.h
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
+	id := intern(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gaugeLocked(name)
+	return r.gaugeLocked(id)
 }
 
-func (r *Registry) gaugeLocked(name string) *Gauge {
-	g := r.gauges[name]
+// gaugeLocked returns gauge id, creating it. Caller holds r.mu.
+func (r *Registry) gaugeLocked(id metricID) *Gauge {
+	r.gauges = grow(r.gauges, id, 0)
+	g := r.gauges[id]
 	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
+		g = &Gauge{reg: &r.mu}
+		r.gauges[id] = g
 	}
 	return g
 }
@@ -87,9 +113,10 @@ var registrySeq atomic.Uint64
 // (by creation) first, so concurrent merges, even a.Merge(b) alongside
 // b.Merge(a), cannot deadlock.
 //
-// Every metric of r receives at most one add from o, so the order in
-// which o's maps are walked cannot change a float fold; the result
-// depends only on the order callers merge sources in.
+// The fold walks o's dense slices and adds index by index. Every metric
+// of r receives at most one add from o, so the walk order cannot change a
+// float fold; the result depends only on the order callers merge sources
+// in.
 func (r *Registry) Merge(o *Registry) {
 	if o == nil || o == r {
 		return
@@ -109,64 +136,56 @@ func (r *Registry) Merge(o *Registry) {
 			r.series = newSeries(so.window)
 		}
 		for idx, src := range so.cells {
-			dst := r.series.cell(idx)
-			for n, v := range src.counters {
-				dst.counters[n] += v
-			}
-			for n, h := range src.hists {
-				dst.hist(n).Merge(h)
-			}
-			for n, g := range src.gauges {
-				dst.gauge(n).Merge(g)
-			}
+			r.series.mergeCell(idx, src)
 		}
 	}
-	for n, v := range o.counters.counters {
-		r.counters.counters[n] += v
-		if r.series != nil {
+	for id, c := range o.counters.vals {
+		if !c.set {
+			continue
+		}
+		r.counters.slot(metricID(id)).add(c.v)
+		if s := r.series; s != nil {
 			// The source already attributed these totals to windows;
 			// raise the receiver's boundary snapshot past them so its
 			// own next window close doesn't re-attribute them.
-			r.series.lastSnap[n] += v
+			s.lastSnap = grow(s.lastSnap, metricID(id), 0)
+			s.lastSnap[id] += c.v
 		}
 	}
 	for _, src := range o.slos {
-		dst := r.addSLOLocked(src.cfg)
-		dst.total += src.total
-		dst.bad += src.bad
-		for idx, w := range src.windows {
-			dw := dst.windows[idx]
-			if dw == nil {
-				dw = &sloWindow{}
-				dst.windows[idx] = dw
-			}
-			dw.total += w.total
-			dw.bad += w.bad
+		r.addSLOLocked(src.cfg).merge(src)
+	}
+	for _, m := range o.lats {
+		if m != nil && m.h != nil {
+			r.histLocked(r.latLocked(m.id)).d.merge(&m.h.d)
 		}
 	}
-	for n, h := range o.hists {
-		r.histLocked(n).Merge(h)
-	}
-	for n, g := range o.gauges {
-		r.gaugeLocked(n).Merge(g)
+	for id, g := range o.gauges {
+		if g != nil {
+			r.gaugeLocked(metricID(id)).d.merge(&g.d)
+		}
 	}
 }
 
 // Reset clears every metric. Series and SLO configuration survive (a
 // system's registry is reset between staging and the measured run) but
-// their collected windows and counts are cleared.
+// their collected windows and counts are cleared. Resolved handles stay
+// valid.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.counters.Reset()
-	r.hists = make(map[string]*Histogram)
-	r.gauges = make(map[string]*Gauge)
+	for _, m := range r.lats {
+		if m != nil {
+			m.h = nil
+		}
+	}
+	clear(r.gauges)
 	if r.series != nil {
 		r.series = newSeries(r.series.window)
 	}
 	for _, s := range r.slos {
-		s.total, s.bad = 0, 0
-		s.windows = map[int64]*sloWindow{}
+		s.reset()
 	}
 }
 
@@ -187,27 +206,39 @@ func sortedNames[V any](dst []string, m map[string]V) []string {
 func (r *Registry) WriteJSON(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	names := metricNames()
 	jw := jsonw.New(w)
 	jw.BeginObject()
 	jw.Key("counters")
 	jw.BeginObject()
-	for _, n := range sortedNames(nil, r.counters.counters) {
-		jw.Key(n)
-		jw.Int(r.counters.counters[n])
+	ids := setIDs(nil, r.counters.vals)
+	sortByName(ids)
+	for _, id := range ids {
+		jw.Key(names[id])
+		jw.Int(r.counters.vals[id].v)
 	}
 	jw.EndObject()
 	jw.Key("histograms")
 	jw.BeginObject()
-	for _, n := range sortedNames(nil, r.hists) {
-		jw.Key(n)
-		writeHist(jw, r.hists[n], true)
+	ids = ids[:0]
+	for id, m := range r.lats {
+		if m != nil && m.h != nil {
+			ids = append(ids, metricID(id))
+		}
+	}
+	sortByName(ids)
+	for _, id := range ids {
+		jw.Key(names[id])
+		writeHist(jw, &r.lats[id].h.d, true)
 	}
 	jw.EndObject()
 	jw.Key("gauges")
 	jw.BeginObject()
-	for _, n := range sortedNames(nil, r.gauges) {
-		jw.Key(n)
-		writeGauge(jw, r.gauges[n])
+	ids = presentIDs(ids[:0], r.gauges)
+	sortByName(ids)
+	for _, id := range ids {
+		jw.Key(names[id])
+		writeGauge(jw, &r.gauges[id].d)
 	}
 	jw.EndObject()
 	if len(r.slos) > 0 {
@@ -218,27 +249,37 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return jw.Close()
 }
 
+// presentIDs appends the IDs of s's non-nil entries to dst.
+func presentIDs[T any](dst []metricID, s []*T) []metricID {
+	for id, p := range s {
+		if p != nil {
+			dst = append(dst, metricID(id))
+		}
+	}
+	return dst
+}
+
 // writeHist writes a histogram's summary object; the run-wide artifact
 // adds its non-empty buckets, the per-window rows do not.
-func writeHist(jw *jsonw.Writer, h *Histogram, buckets bool) {
+func writeHist(jw *jsonw.Writer, h *histData, buckets bool) {
 	jw.BeginObject()
 	jw.Key("count")
-	jw.Int(h.Count())
+	jw.Int(h.count)
 	jw.Key("sum")
-	jw.Int(h.Sum())
+	jw.Int(h.sum)
 	jw.Key("min")
-	jw.Int(h.Min())
+	jw.Int(h.min)
 	jw.Key("max")
-	jw.Int(h.Max())
+	jw.Int(h.max)
 	jw.Key("p50")
-	jw.Int(h.Quantile(0.5))
+	jw.Int(h.quantile(0.5))
 	jw.Key("p95")
-	jw.Int(h.Quantile(0.95))
+	jw.Int(h.quantile(0.95))
 	jw.Key("p99")
-	jw.Int(h.Quantile(0.99))
+	jw.Int(h.quantile(0.99))
 	var bs []BucketCount
 	if buckets {
-		bs = h.Buckets()
+		bs = h.appendBuckets(nil)
 	}
 	if len(bs) > 0 {
 		jw.Key("buckets")
@@ -257,17 +298,17 @@ func writeHist(jw *jsonw.Writer, h *Histogram, buckets bool) {
 }
 
 // writeGauge writes a gauge's summary object.
-func writeGauge(jw *jsonw.Writer, g *Gauge) {
+func writeGauge(jw *jsonw.Writer, g *gaugeData) {
 	jw.BeginObject()
 	jw.Key("samples")
-	jw.Int(g.Samples())
+	jw.Int(g.samples)
 	jw.Key("last")
-	jw.Float(g.Last())
+	jw.Float(g.last)
 	jw.Key("min")
-	jw.Float(g.Min())
+	jw.Float(g.min)
 	jw.Key("max")
-	jw.Float(g.Max())
+	jw.Float(g.max)
 	jw.Key("mean")
-	jw.Float(g.Mean())
+	jw.Float(g.mean())
 	jw.EndObject()
 }

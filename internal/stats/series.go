@@ -19,11 +19,12 @@ import (
 //
 // Counters have no per-write timestamps (the models write a bare *Set),
 // so windowed counter rows are boundary deltas: whenever a timed record
-// crosses into a later window, the registry snapshots its counter set and
-// charges the delta since the previous boundary to the window being
-// closed. Attribution granularity therefore follows the timed-record rate
-// (for the driver, command completions), and is deterministic because
-// each simulated system is single-threaded on a deterministic clock.
+// crosses into a later window, the registry diffs its counter slice
+// against the snapshot taken at the previous boundary and charges the
+// delta to the window being closed. Attribution granularity therefore
+// follows the timed-record rate (for the driver, command completions),
+// and is deterministic because each simulated system is single-threaded
+// on a deterministic clock.
 //
 // All access is guarded by the owning Registry's mutex; seriesData has no
 // lock of its own.
@@ -32,44 +33,114 @@ type seriesData struct {
 	cells  map[int64]*seriesCell
 	// lastSnap holds the counter values at the last closed boundary (plus
 	// every merged-in source's totals, so a receiver's own deltas never
-	// re-attribute counters a Merge already placed into windows).
-	lastSnap map[string]int64
+	// re-attribute counters a Merge already placed into windows), by
+	// metricID.
+	lastSnap []int64
 	cur      int64 // open window index (monotone)
+	// curCell is cells[cur] once it exists: in-order observations reach
+	// the open window without a map lookup.
+	curCell *seriesCell
+	// refs caches, per metric kind and metricID, where the metric's entry
+	// sits in the last window it touched, so repeat observations in a
+	// window go straight to their entry. hints is each kind's longest
+	// window list so far, the capacity a fresh window's list starts with.
+	refs  [numKinds][]cellRef
+	hints [numKinds]int
 }
 
-// seriesCell is one window's worth of metrics.
+// The metric kinds a window holds.
+const (
+	kindCounter = iota
+	kindHist
+	kindGauge
+	numKinds
+)
+
+// seriesCell is one window's worth of metrics: for each kind, only the
+// metrics the window saw, in first-touch order.
 type seriesCell struct {
-	counters map[string]int64
-	hists    map[string]*Histogram
-	gauges   map[string]*Gauge
+	counters cellList[int64]
+	hists    cellList[*histData]
+	gauges   cellList[gaugeData]
 }
 
-func newSeriesCell() *seriesCell {
-	return &seriesCell{counters: map[string]int64{}}
+// cellList is one metric kind's entries in a window.
+type cellList[T any] []cellEntry[T]
+
+type cellEntry[T any] struct {
+	id metricID
+	v  T
 }
 
-func (c *seriesCell) hist(name string) *Histogram {
-	if c.hists == nil {
-		c.hists = map[string]*Histogram{}
-	}
-	h := c.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		c.hists[name] = h
-	}
-	return h
+// cellRef records that a metric's entry is at index pos-1 of window
+// win's list (pos 0: no entry cached).
+type cellRef struct {
+	win int64
+	pos int32
 }
 
-func (c *seriesCell) gauge(name string) *Gauge {
-	if c.gauges == nil {
-		c.gauges = map[string]*Gauge{}
+// entry returns the index of metric id's entry in l, window win's list
+// of kind k, appending a zero entry when the window has none.
+func entry[T any](s *seriesData, k int, l *cellList[T], win int64, id metricID) int {
+	if refs := s.refs[k]; int(id) < len(refs) {
+		if r := refs[id]; r.pos > 0 && r.win == win {
+			return int(r.pos - 1)
+		}
 	}
-	g := c.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		c.gauges[name] = g
+	i := -1
+	for j, e := range *l {
+		if e.id == id {
+			i = j
+			break
+		}
 	}
-	return g
+	if i < 0 {
+		if *l == nil {
+			*l = make(cellList[T], 0, s.hints[k])
+		}
+		*l = append(*l, cellEntry[T]{id: id})
+		i = len(*l) - 1
+		s.hints[k] = max(s.hints[k], len(*l))
+	}
+	s.refs[k] = grow(s.refs[k], id, 0)
+	s.refs[k][id] = cellRef{win: win, pos: int32(i + 1)}
+	return i
+}
+
+// hist returns the histogram of metric id in c, window win's cell,
+// creating it.
+func (c *seriesCell) hist(s *seriesData, win int64, id metricID) *histData {
+	i := entry(s, kindHist, &c.hists, win, id)
+	if c.hists[i].v == nil {
+		c.hists[i].v = &histData{}
+	}
+	return c.hists[i].v
+}
+
+// gauge returns the gauge of metric id in c, window win's cell, creating
+// it.
+func (c *seriesCell) gauge(s *seriesData, win int64, id metricID) *gaugeData {
+	return &c.gauges[entry(s, kindGauge, &c.gauges, win, id)].v
+}
+
+// addCounter adds v to the counter of metric id in c, window win's cell,
+// creating it.
+func (c *seriesCell) addCounter(s *seriesData, win int64, id metricID, v int64) {
+	c.counters[entry(s, kindCounter, &c.counters, win, id)].v += v
+}
+
+// mergeCell adds every metric of o into window win, one add per metric.
+func (s *seriesData) mergeCell(win int64, o *seriesCell) {
+	c := s.cell(win)
+	for _, e := range o.counters {
+		c.addCounter(s, win, e.id, e.v)
+	}
+	for _, e := range o.hists {
+		c.hist(s, win, e.id).merge(e.v)
+	}
+	for i := range o.gauges {
+		c.gauge(s, win, o.gauges[i].id).merge(&o.gauges[i].v)
+	}
 }
 
 // EnableSeries turns on windowed collection with the given window width
@@ -89,11 +160,7 @@ func (r *Registry) EnableSeries(windowPS int64) {
 }
 
 func newSeries(windowPS int64) *seriesData {
-	return &seriesData{
-		window:   windowPS,
-		cells:    map[int64]*seriesCell{},
-		lastSnap: map[string]int64{},
-	}
+	return &seriesData{window: windowPS, cells: map[int64]*seriesCell{}}
 }
 
 // SeriesWindow reports the configured window width (0 = series off).
@@ -121,95 +188,51 @@ func (s *seriesData) windowIdx(t int64) int64 {
 
 // cell returns window idx's cell, creating it on first use.
 func (s *seriesData) cell(idx int64) *seriesCell {
+	if idx == s.cur && s.curCell != nil {
+		return s.curCell
+	}
 	c := s.cells[idx]
 	if c == nil {
-		c = newSeriesCell()
+		c = &seriesCell{}
 		s.cells[idx] = c
+	}
+	if idx == s.cur {
+		s.curCell = c
 	}
 	return c
 }
 
 // advanceLocked rolls the open counter window forward to the one holding
 // t, charging the counter delta since the last boundary to the window
-// being closed. Caller holds r.mu.
-func (r *Registry) advanceLocked(t int64) {
+// being closed, and returns t's window index. Caller holds r.mu.
+func (r *Registry) advanceLocked(t int64) int64 {
 	s := r.series
 	idx := s.windowIdx(t)
-	if idx <= s.cur {
-		return
+	if idx > s.cur {
+		r.closeCounterWindowLocked()
+		s.cur, s.curCell = idx, nil
 	}
-	r.closeCounterWindowLocked()
-	s.cur = idx
+	return idx
 }
 
 // closeCounterWindowLocked charges counters accumulated since the last
-// boundary to the currently open window. Caller holds r.mu.
+// boundary to the currently open window: a diff of the counter slice
+// against the boundary snapshot. Caller holds r.mu.
 func (r *Registry) closeCounterWindowLocked() {
 	s := r.series
-	var dirty []string
-	for n, v := range r.counters.counters {
-		if v != s.lastSnap[n] {
-			dirty = append(dirty, n)
+	vals := r.counters.vals
+	for id, c := range vals {
+		var last int64
+		if id < len(s.lastSnap) {
+			last = s.lastSnap[id]
 		}
+		if !c.set || c.v == last {
+			continue
+		}
+		s.cell(s.cur).addCounter(s, s.cur, metricID(id), c.v-last)
+		s.lastSnap = grow(s.lastSnap, metricID(id), len(vals))
+		s.lastSnap[id] = c.v
 	}
-	if len(dirty) == 0 {
-		return
-	}
-	cell := s.cell(s.cur)
-	for _, n := range dirty {
-		v := r.counters.counters[n]
-		cell.counters[n] += v - s.lastSnap[n]
-		s.lastSnap[n] = v
-	}
-}
-
-// ObserveLatency records one latency observation v (picoseconds) for
-// metric name at virtual time t into the cumulative histogram, the
-// current window's histogram (when the series is enabled), and every SLO
-// watching the metric. With the series and SLOs off it is exactly
-// Histogram(name).Record(v), so default runs keep their schema.
-func (r *Registry) ObserveLatency(name string, t int64, v int64) {
-	r.Histogram(name).Record(v)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	widx := int64(0)
-	if r.series != nil {
-		r.advanceLocked(t)
-		widx = r.series.windowIdx(t)
-		r.series.cell(widx).hist(name).Record(v)
-	}
-	for _, s := range r.sloByMetric[name] {
-		s.observe(widx, v)
-	}
-}
-
-// SampleAt records one gauge sample into the cumulative gauge and, when
-// the series is enabled, the current window's gauge summary.
-func (r *Registry) SampleAt(name string, t int64, v float64) {
-	r.Gauge(name).Sample(t, v)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.series != nil {
-		r.advanceLocked(t)
-		r.series.cell(r.series.windowIdx(t)).gauge(name).Sample(t, v)
-	}
-}
-
-// AddAt increments counter name by v at virtual time t. Identical to
-// Counters().Add when the series is off; with it on, the increment is
-// attributed exactly to t's window (unlike raw Set writes, which are
-// charged to windows by boundary deltas), and the boundary snapshot is
-// advanced past it so the delta mechanism never double-counts it.
-func (r *Registry) AddAt(name string, t int64, v int64) {
-	r.mu.Lock()
-	if r.series != nil {
-		r.advanceLocked(t)
-		s := r.series
-		s.cell(s.windowIdx(t)).counters[name] += v
-		s.lastSnap[name] += v
-	}
-	r.mu.Unlock()
-	r.counters.Add(name, v)
 }
 
 // ErrNoSeries is returned by WriteSeriesJSON when windowed collection was
@@ -236,6 +259,83 @@ func (r *Registry) seriesWindowsLocked() []int64 {
 	return out
 }
 
+// order returns, per metric kind, the IDs any window holds, sorted by
+// name: a write sorts names once, and each window emits its entries in
+// that order.
+func (s *seriesData) order() (counters, hists, gauges []metricID) {
+	var c, h, g []bool
+	for _, cell := range s.cells {
+		c = markIDs(c, cell.counters)
+		h = markIDs(h, cell.hists)
+		g = markIDs(g, cell.gauges)
+	}
+	return markedIDs(c), markedIDs(h), markedIDs(g)
+}
+
+// markIDs sets marked[id] for every entry of l.
+func markIDs[T any](marked []bool, l cellList[T]) []bool {
+	for _, e := range l {
+		marked = grow(marked, e.id, 0)
+		marked[e.id] = true
+	}
+	return marked
+}
+
+// markedIDs returns the indices of marked, sorted by metric name.
+func markedIDs(marked []bool) []metricID {
+	var ids []metricID
+	for id, ok := range marked {
+		if ok {
+			ids = append(ids, metricID(id))
+		}
+	}
+	sortByName(ids)
+	return ids
+}
+
+// seriesKeys holds one write's window order per metric kind, and each
+// metric's quoted name: names are sorted and escaped once per write, not
+// once per window.
+type seriesKeys struct {
+	counters, hists, gauges []metricID
+	quoted                  []string // by metricID
+	pos                     []int32  // writeCellBlock's scratch, by metricID
+}
+
+func (s *seriesData) keys() *seriesKeys {
+	names := metricNames()
+	k := &seriesKeys{quoted: make([]string, len(names)), pos: make([]int32, len(names))}
+	k.counters, k.hists, k.gauges = s.order()
+	for _, order := range [][]metricID{k.counters, k.hists, k.gauges} {
+		for _, id := range order {
+			k.quoted[id] = jsonw.Quote(names[id])
+		}
+	}
+	return k
+}
+
+// writeCellBlock writes one window's entries of a kind as the object
+// key → {name: value}, in order, and nothing for an empty list.
+func writeCellBlock[T any](jw *jsonw.Writer, key string, l cellList[T], order []metricID, k *seriesKeys, write func(*T)) {
+	if len(l) == 0 {
+		return
+	}
+	pos := k.pos // all zero on entry and on return
+	for i, e := range l {
+		pos[e.id] = int32(i + 1)
+	}
+	jw.Key(key)
+	jw.BeginObject()
+	for _, id := range order {
+		if i := pos[id]; i > 0 {
+			jw.QuotedKey(k.quoted[id])
+			write(&l[i-1].v)
+			pos[id] = 0
+		}
+	}
+	jw.EndObject()
+}
+
 // WriteSeriesJSON emits the windowed artifact as JSON: the window width,
 // every non-empty window in ascending order (per-window counters,
 // histogram quantiles, gauge summaries, SLO burn), and the SLO summary.
@@ -249,7 +349,7 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 	r.closeCounterWindowLocked()
 	s := r.series
 	sloKeys := sortedNames(nil, r.slos)
-	var names []string // reused for every window's sorted names
+	keys := s.keys()
 	jw := jsonw.New(w)
 	jw.BeginObject()
 	jw.Key("window_ps")
@@ -263,36 +363,9 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 		jw.Key("end_ps")
 		jw.Int((idx + 1) * s.window)
 		if cell := s.cells[idx]; cell != nil {
-			if len(cell.counters) > 0 {
-				jw.Key("counters")
-				jw.BeginObject()
-				names = sortedNames(names[:0], cell.counters)
-				for _, n := range names {
-					jw.Key(n)
-					jw.Int(cell.counters[n])
-				}
-				jw.EndObject()
-			}
-			if len(cell.hists) > 0 {
-				jw.Key("histograms")
-				jw.BeginObject()
-				names = sortedNames(names[:0], cell.hists)
-				for _, n := range names {
-					jw.Key(n)
-					writeHist(jw, cell.hists[n], false)
-				}
-				jw.EndObject()
-			}
-			if len(cell.gauges) > 0 {
-				jw.Key("gauges")
-				jw.BeginObject()
-				names = sortedNames(names[:0], cell.gauges)
-				for _, n := range names {
-					jw.Key(n)
-					writeGauge(jw, cell.gauges[n])
-				}
-				jw.EndObject()
-			}
+			writeCellBlock(jw, "counters", cell.counters, keys.counters, keys, func(v *int64) { jw.Int(*v) })
+			writeCellBlock(jw, "histograms", cell.hists, keys.hists, keys, func(h **histData) { writeHist(jw, *h, false) })
+			writeCellBlock(jw, "gauges", cell.gauges, keys.gauges, keys, func(g *gaugeData) { writeGauge(jw, g) })
 		}
 		opened := false
 		for _, key := range sloKeys {

@@ -72,6 +72,10 @@ type sloState struct {
 	total   int64
 	bad     int64
 	windows map[int64]*sloWindow
+	// cur is windows[curIdx], the window the last observation landed in,
+	// so in-order observations skip the map.
+	cur    *sloWindow
+	curIdx int64
 }
 
 type sloWindow struct {
@@ -85,10 +89,10 @@ func newSLOState(cfg SLOConfig) *sloState {
 
 // observe records one latency observation landing in series window widx.
 func (s *sloState) observe(widx int64, v int64) {
-	w := s.windows[widx]
-	if w == nil {
-		w = &sloWindow{}
-		s.windows[widx] = w
+	w := s.cur
+	if w == nil || s.curIdx != widx {
+		w = s.window(widx)
+		s.cur, s.curIdx = w, widx
 	}
 	w.total++
 	s.total++
@@ -96,6 +100,34 @@ func (s *sloState) observe(widx int64, v int64) {
 		w.bad++
 		s.bad++
 	}
+}
+
+// window returns window idx's counts, creating them.
+func (s *sloState) window(idx int64) *sloWindow {
+	w := s.windows[idx]
+	if w == nil {
+		w = &sloWindow{}
+		s.windows[idx] = w
+	}
+	return w
+}
+
+// merge adds o's run-wide and per-window counts into s.
+func (s *sloState) merge(o *sloState) {
+	s.total += o.total
+	s.bad += o.bad
+	for idx, w := range o.windows {
+		dw := s.window(idx)
+		dw.total += w.total
+		dw.bad += w.bad
+	}
+}
+
+// reset clears the counts and keeps the configuration.
+func (s *sloState) reset() {
+	s.total, s.bad = 0, 0
+	s.windows = map[int64]*sloWindow{}
+	s.cur = nil
 }
 
 // burnRate is the window's error-budget burn: (bad/total)/budget. 1.0
@@ -114,7 +146,9 @@ func (s *sloState) violating(w *sloWindow) bool {
 
 // AddSLO registers an objective on the registry. Registering the same
 // (Name, Metric) pair again replaces its configuration and keeps its
-// counts. Observations reach SLOs only through ObserveLatency.
+// counts. Observations reach SLOs only through ObserveLatency and
+// Latency handles, including handles resolved before the objective was
+// added.
 func (r *Registry) AddSLO(cfg SLOConfig) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -124,7 +158,6 @@ func (r *Registry) AddSLO(cfg SLOConfig) {
 func (r *Registry) addSLOLocked(cfg SLOConfig) *sloState {
 	if r.slos == nil {
 		r.slos = map[string]*sloState{}
-		r.sloByMetric = map[string][]*sloState{}
 	}
 	key := cfg.Key()
 	if s := r.slos[key]; s != nil {
@@ -133,12 +166,12 @@ func (r *Registry) addSLOLocked(cfg SLOConfig) *sloState {
 	}
 	s := newSLOState(cfg)
 	r.slos[key] = s
-	r.sloByMetric[cfg.Metric] = append(r.sloByMetric[cfg.Metric], s)
-	// Keep the per-metric dispatch list in key order so any emission or
-	// fold that walks it is deterministic.
-	sort.Slice(r.sloByMetric[cfg.Metric], func(i, j int) bool {
-		return r.sloByMetric[cfg.Metric][i].cfg.Key() < r.sloByMetric[cfg.Metric][j].cfg.Key()
-	})
+	// The watched metric's handles carry its objectives. Keep that list
+	// in key order so any emission or fold that walks it is
+	// deterministic.
+	m := r.latLocked(intern(cfg.Metric))
+	m.slos = append(m.slos, s)
+	sort.Slice(m.slos, func(i, j int) bool { return m.slos[i].cfg.Key() < m.slos[j].cfg.Key() })
 	return s
 }
 

@@ -6,7 +6,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"morpheus/internal/units"
@@ -57,31 +57,80 @@ const (
 // over the commands that shared the doorbell), in picoseconds.
 const HostSubmitOverhead = "host.submit.overhead_ps"
 
-// Set is a bag of named int64 counters. The zero value is not usable; call
-// NewSet. A Set is NOT safe for concurrent use: each simulated system
-// writes its own set single-threaded, and cross-set aggregation goes
-// through Registry.Merge, which synchronizes at the registry level.
+// Set is a bag of named int64 counters, stored densely by interned metric
+// ID. The zero value is not usable; call NewSet. A Set is NOT safe for
+// concurrent use: each simulated system writes its own set
+// single-threaded, and cross-set aggregation goes through Registry.Merge,
+// which synchronizes at the registry level.
 type Set struct {
-	counters map[string]int64
+	vals []counterVal // by metricID
+}
+
+// counterVal is one counter slot. set records that the counter has been
+// written since the last Reset (a write of zero included): only written
+// counters appear in names, snapshots and artifacts.
+type counterVal struct {
+	v   int64
+	set bool
+}
+
+// add increments the slot and marks it written.
+func (c *counterVal) add(v int64) {
+	c.v += v
+	c.set = true
 }
 
 // NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{counters: make(map[string]int64)} }
+func NewSet() *Set { return &Set{} }
+
+// slot returns id's slot, growing the set to hold it.
+func (s *Set) slot(id metricID) *counterVal {
+	s.vals = grow(s.vals, id, 0)
+	return &s.vals[id]
+}
+
+// Counter is a resolved handle on one counter of a Set: Add is a slice
+// index, with no name hashing. Resolving does not write the counter, so
+// it appears in no artifact until the first Add.
+type Counter struct {
+	s  *Set
+	id metricID
+}
+
+// Counter resolves counter name to a handle.
+func (s *Set) Counter(name string) Counter {
+	id := intern(name)
+	s.slot(id)
+	return Counter{s: s, id: id}
+}
+
+// Add increments the counter by v.
+func (c Counter) Add(v int64) { c.s.vals[c.id].add(v) }
+
+// AddBytes increments the counter by a byte count.
+func (c Counter) AddBytes(v units.Bytes) { c.s.vals[c.id].add(int64(v)) }
 
 // Add increments counter name by v.
-func (s *Set) Add(name string, v int64) { s.counters[name] += v }
+func (s *Set) Add(name string, v int64) { s.slot(intern(name)).add(v) }
 
 // AddBytes increments counter name by a byte count.
-func (s *Set) AddBytes(name string, v units.Bytes) { s.counters[name] += int64(v) }
+func (s *Set) AddBytes(name string, v units.Bytes) { s.Add(name, int64(v)) }
 
 // Get returns the value of counter name (zero if never written).
-func (s *Set) Get(name string) int64 { return s.counters[name] }
+func (s *Set) Get(name string) int64 { return getCounter(s.vals, name) }
 
 // Bytes returns the value of counter name as a byte count.
-func (s *Set) Bytes(name string) units.Bytes { return units.Bytes(s.counters[name]) }
+func (s *Set) Bytes(name string) units.Bytes { return units.Bytes(s.Get(name)) }
 
-// Reset clears all counters.
-func (s *Set) Reset() { s.counters = make(map[string]int64) }
+func getCounter(vals []counterVal, name string) int64 {
+	if id, ok := lookupID(name); ok && int(id) < len(vals) {
+		return vals[id].v
+	}
+	return 0
+}
+
+// Reset clears all counters. Resolved handles stay valid.
+func (s *Set) Reset() { clear(s.vals) }
 
 // Merge adds every counter from o into s. Aggregating per-tenant sets
 // (multiprog, traffic) goes through this rather than sharing one Set.
@@ -89,57 +138,59 @@ func (s *Set) Merge(o *Set) {
 	if o == nil {
 		return
 	}
-	for n, v := range o.counters {
-		s.counters[n] += v
+	for id, c := range o.vals {
+		if c.set {
+			s.slot(metricID(id)).add(c.v)
+		}
 	}
 }
 
 // Snapshot returns a read-only copy of the current counter values,
 // decoupled from further writes.
-func (s *Set) Snapshot() Snapshot {
-	c := make(map[string]int64, len(s.counters))
-	for n, v := range s.counters {
-		c[n] = v
-	}
-	return Snapshot{counters: c}
-}
+func (s *Set) Snapshot() Snapshot { return Snapshot{vals: slices.Clone(s.vals)} }
 
 // Snapshot is an immutable view of a Set at one instant.
 type Snapshot struct {
-	counters map[string]int64
+	vals []counterVal
 }
 
 // Get returns the snapshotted value of counter name.
-func (s Snapshot) Get(name string) int64 { return s.counters[name] }
+func (s Snapshot) Get(name string) int64 { return getCounter(s.vals, name) }
 
 // Bytes returns the snapshotted value of counter name as a byte count.
-func (s Snapshot) Bytes(name string) units.Bytes { return units.Bytes(s.counters[name]) }
+func (s Snapshot) Bytes(name string) units.Bytes { return units.Bytes(s.Get(name)) }
 
 // Names returns the snapshotted counter names in sorted order.
-func (s Snapshot) Names() []string {
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func (s Snapshot) Names() []string { return counterNames(s.vals) }
 
 // Names returns all counter names in sorted order.
-func (s *Set) Names() []string {
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
+func (s *Set) Names() []string { return counterNames(s.vals) }
+
+// setIDs appends the IDs of vals' written counters to dst.
+func setIDs(dst []metricID, vals []counterVal) []metricID {
+	for id, c := range vals {
+		if c.set {
+			dst = append(dst, metricID(id))
+		}
 	}
-	sort.Strings(names)
-	return names
+	return dst
+}
+
+func counterNames(vals []counterVal) []string {
+	ids := setIDs(nil, vals)
+	sortByName(ids)
+	names, out := metricNames(), make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = names[id]
+	}
+	return out
 }
 
 // String renders all counters, one per line, sorted by name.
 func (s *Set) String() string {
 	var b strings.Builder
 	for _, n := range s.Names() {
-		fmt.Fprintf(&b, "%s=%d\n", n, s.counters[n])
+		fmt.Fprintf(&b, "%s=%d\n", n, s.Get(n))
 	}
 	return b.String()
 }
