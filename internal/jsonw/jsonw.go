@@ -69,9 +69,15 @@ func (w *Writer) Key(k string) {
 	if w.err != nil {
 		return
 	}
-	w.element()
-	w.quote(k)
-	w.bw.WriteString(": ")
+	if needsEscape(k) {
+		w.QuotedKey(Quote(k))
+		return
+	}
+	// Separator, indentation and key in one buffered write.
+	b := w.appendElement(w.bw.AvailableBuffer())
+	b = append(b, '"')
+	b = append(b, k...)
+	w.bw.Write(append(b, '"', ':', ' '))
 	w.afterKey = true
 }
 
@@ -81,9 +87,9 @@ func (w *Writer) QuotedKey(q string) {
 	if w.err != nil {
 		return
 	}
-	w.element()
-	w.bw.WriteString(q)
-	w.bw.WriteString(": ")
+	b := w.appendElement(w.bw.AvailableBuffer())
+	b = append(b, q...)
+	w.bw.Write(append(b, ':', ' '))
 	w.afterKey = true
 }
 
@@ -157,13 +163,16 @@ func (w *Writer) value() bool {
 
 // element writes the separator and indentation before a container's next
 // element: an array value or an object key.
-func (w *Writer) element() {
+func (w *Writer) element() { w.bw.Write(w.appendElement(w.bw.AvailableBuffer())) }
+
+// appendElement is element appending to b.
+func (w *Writer) appendElement(b []byte) []byte {
 	top := len(w.open) - 1
 	if w.open[top] {
-		w.bw.WriteByte(',')
+		b = append(b, ',')
 	}
 	w.open[top] = true
-	w.newline(len(w.open))
+	return appendNewline(b, len(w.open))
 }
 
 func (w *Writer) begin(c byte) {
@@ -187,12 +196,15 @@ func (w *Writer) end(c byte) {
 
 const spaces = "                                "
 
-func (w *Writer) newline(depth int) {
-	w.bw.WriteByte('\n')
+func (w *Writer) newline(depth int) { w.bw.Write(appendNewline(w.bw.AvailableBuffer(), depth)) }
+
+// appendNewline appends a newline and depth spaces of indentation to b.
+func appendNewline(b []byte, depth int) []byte {
+	b = append(b, '\n')
 	for ; depth > len(spaces); depth -= len(spaces) {
-		w.bw.WriteString(spaces)
+		b = append(b, spaces...)
 	}
-	w.bw.WriteString(spaces[:depth])
+	return append(b, spaces[:depth]...)
 }
 
 // quote writes s as a JSON string.

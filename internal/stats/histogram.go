@@ -25,14 +25,44 @@ type Histogram struct {
 	d   histData
 }
 
-// histData is a histogram's state without a lock: the registry's series
-// cells hold it bare, and Histogram wraps it.
+// histData is a histogram's state without a lock; Histogram wraps it.
 type histData struct {
 	buckets [histBuckets]int64
-	count   int64
-	sum     int64
-	min     int64
-	max     int64
+	histSummary
+}
+
+// histSummary is a histogram's count, sum and range. Every observation
+// lies in [min, max], so no bucket outside bucketOf(min)..bucketOf(max)
+// holds any.
+type histSummary struct {
+	count int64
+	sum   int64
+	min   int64
+	max   int64
+}
+
+// note adds observation v to the summary.
+func (s *histSummary) note(v int64) {
+	s.count++
+	s.sum += v
+	if s.count == 1 || v < s.min {
+		s.min = v
+	}
+	if v > s.max {
+		s.max = v
+	}
+}
+
+// fold adds o's observations to the summary.
+func (s *histSummary) fold(o *histSummary) {
+	if s.count == 0 || o.min < s.min {
+		s.min = o.min
+	}
+	if o.max > s.max {
+		s.max = o.max
+	}
+	s.count += o.count
+	s.sum += o.sum
 }
 
 // locked takes the histogram's lock and returns it for the deferred
@@ -73,14 +103,7 @@ func (h *Histogram) Record(v int64) {
 
 func (d *histData) record(v int64) {
 	d.buckets[bucketOf(v)]++
-	d.count++
-	d.sum += v
-	if d.count == 1 || v < d.min {
-		d.min = v
-	}
-	if v > d.max {
-		d.max = v
-	}
+	d.note(v)
 }
 
 // Count returns the number of observations.
@@ -127,33 +150,37 @@ func (h *Histogram) Quantile(q float64) int64 {
 }
 
 func (d *histData) quantile(q float64) int64 {
-	if d.count == 0 {
+	return d.histSummary.quantile(q, func(i int) int64 { return d.buckets[i] })
+}
+
+// quantile is Quantile for a histogram with summary s whose bucket i
+// holds bucket(i) observations.
+func (s *histSummary) quantile(q float64, bucket func(i int) int64) int64 {
+	if s.count == 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(q * float64(d.count)))
+	rank := int64(math.Ceil(q * float64(s.count)))
 	if rank < 1 {
 		rank = 1
 	}
-	if rank > d.count {
-		rank = d.count
+	if rank > s.count {
+		rank = s.count
 	}
-	// Every observation lies in [min, max], so no bucket below min's
-	// holds any.
 	var cum int64
-	for i := bucketOf(d.min); i < histBuckets; i++ {
-		cum += d.buckets[i]
+	for i := bucketOf(s.min); i < histBuckets; i++ {
+		cum += bucket(i)
 		if cum >= rank {
 			v := bucketUpper(i)
-			if v < d.min {
-				v = d.min
+			if v < s.min {
+				v = s.min
 			}
-			if v > d.max {
-				v = d.max
+			if v > s.max {
+				v = s.max
 			}
 			return v
 		}
 	}
-	return d.max
+	return s.max
 }
 
 // Merge adds every observation of o into h.
@@ -172,20 +199,79 @@ func (d *histData) merge(o *histData) {
 	if o.count == 0 {
 		return
 	}
-	// Only the buckets between o's min and max can be non-zero; a window's
-	// histogram spans a few of the 65.
 	for i := bucketOf(o.min); i <= bucketOf(o.max); i++ {
 		d.buckets[i] += o.buckets[i]
 	}
-	if d.count == 0 || o.min < d.min {
-		d.min = o.min
-	}
-	if o.max > d.max {
-		d.max = o.max
-	}
-	d.count += o.count
-	d.sum += o.sum
+	d.fold(&o.histSummary)
 }
+
+// spanBuckets is how many consecutive buckets a window histogram keeps
+// inline, a factor of 2^16 between its smallest and largest: the
+// latencies one series window sees rarely spread wider.
+const spanBuckets = 16
+
+// winHist is one series window's histogram. The series holds one per
+// metric per window, thousands in a run, so it stores only the buckets
+// lo..lo+spanBuckets-1 inline, centred on its first observation. The
+// first count outside that span moves every count into a full bucket
+// array. The summary and every bucket count, and so every quantile,
+// are those of a histData fed the same observations.
+type winHist struct {
+	histSummary
+	lo   int
+	span [spanBuckets]int64
+	all  *[histBuckets]int64 // every bucket, once a count fell outside span
+}
+
+func (w *winHist) record(v int64) {
+	i := bucketOf(v)
+	if w.count == 0 {
+		w.lo = min(max(i-spanBuckets/2, 0), histBuckets-spanBuckets)
+	}
+	w.add(i, 1)
+	w.note(v)
+}
+
+// add adds c observations to bucket i.
+func (w *winHist) add(i int, c int64) {
+	if w.all == nil {
+		if j := i - w.lo; j >= 0 && j < spanBuckets {
+			w.span[j] += c
+			return
+		}
+		w.all = new([histBuckets]int64)
+		copy(w.all[w.lo:], w.span[:])
+	}
+	w.all[i] += c
+}
+
+// bucket returns bucket i's count.
+func (w *winHist) bucket(i int) int64 {
+	if w.all != nil {
+		return w.all[i]
+	}
+	if j := i - w.lo; j >= 0 && j < spanBuckets {
+		return w.span[j]
+	}
+	return 0
+}
+
+func (w *winHist) merge(o *winHist) {
+	if o.count == 0 {
+		return
+	}
+	if w.count == 0 {
+		w.lo = o.lo
+	}
+	for i := bucketOf(o.min); i <= bucketOf(o.max); i++ {
+		if c := o.bucket(i); c != 0 {
+			w.add(i, c)
+		}
+	}
+	w.fold(&o.histSummary)
+}
+
+func (w *winHist) quantile(q float64) int64 { return w.histSummary.quantile(q, w.bucket) }
 
 // Buckets returns the non-empty buckets as (upper bound, count) pairs in
 // ascending order, for rendering.

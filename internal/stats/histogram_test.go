@@ -305,3 +305,53 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 		t.Fatal("WriteJSON is not deterministic")
 	}
 }
+
+// TestWinHistMatchesHistData: a window histogram fed any sequence of
+// observations and merges holds the summary, bucket counts and quantiles
+// of a full histogram fed the same, whether its counts stay inside its
+// inline span or spill into the full array.
+func TestWinHistMatchesHistData(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	values := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return rng.Int63n(1 << 20) // a narrow band: stays inline
+		case 1:
+			return rng.Int63() >> uint(rng.Intn(63)) // any magnitude
+		case 2:
+			return -rng.Int63n(1000)
+		default:
+			return 1 << 30
+		}
+	}
+	for round := 0; round < 500; round++ {
+		var w [3]winHist
+		var d [3]histData
+		for k := range w {
+			for n := rng.Intn(20); n > 0; n-- {
+				v := values()
+				w[k].record(v)
+				d[k].record(v)
+			}
+		}
+		w[0].merge(&w[1])
+		d[0].merge(&d[1])
+		w[2].merge(&w[0])
+		d[2].merge(&d[0])
+		for k := range w {
+			if w[k].histSummary != d[k].histSummary {
+				t.Fatalf("round %d: summary %+v, want %+v", round, w[k].histSummary, d[k].histSummary)
+			}
+			for i := 0; i < histBuckets; i++ {
+				if w[k].bucket(i) != d[k].buckets[i] {
+					t.Fatalf("round %d: bucket %d = %d, want %d", round, i, w[k].bucket(i), d[k].buckets[i])
+				}
+			}
+			for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+				if w[k].quantile(q) != d[k].quantile(q) {
+					t.Fatalf("round %d: q%v = %d, want %d", round, q, w[k].quantile(q), d[k].quantile(q))
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -80,6 +81,40 @@ func TestConcurrentAddAt(t *testing.T) {
 	wg.Wait()
 	if got := r.Counters().Get("c.at"); got != 2000 {
 		t.Fatalf("counter = %d after 2,000 increments", got)
+	}
+}
+
+// TestConcurrentIntern: systems built on several goroutines resolve
+// handles at once, so the process-wide name table is interned into
+// concurrently. Every goroutine must get the same ID for a name, and the
+// ID must name it back.
+func TestConcurrentIntern(t *testing.T) {
+	const workers, names = 4, 200
+	ids := make([][]metricID, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < names; i++ {
+				// Each worker walks the names in its own order.
+				n := fmt.Sprintf("intern.race.%d", (i*(w+1))%names)
+				ids[w] = append(ids[w], intern(n))
+				NewRegistry().Latency(n).Observe(int64(i), 1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range ids {
+		for i, id := range ids[w] {
+			want := fmt.Sprintf("intern.race.%d", (i*(w+1))%names)
+			if got := metricNames()[id]; got != want {
+				t.Fatalf("worker %d: ID %d names %q, want %q", w, id, got, want)
+			}
+			if id2, ok := lookupID(want); !ok || id2 != id {
+				t.Fatalf("lookup(%q) = %d, %v; interned as %d", want, id2, ok, id)
+			}
+		}
 	}
 }
 

@@ -229,7 +229,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	sortByName(ids)
 	for _, id := range ids {
 		jw.Key(names[id])
-		writeHist(jw, &r.lats[id].h.d, true)
+		d := &r.lats[id].h.d
+		writeHist(jw, &d.histSummary, d.quantile, d.appendBuckets(nil))
 	}
 	jw.EndObject()
 	jw.Key("gauges")
@@ -259,9 +260,10 @@ func presentIDs[T any](dst []metricID, s []*T) []metricID {
 	return dst
 }
 
-// writeHist writes a histogram's summary object; the run-wide artifact
-// adds its non-empty buckets, the per-window rows do not.
-func writeHist(jw *jsonw.Writer, h *histData, buckets bool) {
+// writeHist writes a histogram's summary object and, when bs holds any,
+// its non-empty buckets: the run-wide artifact lists them, the
+// per-window rows do not.
+func writeHist(jw *jsonw.Writer, h *histSummary, quantile func(float64) int64, bs []BucketCount) {
 	jw.BeginObject()
 	jw.Key("count")
 	jw.Int(h.count)
@@ -272,15 +274,11 @@ func writeHist(jw *jsonw.Writer, h *histData, buckets bool) {
 	jw.Key("max")
 	jw.Int(h.max)
 	jw.Key("p50")
-	jw.Int(h.quantile(0.5))
+	jw.Int(quantile(0.5))
 	jw.Key("p95")
-	jw.Int(h.quantile(0.95))
+	jw.Int(quantile(0.95))
 	jw.Key("p99")
-	jw.Int(h.quantile(0.99))
-	var bs []BucketCount
-	if buckets {
-		bs = h.appendBuckets(nil)
-	}
+	jw.Int(quantile(0.99))
 	if len(bs) > 0 {
 		jw.Key("buckets")
 		jw.BeginArray()

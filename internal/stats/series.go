@@ -60,7 +60,7 @@ const (
 // metrics the window saw, in first-touch order.
 type seriesCell struct {
 	counters cellList[int64]
-	hists    cellList[*histData]
+	hists    cellList[*winHist]
 	gauges   cellList[gaugeData]
 }
 
@@ -109,10 +109,10 @@ func entry[T any](s *seriesData, k int, l *cellList[T], win int64, id metricID) 
 
 // hist returns the histogram of metric id in c, window win's cell,
 // creating it.
-func (c *seriesCell) hist(s *seriesData, win int64, id metricID) *histData {
+func (c *seriesCell) hist(s *seriesData, win int64, id metricID) *winHist {
 	i := entry(s, kindHist, &c.hists, win, id)
 	if c.hists[i].v == nil {
-		c.hists[i].v = &histData{}
+		c.hists[i].v = &winHist{}
 	}
 	return c.hists[i].v
 }
@@ -259,19 +259,6 @@ func (r *Registry) seriesWindowsLocked() []int64 {
 	return out
 }
 
-// order returns, per metric kind, the IDs any window holds, sorted by
-// name: a write sorts names once, and each window emits its entries in
-// that order.
-func (s *seriesData) order() (counters, hists, gauges []metricID) {
-	var c, h, g []bool
-	for _, cell := range s.cells {
-		c = markIDs(c, cell.counters)
-		h = markIDs(h, cell.hists)
-		g = markIDs(g, cell.gauges)
-	}
-	return markedIDs(c), markedIDs(h), markedIDs(g)
-}
-
 // markIDs sets marked[id] for every entry of l.
 func markIDs[T any](marked []bool, l cellList[T]) []bool {
 	for _, e := range l {
@@ -293,9 +280,9 @@ func markedIDs(marked []bool) []metricID {
 	return ids
 }
 
-// seriesKeys holds one write's window order per metric kind, and each
-// metric's quoted name: names are sorted and escaped once per write, not
-// once per window.
+// seriesKeys holds one write's order per metric kind, the IDs any window
+// holds sorted by name, and each metric's quoted name: names are sorted
+// and escaped once per write, not once per window.
 type seriesKeys struct {
 	counters, hists, gauges []metricID
 	quoted                  []string // by metricID
@@ -303,9 +290,17 @@ type seriesKeys struct {
 }
 
 func (s *seriesData) keys() *seriesKeys {
+	var c, h, g []bool
+	for _, cell := range s.cells {
+		c = markIDs(c, cell.counters)
+		h = markIDs(h, cell.hists)
+		g = markIDs(g, cell.gauges)
+	}
 	names := metricNames()
-	k := &seriesKeys{quoted: make([]string, len(names)), pos: make([]int32, len(names))}
-	k.counters, k.hists, k.gauges = s.order()
+	k := &seriesKeys{
+		counters: markedIDs(c), hists: markedIDs(h), gauges: markedIDs(g),
+		quoted: make([]string, len(names)), pos: make([]int32, len(names)),
+	}
 	for _, order := range [][]metricID{k.counters, k.hists, k.gauges} {
 		for _, id := range order {
 			k.quoted[id] = jsonw.Quote(names[id])
@@ -364,7 +359,7 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 		jw.Int((idx + 1) * s.window)
 		if cell := s.cells[idx]; cell != nil {
 			writeCellBlock(jw, "counters", cell.counters, keys.counters, keys, func(v *int64) { jw.Int(*v) })
-			writeCellBlock(jw, "histograms", cell.hists, keys.hists, keys, func(h **histData) { writeHist(jw, *h, false) })
+			writeCellBlock(jw, "histograms", cell.hists, keys.hists, keys, func(h **winHist) { writeHist(jw, &(*h).histSummary, (*h).quantile, nil) })
 			writeCellBlock(jw, "gauges", cell.gauges, keys.gauges, keys, func(g *gaugeData) { writeGauge(jw, g) })
 		}
 		opened := false
