@@ -131,17 +131,17 @@ func AppendTokens(dst, chunk []byte, kind FieldKind) ([]byte, error) {
 	base := len(dst)
 	isInt := !kind.IsFloat()
 	for i := 0; i < len(chunk); {
-		if isInt {
-			// The common token and its separator in one step.
-			if v, k, ok := wordToken(chunk, i); ok {
-				dst = appendInt(dst, int64(v), kind)
-				i += k + 1
-				continue
-			}
-		}
 		if sepTable[chunk[i]] {
 			i++
 			continue
+		}
+		if isInt {
+			// The common token and its separator in one step.
+			if v, end, ok := wordToken(chunk, i); ok {
+				dst = appendInt(dst, v, kind)
+				i = end + 1
+				continue
+			}
 		}
 		var err error
 		if dst, i, err = appendToken(dst, chunk, i, kind); err != nil {
@@ -198,21 +198,21 @@ func AppendRecords(dst, chunk []byte, fields []FieldKind) ([]byte, error) {
 	var bad error
 	n, f := 0, 0
 	for i := 0; i < len(chunk); {
+		if sepTable[chunk[i]] {
+			i++
+			continue
+		}
 		if bad == nil && !fields[f].IsFloat() {
 			// The common integer token and its separator in one step.
-			if v, k, ok := wordToken(chunk, i); ok {
+			if v, end, ok := wordToken(chunk, i); ok {
 				n++
-				dst = appendInt(dst, int64(v), fields[f])
-				i += k + 1
+				dst = appendInt(dst, v, fields[f])
+				i = end + 1
 				if f++; f == len(fields) {
 					f = 0
 				}
 				continue
 			}
-		}
-		if sepTable[chunk[i]] {
-			i++
-			continue
 		}
 		n++
 		if bad != nil {
@@ -237,7 +237,8 @@ var errNoFields = errors.New("serial: RecordParser needs at least one field")
 
 // appendToken converts the token that starts at chunk[i], which is not a
 // separator, appends its encoding to dst and returns the index just past
-// it. On error dst comes back unchanged.
+// it. On error dst comes back unchanged. Callers have already tried an
+// integer token with wordToken.
 func appendToken(dst, chunk []byte, i int, kind FieldKind) ([]byte, int, error) {
 	if kind.IsFloat() {
 		end := tokenEnd(chunk, i)
@@ -269,20 +270,42 @@ func appendInt(dst []byte, n int64, kind FieldKind) []byte {
 	return binary.LittleEndian.AppendUint64(dst, uint64(n))
 }
 
-// wordToken reads the common token at b[i]: 1-8 unsigned digits in the
-// 8-byte word at i, then a separator. k is the digit count, so the
-// separator is b[i+k]. Anything else, including a token too near the end
-// of b to load a whole word past it, returns ok false.
-func wordToken(b []byte, i int) (v uint64, k int, ok bool) {
+// wordToken reads the common token at b[i]: an optional '-', then 1-16
+// digits in at most two 8-byte words, then a separator, which is b[end].
+// Sixteen digits cannot overflow an int64. Anything else, including a
+// token too near the end of b to load its words and the byte past them,
+// returns ok false, and scanInt takes it.
+func wordToken(b []byte, i int) (v int64, end int, ok bool) {
+	neg := b[i] == '-'
+	if neg {
+		i++
+	}
 	if i+8 >= len(b) {
 		return 0, 0, false
 	}
 	y := binary.LittleEndian.Uint64(b[i:]) ^ 0x3030303030303030
-	n := digitRun(y)
-	if n == 0 || !sepTable[b[i+int(n)]] {
+	n := int(digitRun(y))
+	if n == 0 {
 		return 0, 0, false
 	}
-	return eightDigits(y << (64 - 8*n)), int(n), true
+	u := eightDigits(y << (64 - 8*uint(n)))
+	if n == 8 && !sepTable[b[i+8]] {
+		// The run goes on into the next word.
+		if i+16 >= len(b) {
+			return 0, 0, false
+		}
+		z := binary.LittleEndian.Uint64(b[i+8:]) ^ 0x3030303030303030
+		m := digitRun(z)
+		u = u*pow10[m] + eightDigits(z<<(64-8*m))
+		n += int(m)
+	}
+	if !sepTable[b[i+n]] {
+		return 0, 0, false
+	}
+	if v = int64(u); neg {
+		v = -v
+	}
+	return v, i + n, true
 }
 
 // maxFastDigits is the longest digit run scanInt accepts: any 18-digit
@@ -303,9 +326,6 @@ const maxFastDigits = 18
 // to the top of the word, where leading zero bytes do not change the
 // value, and combined by eightDigits.
 func scanInt(b []byte, i int) (n int64, end int, ok bool) {
-	if v, k, ok := wordToken(b, i); ok {
-		return int64(v), i + k, true
-	}
 	neg := false
 	if c := b[i]; c == '-' || c == '+' {
 		neg = c == '-'
