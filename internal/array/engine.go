@@ -265,11 +265,10 @@ func newShardMetrics(r *stats.Registry, classes []Class) *shardMetrics {
 // core.InvokeStorageApp at the arrival time (the shard's resource
 // ledgers arbitrate overlap, exactly as the multi-file app runner does),
 // the differential byte check, and every per-request metric, through the
-// shard's handles m. Every
-// served output is checked against the first response for the same
-// object, so a degraded path silently corrupting bytes fails the run
-// rather than skewing a row. Counts land in the shard's partial res and
-// serving state in its inflight/refs.
+// shard's handles m. Every served output is checked against the first
+// response for the same object, so a degraded path silently corrupting
+// bytes fails the run rather than skewing a row. Counts land in the
+// shard's partial res and serving state in its inflight/refs.
 //
 // The objects land in *scratch (core.InvokeOptions.Into). A first
 // response moves into refs, which owns it from then on, and *scratch is
