@@ -2,22 +2,36 @@ package stats
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
 	"morpheus/internal/units"
 )
 
-// scriptRegistry runs a registry script from data. With handles set, every
-// metric is written through a handle resolved before the first write, for
-// every name and kind, so the run also checks that resolving adds nothing
-// to an artifact; without it, through the name-keyed API. The first bytes
-// choose whether the series is on and its width, then each group of bytes
-// is one operation: raw Set writes, timed counter writes, latency
-// observations and gauge samples at out-of-order times, SLO registrations,
-// an occasional Reset, and a Merge of 1–4 sources built from the bytes
-// that follow, folded in order.
-func scriptRegistry(data []byte, handles bool) *Registry {
+// scriptTarget is what a registry script drives: a Registry through
+// resolved handles, a Registry through its name-keyed API, or the
+// refRegistry model.
+type scriptTarget interface {
+	enableSeries(windowPS int64)
+	add(name string, v int64) // a raw Set write
+	addBytes(name string, v units.Bytes)
+	addAt(name string, t, v int64)
+	observe(name string, t, v int64)
+	sample(name string, t int64, v float64)
+	addSLO(cfg SLOConfig)
+	reset()
+	merge(o scriptTarget) // o is of the receiver's type
+	write(series bool, w io.Writer) error
+}
+
+// runScript runs a registry script from data on a fresh target. The first
+// bytes choose whether the series is on and its width, then each group of
+// bytes is one operation: raw Set writes, timed counter writes, latency
+// observations and gauge samples at out-of-order times, SLO
+// registrations, an occasional Reset, and a Merge of 1–4 sources built
+// from the bytes that follow, folded in order.
+func runScript(data []byte, fresh func() scriptTarget) scriptTarget {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -26,62 +40,39 @@ func scriptRegistry(data []byte, handles bool) *Registry {
 		data = data[1:]
 		return int(b)
 	}
-	r := NewRegistry()
+	r := fresh()
 	if next()%2 == 1 {
-		r.EnableSeries(int64(1 + next()*50))
-	}
-	type handleSet struct {
-		raw   Counter
-		timed TimedCounter
-		lat   Latency
-		gauge Sampler
-	}
-	var hs []handleSet
-	if handles {
-		for _, n := range exportNames {
-			hs = append(hs, handleSet{r.Counters().Counter(n), r.TimedCounter(n), r.Latency(n), r.Sampler(n)})
-		}
+		r.enableSeries(int64(1 + next()*50))
 	}
 	for len(data) > 0 {
 		op := next() % 9
-		k := next() % len(exportNames)
-		name := exportNames[k]
+		name := exportNames[next()%len(exportNames)]
 		t := int64(next() * 37)
 		i := exportInts[next()%len(exportInts)]
 		f := exportFloats[next()%len(exportFloats)]
-		switch {
-		case op == 0 && handles:
-			hs[k].raw.Add(i)
-		case op == 0:
-			r.Counters().Add(name, i)
-		case op == 1 && handles:
-			hs[k].raw.AddBytes(units.Bytes(i))
-		case op == 1:
-			r.Counters().AddBytes(name, units.Bytes(i))
-		case op == 2 && handles:
-			hs[k].timed.Add(t, i)
-		case op == 2:
-			r.AddAt(name, t, i)
-		case op == 3 && handles:
-			hs[k].lat.Observe(t, i)
-		case op == 3:
-			r.ObserveLatency(name, t, i)
-		case op == 4 && handles:
-			hs[k].gauge.Sample(t, f)
-		case op == 4:
-			r.SampleAt(name, t, f)
-		case op == 5:
+		switch op {
+		case 0:
+			r.add(name, i)
+		case 1:
+			r.addBytes(name, units.Bytes(i))
+		case 2:
+			r.addAt(name, t, i)
+		case 3:
+			r.observe(name, t, i)
+		case 4:
+			r.sample(name, t, f)
+		case 5:
 			if i%3 == 0 {
-				r.Reset()
+				r.reset()
 			}
-		case op == 6:
+		case 6:
 			for n := 1 + int(t)%4; n > 0; n-- {
 				size := min(next()%16, len(data))
-				r.Merge(scriptRegistry(data[:size], handles))
+				r.merge(runScript(data[:size], fresh))
 				data = data[size:]
 			}
 		default:
-			r.AddSLO(SLOConfig{
+			r.addSLO(SLOConfig{
 				Name: name, Metric: exportNames[next()%len(exportNames)],
 				TargetPS: int64(1 + next()), Budget: exportBudgets[next()%len(exportBudgets)],
 			})
@@ -90,29 +81,108 @@ func scriptRegistry(data []byte, handles bool) *Registry {
 	return r
 }
 
-// sameScriptArtifacts runs data through handles and through names and
-// fails unless both registries write the same metrics and series bytes.
+// regScript drives a Registry. With handles set, every write goes through
+// a handle resolved, for every name and kind, before the registry saw any
+// other call, so a run also checks that resolving adds nothing to an
+// artifact; without it, through the name-keyed API.
+type regScript struct {
+	r       *Registry
+	handles map[string]scriptHandles
+}
+
+type scriptHandles struct {
+	raw   Counter
+	timed TimedCounter
+	lat   Latency
+	gauge Sampler
+}
+
+func newRegScript(handles bool) scriptTarget {
+	s := &regScript{r: NewRegistry()}
+	if handles {
+		s.handles = map[string]scriptHandles{}
+		for _, n := range exportNames {
+			s.handles[n] = scriptHandles{s.r.Counters().Counter(n), s.r.TimedCounter(n), s.r.Latency(n), s.r.Sampler(n)}
+		}
+	}
+	return s
+}
+
+func (s *regScript) enableSeries(w int64) { s.r.EnableSeries(w) }
+
+func (s *regScript) add(name string, v int64) {
+	if h, ok := s.handles[name]; ok {
+		h.raw.Add(v)
+	} else {
+		s.r.Counters().Add(name, v)
+	}
+}
+
+func (s *regScript) addBytes(name string, v units.Bytes) {
+	if h, ok := s.handles[name]; ok {
+		h.raw.AddBytes(v)
+	} else {
+		s.r.Counters().AddBytes(name, v)
+	}
+}
+
+func (s *regScript) addAt(name string, t, v int64) {
+	if h, ok := s.handles[name]; ok {
+		h.timed.Add(t, v)
+	} else {
+		s.r.AddAt(name, t, v)
+	}
+}
+
+func (s *regScript) observe(name string, t, v int64) {
+	if h, ok := s.handles[name]; ok {
+		h.lat.Observe(t, v)
+	} else {
+		s.r.ObserveLatency(name, t, v)
+	}
+}
+
+func (s *regScript) sample(name string, t int64, v float64) {
+	if h, ok := s.handles[name]; ok {
+		h.gauge.Sample(t, v)
+	} else {
+		s.r.SampleAt(name, t, v)
+	}
+}
+
+func (s *regScript) addSLO(cfg SLOConfig) { s.r.AddSLO(cfg) }
+func (s *regScript) reset()               { s.r.Reset() }
+func (s *regScript) merge(o scriptTarget) { s.r.Merge(o.(*regScript).r) }
+
+func (s *regScript) write(series bool, w io.Writer) error {
+	if series {
+		return s.r.WriteSeriesJSON(w)
+	}
+	return s.r.WriteJSON(w)
+}
+
+// sameScriptArtifacts runs data on the refRegistry model, on a registry
+// through handles and on one through names, and fails unless both
+// registries write the model's metrics and series bytes.
 func sameScriptArtifacts(t *testing.T, data []byte) {
 	t.Helper()
-	byHandle, byName := scriptRegistry(data, true), scriptRegistry(data, false)
-	for _, w := range []struct {
-		what  string
-		write func(*Registry, *bytes.Buffer) error
-	}{
-		{"WriteJSON", func(r *Registry, b *bytes.Buffer) error { return r.WriteJSON(b) }},
-		{"WriteSeriesJSON", func(r *Registry, b *bytes.Buffer) error { return r.WriteSeriesJSON(b) }},
-	} {
-		var h, n bytes.Buffer
-		herr, nerr := w.write(byHandle, &h), w.write(byName, &n)
-		if (herr == nil) != (nerr == nil) || h.String() != n.String() {
-			t.Fatalf("%s through handles differs from names (errors %v, %v):\n%s\nvs\n%s",
-				w.what, herr, nerr, h.String(), n.String())
+	model := runScript(data, func() scriptTarget { return newRefRegistry() })
+	for _, handles := range []bool{true, false} {
+		r := runScript(data, func() scriptTarget { return newRegScript(handles) })
+		for _, series := range []bool{false, true} {
+			var got, want bytes.Buffer
+			gerr, werr := r.write(series, &got), model.write(series, &want)
+			if (gerr == nil) != (werr == nil) || got.String() != want.String() {
+				t.Fatalf("handles=%v series=%v: registry differs from the map-keyed model (errors %v, %v):\n%s\nwant:\n%s",
+					handles, series, gerr, werr, got.String(), want.String())
+			}
 		}
 	}
 }
 
-// FuzzRegistryHandles: a script written through resolved handles emits
-// byte for byte the artifacts of the same script through the name API.
+// FuzzRegistryHandles: a script written through resolved handles, or
+// through the name-keyed API, emits byte for byte the artifacts of the
+// map-keyed refRegistry model running the same script.
 func FuzzRegistryHandles(f *testing.F) {
 	for _, s := range handleScripts {
 		f.Add(s)
@@ -133,9 +203,9 @@ var handleScripts = [][]byte{
 	{1, 2, 5, 0, 0, 3, 0, 2, 0, 30, 3, 1, 1, 2, 0, 4, 0, 9, 3, 0, 5, 1, 1, 3, 0, 1, 2, 3, 4, 5, 6, 7},
 }
 
-// TestRegistryHandlesMatchNames is FuzzRegistryHandles over its seeds and
+// TestRegistryHandlesMatchModel is FuzzRegistryHandles over its seeds and
 // 200 seeded random scripts.
-func TestRegistryHandlesMatchNames(t *testing.T) {
+func TestRegistryHandlesMatchModel(t *testing.T) {
 	for _, s := range handleScripts {
 		sameScriptArtifacts(t, s)
 	}
