@@ -69,15 +69,9 @@ func (w *Writer) Key(k string) {
 	if w.err != nil {
 		return
 	}
-	if needsEscape(k) {
-		w.QuotedKey(Quote(k))
-		return
-	}
-	// Separator, indentation and key in one buffered write.
-	b := w.appendElement(w.bw.AvailableBuffer())
-	b = append(b, '"')
-	b = append(b, k...)
-	w.bw.Write(append(b, '"', ':', ' '))
+	w.element()
+	w.quote(k)
+	w.bw.WriteString(": ")
 	w.afterKey = true
 }
 
@@ -87,9 +81,9 @@ func (w *Writer) QuotedKey(q string) {
 	if w.err != nil {
 		return
 	}
-	b := w.appendElement(w.bw.AvailableBuffer())
-	b = append(b, q...)
-	w.bw.Write(append(b, ':', ' '))
+	w.element()
+	w.bw.WriteString(q)
+	w.bw.WriteString(": ")
 	w.afterKey = true
 }
 
@@ -163,16 +157,13 @@ func (w *Writer) value() bool {
 
 // element writes the separator and indentation before a container's next
 // element: an array value or an object key.
-func (w *Writer) element() { w.bw.Write(w.appendElement(w.bw.AvailableBuffer())) }
-
-// appendElement is element appending to b.
-func (w *Writer) appendElement(b []byte) []byte {
+func (w *Writer) element() {
 	top := len(w.open) - 1
 	if w.open[top] {
-		b = append(b, ',')
+		w.bw.WriteByte(',')
 	}
 	w.open[top] = true
-	return appendNewline(b, len(w.open))
+	w.newline(len(w.open))
 }
 
 func (w *Writer) begin(c byte) {
@@ -196,15 +187,12 @@ func (w *Writer) end(c byte) {
 
 const spaces = "                                "
 
-func (w *Writer) newline(depth int) { w.bw.Write(appendNewline(w.bw.AvailableBuffer(), depth)) }
-
-// appendNewline appends a newline and depth spaces of indentation to b.
-func appendNewline(b []byte, depth int) []byte {
-	b = append(b, '\n')
+func (w *Writer) newline(depth int) {
+	w.bw.WriteByte('\n')
 	for ; depth > len(spaces); depth -= len(spaces) {
-		b = append(b, spaces...)
+		w.bw.WriteString(spaces)
 	}
-	return append(b, spaces[:depth]...)
+	w.bw.WriteString(spaces[:depth])
 }
 
 // quote writes s as a JSON string.

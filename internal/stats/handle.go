@@ -29,7 +29,7 @@ func (l Latency) Observe(t, v int64) {
 	widx := int64(0)
 	if s := r.series; s != nil {
 		widx = r.advanceLocked(t)
-		s.cell(widx).hist(s, widx, m.id).record(v)
+		s.cell(widx).hist(m.id).record(v)
 	}
 	for _, o := range m.slos {
 		o.observe(widx, v)
@@ -54,7 +54,7 @@ func (p Sampler) Sample(t int64, v float64) {
 	r.gaugeLocked(p.id).d.sample(t, v)
 	if s := r.series; s != nil {
 		widx := r.advanceLocked(t)
-		s.cell(widx).gauge(s, widx, p.id).sample(t, v)
+		s.cell(widx).gauge(p.id).sample(t, v)
 	}
 }
 
@@ -81,7 +81,7 @@ func (c TimedCounter) Add(t, v int64) {
 	defer r.mu.Unlock()
 	if s := r.series; s != nil {
 		widx := r.advanceLocked(t)
-		s.cell(widx).addCounter(s, widx, c.id, v)
+		s.cell(widx).addCounter(c.id, v)
 		s.lastSnap = grow(s.lastSnap, c.id, len(r.counters.vals))
 		s.lastSnap[c.id] += v
 	}

@@ -40,21 +40,7 @@ type seriesData struct {
 	// curCell is cells[cur] once it exists: in-order observations reach
 	// the open window without a map lookup.
 	curCell *seriesCell
-	// refs caches, per metric kind and metricID, where the metric's entry
-	// sits in the last window it touched, so repeat observations in a
-	// window go straight to their entry. hints is each kind's longest
-	// window list so far, the capacity a fresh window's list starts with.
-	refs  [numKinds][]cellRef
-	hints [numKinds]int
 }
-
-// The metric kinds a window holds.
-const (
-	kindCounter = iota
-	kindHist
-	kindGauge
-	numKinds
-)
 
 // seriesCell is one window's worth of metrics: for each kind, only the
 // metrics the window saw, in first-touch order.
@@ -72,74 +58,45 @@ type cellEntry[T any] struct {
 	v  T
 }
 
-// cellRef records that a metric's entry is at index pos-1 of window
-// win's list (pos 0: no entry cached).
-type cellRef struct {
-	win int64
-	pos int32
-}
-
-// entry returns the index of metric id's entry in l, window win's list
-// of kind k, appending a zero entry when the window has none.
-func entry[T any](s *seriesData, k int, l *cellList[T], win int64, id metricID) int {
-	if refs := s.refs[k]; int(id) < len(refs) {
-		if r := refs[id]; r.pos > 0 && r.win == win {
-			return int(r.pos - 1)
-		}
-	}
-	i := -1
-	for j, e := range *l {
+// entry returns the index of metric id's entry in l, appending a zero
+// entry when l has none. A window lists only the metrics it saw, a few
+// dozen at most, so a scan finds the entry.
+func entry[T any](l *cellList[T], id metricID) int {
+	for i, e := range *l {
 		if e.id == id {
-			i = j
-			break
+			return i
 		}
 	}
-	if i < 0 {
-		if *l == nil {
-			*l = make(cellList[T], 0, s.hints[k])
-		}
-		*l = append(*l, cellEntry[T]{id: id})
-		i = len(*l) - 1
-		s.hints[k] = max(s.hints[k], len(*l))
-	}
-	s.refs[k] = grow(s.refs[k], id, 0)
-	s.refs[k][id] = cellRef{win: win, pos: int32(i + 1)}
-	return i
+	*l = append(*l, cellEntry[T]{id: id})
+	return len(*l) - 1
 }
 
-// hist returns the histogram of metric id in c, window win's cell,
-// creating it.
-func (c *seriesCell) hist(s *seriesData, win int64, id metricID) *winHist {
-	i := entry(s, kindHist, &c.hists, win, id)
+// hist returns metric id's histogram in c, creating it.
+func (c *seriesCell) hist(id metricID) *winHist {
+	i := entry(&c.hists, id)
 	if c.hists[i].v == nil {
 		c.hists[i].v = &winHist{}
 	}
 	return c.hists[i].v
 }
 
-// gauge returns the gauge of metric id in c, window win's cell, creating
-// it.
-func (c *seriesCell) gauge(s *seriesData, win int64, id metricID) *gaugeData {
-	return &c.gauges[entry(s, kindGauge, &c.gauges, win, id)].v
-}
+// gauge returns metric id's gauge in c, creating it.
+func (c *seriesCell) gauge(id metricID) *gaugeData { return &c.gauges[entry(&c.gauges, id)].v }
 
-// addCounter adds v to the counter of metric id in c, window win's cell,
-// creating it.
-func (c *seriesCell) addCounter(s *seriesData, win int64, id metricID, v int64) {
-	c.counters[entry(s, kindCounter, &c.counters, win, id)].v += v
-}
+// addCounter adds v to metric id's counter in c, creating it.
+func (c *seriesCell) addCounter(id metricID, v int64) { c.counters[entry(&c.counters, id)].v += v }
 
 // mergeCell adds every metric of o into window win, one add per metric.
 func (s *seriesData) mergeCell(win int64, o *seriesCell) {
 	c := s.cell(win)
 	for _, e := range o.counters {
-		c.addCounter(s, win, e.id, e.v)
+		c.addCounter(e.id, e.v)
 	}
 	for _, e := range o.hists {
-		c.hist(s, win, e.id).merge(e.v)
+		c.hist(e.id).merge(e.v)
 	}
 	for i := range o.gauges {
-		c.gauge(s, win, o.gauges[i].id).merge(&o.gauges[i].v)
+		c.gauge(o.gauges[i].id).merge(&o.gauges[i].v)
 	}
 }
 
@@ -229,7 +186,7 @@ func (r *Registry) closeCounterWindowLocked() {
 		if !c.set || c.v == last {
 			continue
 		}
-		s.cell(s.cur).addCounter(s, s.cur, metricID(id), c.v-last)
+		s.cell(s.cur).addCounter(metricID(id), c.v-last)
 		s.lastSnap = grow(s.lastSnap, metricID(id), len(vals))
 		s.lastSnap[id] = c.v
 	}
