@@ -150,7 +150,7 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 			// independent, so a single chunk can be replayed in place.
 			origErr := statusErr("READ", pending[k].Comp.Status)
 			s.metrics.retries.Add(int64(t), 1)
-			_, t2, rerr := s.Driver.SubmitRetry(t, "READ", rp, func() *ssd.CmdContext {
+			_, t2, rerr := s.Driver.SubmitRetry(t, &s.metrics.readRetry, rp, func() *ssd.CmdContext {
 				raws[k] = nil
 				return &ssd.CmdContext{
 					Cmd:  nvme.BuildRead(0, chunks[k].slba, chunks[k].nlb, uint64(bufAddr)),

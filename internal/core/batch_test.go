@@ -306,7 +306,7 @@ func TestDeadlineUsesDeviceCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = f2
-	comp, _, err := sys2.Driver.SubmitRetry(t0, "READ",
+	comp, _, err := sys2.Driver.SubmitRetry(t0, &sys2.metrics.readRetry,
 		RetryPolicy{MaxAttempts: 1, Deadline: devLat}, func() *ssd.CmdContext { return mkRead(uint64(dst2)) })
 	if err != nil {
 		t.Fatalf("READ with deadline == device latency failed: %v", err)
@@ -324,7 +324,7 @@ func TestDeadlineUsesDeviceCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = sys3.Driver.SubmitRetry(t0, "READ",
+	_, _, err = sys3.Driver.SubmitRetry(t0, &sys3.metrics.readRetry,
 		RetryPolicy{MaxAttempts: 1, Deadline: devLat - 1}, func() *ssd.CmdContext { return mkRead(uint64(dst3)) })
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)

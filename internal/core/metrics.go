@@ -21,7 +21,7 @@ type sysMetrics struct {
 
 	// Retry and runtime.
 	retries, timeouts, hostFallbacks, replicaFallbacks stats.TimedCounter
-	minitRetry, readRetry                              retryLatency
+	minitRetry, readRetry                              retryOp
 	invoke                                             [PathReplicaFallback + 1]stats.Latency
 	attempts                                           stats.Latency
 	phases                                             [len(phaseOrder)]stats.Latency
@@ -31,9 +31,12 @@ type sysMetrics struct {
 	queueDepth, slotsInUse, slotsUtil, channelUtil, linkUtil, cpuUtil, cacheOccupancy stats.Sampler
 }
 
-// retryLatency is one operation's SubmitRetry latency,
-// "core.<op>.latency_ps.<outcome>", by outcome.
-type retryLatency [len(retryOutcomes)]stats.Latency
+// retryOp is one operation SubmitRetry runs: its name, for errors, and
+// its latency "core.<name>.latency_ps.<outcome>", by outcome.
+type retryOp struct {
+	name string
+	lat  [len(retryOutcomes)]stats.Latency
+}
 
 // retryOutcomes names SubmitRetry's outcomes: a clean first attempt, one
 // a retry saved, and one the policy gave up on.
@@ -62,8 +65,8 @@ func newSysMetrics(reg *stats.Registry) *sysMetrics {
 		timeouts:         reg.TimedCounter(stats.CmdTimeouts),
 		hostFallbacks:    reg.TimedCounter(stats.HostFallbacks),
 		replicaFallbacks: reg.TimedCounter(stats.ReplicaFallbacks),
-		minitRetry:       newRetryLatency(reg, "MINIT"),
-		readRetry:        newRetryLatency(reg, "READ"),
+		minitRetry:       newRetryOp(reg, "MINIT"),
+		readRetry:        newRetryOp(reg, "READ"),
 		attempts:         reg.Latency("core.invoke.attempts"),
 		parseCycles:      reg.Counters().Counter(stats.HostParseCyc),
 		queueDepth:       reg.Sampler("nvme.queue_depth"),
@@ -83,11 +86,12 @@ func newSysMetrics(reg *stats.Registry) *sysMetrics {
 	return m
 }
 
-func newRetryLatency(reg *stats.Registry, op string) (l retryLatency) {
+func newRetryOp(reg *stats.Registry, name string) retryOp {
+	op := retryOp{name: name}
 	for i, o := range retryOutcomes {
-		l[i] = reg.Latency("core." + op + ".latency_ps." + o)
+		op.lat[i] = reg.Latency("core." + name + ".latency_ps." + o)
 	}
-	return l
+	return op
 }
 
 // opLatency returns op's completion latency handle, resolving it on
@@ -99,26 +103,14 @@ func (m *sysMetrics) opLatency(op nvme.Opcode) stats.Latency {
 	return m.ops[op]
 }
 
-// retry returns SubmitRetry's latency handles for op. The runtime's two
-// operations are resolved at build; any other op name resolves here.
-func (m *sysMetrics) retry(op string) *retryLatency {
-	switch op {
-	case "MINIT":
-		return &m.minitRetry
-	case "READ":
-		return &m.readRetry
-	}
-	l := newRetryLatency(m.reg, op)
-	return &l
-}
-
 // PhaseLatency returns the system's "phase.<p>_ps" latency handle,
-// resolved when the system was built for the Figure 2 phases.
+// resolved when the system was built. p must be one of the Figure 2
+// phases.
 func (s *System) PhaseLatency(p stats.Phase) stats.Latency {
 	for i, q := range phaseOrder {
 		if q == p {
 			return s.metrics.phases[i]
 		}
 	}
-	return s.Metrics.Latency("phase." + string(p) + "_ps")
+	panic("core: unknown phase " + string(p))
 }

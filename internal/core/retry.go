@@ -97,9 +97,10 @@ func (p RetryPolicy) expired(submitted, done units.Time) bool {
 // statuses and deadline overruns are re-submitted (with backoff charged on
 // the virtual clock) up to the attempt cap; terminal statuses return
 // immediately. makeCtx builds a fresh command context per attempt so
-// stateful sinks never see a failed attempt's bytes twice. op names the
-// command in errors ("MINIT", "READ", ...).
-func (d *Driver) SubmitRetry(ready units.Time, op string, p RetryPolicy, makeCtx func() *ssd.CmdContext) (nvme.Completion, units.Time, error) {
+// stateful sinks never see a failed attempt's bytes twice. op is the
+// system's resolved MINIT or READ operation (sysMetrics), which names the
+// command in errors and carries its latency handles.
+func (d *Driver) SubmitRetry(ready units.Time, op *retryOp, p RetryPolicy, makeCtx func() *ssd.CmdContext) (nvme.Completion, units.Time, error) {
 	p = p.withDefaults()
 	backoff := p.Backoff
 	t := ready
@@ -107,7 +108,6 @@ func (d *Driver) SubmitRetry(ready units.Time, op string, p RetryPolicy, makeCtx
 	// outcome attributes the whole retried operation's latency: "ok" for a
 	// clean first attempt, "recovered" when a retry saved it, "failed" when
 	// the policy gave up or hit a terminal status.
-	lat := d.sys.metrics.retry(op)
 	outcome := func(attempt int, err error) {
 		o := outcomeOK
 		switch {
@@ -116,7 +116,7 @@ func (d *Driver) SubmitRetry(ready units.Time, op string, p RetryPolicy, makeCtx
 		case attempt > 1:
 			o = outcomeRecovered
 		}
-		lat[o].Observe(int64(t), int64(t.Sub(ready)))
+		op.lat[o].Observe(int64(t), int64(t.Sub(ready)))
 	}
 	// record chains failures across attempts with %w, so a media error on
 	// attempt 1 stays classifiable even when the retry fails differently
@@ -147,10 +147,10 @@ func (d *Driver) SubmitRetry(ready units.Time, op string, p RetryPolicy, makeCtx
 			d.sys.metrics.timeouts.Add(int64(t), 1)
 			d.sys.tracer.Flag(pend.Span)
 			record(fmt.Errorf("core: %s took %v, past its %v deadline: %w",
-				op, pend.Done.Sub(pend.Submitted), p.Deadline, ErrDeadline))
+				op.name, pend.Done.Sub(pend.Submitted), p.Deadline, ErrDeadline))
 		case comp.Status.Err() != nil:
 			d.sys.tracer.Flag(pend.Span)
-			record(statusErr(op, comp.Status))
+			record(statusErr(op.name, comp.Status))
 			if !comp.Status.Retryable() {
 				outcome(attempt, lastErr)
 				return comp, t, lastErr
@@ -160,7 +160,7 @@ func (d *Driver) SubmitRetry(ready units.Time, op string, p RetryPolicy, makeCtx
 			return comp, t, nil
 		}
 		if attempt >= p.MaxAttempts {
-			err := fmt.Errorf("core: %s gave up after %d attempts: %w", op, attempt, lastErr)
+			err := fmt.Errorf("core: %s gave up after %d attempts: %w", op.name, attempt, lastErr)
 			outcome(attempt, err)
 			return comp, t, err
 		}

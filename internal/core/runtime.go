@@ -287,7 +287,7 @@ func (s *System) invokeMorpheusOnce(ready units.Time, opt InvokeOptions, rp Retr
 	if opt.App.NativeFactory != nil {
 		native = opt.App.NativeFactory()
 	}
-	comp, t, err := s.Driver.SubmitRetry(t, "MINIT", rp, func() *ssd.CmdContext {
+	comp, t, err := s.Driver.SubmitRetry(t, &s.metrics.minitRetry, rp, func() *ssd.CmdContext {
 		return &ssd.CmdContext{
 			Cmd:    nvme.BuildMInit(0, uint64(codeAddr), uint32(len(image)), id, uint32(len(opt.Args)), 0),
 			Code:   image,
