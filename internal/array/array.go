@@ -1,14 +1,14 @@
 // Package array scales the single simulated Morpheus-SSD testbed to a
-// sharded serving fleet: N systems (one core.System — host, driver,
-// SSD, event engine — per shard) behind consistent-hash object placement
-// with k-way replication. The layout feeds the runtime's two-stage
+// sharded serving fleet: N systems (one core.System — host, driver, SSD —
+// per shard) behind consistent-hash object placement with k-way
+// replication. The layout feeds the runtime's two-stage
 // degraded mode: when a shard's media loses an object, the replica
 // re-fetch is routed to the shard actually holding a surviving copy and
 // charged against that shard's queues and clock (core.ReplicaFetcher).
 //
 // Everything is deterministic: placement is a pure hash of object names,
-// shards share one virtual time axis (each engine starts at zero), and
-// the traffic engine (engine.go) issues arrivals from seeded generators
+// shards share one virtual time axis (each starts at zero), and the
+// traffic engine (engine.go) issues arrivals from seeded generators
 // (arrival.go) — so array experiments keep the repository's byte-identity
 // contract at any -parallel setting.
 package array
@@ -178,10 +178,6 @@ func (a *Array) StageObject(name string, data []byte) error {
 	}
 	return nil
 }
-
-// Holders returns the shards holding name (an alias of Place for
-// callers reading the layout rather than routing through it).
-func (a *Array) Holders(name string) []int { return a.Place(name) }
 
 // KillShard takes a whole shard out: every subsequent read on its flash
 // is an uncorrectable media error, and the replica router stops using it

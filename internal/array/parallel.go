@@ -175,11 +175,11 @@ func (ex *trafficExec) exchange(end units.Time) {
 }
 
 // runShard advances one shard through every window: serve the window's
-// requests (parking inside the fetcher when one goes degraded), settle
-// the engine to the barrier, and rendezvous. Rounds repeat within a
+// requests (parking inside the fetcher when one goes degraded) and
+// rendezvous. A shard is quiesced once its requests return, since every
+// command's completion is delivered inline. Rounds repeat within a
 // window until an exchange finds nothing parked.
 func (ex *trafficExec) runShard(es *execShard) {
-	sys := ex.a.Shards[es.id].Sys
 	for _, end := range ex.ends {
 		es.end = end
 		for {
@@ -193,13 +193,6 @@ func (ex *trafficExec) runShard(es *execShard) {
 						break
 					}
 					es.cursor++
-				}
-				if !es.failed {
-					// Settle: fire anything the batch left at or before the
-					// barrier so the exchange reads a quiesced shard. The
-					// drain's cursor contract keeps the clock at the last
-					// event, not the barrier.
-					sys.Engine.DrainWindow(end)
 				}
 				ex.slots.Release(1)
 			}
@@ -215,8 +208,8 @@ func (ex *trafficExec) runShard(es *execShard) {
 // fleet. Each request is routed to its object's primary shard,
 // admission-checked against that shard's slot window, and served at its
 // own arrival time (serveOne). Shards advance under the
-// conservative-window protocol, every shard's engine on its own
-// goroutine with at most slots of them simulating at once. Output is
+// conservative-window protocol, every shard on its own goroutine with at
+// most slots of them simulating at once. Output is
 // byte-identical at any slots value (1 included); see the package
 // comment at the top of this file for the argument. slots only caps
 // host CPU concurrency — it is clamped to [1, shards] and is safe to

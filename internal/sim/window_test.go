@@ -4,94 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"morpheus/internal/units"
 )
-
-// TestDrainWindowCursorContract: DrainWindow fires exactly the events at
-// or before the limit — cascading into events its callbacks schedule
-// inside the window — in (time, seq) order, and leaves the clock at the
-// last fired event rather than the window edge.
-func TestDrainWindowCursorContract(t *testing.T) {
-	e := NewEngine(NewClock())
-	var fired []units.Time
-	note := func(now units.Time) { fired = append(fired, now) }
-	e.Schedule(10, func(now units.Time) {
-		note(now)
-		// Cascade: lands inside the window and must fire this drain.
-		e.Schedule(40, note)
-	})
-	e.Schedule(30, note)
-	e.Schedule(70, note) // past the window: must stay queued
-
-	if n := e.DrainWindow(50); n != 3 {
-		t.Fatalf("DrainWindow(50) fired %d events, want 3", n)
-	}
-	want := []units.Time{10, 30, 40}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
-	}
-	// Cursor contract: the clock stays at the last fired event, not
-	// the barrier, so post-exchange work at t in (40, 50] is still
-	// schedulable without panicking.
-	if now := e.Clock().Now(); now != 40 {
-		t.Fatalf("clock = %v after drain, want 40 (the last fired event)", now)
-	}
-	e.Schedule(45, note)
-	if n := e.DrainWindow(50); n != 1 {
-		t.Fatalf("second DrainWindow(50) fired %d, want 1", n)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want the t=70 event still queued", e.Pending())
-	}
-	// An empty window fires nothing and leaves the clock alone.
-	if n := e.DrainWindow(60); n != 0 {
-		t.Fatalf("empty DrainWindow fired %d", n)
-	}
-	if now := e.Clock().Now(); now != 45 {
-		t.Fatalf("clock moved to %v on an empty drain", now)
-	}
-}
-
-// TestDrainWindowMatchesRunUntilFiring: over the same event load, a
-// sequence of window drains fires the same events in the same order as
-// one RunUntil — the windows are a pure partition of time, not a
-// different schedule.
-func TestDrainWindowMatchesRunUntilFiring(t *testing.T) {
-	load := func(e *Engine, log *[]units.Time) {
-		for i := 0; i < 50; i++ {
-			at := units.Time((i * 37) % 500)
-			e.Schedule(at, func(now units.Time) {
-				*log = append(*log, now)
-				if now < 450 {
-					e.Schedule(now+13, func(now units.Time) { *log = append(*log, now) })
-				}
-			})
-		}
-	}
-	var oneShot, windowed []units.Time
-	a := NewEngine(NewClock())
-	load(a, &oneShot)
-	a.RunUntil(1000)
-	b := NewEngine(NewClock())
-	load(b, &windowed)
-	for limit := units.Time(100); limit <= 1000; limit += 100 {
-		b.DrainWindow(limit)
-	}
-	if len(oneShot) != len(windowed) {
-		t.Fatalf("RunUntil fired %d events, windowed drains fired %d", len(oneShot), len(windowed))
-	}
-	for i := range oneShot {
-		if oneShot[i] != windowed[i] {
-			t.Fatalf("fire order diverged at %d: %v vs %v", i, oneShot[i], windowed[i])
-		}
-	}
-}
 
 // TestRendezvousRounds: n parties arriving repeatedly advance in locked
 // rounds, the serial section runs exactly once per round, and it is

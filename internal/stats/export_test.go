@@ -52,11 +52,11 @@ func buildExportRegistry(data []byte, nan bool) *Registry {
 		case 0:
 			r.Counters().Add(name, i)
 		case 1:
-			r.AddAt(name, t, i)
+			r.TimedCounter(name).Add(t, i)
 		case 2:
-			r.ObserveLatency(name, t, i)
+			r.Latency(name).Observe(t, i)
 		case 3:
-			r.SampleAt(name, t, f)
+			r.Sampler(name).Sample(t, f)
 		case 4:
 			r.Histogram(name).Record(i)
 		case 5:
@@ -69,7 +69,7 @@ func buildExportRegistry(data []byte, nan bool) *Registry {
 		}
 	}
 	if nan {
-		r.SampleAt("nan.gauge", 0, math.NaN())
+		r.Sampler("nan.gauge").Sample(0, math.NaN())
 	}
 	return r
 }
@@ -131,9 +131,9 @@ func TestMergeAllocsIndependentOfWindows(t *testing.T) {
 		for i := 0; i < windows; i++ {
 			at := int64(i * 10)
 			src.Counters().Add("raw", 1)
-			src.AddAt("timed", at, 1)
-			src.ObserveLatency("lat", at, int64(i%100))
-			src.SampleAt("util", at, float64(i%7)/7)
+			src.TimedCounter("timed").Add(at, 1)
+			src.Latency("lat").Observe(at, int64(i%100))
+			src.Sampler("util").Sample(at, float64(i%7)/7)
 		}
 		dst := NewRegistry()
 		dst.EnableSeries(10)

@@ -87,12 +87,3 @@ func (c TimedCounter) Add(t, v int64) {
 	}
 	r.counters.slot(c.id).add(v)
 }
-
-// ObserveLatency is Latency(name).Observe(t, v).
-func (r *Registry) ObserveLatency(name string, t int64, v int64) { r.Latency(name).Observe(t, v) }
-
-// SampleAt is Sampler(name).Sample(t, v).
-func (r *Registry) SampleAt(name string, t int64, v float64) { r.Sampler(name).Sample(t, v) }
-
-// AddAt is TimedCounter(name).Add(t, v).
-func (r *Registry) AddAt(name string, t int64, v int64) { r.TimedCounter(name).Add(t, v) }

@@ -10,8 +10,8 @@ import (
 )
 
 // scriptTarget is what a registry script drives: a Registry through
-// resolved handles, a Registry through its name-keyed API, or the
-// refRegistry model.
+// handles resolved up front, a Registry through handles resolved per
+// call, or the refRegistry model.
 type scriptTarget interface {
 	enableSeries(windowPS int64)
 	add(name string, v int64) // a raw Set write
@@ -84,7 +84,7 @@ func runScript(data []byte, fresh func() scriptTarget) scriptTarget {
 // regScript drives a Registry. With handles set, every write goes through
 // a handle resolved, for every name and kind, before the registry saw any
 // other call, so a run also checks that resolving adds nothing to an
-// artifact; without it, through the name-keyed API.
+// artifact; without it, through a handle resolved per call.
 type regScript struct {
 	r       *Registry
 	handles map[string]scriptHandles
@@ -130,7 +130,7 @@ func (s *regScript) addAt(name string, t, v int64) {
 	if h, ok := s.handles[name]; ok {
 		h.timed.Add(t, v)
 	} else {
-		s.r.AddAt(name, t, v)
+		s.r.TimedCounter(name).Add(t, v)
 	}
 }
 
@@ -138,7 +138,7 @@ func (s *regScript) observe(name string, t, v int64) {
 	if h, ok := s.handles[name]; ok {
 		h.lat.Observe(t, v)
 	} else {
-		s.r.ObserveLatency(name, t, v)
+		s.r.Latency(name).Observe(t, v)
 	}
 }
 
@@ -146,7 +146,7 @@ func (s *regScript) sample(name string, t int64, v float64) {
 	if h, ok := s.handles[name]; ok {
 		h.gauge.Sample(t, v)
 	} else {
-		s.r.SampleAt(name, t, v)
+		s.r.Sampler(name).Sample(t, v)
 	}
 }
 
@@ -162,8 +162,9 @@ func (s *regScript) write(series bool, w io.Writer) error {
 }
 
 // sameScriptArtifacts runs data on the refRegistry model, on a registry
-// through handles and on one through names, and fails unless both
-// registries write the model's metrics and series bytes.
+// through handles resolved up front and on one through handles resolved
+// per call, and fails unless both registries write the model's metrics
+// and series bytes.
 func sameScriptArtifacts(t *testing.T, data []byte) {
 	t.Helper()
 	model := runScript(data, func() scriptTarget { return newRefRegistry() })
@@ -181,7 +182,7 @@ func sameScriptArtifacts(t *testing.T, data []byte) {
 }
 
 // FuzzRegistryHandles: a script written through resolved handles, or
-// through the name-keyed API, emits byte for byte the artifacts of the
+// through handles resolved per call, emits byte for byte the artifacts of the
 // map-keyed refRegistry model running the same script.
 func FuzzRegistryHandles(f *testing.F) {
 	for _, s := range handleScripts {
@@ -192,7 +193,9 @@ func FuzzRegistryHandles(f *testing.F) {
 
 // handleScripts seed the fuzzer and the table test: series on and off,
 // out-of-order times, merges with several sources, a Reset between
-// writes, and SLOs registered after their metric's handle resolved.
+// writes, SLOs registered after their metric's handle resolved, and
+// histograms whose observations are all negative, observed directly and
+// merged in.
 var handleScripts = [][]byte{
 	{},
 	{1, 2},
@@ -201,6 +204,7 @@ var handleScripts = [][]byte{
 	{1, 1, 8, 0, 1, 2, 3, 4, 5, 3, 0, 40, 2, 0, 3, 0, 2, 2, 2, 2, 2, 6, 1, 3, 1, 4, 5},
 	{1, 9, 6, 2, 3, 3, 9, 3, 2, 1, 0, 12, 3, 2, 7, 1, 4, 5, 1, 2, 3, 1, 4, 0, 1, 4, 0, 2, 1, 9, 0, 1, 3},
 	{1, 2, 5, 0, 0, 3, 0, 2, 0, 30, 3, 1, 1, 2, 0, 4, 0, 9, 3, 0, 5, 1, 1, 3, 0, 1, 2, 3, 4, 5, 6, 7},
+	{1, 2, 3, 0, 1, 1, 0, 3, 0, 4, 4, 0, 3, 1, 2, 1, 0, 6, 2, 0, 0, 0, 7, 1, 2, 3, 2, 5, 4, 0},
 }
 
 // TestRegistryHandlesMatchModel is FuzzRegistryHandles over its seeds and

@@ -48,7 +48,7 @@ func (s *histSummary) note(v int64) {
 	if s.count == 1 || v < s.min {
 		s.min = v
 	}
-	if v > s.max {
+	if s.count == 1 || v > s.max {
 		s.max = v
 	}
 }
@@ -58,7 +58,7 @@ func (s *histSummary) fold(o *histSummary) {
 	if s.count == 0 || o.min < s.min {
 		s.min = o.min
 	}
-	if o.max > s.max {
+	if s.count == 0 || o.max > s.max {
 		s.max = o.max
 	}
 	s.count += o.count

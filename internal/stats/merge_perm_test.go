@@ -23,15 +23,15 @@ func shardRegistry(shard int) *Registry {
 	})
 	for i := 0; i < 4; i++ {
 		t := int64(250*i + 100)
-		r.AddAt("req.count", t, int64(shard+1))
-		r.ObserveLatency("req.latency_ps", t, int64(200+100*shard+10*i))
+		r.TimedCounter("req.count").Add(t, int64(shard+1))
+		r.Latency("req.latency_ps").Observe(t, int64(200+100*shard+10*i))
 		// Every shard samples the shared-clock gauge at the same instants;
 		// the values differ per shard, so the equal-timestamp tie-break is
 		// exercised at every sample.
-		r.SampleAt("slots_util", t, float64((shard*3+i)%5))
+		r.Sampler("slots_util").Sample(t, float64((shard*3+i)%5))
 	}
 	// A shard-unique gauge too, so merged name sets differ per source.
-	r.SampleAt(fmt.Sprintf("shard%d.depth", shard), 700, float64(shard))
+	r.Sampler(fmt.Sprintf("shard%d.depth", shard)).Sample(700, float64(shard))
 	return r
 }
 
@@ -102,7 +102,7 @@ func TestMergePermutationInvariant(t *testing.T) {
 func TestMergePermutationGaugeTie(t *testing.T) {
 	mk := func(v float64) *Registry {
 		r := NewRegistry()
-		r.SampleAt("util", 500, v)
+		r.Sampler("util").Sample(500, v)
 		return r
 	}
 	ab, ba := NewRegistry(), NewRegistry()

@@ -24,9 +24,9 @@ func makeSeriesRegistry(n int64) *Registry {
 	r := makeRegistry(n)
 	r.EnableSeries(64)
 	r.AddSLO(SLOConfig{Name: "t", Metric: "h.obs", TargetPS: 100, Budget: 0.5})
-	r.ObserveLatency("h.obs", n, n)
-	r.SampleAt("g.at", n, float64(n))
-	r.AddAt("c.at", n, 1)
+	r.Latency("h.obs").Observe(n, n)
+	r.Sampler("g.at").Sample(n, float64(n))
+	r.TimedCounter("c.at").Add(n, 1)
 	return r
 }
 
@@ -57,8 +57,8 @@ func TestConcurrentMergeIntoOneRegistry(t *testing.T) {
 	}
 }
 
-// TestConcurrentAddAt: AddAt and a timed-counter handle on one registry
-// from two goroutines. Run under -race; the counter-set write used to
+// TestConcurrentAddAt: a timed counter resolved per call and one resolved
+// once, on one registry from two goroutines. Run under -race; the counter-set write used to
 // happen after the registry lock was released.
 func TestConcurrentAddAt(t *testing.T) {
 	r := NewRegistry()
@@ -71,7 +71,7 @@ func TestConcurrentAddAt(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				if w == 0 {
-					r.AddAt("c.at", int64(i), 1)
+					r.TimedCounter("c.at").Add(int64(i), 1)
 				} else {
 					h.Add(int64(i), 1)
 				}

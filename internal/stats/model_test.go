@@ -224,13 +224,12 @@ func (r *refRegistry) merge(src scriptTarget) {
 
 // refHist summarizes raw observations: the q-quantile is the upper bound
 // of the bucket holding the rank-⌈q·n⌉ smallest value, clamped to
-// [min, max]. A histogram's max starts at 0 and only rises, so it is
-// never below 0.
+// [min, max].
 func refHist(vals []int64) (h histJSON) {
 	vs := append([]int64(nil), vals...)
 	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
 	n := len(vs)
-	h.Count, h.Min, h.Max = int64(n), vs[0], max(vs[n-1], 0)
+	h.Count, h.Min, h.Max = int64(n), vs[0], vs[n-1]
 	counts := map[int]int64{}
 	for _, v := range vs {
 		h.Sum += v

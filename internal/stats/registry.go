@@ -18,8 +18,8 @@ import (
 // Metrics live in dense slices indexed by interned metric ID. Hot paths
 // resolve a name once to a handle (Latency, Sampler, TimedCounter, or
 // Set.Counter for raw counter writes) and observe through it: one lock,
-// no name hashing. The name-keyed methods are the same operations
-// resolved on every call. Resolving a handle adds nothing to any
+// no name hashing. A caller that writes rarely may resolve per call
+// (Latency(name).Observe). Resolving a handle adds nothing to any
 // artifact; only an observation does.
 type Registry struct {
 	mu       sync.Mutex

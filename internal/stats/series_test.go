@@ -25,11 +25,11 @@ func TestSeriesWindowAttribution(t *testing.T) {
 	r := NewRegistry()
 	r.EnableSeries(100)
 	// Two observations in window 0, one in window 2 (window 1 stays empty).
-	r.ObserveLatency("lat", 10, 5)
-	r.ObserveLatency("lat", 90, 15)
-	r.ObserveLatency("lat", 250, 40)
-	r.SampleAt("util", 50, 0.5)
-	r.SampleAt("util", 260, 1.0)
+	r.Latency("lat").Observe(10, 5)
+	r.Latency("lat").Observe(90, 15)
+	r.Latency("lat").Observe(250, 40)
+	r.Sampler("util").Sample(50, 0.5)
+	r.Sampler("util").Sample(260, 1.0)
 	f := decodeSeries(t, r)
 	if f.WindowPS != 100 {
 		t.Fatalf("window_ps = %d, want 100", f.WindowPS)
@@ -74,11 +74,11 @@ func TestSeriesCounterDeltas(t *testing.T) {
 	// Models bump the raw counter set without timestamps; the timed
 	// records carry the clock that closes windows.
 	r.Counters().Add("cmds", 3)
-	r.ObserveLatency("lat", 50, 1) // still window 0
+	r.Latency("lat").Observe(50, 1) // still window 0
 	r.Counters().Add("cmds", 4)
-	r.AddAt("retries", 150, 1) // crossing into window 1 closes window 0
+	r.TimedCounter("retries").Add(150, 1) // crossing into window 1 closes window 0
 	r.Counters().Add("cmds", 5)
-	r.ObserveLatency("lat", 450, 1) // crossing into window 4 closes window 1
+	r.Latency("lat").Observe(450, 1) // crossing into window 4 closes window 1
 	f := decodeSeries(t, r)
 	byStart := map[int64]seriesWindowJSON{}
 	for _, w := range f.Windows {
@@ -90,7 +90,7 @@ func TestSeriesCounterDeltas(t *testing.T) {
 	if got := byStart[100].Counters["cmds"]; got != 5 {
 		t.Fatalf("window 1 cmds delta = %d, want 5", got)
 	}
-	// AddAt lands in t's own window, not the one open before it.
+	// A timed counter lands in t's own window, not the one open before it.
 	if got := byStart[100].Counters["retries"]; got != 1 {
 		t.Fatalf("window 1 retries = %d, want 1", got)
 	}
@@ -111,9 +111,9 @@ func TestSeriesMergeAddsWindowWise(t *testing.T) {
 	mk := func(base int64) *Registry {
 		r := NewRegistry()
 		r.EnableSeries(100)
-		r.ObserveLatency("lat", 10, base)
-		r.ObserveLatency("lat", 110, base*2)
-		r.AddAt("c", 10, base)
+		r.Latency("lat").Observe(10, base)
+		r.Latency("lat").Observe(110, base*2)
+		r.TimedCounter("c").Add(10, base)
 		return r
 	}
 	agg := NewRegistry() // series config adopted from the first merge
@@ -148,11 +148,11 @@ func TestSeriesMergeDeterministicBytes(t *testing.T) {
 		for i := int64(1); i <= 4; i++ {
 			p := NewRegistry()
 			p.EnableSeries(50)
-			p.ObserveLatency("a.lat", i*30, i)
-			p.ObserveLatency("b.lat", i*40, i*3)
-			p.SampleAt("g", i*25, float64(i)/2)
+			p.Latency("a.lat").Observe(i*30, i)
+			p.Latency("b.lat").Observe(i*40, i*3)
+			p.Sampler("g").Sample(i*25, float64(i)/2)
 			p.Counters().Add("n", i)
-			p.AddAt("m", i*30, 1)
+			p.TimedCounter("m").Add(i*30, 1)
 			agg.Merge(p)
 		}
 		var buf bytes.Buffer
@@ -171,7 +171,7 @@ func TestSeriesResetPreservesConfig(t *testing.T) {
 	r := NewRegistry()
 	r.EnableSeries(100)
 	r.AddSLO(SLOConfig{Name: "t", Metric: "lat", TargetPS: 10, Budget: 0.1})
-	r.ObserveLatency("lat", 50, 99)
+	r.Latency("lat").Observe(50, 99)
 	r.Reset()
 	if r.SeriesWindow() != 100 {
 		t.Fatalf("Reset dropped series window: %d", r.SeriesWindow())
@@ -187,7 +187,7 @@ func TestSeriesResetPreservesConfig(t *testing.T) {
 		t.Fatalf("Reset kept SLO counts: %+v", f.SLOs)
 	}
 	// Post-reset collection starts clean.
-	r.ObserveLatency("lat", 150, 5)
+	r.Latency("lat").Observe(150, 5)
 	f = decodeSeries(t, r)
 	if len(f.Windows) != 1 || f.Windows[0].StartPS != 100 {
 		t.Fatalf("post-reset windows wrong: %+v", f.Windows)

@@ -146,9 +146,8 @@ func (s *sloState) violating(w *sloWindow) bool {
 
 // AddSLO registers an objective on the registry. Registering the same
 // (Name, Metric) pair again replaces its configuration and keeps its
-// counts. Observations reach SLOs only through ObserveLatency and
-// Latency handles, including handles resolved before the objective was
-// added.
+// counts. Observations reach SLOs only through Latency handles,
+// including handles resolved before the objective was added.
 func (r *Registry) AddSLO(cfg SLOConfig) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -47,13 +47,13 @@ func TestSLOViolationsAndBurn(t *testing.T) {
 	r.EnableSeries(100)
 	r.AddSLO(SLOConfig{Name: "t", Metric: "lat", TargetPS: 10, Budget: 0.5})
 	// Window 0: 1 of 2 over target → burn (0.5/0.5) = 1, not violating.
-	r.ObserveLatency("lat", 10, 5)
-	r.ObserveLatency("lat", 20, 50)
+	r.Latency("lat").Observe(10, 5)
+	r.Latency("lat").Observe(20, 50)
 	// Window 1: 2 of 2 over target → burn 2, violating.
-	r.ObserveLatency("lat", 110, 50)
-	r.ObserveLatency("lat", 120, 50)
+	r.Latency("lat").Observe(110, 50)
+	r.Latency("lat").Observe(120, 50)
 	// Unwatched metric never reaches the SLO.
-	r.ObserveLatency("other", 130, 1e9)
+	r.Latency("other").Observe(130, 1e9)
 	f := decodeSeries(t, r)
 	s := f.SLOs["t|lat"]
 	if s.Total != 4 || s.Violations != 3 {
@@ -77,8 +77,8 @@ func TestSLOWithoutSeries(t *testing.T) {
 	// SLOs work standalone: everything lands in one run-wide window.
 	r := NewRegistry()
 	r.AddSLO(SLOConfig{Name: "t", Metric: "lat", TargetPS: 10, Budget: 0.1})
-	r.ObserveLatency("lat", 123, 99)
-	r.ObserveLatency("lat", 456, 1)
+	r.Latency("lat").Observe(123, 99)
+	r.Latency("lat").Observe(456, 1)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -100,8 +100,8 @@ func TestSLOMergeAdoptsAndAdds(t *testing.T) {
 		p := NewRegistry()
 		p.EnableSeries(100)
 		p.AddSLO(SLOConfig{Name: "t", Metric: "lat", TargetPS: 10, Budget: 0.5})
-		p.ObserveLatency("lat", 50, 99)
-		p.ObserveLatency("lat", 150, 1)
+		p.Latency("lat").Observe(50, 99)
+		p.Latency("lat").Observe(150, 1)
 		return p
 	}
 	agg := NewRegistry()
@@ -123,8 +123,8 @@ func TestSLOMergeAdoptsAndAdds(t *testing.T) {
 func TestSLOPerWindowCountsAreExact(t *testing.T) {
 	r := NewRegistry()
 	r.AddSLO(SLOConfig{Name: "t", Metric: "lat", TargetPS: 1000, Budget: 0.001})
-	r.ObserveLatency("lat", 1, 1000) // exactly at target: meets it
-	r.ObserveLatency("lat", 2, 1001) // one over: violates
+	r.Latency("lat").Observe(1, 1000) // exactly at target: meets it
+	r.Latency("lat").Observe(2, 1001) // one over: violates
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
