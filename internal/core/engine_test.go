@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"morpheus/internal/nvme"
 	"morpheus/internal/serial"
+	"morpheus/internal/ssd"
 	"morpheus/internal/stats"
 )
 
@@ -69,4 +71,37 @@ func TestOneEngineEventPerCommand(t *testing.T) {
 		}
 		check(t, sys)
 	})
+}
+
+// TestEngineResetCoversPendingEvents: ResetTimers is the setup/measurement
+// boundary; a command a setup phase submitted and never reaped must not
+// leak into the measured run. Its completion was delivered at submission,
+// so nothing is left in either ring, and the delivery count and in-flight
+// depth start again from zero.
+func TestEngineResetCoversPendingEvents(t *testing.T) {
+	sys := newTestSystem(t, func(c *SystemConfig) { c.WithGPU = false })
+	data, _ := testInput(1<<12, 3)
+	f, err := sys.WriteFile("ints.txt", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _, err := sys.Host.AllocDMA(0, f.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &ssd.CmdContext{Cmd: nvme.BuildRead(0, f.SLBA, f.NLB, uint64(addr))}
+	if _, _, err := sys.Driver.SubmitAsync(0, ctx); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Engine.Fired() == 0 || sys.Driver.inflight != 1 {
+		t.Fatalf("setup command not outstanding: fired=%d inflight=%d", sys.Engine.Fired(), sys.Driver.inflight)
+	}
+	sys.ResetTimers()
+	qp := sys.Driver.qp
+	if sq, cq := qp.SQ.Len(), qp.CQ.Len(); sq != 0 || cq != 0 {
+		t.Fatalf("setup command left in the rings across ResetTimers: %v", qp)
+	}
+	if sys.Engine.Fired() != 0 || sys.Driver.inflight != 0 {
+		t.Fatalf("engine not rewound: fired=%d inflight=%d", sys.Engine.Fired(), sys.Driver.inflight)
+	}
 }
