@@ -246,7 +246,7 @@ func TestFailedBatchMReadFlaggedForSampler(t *testing.T) {
 	}
 	var kept bool
 	for _, e := range tr.Events() {
-		if e.Track == "host" && e.Name == "submit" && strings.Contains(e.Detail, "op=MREAD") {
+		if e.Track.String() == "host" && e.Name.String() == "submit" && strings.Contains(e.Detail.String(), "op=MREAD") {
 			kept = true
 		}
 	}

@@ -9,6 +9,23 @@ import (
 	"morpheus/internal/units"
 )
 
+// Host-track trace names and details: a submission's opcode and CID, and
+// which degraded path a fallback took.
+var (
+	hostTrack       = trace.Intern("host")
+	submitName      = trace.Intern("submit")
+	fallbackName    = trace.Intern("fallback")
+	fallbackHost    = trace.Text("path=host")
+	fallbackReplica = trace.Text("path=replica")
+	submitKind      = trace.RegisterDetail(func(a [3]int64) string {
+		return fmt.Sprintf("op=%s cid=%d", nvme.Opcode(a[0]), uint16(a[1]))
+	})
+)
+
+func submitDetail(op nvme.Opcode, cid uint16) trace.Detail {
+	return trace.Detail{Kind: submitKind, Args: [3]int64{int64(op), int64(cid)}}
+}
+
 // Driver is the extended NVMe driver of Figure 5: it owns the queue pair,
 // charges the protocol costs on the host side (SQE write, doorbell,
 // completion reaping), and understands the four Morpheus opcodes.
@@ -145,12 +162,8 @@ func (d *Driver) startCommand(ready, tCPU units.Time, cid uint16, ctx *ssd.CmdCo
 	// Root of the command's causal chain: the span is allocated here and
 	// rides in the context, so every device-side event the command causes
 	// links back to this submission.
-	span := d.sys.tracer.NextSpan()
+	span := d.sys.tracer.Span(hostTrack, submitName, submitDetail(ctx.Cmd.Opcode, cid), 0, ready, tCPU)
 	ctx.Span = span
-	if span != 0 {
-		d.sys.tracer.RecordSpan("host", "submit",
-			fmt.Sprintf("op=%s cid=%d", ctx.Cmd.Opcode, cid), span, 0, ready, tCPU)
-	}
 	d.inflight++
 	comp, done := d.sys.SSD.Submit(tCPU, ctx)
 	if err := d.qp.Complete(comp.CID, comp.Status, comp.Result); err != nil {

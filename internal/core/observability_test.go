@@ -40,7 +40,7 @@ func TestSpanPropagationEndToEnd(t *testing.T) {
 
 	submitted := map[trace.SpanID]bool{}
 	for _, e := range tr.Events() {
-		if e.Track == "host" && e.Name == "submit" {
+		if e.Track.String() == "host" && e.Name.String() == "submit" {
 			if e.Span == 0 {
 				t.Fatal("host submission without a span ID")
 			}
@@ -53,7 +53,7 @@ func TestSpanPropagationEndToEnd(t *testing.T) {
 
 	var device, resolvable int
 	for _, e := range tr.Events() {
-		if !isDeviceTrack(e.Track) {
+		if !isDeviceTrack(e.Track.String()) {
 			continue
 		}
 		device++
@@ -96,7 +96,7 @@ func TestSpanDistinctAcrossCommands(t *testing.T) {
 	// at the command that caused them, not an earlier one.
 	nvmeSpans := map[trace.SpanID]bool{}
 	for _, e := range tr.Events() {
-		if e.Track == "nvme" {
+		if e.Track.String() == "nvme" {
 			if nvmeSpans[e.Span] {
 				t.Fatalf("nvme span %d reused", e.Span)
 			}

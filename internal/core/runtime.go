@@ -497,9 +497,7 @@ func (s *System) invokeFallback(ready units.Time, opt InvokeOptions, cause error
 	s.metrics.hostFallbacks.Add(int64(ready), 1)
 	// Degraded mode is always trace-worthy: the marker both shows up on
 	// the host track and tells the tail sampler to keep the tree.
-	fbSpan := s.tracer.NextSpan()
-	s.tracer.RecordSpan("host", "fallback", "path=host", fbSpan, 0, ready, ready)
-	s.tracer.Flag(fbSpan)
+	s.tracer.Flag(s.tracer.Span(hostTrack, fallbackName, fallbackHost, 0, ready, ready))
 	res, derr := s.DeserializeConventional(ready, opt.File, fb.Parser(), fb.Spec, fb.CoreIdx, opt.Into)
 	if derr == nil {
 		return &InvokeResult{
@@ -540,9 +538,7 @@ func (s *System) invokeFallback(ready units.Time, opt InvokeOptions, cause error
 		return nil, fmt.Errorf("core: host fallback failed (%w) and %q has no replica: %w", derr, opt.File.Name, ErrMediaFailure)
 	}
 	s.metrics.replicaFallbacks.Add(int64(t), 1)
-	rfSpan := s.tracer.NextSpan()
-	s.tracer.RecordSpan("host", "fallback", "path=replica", rfSpan, 0, t, rt)
-	s.tracer.Flag(rfSpan)
+	s.tracer.Flag(s.tracer.Span(hostTrack, fallbackName, fallbackReplica, 0, t, rt))
 	rres, rerr := s.DeserializeFromMedium(rt, s.ReplicaMedium(), data, fb.Parser(), fb.Spec, fb.CoreIdx, opt.Into)
 	if rerr != nil {
 		return nil, rerr

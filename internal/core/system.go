@@ -228,8 +228,8 @@ func (s *System) ResetTimers() {
 
 // EnableTrace attaches a fresh event tracer (capped at cap events; 0 =
 // unbounded) to every unit of the testbed and returns it. Use
-// tracer.WriteTimeline / WriteGantt / WriteChromeTrace to inspect
-// command-level overlap.
+// tracer.WriteGantt, or stream the events to a trace.ChromeStream with
+// SetSink, to inspect command-level overlap.
 func (s *System) EnableTrace(cap int) *trace.Tracer {
 	t := trace.New(cap)
 	s.AttachTracer(t)

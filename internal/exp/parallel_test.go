@@ -259,7 +259,7 @@ func TestRunPointsOrderAndFold(t *testing.T) {
 	vals, err := runPoints(o, 16, func(i int, po Options) (int, error) {
 		po.Metrics.Counters().Add("points", 1)
 		po.Metrics.Gauge("order").Sample(int64(i), float64(i))
-		po.Trace.RecordSpan("t", "p", "", po.Trace.NextSpan(), 0, 0, 1)
+		po.Trace.Span(trace.Intern("t"), trace.Intern("p"), trace.Detail{}, 0, 0, 1)
 		mu.Lock()
 		foldOrder = append(foldOrder, int64(i))
 		mu.Unlock()

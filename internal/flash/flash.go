@@ -39,11 +39,17 @@ func (g Geometry) Capacity() units.Bytes {
 	return units.Bytes(g.TotalPages()) * g.PageSize
 }
 
-// Validate reports an error for degenerate geometries.
+// Validate reports an error for degenerate geometries and for ones too
+// large for a PPA to pack into 64 bits (see PPA.Pack).
 func (g Geometry) Validate() error {
 	if g.Channels <= 0 || g.DiesPerChannel <= 0 || g.PlanesPerDie <= 0 ||
 		g.BlocksPerPlane <= 0 || g.PagesPerBlock <= 0 || g.PageSize <= 0 {
 		return fmt.Errorf("flash: geometry has non-positive dimension: %+v", g)
+	}
+	if g.Channels > 1<<ppaChannelBits || g.DiesPerChannel > 1<<ppaDieBits ||
+		g.PlanesPerDie > 1<<ppaPlaneBits || g.BlocksPerPlane > 1<<ppaBlockBits ||
+		g.PagesPerBlock > 1<<ppaPageBits {
+		return fmt.Errorf("flash: geometry exceeds the addressable range: %+v", g)
 	}
 	return nil
 }
@@ -93,6 +99,44 @@ func (a PPA) String() string {
 	return fmt.Sprintf("ppa(%d/%d/%d/%d/%d)", a.Channel, a.Die, a.Plane, a.Block, a.Page)
 }
 
+// Bit widths of a packed PPA's fields, page lowest; they sum to 64, and
+// Geometry.Validate keeps every address of a valid array inside them.
+const (
+	ppaPageBits    = 20
+	ppaBlockBits   = 20
+	ppaPlaneBits   = 8
+	ppaDieBits     = 8
+	ppaChannelBits = 8
+)
+
+// Pack encodes an address of a valid geometry in one int64 (a trace
+// detail argument); UnpackPPA inverts it.
+func (a PPA) Pack() int64 {
+	v := uint64(a.Channel)
+	v = v<<ppaDieBits | uint64(a.Die)
+	v = v<<ppaPlaneBits | uint64(a.Plane)
+	v = v<<ppaBlockBits | uint64(a.Block)
+	v = v<<ppaPageBits | uint64(a.Page)
+	return int64(v)
+}
+
+// UnpackPPA decodes a PPA.Pack value.
+func UnpackPPA(p int64) PPA {
+	v := uint64(p)
+	field := func(bits uint) int {
+		f := int(v & (1<<bits - 1))
+		v >>= bits
+		return f
+	}
+	var a PPA
+	a.Page = field(ppaPageBits)
+	a.Block = field(ppaBlockBits)
+	a.Plane = field(ppaPlaneBits)
+	a.Die = field(ppaDieBits)
+	a.Channel = field(ppaChannelBits)
+	return a
+}
+
 // BlockAddr is a physical block address (a PPA without the page index).
 type BlockAddr struct {
 	Channel, Die, Plane, Block int
@@ -128,6 +172,19 @@ type Array struct {
 
 	tracer *trace.Tracer
 	span   trace.SpanID
+	// chanTracks are the channels' trace tracks ("flash.chN").
+	chanTracks []trace.Name
+}
+
+// Trace names and the detail of read and program spans: the packed PPA.
+var (
+	readName    = trace.Intern("read")
+	programName = trace.Intern("program")
+	ppaKind     = trace.RegisterDetail(func(a [3]int64) string { return UnpackPPA(a[0]).String() })
+)
+
+func ppaDetail(addr PPA) trace.Detail {
+	return trace.Detail{Kind: ppaKind, Args: [3]int64{addr.Pack()}}
 }
 
 // SetTracer attaches an event tracer (nil to disable).
@@ -152,6 +209,7 @@ func New(geo Geometry, timing Timing) (*Array, error) {
 	}
 	for c := 0; c < geo.Channels; c++ {
 		a.channels = append(a.channels, sim.NewPipe(fmt.Sprintf("flash.ch%d", c), 0, timing.ChannelRate))
+		a.chanTracks = append(a.chanTracks, trace.Intern(a.channels[c].Name()))
 		for d := 0; d < geo.DiesPerChannel; d++ {
 			a.dies = append(a.dies, sim.NewResource(fmt.Sprintf("flash.ch%d.die%d", c, d)))
 		}
@@ -198,8 +256,7 @@ func (a *Array) Read(ready units.Time, addr PPA) (data []byte, done units.Time, 
 	_, done = a.channels[addr.Channel].Transfer(arrayDone, a.geo.PageSize)
 	a.readBytes += a.geo.PageSize
 	if a.tracer != nil {
-		a.tracer.RecordSpan(a.channels[addr.Channel].Name(), "read",
-			addr.String(), a.tracer.NextSpan(), a.span, dieStart, done)
+		a.tracer.Span(a.chanTracks[addr.Channel], readName, ppaDetail(addr), a.span, dieStart, done)
 	}
 	if d, ok := a.data[addr]; ok {
 		return d, done, nil
@@ -235,8 +292,7 @@ func (a *Array) Program(ready units.Time, addr PPA, data []byte) (done units.Tim
 	a.programs++
 	a.progBytes += a.geo.PageSize
 	if a.tracer != nil {
-		a.tracer.RecordSpan(a.channels[addr.Channel].Name(), "program",
-			addr.String(), a.tracer.NextSpan(), a.span, xferStart, done)
+		a.tracer.Span(a.chanTracks[addr.Channel], programName, ppaDetail(addr), a.span, xferStart, done)
 	}
 	return done, nil
 }

@@ -72,6 +72,19 @@ type FTL struct {
 	span   trace.SpanID
 }
 
+// Trace names of the map span and its detail: the LBA and the packed PPA.
+var (
+	ftlTrack = trace.Intern("ftl")
+	mapName  = trace.Intern("map")
+	mapKind  = trace.RegisterDetail(func(a [3]int64) string {
+		return fmt.Sprintf("lba=%d %v", LBA(a[0]), flash.UnpackPPA(a[1]))
+	})
+)
+
+func mapDetail(lba LBA, ppa flash.PPA) trace.Detail {
+	return trace.Detail{Kind: mapKind, Args: [3]int64{int64(lba), ppa.Pack()}}
+}
+
 // SetTracer attaches an event tracer (nil to disable).
 func (f *FTL) SetTracer(t *trace.Tracer) { f.tracer = t }
 
@@ -138,8 +151,7 @@ func (f *FTL) Read(ready units.Time, lba LBA) ([]byte, units.Time, error) {
 	}
 	if f.tracer != nil {
 		// Translation itself is free (an in-DRAM table walk): a point event.
-		f.tracer.RecordSpan("ftl", "map", fmt.Sprintf("lba=%d %v", lba, ppa),
-			f.tracer.NextSpan(), f.span, ready, ready)
+		f.tracer.Span(ftlTrack, mapName, mapDetail(lba, ppa), f.span, ready, ready)
 	}
 	data, done, err := f.array.Read(ready, ppa)
 	if errors.Is(err, flash.ErrUncorrectable) {

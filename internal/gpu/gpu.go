@@ -72,6 +72,20 @@ type GPU struct {
 	tracer *trace.Tracer
 }
 
+// Trace names of kernel spans and their detail: the kernel's interned
+// name and its element count.
+var (
+	smsTrack   = trace.Intern("gpu.sms")
+	kernelName = trace.Intern("kernel")
+	kernelKind = trace.RegisterDetail(func(a [3]int64) string {
+		return fmt.Sprintf("%s elements=%d", trace.Name(a[0]), a[1])
+	})
+)
+
+func kernelDetail(name string, elements int64) trace.Detail {
+	return trace.Detail{Kind: kernelKind, Args: [3]int64{int64(trace.Intern(name)), elements}}
+}
+
 // SetTracer attaches an event tracer (nil to disable).
 func (g *GPU) SetTracer(t *trace.Tracer) { g.tracer = t }
 
@@ -207,9 +221,7 @@ func (g *GPU) RunKernel(ready units.Time, spec KernelSpec) units.Time {
 	g.kernelsLaunched++
 	g.kernelTime += d
 	if g.tracer != nil {
-		g.tracer.RecordSpan("gpu.sms", "kernel",
-			fmt.Sprintf("%s elements=%d", spec.Name, spec.Elements),
-			g.tracer.NextSpan(), 0, start, end)
+		g.tracer.Span(smsTrack, kernelName, kernelDetail(spec.Name, spec.Elements), 0, start, end)
 	}
 	return end
 }

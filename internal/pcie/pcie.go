@@ -72,6 +72,8 @@ type Window struct {
 	Size     uint64
 	Endpoint string // owning endpoint ("host" for DRAM windows)
 	Sink     Sink
+
+	traceName trace.Name // Name, interned when the window is mapped
 }
 
 // Contains reports whether a falls inside the window.
@@ -83,9 +85,9 @@ func (w *Window) Contains(a Addr) bool {
 // a full-duplex link: one pipe per direction.
 type Endpoint struct {
 	name  string
-	track string    // trace track of its DMA spans: "pcie." + name
-	up    *sim.Pipe // device -> switch
-	down  *sim.Pipe // switch -> device
+	track trace.Name // trace track of its DMA spans: "pcie." + name
+	up    *sim.Pipe  // device -> switch
+	down  *sim.Pipe  // switch -> device
 }
 
 // Name returns the endpoint name.
@@ -125,6 +127,23 @@ type Fabric struct {
 	span   trace.SpanID
 }
 
+// Trace names of DMA spans and their details: the byte count and the
+// window's interned name.
+var (
+	dmaOutName = trace.Intern("dma-out")
+	dmaInName  = trace.Intern("dma-in")
+	dmaOutKind = trace.RegisterDetail(func(a [3]int64) string {
+		return fmt.Sprintf("%v -> %s", units.Bytes(a[0]), trace.Name(a[1]))
+	})
+	dmaInKind = trace.RegisterDetail(func(a [3]int64) string {
+		return fmt.Sprintf("%v <- %s", units.Bytes(a[0]), trace.Name(a[1]))
+	})
+)
+
+func dmaDetail(kind trace.DetailKind, n units.Bytes, w *Window) trace.Detail {
+	return trace.Detail{Kind: kind, Args: [3]int64{int64(n), int64(w.traceName)}}
+}
+
 // SetTracer attaches an event tracer (nil to disable).
 func (f *Fabric) SetTracer(t *trace.Tracer) { f.tracer = t }
 
@@ -151,7 +170,7 @@ func (f *Fabric) Attach(name string, bw units.Bandwidth, latency units.Duration)
 	}
 	e := &Endpoint{
 		name:  name,
-		track: "pcie." + name,
+		track: trace.Intern("pcie." + name),
 		up:    sim.NewPipe("pcie."+name+".up", latency, bw),
 		down:  sim.NewPipe("pcie."+name+".down", latency, bw),
 	}
@@ -191,6 +210,7 @@ func (f *Fabric) MapWindow(w Window) (*Window, error) {
 		}
 	}
 	nw := w
+	nw.traceName = trace.Intern(w.Name)
 	f.windows = append(f.windows, &nw)
 	sort.Slice(f.windows, func(i, j int) bool { return f.windows[i].Base < f.windows[j].Base })
 	return &nw, nil
@@ -242,8 +262,7 @@ func (f *Fabric) WriteTo(ready units.Time, dev string, dst Addr, n units.Bytes) 
 	t = w.Sink.Deliver(t, n)
 	f.count(dev, w, n)
 	if f.tracer != nil {
-		f.tracer.RecordSpan(src.track, "dma-out",
-			fmt.Sprintf("%v -> %s", n, w.Name), f.tracer.NextSpan(), f.span, ready, t)
+		f.tracer.Span(src.track, dmaOutName, dmaDetail(dmaOutKind, n, w), f.span, ready, t)
 	}
 	return t, nil
 }
@@ -262,8 +281,7 @@ func (f *Fabric) ReadFrom(ready units.Time, dev string, src Addr, n units.Bytes)
 	_, t = dst.down.Transfer(t, wireBytes(n))
 	f.count(dev, w, n)
 	if f.tracer != nil {
-		f.tracer.RecordSpan(dst.track, "dma-in",
-			fmt.Sprintf("%v <- %s", n, w.Name), f.tracer.NextSpan(), f.span, ready, t)
+		f.tracer.Span(dst.track, dmaInName, dmaDetail(dmaInKind, n, w), f.span, ready, t)
 	}
 	return t, nil
 }

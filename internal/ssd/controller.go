@@ -64,6 +64,8 @@ type Controller struct {
 	cores    []*sim.Resource // embedded cores (firmware + StorageApps)
 	frontend *sim.Resource   // NVMe/PCIe interface: command parse + flash/DMA sequencing
 	dram     *sim.Pipe
+	// coreTracks are the cores' trace tracks ("ssd.coreN").
+	coreTracks []trace.Name
 
 	instances map[uint32]*instance
 	// dramReserved is the controller DRAM currently pinned as per-instance
@@ -129,6 +131,7 @@ func New(cfg Config, counters *stats.Set, fabric *pcie.Fabric) (*Controller, err
 	}
 	for i := 0; i < cfg.EmbeddedCores; i++ {
 		c.cores = append(c.cores, sim.NewResource(fmt.Sprintf("ssd.core%d", i)))
+		c.coreTracks = append(c.coreTracks, trace.Intern(c.cores[i].Name()))
 	}
 	if cfg.ObjectCache {
 		size := cfg.ObjectCacheSize
@@ -237,9 +240,7 @@ func (c *Controller) invalidateCache(span trace.SpanID, slba uint64, nlb uint32,
 	if n > 0 {
 		c.counters.cacheInvalidations.Add(int64(n))
 		if c.tracer != nil {
-			c.tracer.RecordSpan("ssd.cache", "invalidate",
-				fmt.Sprintf("slba=%d nlb=%d entries=%d", slba, nlb, n),
-				c.tracer.NextSpan(), span, at, at)
+			c.tracer.Span(cacheTrack, invalidateName, invalidateDetail(slba, nlb, n), span, at, at)
 		}
 	}
 }
@@ -343,9 +344,8 @@ func (c *Controller) Submit(ready units.Time, ctx *CmdContext) (nvme.Completion,
 		}
 	}
 	if c.tracer != nil {
-		c.tracer.RecordSpan("nvme", cmd.Opcode.String(),
-			fmt.Sprintf("slba=%d nlb=%d status=0x%x", cmd.SLBA(), cmd.NLB(), uint16(status)),
-			c.tracer.NextSpan(), ctx.Span, ready, done)
+		c.tracer.Span(nvmeTrack, opName(cmd.Opcode),
+			nvmeDetail(cmd.SLBA(), cmd.NLB(), status), ctx.Span, ready, done)
 		if uint16(status) != 0 {
 			// A failed command makes its whole tree interesting to the
 			// tail sampler, wherever the failure surfaced.
@@ -608,9 +608,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 	// pinned core still runs the StorageApp over chunk k.
 	feStart, t := c.frontend.Acquire(ready, c.cfg.FirmwareCmdCost)
 	if c.tracer != nil {
-		c.tracer.RecordSpan("ssd.frontend", "parse",
-			fmt.Sprintf("instance=%d", ctx.Cmd.Instance()),
-			c.tracer.NextSpan(), ctx.Span, feStart, t)
+		c.tracer.Span(frontendTrack, parseName, parseDetail(ctx.Cmd.Instance()), ctx.Span, feStart, t)
 	}
 	dst := pcie.Addr(ctx.Cmd.PRP1)
 	nlb := ctx.Cmd.NLB()
@@ -633,9 +631,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 		}
 		c.counters.cacheMisses.Add(1)
 		if c.tracer != nil {
-			c.tracer.RecordSpan("ssd.cache", "miss",
-				fmt.Sprintf("instance=%d slba=%d nlb=%d", in.id, key.slba, key.nlb),
-				c.tracer.NextSpan(), ctx.Span, t, t)
+			c.tracer.Span(cacheTrack, missName, missDetail(in.id, key.slba, key.nlb), ctx.Span, t, t)
 		}
 	}
 	// Collect the chunk's pages into D-SRAM (via DRAM), then run the
@@ -685,9 +681,8 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 	vmStart, end := core.Acquire(dataAt, c.cfg.CoreFreq.Cycles(res.cycles))
 	in.lastVMEnd = end
 	if c.tracer != nil {
-		c.tracer.RecordSpan(core.Name(), "storageapp",
-			fmt.Sprintf("instance=%d chunk=%dB cycles=%.0f", in.id, len(chunk), res.cycles),
-			c.tracer.NextSpan(), ctx.Span, vmStart, end)
+		c.tracer.Span(c.coreTracks[in.coreIdx], storageAppName,
+			storageAppDetail(in.id, len(chunk), res.cycles), ctx.Span, vmStart, end)
 	}
 	c.counters.storageAppCycles.Add(int64(res.cycles))
 	// DMA the produced objects to the destination (host DRAM or GPU BAR).
@@ -760,9 +755,7 @@ func (c *Controller) serveCached(t units.Time, ctx *CmdContext, in *instance, e 
 		}
 	}
 	if c.tracer != nil {
-		c.tracer.RecordSpan("ssd.cache", "hit",
-			fmt.Sprintf("instance=%d slba=%d nlb=%d bytes=%d", in.id, key.slba, key.nlb, len(e.out)),
-			c.tracer.NextSpan(), ctx.Span, start, end)
+		c.tracer.Span(cacheTrack, hitName, hitDetail(in.id, key.slba, key.nlb, len(e.out)), ctx.Span, start, end)
 	}
 	return nvme.StatusSuccess, end
 }

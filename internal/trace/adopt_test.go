@@ -11,11 +11,9 @@ import (
 // on tr: a parent span and a child span per step.
 func recordPoint(tr *Tracer, steps int, base units.Time) {
 	for i := 0; i < steps; i++ {
-		parent := tr.NextSpan()
 		t0 := base.Add(units.Duration(i * 10))
-		tr.RecordSpan("host", "submit", "", parent, 0, t0, t0.Add(2))
-		child := tr.NextSpan()
-		tr.RecordSpan("ssd", "exec", "", child, parent, t0.Add(2), t0.Add(8))
+		parent := tr.Span(Intern("host"), Intern("submit"), Detail{}, 0, t0, t0.Add(2))
+		tr.Span(Intern("ssd"), Intern("exec"), Detail{}, parent, t0.Add(2), t0.Add(8))
 	}
 }
 
@@ -39,7 +37,8 @@ func TestAdoptReproducesSequentialTrace(t *testing.T) {
 		t.Fatalf("adopted trace diverges from sequential:\n%v\nvs\n%v", folded.Events(), shared.Events())
 	}
 	// Future span allocation continues past the adopted IDs.
-	if s, f := shared.NextSpan(), folded.NextSpan(); s != f {
+	next := func(tr *Tracer) SpanID { return tr.Span(Intern("host"), Intern("next"), Detail{}, 0, 0, 0) }
+	if s, f := next(shared), next(folded); s != f {
 		t.Fatalf("next span after adoption: %d vs sequential %d", f, s)
 	}
 }
@@ -75,7 +74,7 @@ func TestAdoptNilAndSelf(t *testing.T) {
 	var nilT *Tracer
 	nilT.Adopt(New(0)) // must not panic
 	tr := New(0)
-	tr.Record("a", "x", "", 0, 1)
+	record(tr, "a", "x", "", 0, 1)
 	tr.Adopt(nil)
 	tr.Adopt(tr)
 	if tr.Len() != 1 {
@@ -85,13 +84,13 @@ func TestAdoptNilAndSelf(t *testing.T) {
 
 func TestAdoptZeroSpansStayZero(t *testing.T) {
 	src := New(0)
-	src.NextSpan() // shift the offset so renumbering would be visible
-	src.Record("a", "unlinked", "", 0, 1)
+	src.Span(Intern("a"), Intern("linked"), Detail{}, 0, 0, 1) // shift the offset so renumbering would be visible
+	record(src, "a", "unlinked", "", 0, 1)
 	dst := New(0)
-	dst.NextSpan()
+	dst.Span(Intern("a"), Intern("linked"), Detail{}, 0, 0, 1)
 	dst.Adopt(src)
 	evs := dst.Events()
-	if evs[0].Span != 0 || evs[0].Parent != 0 {
-		t.Fatalf("span-less event gained IDs: %+v", evs[0])
+	if e := evs[2]; e.Name != Intern("unlinked") || e.Span != 0 || e.Parent != 0 {
+		t.Fatalf("span-less event gained IDs: %+v", e)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"morpheus/internal/units"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -16,12 +18,14 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // parentage, point events, and detail args.
 func goldenTracer() *Tracer {
 	tr := New(0)
-	root := tr.NextSpan()
-	tr.RecordSpan("host", "submit", "op=MREAD cid=1", root, 0, 1_000_000, 2_000_000)
-	tr.RecordSpan("nvme", "MREAD", "cid=1", tr.NextSpan(), root, 2_000_000, 9_000_000)
-	tr.RecordSpan("ssd.core0", "storageapp", "", tr.NextSpan(), root, 3_000_000, 8_000_000)
-	tr.RecordSpan("ftl", "map", "lba=7", tr.NextSpan(), root, 3_500_000, 3_500_000) // point
-	tr.RecordSpan("flash.ch2", "read", "ch2/w0/d1", tr.NextSpan(), root, 4_000_000, 6_000_000)
+	span := func(track, name, detail string, parent SpanID, start, end units.Time) SpanID {
+		return tr.Span(Intern(track), Intern(name), Text(detail), parent, start, end)
+	}
+	root := span("host", "submit", "op=MREAD cid=1", 0, 1_000_000, 2_000_000)
+	span("nvme", "MREAD", "cid=1", root, 2_000_000, 9_000_000)
+	span("ssd.core0", "storageapp", "", root, 3_000_000, 8_000_000)
+	span("ftl", "map", "lba=7", root, 3_500_000, 3_500_000) // point
+	span("flash.ch2", "read", "ch2/w0/d1", root, 4_000_000, 6_000_000)
 	return tr
 }
 

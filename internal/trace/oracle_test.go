@@ -3,12 +3,12 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"sort"
-	"strings"
 )
 
-// chromeEvent is one entry in the Chrome trace-event JSON array. Field
-// order matters only for readability; Perfetto keys off ph/pid/tid/ts.
+// This file holds ChromeStream's reference oracle: a buffered exporter
+// built on encoding/json. The streaming writer must reproduce its bytes.
+
+// chromeEvent is one entry in the Chrome trace-event JSON array.
 type chromeEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
@@ -23,36 +23,6 @@ type chromeEvent struct {
 type chromeFile struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-// trackUnit maps a track name to its owning unit: the prefix before the
-// first dot ("ssd.core1" → "ssd"), or the whole name for single-track
-// units ("nvme", "host").
-func trackUnit(track string) string {
-	if i := strings.IndexByte(track, '.'); i >= 0 {
-		return track[:i]
-	}
-	return track
-}
-
-// chromeLayout numbers units (pids) and tracks (tids) from the sorted
-// track list, exactly as the exporter always has: pids in first-seen
-// order over sorted tracks, tids in sorted-track order, and the unit list
-// re-sorted for metadata emission. Shared by the buffered and streaming
-// writers so their output stays byte-identical.
-func chromeLayout(tracks []string) (pidOf, tidOf map[string]int, unitNames []string) {
-	pidOf = map[string]int{}
-	tidOf = map[string]int{}
-	for _, track := range tracks {
-		u := trackUnit(track)
-		if _, ok := pidOf[u]; !ok {
-			pidOf[u] = len(unitNames) + 1
-			unitNames = append(unitNames, u)
-		}
-		tidOf[track] = len(tidOf) + 1
-	}
-	sort.Strings(unitNames)
-	return pidOf, tidOf, unitNames
 }
 
 // chromeMetaEvents renders the process/thread naming metadata that leads
@@ -74,17 +44,16 @@ func chromeMetaEvents(tracks []string, pidOf, tidOf map[string]int, unitNames []
 	return out
 }
 
-const psPerMicro = 1e6 // units.Time is picoseconds; trace ts is µs
-
 // toChromeEvent converts one recorded event: spans become complete ("X")
 // events, instants thread-scoped ("i"), and span/parent/detail ride in
 // args so the causal chain survives the export.
 func toChromeEvent(e Event, pidOf, tidOf map[string]int) chromeEvent {
+	track := e.Track.String()
 	ce := chromeEvent{
-		Name: e.Name,
+		Name: e.Name.String(),
 		TS:   float64(e.Start) / psPerMicro,
-		PID:  pidOf[trackUnit(e.Track)],
-		TID:  tidOf[e.Track],
+		PID:  pidOf[trackUnit(track)],
+		TID:  tidOf[track],
 	}
 	if e.Point() {
 		ce.Phase = "i"
@@ -100,8 +69,8 @@ func toChromeEvent(e Event, pidOf, tidOf map[string]int) chromeEvent {
 	if e.Parent != 0 {
 		args["parent"] = uint64(e.Parent)
 	}
-	if e.Detail != "" {
-		args["detail"] = e.Detail
+	if d := e.Detail.String(); d != "" {
+		args["detail"] = d
 	}
 	if len(args) > 0 {
 		ce.Args = args
@@ -109,12 +78,9 @@ func toChromeEvent(e Event, pidOf, tidOf map[string]int) chromeEvent {
 	return ce
 }
 
-// WriteChromeTrace emits the recorded events in Chrome trace-event JSON
-// (the format chrome://tracing and https://ui.perfetto.dev load). Each
-// unit becomes a process (pid) and each track a thread (tid) within it,
-// so Perfetto groups e.g. all ssd.core* rows under one "ssd" header.
-// Output is deterministic for a given tracer state, and byte-identical to
-// streaming the same events through a ChromeStream.
+// WriteChromeTrace writes the tracer's buffered events in Chrome
+// trace-event JSON through encoding/json: the oracle a ChromeStream fed
+// the same events must match byte for byte.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	events := t.Events()
 	tracks := t.Tracks()

@@ -45,10 +45,13 @@ func (p SamplePolicy) Enabled() bool {
 
 const defaultMaxPending = 4096
 
+// maxFreeBuffers bounds the sampler's free list of per-root buffers.
+const maxFreeBuffers = 64
+
 // sampler implements the policy. Guarded by the owning Tracer's mutex.
 type sampler struct {
 	policy    SamplePolicy
-	keepNames map[string]bool
+	keepNames map[Name]bool
 	headLeft  int
 	// flagged holds roots decided interesting; pending buffers undecided
 	// trees, order their roots oldest-first (entries may be stale after a
@@ -59,6 +62,9 @@ type sampler struct {
 	pendingEvents int
 	maxPending    int
 	out           int64 // events discarded by sampling decisions
+	// free holds emptied per-root buffers for reuse: a buffer comes back
+	// once its tree is kept (take, then recycle) or evicted.
+	free [][]Event
 }
 
 func newSampler(p SamplePolicy) *sampler {
@@ -68,14 +74,14 @@ func newSampler(p SamplePolicy) *sampler {
 	}
 	s := &sampler{
 		policy:     p,
-		keepNames:  map[string]bool{},
+		keepNames:  map[Name]bool{},
 		headLeft:   p.Head,
 		flagged:    map[SpanID]bool{},
 		pending:    map[SpanID][]Event{},
 		maxPending: p.MaxPending,
 	}
 	for _, n := range names {
-		s.keepNames[n] = true
+		s.keepNames[Intern(n)] = true
 	}
 	if s.maxPending <= 0 {
 		s.maxPending = defaultMaxPending
@@ -97,31 +103,31 @@ func (s *sampler) interesting(e Event) bool {
 	return s.keepNames[e.Name]
 }
 
-// offer decides event e: the returned events (possibly a flushed pending
-// tree ending in e) are kept now; nil means e was buffered or discarded.
-func (s *sampler) offer(e Event) []Event {
+// offer decides event e. tree is a flushed pending tree to keep before
+// e (recycle it afterwards); self reports whether e itself is kept. With
+// neither, e was buffered or discarded.
+func (s *sampler) offer(e Event) (tree []Event, self bool) {
 	if s.headLeft > 0 {
 		s.headLeft--
-		return []Event{e}
+		return nil, true
 	}
 	root := rootOf(e)
 	interesting := s.interesting(e)
 	if root == 0 { // no causal tree: decide alone
-		if interesting {
-			return []Event{e}
+		if !interesting {
+			s.out++
 		}
-		s.out++
-		return nil
+		return nil, interesting
 	}
 	if s.flagged[root] {
-		return []Event{e}
+		return nil, true
 	}
 	if interesting {
 		s.flagged[root] = true
-		return append(s.take(root), e)
+		return s.take(root), true
 	}
 	s.buffer(root, e)
-	return nil
+	return nil, false
 }
 
 // flag marks a tree interesting (models call this on retry, timeout, and
@@ -134,7 +140,8 @@ func (s *sampler) flag(root SpanID) []Event {
 	return s.take(root)
 }
 
-// take removes and returns a root's buffered events.
+// take removes and returns a root's buffered events; the caller hands
+// the slice back through recycle once it has kept them.
 func (s *sampler) take(root SpanID) []Event {
 	evs, ok := s.pending[root]
 	if !ok {
@@ -145,13 +152,25 @@ func (s *sampler) take(root SpanID) []Event {
 	return evs
 }
 
+// recycle returns an emptied buffer to the bounded free list.
+func (s *sampler) recycle(evs []Event) {
+	if cap(evs) > 0 && len(s.free) < maxFreeBuffers {
+		s.free = append(s.free, evs[:0])
+	}
+}
+
 // buffer parks an undecided event, evicting the oldest undecided trees
 // once the buffer exceeds MaxPending events.
 func (s *sampler) buffer(root SpanID, e Event) {
-	if len(s.pending[root]) == 0 {
+	evs, ok := s.pending[root]
+	if !ok {
 		s.order = append(s.order, root)
+		if n := len(s.free); n > 0 {
+			evs = s.free[n-1]
+			s.free = s.free[:n-1]
+		}
 	}
-	s.pending[root] = append(s.pending[root], e)
+	s.pending[root] = append(evs, e)
 	s.pendingEvents++
 	for s.pendingEvents > s.maxPending && len(s.order) > 0 {
 		r := s.order[0]
@@ -160,6 +179,7 @@ func (s *sampler) buffer(root SpanID, e Event) {
 			delete(s.pending, r)
 			s.pendingEvents -= len(evs)
 			s.out += int64(len(evs))
+			s.recycle(evs)
 		}
 	}
 	// Compact stale order entries left behind by flags so the slice stays
@@ -218,9 +238,7 @@ func (t *Tracer) Flag(span SpanID) {
 	if t.sampler == nil {
 		return
 	}
-	for _, e := range t.sampler.flag(span) {
-		t.keep(e)
-	}
+	t.keepTree(t.sampler.flag(span))
 }
 
 // Child returns a fresh unbounded tracer inheriting t's sample policy

@@ -8,13 +8,14 @@ import (
 
 // rec is shorthand for recording one event on a tracer.
 func rec(t *Tracer, track, name string, span, parent SpanID, start, end int64) {
-	t.RecordSpan(track, name, "", span, parent, units.Time(start), units.Time(end))
+	recordEvent(t, Event{Track: Intern(track), Name: Intern(name), Span: span, Parent: parent,
+		Start: units.Time(start), End: units.Time(end)})
 }
 
 func eventNames(t *Tracer) []string {
 	var out []string
 	for _, e := range t.Events() {
-		out = append(out, e.Name)
+		out = append(out, e.Name.String())
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 
 	"morpheus/internal/jsonw"
@@ -47,19 +48,23 @@ func (t *Tracer) Kept() int64 {
 // before spilling a sorted chunk to disk (~64k events ≈ a few MB).
 const defaultChunkCap = 1 << 16
 
-// ChromeStream is an EventSink that writes Chrome trace-event JSON
-// byte-identical to Tracer.WriteChromeTrace while holding only O(chunk)
-// events in memory: events accumulate into fixed-size chunks, each chunk
-// is stable-sorted by start time and spilled to a temporary spool file,
-// and Close k-way-merges the chunks (start time, then emission order —
-// exactly the buffered exporter's stable sort) into the destination.
+// ChromeStream is an EventSink that writes the kept events as Chrome
+// trace-event JSON (the format chrome://tracing and https://ui.perfetto.dev
+// load) while holding only O(chunk) events in memory: events accumulate
+// into fixed-size chunks, each chunk is stable-sorted by start time and
+// spilled to a temporary spool file, and Close k-way-merges the chunks
+// (start time, then emission order — a stable sort of the whole stream)
+// into the destination. Each unit becomes a process (pid) and each track
+// a thread (tid) within it, so Perfetto groups e.g. all ssd.core* rows
+// under one "ssd" header. Details are formatted here, as each event is
+// written, so only kept events ever build their text.
 type ChromeStream struct {
 	mu       sync.Mutex
 	w        io.Writer
 	chunkCap int
 	buf      []Event
 	spools   []*os.File
-	tracks   map[string]bool
+	tracks   map[Name]bool
 	err      error
 	closed   bool
 }
@@ -67,7 +72,7 @@ type ChromeStream struct {
 // NewChromeStream returns a stream writing the merged trace to w on
 // Close. The caller owns w (the stream never closes it).
 func NewChromeStream(w io.Writer) *ChromeStream {
-	return &ChromeStream{w: w, chunkCap: defaultChunkCap, tracks: map[string]bool{}}
+	return &ChromeStream{w: w, chunkCap: defaultChunkCap, tracks: map[Name]bool{}}
 }
 
 // Emit accepts one event. Never fails; spill errors surface from Close.
@@ -109,6 +114,36 @@ func (c *ChromeStream) spillLocked() error {
 	c.buf = c.buf[:0]
 	return nil
 }
+
+// trackUnit maps a track name to its owning unit: the prefix before the
+// first dot ("ssd.core1" → "ssd"), or the whole name for single-track
+// units ("nvme", "host").
+func trackUnit(track string) string {
+	if i := strings.IndexByte(track, '.'); i >= 0 {
+		return track[:i]
+	}
+	return track
+}
+
+// chromeLayout numbers units (pids) and tracks (tids) from the sorted
+// track list: pids in first-seen order over sorted tracks, tids in
+// sorted-track order, and the unit list re-sorted for metadata emission.
+func chromeLayout(tracks []string) (pidOf, tidOf map[string]int, unitNames []string) {
+	pidOf = map[string]int{}
+	tidOf = map[string]int{}
+	for _, track := range tracks {
+		u := trackUnit(track)
+		if _, ok := pidOf[u]; !ok {
+			pidOf[u] = len(unitNames) + 1
+			unitNames = append(unitNames, u)
+		}
+		tidOf[track] = len(tidOf) + 1
+	}
+	sort.Strings(unitNames)
+	return pidOf, tidOf, unitNames
+}
+
+const psPerMicro = 1e6 // units.Time is picoseconds; trace ts is µs
 
 // sortChunk stable-sorts events by start time, preserving emission order
 // within equal starts — the same ordering Tracer.Events() produces.
@@ -195,10 +230,14 @@ func (c *ChromeStream) mergeLocked() error {
 
 	tracks := make([]string, 0, len(c.tracks))
 	for tr := range c.tracks {
-		tracks = append(tracks, tr)
+		tracks = append(tracks, tr.String())
 	}
 	sort.Strings(tracks)
 	pidOf, tidOf, unitNames := chromeLayout(tracks)
+	ids := make(map[Name][2]int, len(tracks)) // track → pid, tid
+	for _, track := range tracks {
+		ids[Intern(track)] = [2]int{pidOf[trackUnit(track)], tidOf[track]}
+	}
 
 	jw := jsonw.New(c.w)
 	jw.BeginObject()
@@ -223,7 +262,7 @@ func (c *ChromeStream) mergeLocked() error {
 		if best < 0 {
 			break
 		}
-		writeChromeEvent(jw, cursors[best].head, pidOf, tidOf)
+		writeChromeEvent(jw, cursors[best].head, ids)
 		if err := cursors[best].advance(); err != nil {
 			return err
 		}
@@ -238,8 +277,7 @@ func (c *ChromeStream) mergeLocked() error {
 	return nil
 }
 
-// writeChromeMeta writes one process_name or thread_name metadata event
-// as chromeMetaEvents renders it under encoding/json.
+// writeChromeMeta writes one process_name or thread_name metadata event.
 func writeChromeMeta(jw *jsonw.Writer, name string, pid, tid int, arg string) {
 	jw.BeginObject()
 	jw.Key("name")
@@ -260,14 +298,15 @@ func writeChromeMeta(jw *jsonw.Writer, name string, pid, tid int, arg string) {
 	jw.EndObject()
 }
 
-// writeChromeEvent writes one recorded event with the fields, order and
-// omissions of toChromeEvent's chromeEvent under encoding/json: spans are
-// complete ("X") events with a duration, instants thread-scoped ("i"),
-// and args holds the non-zero detail, parent and span in key order.
-func writeChromeEvent(jw *jsonw.Writer, e Event, pidOf, tidOf map[string]int) {
+// writeChromeEvent writes one recorded event: spans are complete ("X")
+// events with a duration, instants thread-scoped ("i"), and args holds
+// the non-empty detail, non-zero parent and span in key order, so the
+// causal chain survives the export. It is the only place a detail is
+// formatted.
+func writeChromeEvent(jw *jsonw.Writer, e Event, ids map[Name][2]int) {
 	jw.BeginObject()
 	jw.Key("name")
-	jw.String(e.Name)
+	jw.String(e.Name.String())
 	point := e.Point()
 	jw.Key("ph")
 	if point {
@@ -281,20 +320,22 @@ func writeChromeEvent(jw *jsonw.Writer, e Event, pidOf, tidOf map[string]int) {
 		jw.Key("dur")
 		jw.Float(float64(e.End-e.Start) / psPerMicro)
 	}
+	id := ids[e.Track]
 	jw.Key("pid")
-	jw.Int(int64(pidOf[trackUnit(e.Track)]))
+	jw.Int(int64(id[0]))
 	jw.Key("tid")
-	jw.Int(int64(tidOf[e.Track]))
+	jw.Int(int64(id[1]))
 	if point {
 		jw.Key("s")
 		jw.String("t")
 	}
-	if e.Span != 0 || e.Parent != 0 || e.Detail != "" {
+	detail := e.Detail.String()
+	if e.Span != 0 || e.Parent != 0 || detail != "" {
 		jw.Key("args")
 		jw.BeginObject()
-		if e.Detail != "" {
+		if detail != "" {
 			jw.Key("detail")
-			jw.String(e.Detail)
+			jw.String(detail)
 		}
 		if e.Parent != 0 {
 			jw.Key("parent")

@@ -20,8 +20,8 @@ func randomEvents(rng *rand.Rand, n int) []Event {
 	for i := range out {
 		start := units.Time(rng.Intn(50)) * 100 // few distinct starts → many ties
 		e := Event{
-			Track: tracks[rng.Intn(len(tracks))],
-			Name:  names[rng.Intn(len(names))],
+			Track: Intern(tracks[rng.Intn(len(tracks))]),
+			Name:  Intern(names[rng.Intn(len(names))]),
 			Start: start,
 			End:   start + units.Time(rng.Intn(3))*50, // some instants
 		}
@@ -32,7 +32,7 @@ func randomEvents(rng *rand.Rand, n int) []Event {
 			e.Parent = SpanID(rng.Intn(i + 1))
 		}
 		if rng.Intn(4) == 0 {
-			e.Detail = fmt.Sprintf("detail-%d", i)
+			e.Detail = Text(fmt.Sprintf("detail-%d", i))
 		}
 		out[i] = e
 	}
@@ -45,7 +45,7 @@ func streamVsBuffered(t *testing.T, events []Event, chunkCap int) (buffered, str
 	t.Helper()
 	tr := New(0)
 	for _, e := range events {
-		tr.RecordSpan(e.Track, e.Name, e.Detail, e.Span, e.Parent, e.Start, e.End)
+		recordEvent(tr, e)
 	}
 	var bb bytes.Buffer
 	if err := tr.WriteChromeTrace(&bb); err != nil {
@@ -57,7 +57,7 @@ func streamVsBuffered(t *testing.T, events []Event, chunkCap int) (buffered, str
 	st := New(0)
 	st.SetSink(cs)
 	for _, e := range events {
-		st.RecordSpan(e.Track, e.Name, e.Detail, e.Span, e.Parent, e.Start, e.End)
+		recordEvent(st, e)
 	}
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)
@@ -120,13 +120,13 @@ func TestChromeStreamEscapedStrings(t *testing.T) {
 	for i := range events {
 		switch i % 4 {
 		case 0:
-			events[i].Detail = awkward[rng.Intn(len(awkward))]
+			events[i].Detail = Text(awkward[rng.Intn(len(awkward))])
 		case 1:
-			events[i].Name = awkward[rng.Intn(len(awkward))]
+			events[i].Name = Intern(awkward[rng.Intn(len(awkward))])
 		case 2:
-			events[i].Track = "ssd." + awkward[rng.Intn(len(awkward))]
+			events[i].Track = Intern("ssd." + awkward[rng.Intn(len(awkward))])
 		default:
-			events[i].Track = awkward[rng.Intn(len(awkward))]
+			events[i].Track = Intern(awkward[rng.Intn(len(awkward))])
 		}
 	}
 	for _, chunk := range []int{3, 16, 1000} {
@@ -147,7 +147,7 @@ func TestChromeStreamWithSampling(t *testing.T) {
 	tr := New(0)
 	tr.SetSamplePolicy(policy)
 	for _, e := range events {
-		tr.RecordSpan(e.Track, e.Name, e.Detail, e.Span, e.Parent, e.Start, e.End)
+		recordEvent(tr, e)
 	}
 	var bb bytes.Buffer
 	if err := tr.WriteChromeTrace(&bb); err != nil {
@@ -161,7 +161,7 @@ func TestChromeStreamWithSampling(t *testing.T) {
 	st.SetSamplePolicy(policy)
 	st.SetSink(cs)
 	for _, e := range events {
-		st.RecordSpan(e.Track, e.Name, e.Detail, e.Span, e.Parent, e.Start, e.End)
+		recordEvent(st, e)
 	}
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)
@@ -181,9 +181,8 @@ func TestChromeStreamAdoptFold(t *testing.T) {
 	mkPoint := func(base int) *Tracer {
 		p := New(0)
 		for i := 0; i < 40; i++ {
-			sp := p.NextSpan()
-			p.RecordSpan("host", "submit", "", sp, 0, units.Time(base+i*10), units.Time(base+i*10+5))
-			p.RecordSpan("ssd.core0", "parse", "", p.NextSpan(), sp, units.Time(base+i*10+5), units.Time(base+i*10+9))
+			sp := p.Span(Intern("host"), Intern("submit"), Detail{}, 0, units.Time(base+i*10), units.Time(base+i*10+5))
+			p.Span(Intern("ssd.core0"), Intern("parse"), Detail{}, sp, units.Time(base+i*10+5), units.Time(base+i*10+9))
 		}
 		return p
 	}
@@ -215,7 +214,7 @@ func TestChromeStreamAdoptFold(t *testing.T) {
 func TestChromeStreamCloseIdempotent(t *testing.T) {
 	var sb bytes.Buffer
 	cs := NewChromeStream(&sb)
-	cs.Emit(Event{Track: "host", Name: "a"})
+	cs.Emit(Event{Track: Intern("host"), Name: Intern("a")})
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +225,7 @@ func TestChromeStreamCloseIdempotent(t *testing.T) {
 	if sb.Len() != n {
 		t.Fatal("second Close wrote more bytes")
 	}
-	cs.Emit(Event{Track: "host", Name: "b"}) // ignored after close
+	cs.Emit(Event{Track: Intern("host"), Name: Intern("b")}) // ignored after close
 	if sb.Len() != n {
 		t.Fatal("Emit after Close wrote bytes")
 	}

@@ -8,8 +8,13 @@
 // submits an NVMe command, and every device-side event that command causes
 // (firmware parse, FTL translation, flash reads, StorageApp execution, DMA
 // transfers) records that span as its parent. The Chrome trace-event
-// exporter in chrome.go preserves the links, so a Perfetto flame view can
-// attribute any device activity back to the submitting command.
+// exporter (ChromeStream) preserves the links, so a Perfetto flame view
+// can attribute any device activity back to the submitting command.
+//
+// A recorded Event is a small pointer-free value: its track and name are
+// interned Names and its detail a typed record formatted only on export,
+// so the tail sampler buffers and discards spans without building strings
+// and the GC never scans its buffers.
 //
 // A nil *Tracer is valid and records nothing, so the models can call it
 // unconditionally. A non-nil Tracer is safe for concurrent use: exporters
@@ -20,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 
 	"morpheus/internal/units"
@@ -30,11 +34,11 @@ import (
 // recorded outside any command's causal chain (setup work, co-runners).
 type SpanID uint64
 
-// Event is one span on a track.
+// Event is one span on a track. It holds no pointers.
 type Event struct {
-	Track  string // the unit: "nvme", "ssd.core1", "pcie", "host" ...
-	Name   string // what happened: "MREAD", "vm-exec", "dma-out" ...
-	Detail string
+	Track  Name // the unit: "nvme", "ssd.core1", "pcie", "host" ...
+	Name   Name // what happened: "MREAD", "vm-exec", "dma-out" ...
+	Detail Detail
 	// Span is this event's own ID; Parent links it to the causing span
 	// (for device-side events, the span the host allocated at command
 	// submission). Either may be zero.
@@ -76,44 +80,46 @@ type Tracer struct {
 // New returns a tracer bounded to cap events (0 = unbounded).
 func New(cap int) *Tracer { return &Tracer{Cap: cap} }
 
-// NextSpan allocates a fresh span ID. IDs are issued sequentially, so a
-// deterministic simulation produces identical traces run to run. A nil
-// tracer returns the zero span.
-func (t *Tracer) NextSpan() SpanID {
+// Span records one event under parent with a freshly allocated span ID
+// and returns that ID, taking the lock once. IDs are issued sequentially,
+// so a deterministic simulation produces identical traces run to run. A
+// nil tracer records nothing and returns the zero span.
+func (t *Tracer) Span(track, name Name, d Detail, parent SpanID, start, end units.Time) SpanID {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nextSpan++
-	return SpanID(t.nextSpan)
+	span := SpanID(t.nextSpan)
+	t.record(Event{Track: track, Name: name, Detail: d,
+		Span: span, Parent: parent, Start: start, End: end})
+	return span
 }
 
-// Record appends an event with no span links. Safe on a nil tracer.
-func (t *Tracer) Record(track, name, detail string, start, end units.Time) {
-	t.RecordSpan(track, name, detail, 0, 0, start, end)
-}
-
-// RecordSpan appends an event carrying causal span links. With a sample
-// policy installed the event may be buffered or discarded instead; with a
-// sink installed kept events stream out instead of accumulating. Safe on
-// a nil tracer.
-func (t *Tracer) RecordSpan(track, name, detail string, span, parent SpanID, start, end units.Time) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// record offers one event. With a sample policy installed the event may
+// be buffered or discarded instead of kept; with a sink installed kept
+// events stream out instead of accumulating. Caller holds t.mu.
+func (t *Tracer) record(e Event) {
 	t.recorded++
-	e := Event{Track: track, Name: name, Detail: detail,
-		Span: span, Parent: parent, Start: start, End: end}
-	if t.sampler != nil {
-		for _, ke := range t.sampler.offer(e) {
-			t.keep(ke)
-		}
+	if t.sampler == nil {
+		t.keep(e)
 		return
 	}
-	t.keep(e)
+	tree, self := t.sampler.offer(e)
+	t.keepTree(tree)
+	if self {
+		t.keep(e)
+	}
+}
+
+// keepTree keeps a tree the sampler flushed, in record order, and hands
+// its buffer back for reuse. Caller holds t.mu.
+func (t *Tracer) keepTree(tree []Event) {
+	for _, e := range tree {
+		t.keep(e)
+	}
+	t.sampler.recycle(tree)
 }
 
 // keep retains one sampled-in event: to the sink when streaming,
@@ -212,26 +218,16 @@ func (t *Tracer) Events() []Event {
 
 // Tracks returns the distinct track names, sorted.
 func (t *Tracer) Tracks() []string {
-	seen := map[string]bool{}
+	seen := map[Name]bool{}
 	var out []string
 	for _, e := range t.Events() {
 		if !seen[e.Track] {
 			seen[e.Track] = true
-			out = append(out, e.Track)
+			out = append(out, e.Track.String())
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-// WriteTimeline renders the events in start order, one line each.
-func (t *Tracer) WriteTimeline(w io.Writer) {
-	for _, e := range t.Events() {
-		fmt.Fprintf(w, "%12v  %-12s %-10s %-12v %s\n", e.Start, e.Track, e.Name, e.Duration(), e.Detail)
-	}
-	if d := t.Dropped(); d > 0 {
-		fmt.Fprintf(w, "(%d events dropped at cap %d)\n", d, t.Cap)
-	}
 }
 
 // WriteGantt renders a coarse per-track utilization chart over the traced
@@ -261,7 +257,8 @@ func (t *Tracer) WriteGantt(w io.Writer, width int) {
 		}
 		return i
 	}
-	for _, track := range t.Tracks() {
+	for _, name := range t.Tracks() {
+		track := Intern(name)
 		row := make([]byte, width)
 		for i := range row {
 			row[i] = '.'
@@ -286,14 +283,7 @@ func (t *Tracer) WriteGantt(w io.Writer, width int) {
 				row[i] = '|'
 			}
 		}
-		fmt.Fprintf(w, "%-14s |%s|\n", track, row)
+		fmt.Fprintf(w, "%-14s |%s|\n", name, row)
 	}
 	fmt.Fprintf(w, "%-14s  0%*v\n", "", width, units.Duration(horizon))
-}
-
-// String renders the timeline.
-func (t *Tracer) String() string {
-	var sb strings.Builder
-	t.WriteTimeline(&sb)
-	return sb.String()
 }
