@@ -109,27 +109,14 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 		}
 	}
 	issued := 0
-	issue := func() error {
-		k := issued
-		ctx := &ssd.CmdContext{
-			Cmd:  nvme.BuildRead(0, chunks[k].slba, chunks[k].nlb, uint64(bufAddr)),
-			Sink: rawSink(k),
-		}
-		p, t2, err := s.Driver.SubmitAsync(t, ctx)
-		if err != nil {
-			return err
-		}
-		t = t2
-		pending[k] = p
-		issued++
-		return nil
-	}
 	for k := range chunks {
 		// Keep the readahead window full.
-		for issued < len(chunks) && issued <= k+readaheadDepth {
-			if err := issue(); err != nil {
-				return nil, err
+		for ; issued < len(chunks) && issued <= k+readaheadDepth; issued++ {
+			ctx := &ssd.CmdContext{
+				Cmd:  nvme.BuildRead(0, chunks[issued].slba, chunks[issued].nlb, uint64(bufAddr)),
+				Sink: rawSink(issued),
 			}
+			pending[issued], t = s.Driver.SubmitAsync(t, ctx)
 		}
 		// Phase A: read(2) consumes the chunk from the page cache.
 		failed := pending[k].Comp.Status.Err() != nil

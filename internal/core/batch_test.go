@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -76,12 +75,9 @@ func TestSubmitBatchCoalescesDoorbells(t *testing.T) {
 	tt := t0
 	var pend []Pending
 	for i := 0; i < n; i++ {
-		p, t2, err := sys2.Driver.SubmitAsync(tt, &ssd.CmdContext{
+		p, t2 := sys2.Driver.SubmitAsync(tt, &ssd.CmdContext{
 			Cmd: nvme.BuildRead(0, f.SLBA+uint64(i), 1, uint64(dst2)+uint64(i)*nvme.LBASize),
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		tt = t2
 		pend = append(pend, p)
 	}
@@ -286,10 +282,7 @@ func TestDeadlineUsesDeviceCompletion(t *testing.T) {
 	mkRead := func(addr uint64) *ssd.CmdContext {
 		return &ssd.CmdContext{Cmd: nvme.BuildRead(0, f.SLBA, 1, addr)}
 	}
-	pend, t1, err := sys.Driver.SubmitAsync(t0, mkRead(uint64(dst)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pend, t1 := sys.Driver.SubmitAsync(t0, mkRead(uint64(dst)))
 	_, t2 := sys.Driver.Wait(t1, pend)
 	devLat := pend.Done.Sub(pend.Submitted)
 	hostLat := t2.Sub(pend.Submitted)
@@ -332,67 +325,6 @@ func TestDeadlineUsesDeviceCompletion(t *testing.T) {
 	if got := sys3.Counters.Get(stats.CmdTimeouts); got != 1 {
 		t.Errorf("CmdTimeouts = %d, want 1", got)
 	}
-}
-
-// TestSubmitAsyncQueueFullKeepsRingsConsistent: a submission rejected by a
-// full SQ must leave the rings usable — draining one slot lets the next
-// submission through.
-func TestSubmitAsyncQueueFullKeepsRingsConsistent(t *testing.T) {
-	sys := newTestSystem(t, func(c *SystemConfig) { c.WithGPU = false })
-	data, _ := testInput(1<<10, 29)
-	f, err := sys.WriteFile("ints", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.ResetTimers()
-	d := sys.Driver
-	// Fill the SQ behind the driver's back.
-	for d.qp.SQ.Space() > 0 {
-		if err := d.qp.SQ.Push(nvme.Command{Opcode: nvme.OpRead}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dst, t0, err := sys.Host.AllocDMA(0, nvme.LBASize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := &ssd.CmdContext{Cmd: nvme.BuildRead(0, f.SLBA, 1, uint64(dst))}
-	if _, _, err := d.SubmitAsync(t0, ctx); !errors.Is(err, nvme.ErrQueueFull) {
-		t.Fatalf("full-ring SubmitAsync: err = %v, want ErrQueueFull", err)
-	}
-	if got := d.inflight; got != 0 {
-		t.Errorf("rejected submission counted in flight: %d", got)
-	}
-	// Drain one stuffed entry; the ring must accept the command now.
-	if _, err := d.qp.SQ.Pop(); err != nil {
-		t.Fatal(err)
-	}
-	pend, t1, err := d.SubmitAsync(t0, ctx)
-	if err != nil {
-		t.Fatalf("SubmitAsync after drain: %v", err)
-	}
-	if comp, _ := d.Wait(t1, pend); comp.Status.Err() != nil {
-		t.Fatal(comp.Status.Err())
-	}
-}
-
-// TestPopSubmittedPanicsOnDesync: a pop that fails after a successful push
-// means the rings desynced; the driver must treat that as a broken model
-// invariant (panic), not return an error that leaks the CID and slot.
-func TestPopSubmittedPanicsOnDesync(t *testing.T) {
-	sys := newTestSystem(t, func(c *SystemConfig) { c.WithGPU = false })
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("popSubmitted on a desynced ring did not panic")
-		}
-		if !strings.Contains(fmt.Sprint(r), "ring desync") {
-			t.Fatalf("panic = %v, want a ring-desync diagnosis", r)
-		}
-	}()
-	// The SQ is empty (nothing was pushed): popping is exactly the
-	// desync SubmitAsync's old error path tolerated.
-	sys.Driver.popSubmitted()
 }
 
 // TestMReadDestReservationBounds: the train reserves MDTS*2 of the dest

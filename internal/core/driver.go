@@ -26,14 +26,23 @@ func submitDetail(op nvme.Opcode, cid uint16) trace.Detail {
 	return trace.Detail{Kind: submitKind, Args: [3]int64{int64(op), int64(cid)}}
 }
 
-// Driver is the extended NVMe driver of Figure 5: it owns the queue pair,
+// queueDepth is the I/O submission queue's entry count. The device model
+// runs each command to completion inside its submission, so the queue is
+// empty between driver calls; the one ring limit a caller can reach is
+// that a single doorbell publishes at most queueDepth-1 entries (one slot
+// stays free to tell a full ring from an empty one).
+const queueDepth = 1024
+
+// Driver is the extended NVMe driver of Figure 5: it numbers commands,
 // charges the protocol costs on the host side (SQE write, doorbell,
 // completion reaping), and understands the four Morpheus opcodes.
 type Driver struct {
 	sys *System
-	qp  *nvme.QueuePair
+	// nextCID is the last command identifier issued. It is incremented
+	// before each use, so CIDs start at 1 and wrap 65535 → 0.
+	nextCID uint16
 
-	// SQECycles is the host CPU work to build one 64-byte SQE in the ring;
+	// SQECycles is the host CPU work to build one 64-byte SQE;
 	// DoorbellCycles is the tail-doorbell MMIO write (an uncached PCIe
 	// posted write, paid once per doorbell no matter how many SQEs it
 	// publishes — the cost SubmitBatch amortizes). A single command costs
@@ -50,11 +59,10 @@ type Driver struct {
 	inflight int
 }
 
-// NewDriver builds a driver with one I/O queue pair of the given depth.
-func NewDriver(sys *System, depth int) *Driver {
+// NewDriver builds a driver for sys's controller.
+func NewDriver(sys *System) *Driver {
 	return &Driver{
 		sys:            sys,
-		qp:             nvme.NewQueuePair(1, depth),
 		SQECycles:      250,
 		DoorbellCycles: 150,
 		ReapCycles:     250,
@@ -78,10 +86,8 @@ func (d *Driver) Identify(ready units.Time) (*nvme.IdentifyController, units.Tim
 		Cmd:  nvme.Command{Opcode: nvme.OpAdminIdentify, PRP1: uint64(addr), CDW10: 1 /* CNS: controller */},
 		Sink: func(p []byte) { page = append(page, p...) },
 	}
-	comp, t, err := d.Submit(t, ctx)
-	if err != nil {
-		return nil, t, err
-	}
+	p, t := d.SubmitAsync(t, ctx)
+	comp, t := d.Wait(t, p)
 	if err := comp.Status.Err(); err != nil {
 		return nil, t, fmt.Errorf("core: IDENTIFY failed: %w", err)
 	}
@@ -109,8 +115,8 @@ type Pending struct {
 	Span trace.SpanID
 }
 
-// Engine counts completion deliveries: the driver posts and reaps one
-// CQE per NVMe command. It stays only because bench/rep.go reads Fired
+// Engine counts completion deliveries: the driver delivers one
+// completion per NVMe command. It stays only because bench/rep.go reads Fired
 // for its sim.events metric; the bench change that drops sim.events
 // deletes it.
 type Engine struct{ fired int64 }
@@ -120,18 +126,6 @@ func (e *Engine) Fired() int64 { return e.fired }
 
 // Reset zeroes the count at the ResetTimers boundary.
 func (e *Engine) Reset() { e.fired = 0 }
-
-// popSubmitted advances the device-visible SQ head past one just-pushed
-// entry. The entry was pushed by the caller, so the ring cannot be empty;
-// a failure means the SQ head/tail desynced, and returning an error would
-// leak the CID and ring slot and leave the pair desynced permanently.
-// Like the completion-post path, that is a broken model invariant, not a
-// recoverable condition.
-func (d *Driver) popSubmitted() {
-	if _, err := d.qp.SQ.Pop(); err != nil {
-		panic(fmt.Sprintf("core: submission ring desync: %v", err))
-	}
-}
 
 // recordSubmit attributes one doorbell's host-side cost: counter bumps
 // for the doorbell and the SQEs it published, and one overhead
@@ -149,16 +143,14 @@ func (d *Driver) recordSubmit(ready, done units.Time, n int) {
 	}
 }
 
-// startCommand runs the shared post-push half of submission: it syncs the
-// device-visible ring, roots the command's causal chain, hands the
-// command to the device at tCPU, and delivers its completion. The device
-// model runs each command to completion inside Submit, so its CQE is
-// posted and reaped right here: nothing reads the CQ in between, and the
-// pair leaves the ring's occupancy unchanged. A post or reap failure is
-// a broken model invariant (a desynced ring), not a recoverable
-// condition.
-func (d *Driver) startCommand(ready, tCPU units.Time, cid uint16, ctx *ssd.CmdContext) Pending {
-	d.popSubmitted()
+// startCommand runs the shared second half of submission: it gives the
+// command the next CID, roots its causal chain, hands it to the device at
+// tCPU, and delivers its completion. The device model runs each command
+// to completion inside Submit, so the completion is delivered right here.
+func (d *Driver) startCommand(ready, tCPU units.Time, ctx *ssd.CmdContext) Pending {
+	d.nextCID++
+	cid := d.nextCID
+	ctx.Cmd.CID = cid
 	// Root of the command's causal chain: the span is allocated here and
 	// rides in the context, so every device-side event the command causes
 	// links back to this submission.
@@ -166,12 +158,6 @@ func (d *Driver) startCommand(ready, tCPU units.Time, cid uint16, ctx *ssd.CmdCo
 	ctx.Span = span
 	d.inflight++
 	comp, done := d.sys.SSD.Submit(tCPU, ctx)
-	if err := d.qp.Complete(comp.CID, comp.Status, comp.Result); err != nil {
-		panic(fmt.Sprintf("core: completion post: %v", err))
-	}
-	if _, err := d.qp.CQ.Reap(); err != nil {
-		panic(fmt.Sprintf("core: completion reap: %v", err))
-	}
 	d.sys.Engine.fired++
 	return Pending{CID: cid, Comp: comp, Done: done, Submitted: ready, Op: ctx.Cmd.Opcode, Span: span}
 }
@@ -179,44 +165,34 @@ func (d *Driver) startCommand(ready, tCPU units.Time, cid uint16, ctx *ssd.CmdCo
 // SubmitAsync submits one command without waiting: the host thread pays
 // the submission cost and continues; the returned Pending carries the
 // device-side completion time for a later Wait.
-func (d *Driver) SubmitAsync(ready units.Time, ctx *ssd.CmdContext) (Pending, units.Time, error) {
-	// Host builds the 64-byte SQE in the ring and writes the doorbell.
-	cid, err := d.qp.Submit(ctx.Cmd)
-	if err != nil {
-		return Pending{}, ready, fmt.Errorf("core: submit: %w", err)
-	}
-	ctx.Cmd.CID = cid
+func (d *Driver) SubmitAsync(ready units.Time, ctx *ssd.CmdContext) (Pending, units.Time) {
+	// Host builds the 64-byte SQE and writes the doorbell.
 	tCPU := d.sys.Host.ComputeCycles(ready, d.SQECycles+d.DoorbellCycles)
 	d.sys.Host.MemTraffic(ready, nvme.CommandSize)
 	d.recordSubmit(ready, tCPU, 1)
-	return d.startCommand(ready, tCPU, cid, ctx), tCPU, nil
+	return d.startCommand(ready, tCPU, ctx), tCPU
 }
 
 // SubmitBatch coalesces a batch of commands into one doorbell ring: the
-// host builds every SQE in the ring, then advances the tail once. The CPU
-// cost is N·SQECycles + one DoorbellCycles, so the per-command submission
+// host builds every SQE, then advances the tail once. The CPU cost is
+// N·SQECycles + one DoorbellCycles, so the per-command submission
 // overhead falls toward SQECycles as the batch grows — the submission-side
-// mirror of ReapWindow's reap amortization. All-or-nothing on a full ring
-// (no CID is consumed), so the caller can reap and retry the same batch.
+// mirror of ReapWindow's reap amortization. A batch larger than the ring
+// can publish at once (queueDepth-1 commands) fails with
+// nvme.ErrQueueFull before any CID is consumed.
 func (d *Driver) SubmitBatch(ready units.Time, ctxs []*ssd.CmdContext) ([]Pending, units.Time, error) {
 	if len(ctxs) == 0 {
 		return nil, ready, nil
 	}
-	cmds := make([]nvme.Command, len(ctxs))
-	for i, ctx := range ctxs {
-		cmds[i] = ctx.Cmd
-	}
-	cids, err := d.qp.SubmitBatch(cmds)
-	if err != nil {
-		return nil, ready, fmt.Errorf("core: submit batch of %d: %w", len(ctxs), err)
+	if len(ctxs) > queueDepth-1 {
+		return nil, ready, fmt.Errorf("core: submit batch of %d: %w", len(ctxs), nvme.ErrQueueFull)
 	}
 	tCPU := d.sys.Host.ComputeCycles(ready, float64(len(ctxs))*d.SQECycles+d.DoorbellCycles)
 	d.sys.Host.MemTraffic(ready, units.Bytes(len(ctxs))*nvme.CommandSize)
 	d.recordSubmit(ready, tCPU, len(ctxs))
 	ps := make([]Pending, len(ctxs))
 	for i, ctx := range ctxs {
-		ctx.Cmd.CID = cids[i]
-		ps[i] = d.startCommand(ready, tCPU, cids[i], ctx)
+		ps[i] = d.startCommand(ready, tCPU, ctx)
 	}
 	return ps, tCPU, nil
 }
@@ -247,12 +223,10 @@ func (d *Driver) Wait(ready units.Time, p Pending) (nvme.Completion, units.Time)
 	return p.Comp, t
 }
 
-// Submit is the synchronous convenience: submit then wait.
+// Submit is the synchronous convenience: submit then wait. A single
+// command always fits the queue, so the error is always nil.
 func (d *Driver) Submit(ready units.Time, ctx *ssd.CmdContext) (nvme.Completion, units.Time, error) {
-	p, t, err := d.SubmitAsync(ready, ctx)
-	if err != nil {
-		return nvme.Completion{}, ready, err
-	}
+	p, t := d.SubmitAsync(ready, ctx)
 	comp, t := d.Wait(t, p)
 	return comp, t, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"morpheus/internal/host"
@@ -51,10 +53,7 @@ func TestWaitBatchSingleBlockingEpisode(t *testing.T) {
 	tNow := units.Time(0)
 	for _, ch := range sys.chunksOf(f) {
 		ctx := &ssd.CmdContext{Cmd: nvme.BuildRead(0, ch.slba, ch.nlb, 0x100000)}
-		p, t2, err := sys.Driver.SubmitAsync(tNow, ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, t2 := sys.Driver.SubmitAsync(tNow, ctx)
 		tNow = t2
 		pending = append(pending, p)
 	}
@@ -161,4 +160,71 @@ func TestInstanceIDsUnique(t *testing.T) {
 		}
 		seen[id] = true
 	}
+}
+
+// TestDriverCIDs: the driver numbers commands itself. A batch larger than
+// one doorbell can publish fails with nvme.ErrQueueFull and consumes no
+// CID, so the next batch continues the sequence; and CIDs wrap from 65535
+// to 0 and go on.
+func TestDriverCIDs(t *testing.T) {
+	sys := newTestSystem(t, func(c *SystemConfig) { c.WithGPU = false })
+	data, _ := testInput(1<<12, 4)
+	f, err := sys.WriteFile("f", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.ResetTimers()
+	d := sys.Driver
+	reads := func(n int) []*ssd.CmdContext {
+		ctxs := make([]*ssd.CmdContext, n)
+		for i := range ctxs {
+			ctxs[i] = &ssd.CmdContext{Cmd: nvme.BuildRead(0, f.SLBA, 1, 0x100000)}
+		}
+		return ctxs
+	}
+	cids := func(ps []Pending) []uint16 {
+		var out []uint16
+		for _, p := range ps {
+			out = append(out, p.CID)
+		}
+		return out
+	}
+	submit := func(n int) []uint16 {
+		t.Helper()
+		ps, end, err := d.SubmitBatch(0, reads(n))
+		if err != nil {
+			t.Fatalf("SubmitBatch of %d: %v", n, err)
+		}
+		d.ReapWindow(end, ps, len(ps))
+		return cids(ps)
+	}
+
+	t.Run("full batch uses no CID", func(t *testing.T) {
+		first := submit(2)
+		fired := sys.Engine.Fired()
+		ps, end, err := d.SubmitBatch(0, reads(queueDepth))
+		if !errors.Is(err, nvme.ErrQueueFull) || ps != nil || end != 0 {
+			t.Fatalf("SubmitBatch of %d: pendings %d, end %v, err %v; want ErrQueueFull and nothing issued",
+				queueDepth, len(ps), end, err)
+		}
+		if got := sys.Engine.Fired(); got != fired {
+			t.Fatalf("rejected batch delivered %d completions", got-fired)
+		}
+		next := submit(3)
+		want := []uint16{first[1] + 1, first[1] + 2, first[1] + 3}
+		if !slices.Equal(next, want) {
+			t.Fatalf("CIDs after the rejected batch = %v, want %v", next, want)
+		}
+		// The largest batch one doorbell can publish still goes through.
+		if got := submit(queueDepth - 1); len(got) != queueDepth-1 {
+			t.Fatalf("batch of %d issued %d commands", queueDepth-1, len(got))
+		}
+	})
+
+	t.Run("wrap", func(t *testing.T) {
+		d.nextCID = 65533
+		if got, want := submit(4), []uint16{65534, 65535, 0, 1}; !slices.Equal(got, want) {
+			t.Fatalf("CIDs across the wrap = %v, want %v", got, want)
+		}
+	})
 }

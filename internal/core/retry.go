@@ -130,12 +130,7 @@ func (d *Driver) SubmitRetry(ready units.Time, op *retryOp, p RetryPolicy, makeC
 	for attempt := 1; ; attempt++ {
 		// Submit and wait separately (identical timing to Submit) so the
 		// pending record's span is at hand for tail-sampling flags.
-		pend, t2, err := d.SubmitAsync(t, makeCtx())
-		if err != nil {
-			// Protocol-level failure (queue full, ring desync): not a
-			// device status, not retryable.
-			return nvme.Completion{}, t, err
-		}
+		pend, t2 := d.SubmitAsync(t, makeCtx())
 		comp, t2 := d.Wait(t2, pend)
 		t = t2
 		switch {

@@ -137,7 +137,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.WithGPU {
 		sys.GPU = gpu.New(cfg.GPU, fabric)
 	}
-	sys.Driver = NewDriver(sys, 1024)
+	sys.Driver = NewDriver(sys)
 	id, _, err := sys.Driver.Identify(0)
 	if err != nil {
 		return nil, fmt.Errorf("core: identify: %w", err)

@@ -1,7 +1,6 @@
 // Package nvme implements the NVM Express wire protocol used between the
 // simulated host and the simulated SSD: 64-byte submission commands,
-// 16-byte completions, submission/completion queue rings with doorbells,
-// and the four Morpheus extension opcodes (MINIT, MREAD, MWRITE, MDEINIT)
+// 16-byte completions, and the four Morpheus extension opcodes (MINIT, MREAD, MWRITE, MDEINIT)
 // the paper adds in the vendor-specific opcode space.
 //
 // Encoding follows the NVMe 1.2 layout the paper targets: commands are
@@ -12,6 +11,7 @@ package nvme
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -20,6 +20,10 @@ const CommandSize = 64
 
 // CompletionSize is the size of an NVMe completion queue entry.
 const CompletionSize = 16
+
+// ErrQueueFull reports a submission larger than the submission queue can
+// publish with one doorbell.
+var ErrQueueFull = errors.New("nvme: submission queue full")
 
 // Opcode is an NVMe command opcode (one byte, as the paper notes: "NVMe
 // ... uses one byte inside the command packet to store the opcode").

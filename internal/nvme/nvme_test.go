@@ -92,79 +92,3 @@ func TestStatusErr(t *testing.T) {
 		t.Fatal("failure status must map to an error")
 	}
 }
-
-func TestSubmissionQueueRing(t *testing.T) {
-	q := NewSubmissionQueue(1, 4) // 3 usable slots
-	for i := 0; i < 3; i++ {
-		if err := q.Push(Command{CID: uint16(i)}); err != nil {
-			t.Fatalf("push %d: %v", i, err)
-		}
-	}
-	if err := q.Push(Command{}); err != ErrQueueFull {
-		t.Fatalf("expected full, got %v", err)
-	}
-	if q.Len() != 3 {
-		t.Fatalf("len = %d", q.Len())
-	}
-	for i := 0; i < 3; i++ {
-		c, err := q.Pop()
-		if err != nil || c.CID != uint16(i) {
-			t.Fatalf("pop %d: %v %v", i, c.CID, err)
-		}
-	}
-	if _, err := q.Pop(); err != ErrQueueEmpty {
-		t.Fatalf("expected empty, got %v", err)
-	}
-	// Wrap-around reuse.
-	for round := 0; round < 10; round++ {
-		if err := q.Push(Command{CID: 99}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := q.Pop(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestCompletionQueuePhaseFlips(t *testing.T) {
-	q := NewCompletionQueue(1, 3) // 2 usable slots per wrap
-	seen := map[bool]int{}
-	for i := 0; i < 8; i++ {
-		if err := q.Post(Completion{CID: uint16(i)}); err != nil {
-			t.Fatal(err)
-		}
-		c, err := q.Reap()
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[c.Phase]++
-	}
-	if seen[true] == 0 || seen[false] == 0 {
-		t.Fatalf("phase tag never flipped across wraps: %v", seen)
-	}
-}
-
-func TestQueuePairCIDsAndCompletion(t *testing.T) {
-	qp := NewQueuePair(3, 16)
-	cid1, err := qp.Submit(Command{Opcode: OpRead})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cid2, _ := qp.Submit(Command{Opcode: OpRead})
-	if cid1 == cid2 {
-		t.Fatal("CIDs must be unique")
-	}
-	if _, err := qp.SQ.Pop(); err != nil {
-		t.Fatal(err)
-	}
-	if err := qp.Complete(cid1, StatusSuccess, 42); err != nil {
-		t.Fatal(err)
-	}
-	comp, err := qp.CQ.Reap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.CID != cid1 || comp.Result != 42 || comp.SQID != 3 {
-		t.Fatalf("completion = %+v", comp)
-	}
-}

@@ -28,9 +28,6 @@ import (
 //     in FIFO order, already done by the wake time;
 //   - every reap adds its submit-to-completion time to the READ latency
 //     histogram and lowers the queue-depth gauge to what is outstanding.
-//
-// The queue pair has 1024 slots, so a script of more commands than that
-// only passes if each CQE posted is also reaped and its CID freed.
 
 // engineFileLBAs sizes the staged file the scripts read from.
 const engineFileLBAs = 16
@@ -97,10 +94,7 @@ func (h *deliveryHarness) submit(ready units.Time, n, seed int) {
 	var ps []core.Pending
 	var tCPU units.Time
 	if n == 1 {
-		p, t, err := h.sys.Driver.SubmitAsync(ready, h.read(seed))
-		if err != nil {
-			h.t.Fatalf("SubmitAsync(%v): %v", ready, err)
-		}
+		p, t := h.sys.Driver.SubmitAsync(ready, h.read(seed))
 		ps, tCPU = []core.Pending{p}, t
 	} else {
 		ctxs := make([]*ssd.CmdContext, n)
