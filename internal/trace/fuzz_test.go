@@ -10,12 +10,14 @@ import (
 // refSampler is the tail sampler's reference model: the same policy
 // decisions, but every kept tree is a freshly allocated slice and no
 // buffer is ever reused, so a recycled buffer that aliases kept or
-// pending events makes the two diverge.
+// pending events makes the two diverge. It remembers the most recent
+// maxPending flagged roots in a plain FIFO slice.
 type refSampler struct {
 	policy        SamplePolicy
 	keepNames     map[string]bool
 	headLeft      int
 	flagged       map[SpanID]bool
+	flagOrder     []SpanID
 	pending       map[SpanID][]Event
 	order         []SpanID
 	pendingEvents int
@@ -60,7 +62,7 @@ func (s *refSampler) offer(e Event) []Event {
 		return []Event{e}
 	}
 	if interesting {
-		s.flagged[root] = true
+		s.markFlagged(root)
 		return append(s.take(root), e)
 	}
 	if len(s.pending[root]) == 0 {
@@ -84,8 +86,17 @@ func (s *refSampler) flag(root SpanID) []Event {
 	if root == 0 || s.flagged[root] {
 		return nil
 	}
-	s.flagged[root] = true
+	s.markFlagged(root)
 	return s.take(root)
+}
+
+func (s *refSampler) markFlagged(root SpanID) {
+	s.flagged[root] = true
+	s.flagOrder = append(s.flagOrder, root)
+	if len(s.flagOrder) > s.maxPending {
+		delete(s.flagged, s.flagOrder[0])
+		s.flagOrder = s.flagOrder[1:]
+	}
 }
 
 func (s *refSampler) take(root SpanID) []Event {

@@ -7,7 +7,8 @@ import "morpheus/internal/units"
 // out to be interesting — it crossed a latency threshold, carried a
 // marker name (retry/fault/degraded paths), or was flagged explicitly by
 // the models. Everything else is discarded, so soak-length runs hold
-// O(head + interesting + MaxPending) events instead of O(all).
+// O(head + interesting + MaxPending) events and at most MaxPending
+// flagged roots instead of O(all).
 //
 // Sampling keys on causal trees: an event's root is its Parent span when
 // set (device-side events point at the submitting command) or its own
@@ -28,7 +29,10 @@ type SamplePolicy struct {
 	KeepNames []string
 	// MaxPending bounds the undecided-event buffer (default 4096): when
 	// full, the oldest undecided tree is discarded wholesale. A tree
-	// flagged after eviction keeps only its later events.
+	// flagged after eviction keeps only its later events. It bounds the
+	// set of flagged roots too: the sampler remembers the most recent
+	// MaxPending trees decided interesting, and an event of an older one
+	// is decided afresh, as if its tree were new.
 	MaxPending int
 }
 
@@ -53,10 +57,14 @@ type sampler struct {
 	policy    SamplePolicy
 	keepNames map[Name]bool
 	headLeft  int
-	// flagged holds roots decided interesting; pending buffers undecided
-	// trees, order their roots oldest-first (entries may be stale after a
-	// flag — the pending map is the truth).
+	// flagged holds the most recent maxPending roots decided
+	// interesting, flagOrder the same roots as a ring whose oldest entry
+	// is at flagNext once full. pending buffers undecided trees, order
+	// their roots oldest-first (entries may be stale after a flag — the
+	// pending map is the truth).
 	flagged       map[SpanID]bool
+	flagOrder     []SpanID
+	flagNext      int
 	pending       map[SpanID][]Event
 	order         []SpanID
 	pendingEvents int
@@ -123,7 +131,7 @@ func (s *sampler) offer(e Event) (tree []Event, self bool) {
 		return nil, true
 	}
 	if interesting {
-		s.flagged[root] = true
+		s.markFlagged(root)
 		return s.take(root), true
 	}
 	s.buffer(root, e)
@@ -136,8 +144,21 @@ func (s *sampler) flag(root SpanID) []Event {
 	if s.flagged[root] {
 		return nil
 	}
-	s.flagged[root] = true
+	s.markFlagged(root)
 	return s.take(root)
+}
+
+// markFlagged adds a root that is not flagged yet to the flagged set,
+// forgetting the oldest flagged root once the set holds maxPending.
+func (s *sampler) markFlagged(root SpanID) {
+	if len(s.flagOrder) < s.maxPending {
+		s.flagOrder = append(s.flagOrder, root)
+	} else {
+		delete(s.flagged, s.flagOrder[s.flagNext])
+		s.flagOrder[s.flagNext] = root
+		s.flagNext = (s.flagNext + 1) % s.maxPending
+	}
+	s.flagged[root] = true
 }
 
 // take removes and returns a root's buffered events; the caller hands

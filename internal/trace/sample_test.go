@@ -131,6 +131,38 @@ func TestSamplePendingBound(t *testing.T) {
 	}
 }
 
+// TestSampleFlaggedBound: the flagged set keeps only the most recent
+// MaxPending roots, however many trees a run flags, and a forgotten tree
+// is decided afresh.
+func TestSampleFlaggedBound(t *testing.T) {
+	const maxPending = 8
+	tr := New(0)
+	tr.SetSamplePolicy(SamplePolicy{Latency: 1 << 40, KeepNames: []string{"fallback"}, MaxPending: maxPending})
+	for i := 1; i <= 10*maxPending; i++ {
+		if i%2 == 0 {
+			tr.Flag(SpanID(i))
+		} else {
+			rec(tr, "host", "fallback", SpanID(i), 0, int64(i), int64(i)+1)
+		}
+		if n := len(tr.sampler.flagged); n > maxPending {
+			t.Fatalf("after %d flagged roots the set holds %d, want <= %d", i, n, maxPending)
+		}
+	}
+	last := SpanID(10 * maxPending)
+	for r := last - maxPending + 1; r <= last; r++ {
+		if !tr.sampler.flagged[r] {
+			t.Fatalf("recent root %d forgotten", r)
+		}
+	}
+	kept := tr.Len()
+	rec(tr, "ssd", "work", 1000, last, 0, 1) // a recent tree: kept
+	rec(tr, "ssd", "work", 1001, 1, 0, 1)    // a forgotten tree: undecided
+	if got := tr.Len() - kept; got != 1 || tr.PendingSampled() != 1 {
+		t.Fatalf("kept %d new events, pending %d; want the recent tree's event kept and the old one's buffered",
+			got, tr.PendingSampled())
+	}
+}
+
 // TestSampleBoundedMemorySoak drives a synthetic million-event workload
 // through the sampler: memory must stay O(head + interesting + pending),
 // not O(events).
