@@ -91,9 +91,6 @@ type Fallback struct {
 	Spec ParseSpec
 	// CoreIdx pins the parse loop to a host core.
 	CoreIdx int
-	// NoReplica disables the last-resort replica re-fetch, for systems
-	// whose files have no remote copy.
-	NoReplica bool
 }
 
 // InvokeResult reports one StorageApp run.
@@ -512,7 +509,7 @@ func (s *System) invokeFallback(ready units.Time, opt InvokeOptions, cause error
 	// The conventional path reads the same flash pages; only media loss
 	// justifies escalating to the replica.
 	mediaLoss := errors.Is(derr, ErrMediaFailure) || errors.Is(derr, nvme.ErrLBAOutOfRange)
-	if fb.NoReplica || !mediaLoss {
+	if !mediaLoss {
 		return nil, fmt.Errorf("core: host fallback (after %w) failed: %w", cause, derr)
 	}
 	// Route the re-fetch. With a fetcher installed (array shards), the
