@@ -10,7 +10,7 @@ type Latency struct {
 
 // Latency resolves latency metric name to a handle.
 func (r *Registry) Latency(name string) Latency {
-	id := intern(name)
+	id := metricIDs.ID(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Latency{r: r, m: r.latLocked(id)}
@@ -43,7 +43,7 @@ type Sampler struct {
 }
 
 // Sampler resolves gauge name to a handle.
-func (r *Registry) Sampler(name string) Sampler { return Sampler{r: r, id: intern(name)} }
+func (r *Registry) Sampler(name string) Sampler { return Sampler{r: r, id: metricIDs.ID(name)} }
 
 // Sample records one gauge sample into the run-wide gauge and, when the
 // series is enabled, the window's gauge summary.
@@ -67,7 +67,7 @@ type TimedCounter struct {
 
 // TimedCounter resolves counter name to a handle.
 func (r *Registry) TimedCounter(name string) TimedCounter {
-	return TimedCounter{r: r, id: intern(name)}
+	return TimedCounter{r: r, id: metricIDs.ID(name)}
 }
 
 // Add increments the counter by v at virtual time t. Identical to a raw

@@ -99,7 +99,7 @@ func TestConcurrentIntern(t *testing.T) {
 			for i := 0; i < names; i++ {
 				// Each worker walks the names in its own order.
 				n := fmt.Sprintf("intern.race.%d", (i*(w+1))%names)
-				ids[w] = append(ids[w], intern(n))
+				ids[w] = append(ids[w], metricIDs.ID(n))
 				NewRegistry().Latency(n).Observe(int64(i), 1)
 			}
 		}(w)
@@ -108,10 +108,10 @@ func TestConcurrentIntern(t *testing.T) {
 	for w := range ids {
 		for i, id := range ids[w] {
 			want := fmt.Sprintf("intern.race.%d", (i*(w+1))%names)
-			if got := metricNames()[id]; got != want {
+			if got := metricIDs.Names()[id]; got != want {
 				t.Fatalf("worker %d: ID %d names %q, want %q", w, id, got, want)
 			}
-			if id2, ok := lookupID(want); !ok || id2 != id {
+			if id2, ok := metricIDs.Lookup(want); !ok || id2 != id {
 				t.Fatalf("lookup(%q) = %d, %v; interned as %d", want, id2, ok, id)
 			}
 		}

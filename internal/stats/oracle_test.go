@@ -88,7 +88,7 @@ func counterMap(vals []counterVal) map[string]int64 {
 	out := map[string]int64{}
 	for id, c := range vals {
 		if c.set {
-			out[metricNames()[id]] = c.v
+			out[metricIDs.Names()[id]] = c.v
 		}
 	}
 	return out
@@ -98,7 +98,7 @@ func counterMap(vals []counterVal) map[string]int64 {
 func listMap[T any](l cellList[T]) map[string]T {
 	out := map[string]T{}
 	for _, e := range l {
-		out[metricNames()[e.id]] = e.v
+		out[metricIDs.Names()[e.id]] = e.v
 	}
 	return out
 }
@@ -109,7 +109,7 @@ func presentMap[T any](s []*T) map[string]*T {
 	out := map[string]*T{}
 	for id, p := range s {
 		if p != nil {
-			out[metricNames()[id]] = p
+			out[metricIDs.Names()[id]] = p
 		}
 	}
 	return out
@@ -125,7 +125,7 @@ func oracleWriteJSON(r *Registry, w io.Writer) error {
 			continue
 		}
 		h := &m.h.d
-		hists[metricNames()[m.id]] = histJSON{
+		hists[metricIDs.Names()[m.id]] = histJSON{
 			Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
 			P50: h.quantile(0.5), P95: h.quantile(0.95), P99: h.quantile(0.99),
 			Buckets: h.appendBuckets(nil),

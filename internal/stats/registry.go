@@ -56,7 +56,7 @@ func (r *Registry) Counters() *Set { return r.counters }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	id := intern(name)
+	id := metricIDs.ID(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.histLocked(r.latLocked(id))
@@ -84,7 +84,7 @@ func (r *Registry) histLocked(m *latMetric) *Histogram {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	id := intern(name)
+	id := metricIDs.ID(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.gaugeLocked(id)
@@ -206,7 +206,7 @@ func sortedNames[V any](dst []string, m map[string]V) []string {
 func (r *Registry) WriteJSON(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := metricNames()
+	names := metricIDs.Names()
 	jw := jsonw.New(w)
 	jw.BeginObject()
 	jw.Key("counters")

@@ -253,7 +253,7 @@ func (s *seriesData) keys() *seriesKeys {
 		h = markIDs(h, cell.hists)
 		g = markIDs(g, cell.gauges)
 	}
-	names := metricNames()
+	names := metricIDs.Names()
 	k := &seriesKeys{
 		counters: markedIDs(c), hists: markedIDs(h), gauges: markedIDs(g),
 		quoted: make([]string, len(names)), pos: make([]int32, len(names)),

@@ -168,7 +168,7 @@ func (r *Registry) addSLOLocked(cfg SLOConfig) *sloState {
 	// The watched metric's handles carry its objectives. Keep that list
 	// in key order so any emission or fold that walks it is
 	// deterministic.
-	m := r.latLocked(intern(cfg.Metric))
+	m := r.latLocked(metricIDs.ID(cfg.Metric))
 	m.slos = append(m.slos, s)
 	sort.Slice(m.slos, func(i, j int) bool { return m.slos[i].cfg.Key() < m.slos[j].cfg.Key() })
 	return s

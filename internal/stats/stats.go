@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 
+	"morpheus/internal/intern"
 	"morpheus/internal/units"
 )
 
@@ -99,7 +100,7 @@ type Counter struct {
 
 // Counter resolves counter name to a handle.
 func (s *Set) Counter(name string) Counter {
-	id := intern(name)
+	id := metricIDs.ID(name)
 	s.slot(id)
 	return Counter{s: s, id: id}
 }
@@ -111,7 +112,7 @@ func (c Counter) Add(v int64) { c.s.vals[c.id].add(v) }
 func (c Counter) AddBytes(v units.Bytes) { c.s.vals[c.id].add(int64(v)) }
 
 // Add increments counter name by v.
-func (s *Set) Add(name string, v int64) { s.slot(intern(name)).add(v) }
+func (s *Set) Add(name string, v int64) { s.slot(metricIDs.ID(name)).add(v) }
 
 // AddBytes increments counter name by a byte count.
 func (s *Set) AddBytes(name string, v units.Bytes) { s.Add(name, int64(v)) }
@@ -123,7 +124,7 @@ func (s *Set) Get(name string) int64 { return getCounter(s.vals, name) }
 func (s *Set) Bytes(name string) units.Bytes { return units.Bytes(s.Get(name)) }
 
 func getCounter(vals []counterVal, name string) int64 {
-	if id, ok := lookupID(name); ok && int(id) < len(vals) {
+	if id, ok := metricIDs.Lookup(name); ok && int(id) < len(vals) {
 		return vals[id].v
 	}
 	return 0
@@ -179,7 +180,7 @@ func setIDs(dst []metricID, vals []counterVal) []metricID {
 func counterNames(vals []counterVal) []string {
 	ids := setIDs(nil, vals)
 	sortByName(ids)
-	names, out := metricNames(), make([]string, len(ids))
+	names, out := metricIDs.Names(), make([]string, len(ids))
 	for i, id := range ids {
 		out[i] = names[id]
 	}
@@ -260,4 +261,30 @@ func (b *Breakdown) String() string {
 		parts = append(parts, fmt.Sprintf("%s=%v (%.0f%%)", p, b.phases[p], 100*b.Fraction(p)))
 	}
 	return strings.Join(parts, " ")
+}
+
+// metricID is a metric name's process-wide interned index. Every registry
+// and counter set stores its metrics in dense slices indexed by it, so a
+// resolved handle reaches its metric with one slice index instead of a
+// string hash.
+type metricID int32
+
+// metricIDs interns the simulator's metric names.
+var metricIDs = intern.New[metricID]()
+
+// sortByName sorts ids by metric name in sort.Strings order, the order
+// encoding/json gives map keys.
+func sortByName(ids []metricID) {
+	names := metricIDs.Names()
+	slices.SortFunc(ids, func(a, b metricID) int { return strings.Compare(names[a], names[b]) })
+}
+
+// grow extends s with zero values so that id indexes it, to at least n
+// entries: callers pass the owning registry's current width so a fresh
+// series cell is sized once rather than once per new metric.
+func grow[T any](s []T, id metricID, n int) []T {
+	if int(id) < len(s) {
+		return s
+	}
+	return append(s, make([]T, max(int(id)+1, n)-len(s))...)
 }
