@@ -177,8 +177,8 @@ func (d *Driver) SubmitAsync(ready units.Time, ctx *ssd.CmdContext) (Pending, un
 // host builds every SQE, then advances the tail once. The CPU cost is
 // N·SQECycles + one DoorbellCycles, so the per-command submission
 // overhead falls toward SQECycles as the batch grows — the submission-side
-// mirror of ReapWindow's reap amortization. A batch larger than the ring
-// can publish at once (queueDepth-1 commands) fails with
+// mirror of ReapWindow's reap amortization. A batch larger than one
+// doorbell can publish (queueDepth-1 commands) fails with
 // nvme.ErrQueueFull before any CID is consumed.
 func (d *Driver) SubmitBatch(ready units.Time, ctxs []*ssd.CmdContext) ([]Pending, units.Time, error) {
 	if len(ctxs) == 0 {

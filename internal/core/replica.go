@@ -32,9 +32,9 @@ func (s *System) ReplicaFetcher() ReplicaFetcher { return s.replicaFetcher }
 
 // ReadRaw streams a staged extent back to the host through conventional
 // READ commands — the device-side cost of serving a replica re-fetch for
-// a remote system. The commands run through this system's driver and
-// queue pair, so its flash channels, PCIe link, and clock all see the
-// read; the returned bytes are trimmed to the file's logical size.
+// a remote system. The commands run through this system's driver, so
+// its flash channels, PCIe link, and clock all see the read; the
+// returned bytes are trimmed to the file's logical size.
 func (s *System) ReadRaw(ready units.Time, f *File) ([]byte, units.Time, error) {
 	bufAddr, t, err := s.Host.AllocDMA(ready, 2*units.Bytes(s.Cfg.SSD.MDTS))
 	if err != nil {

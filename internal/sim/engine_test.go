@@ -344,9 +344,9 @@ func TestEngineDifferentialBoundaries(t *testing.T) {
 }
 
 // TestEngineDifferentialDense hammers a narrow time band so many commands
-// share a submission time, and issues more than twice the queue pair's
-// depth while most stay outstanding: the rings only keep accepting if
-// every delivered CQE was reaped and its CID freed.
+// share a submission time, and issues more than twice the driver's
+// 1,024-entry queue depth while most stay outstanding, so CIDs, delivery
+// counts and the queue-depth gauge are held to the model far past it.
 func TestEngineDifferentialDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	h := newDeliveryHarness(t)
@@ -361,7 +361,7 @@ func TestEngineDifferentialDense(t *testing.T) {
 		}
 	}
 	if h.submitted <= 2*1024 {
-		t.Fatalf("only %d commands submitted; the script must exceed twice the ring depth", h.submitted)
+		t.Fatalf("only %d commands submitted; the script must exceed twice the queue depth", h.submitted)
 	}
 	h.finish()
 }
