@@ -13,8 +13,9 @@ import (
 // TestOneEngineEventPerCommand: the driver delivers exactly one
 // completion per NVMe command, on the Morpheus and the conventional path
 // alike, and the queue depth is back to zero once the host has reaped
-// every command. Each path reads a large file and then a small one, both from time zero, as the threads of a
-// multi-threaded app do. ResetTimers zeroes the delivery count.
+// every command. Each path reads a large file and then a small one, both
+// from time zero, as the threads of a multi-threaded app do. ResetTimers
+// zeroes the delivery count.
 func TestOneEngineEventPerCommand(t *testing.T) {
 	large, _ := testInput(1<<16, 9)
 	small, _ := testInput(1<<12, 10)

@@ -75,9 +75,8 @@ func artifactDigests(t *testing.T, e Experiment) map[string]string {
 	}
 }
 
-// readGolden parses goldenFile into artifact → digest, keeping the
-// file's order.
-func readGolden(t *testing.T) (map[string]string, []string) {
+// readGolden parses goldenFile into artifact → digest.
+func readGolden(t *testing.T) map[string]string {
 	t.Helper()
 	f, err := os.Open(goldenFile)
 	if err != nil {
@@ -85,7 +84,6 @@ func readGolden(t *testing.T) (map[string]string, []string) {
 	}
 	defer f.Close()
 	want := map[string]string{}
-	var order []string
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		digest, name, ok := strings.Cut(sc.Text(), "  ")
@@ -93,12 +91,11 @@ func readGolden(t *testing.T) (map[string]string, []string) {
 			t.Fatalf("%s: malformed line %q", goldenFile, sc.Text())
 		}
 		want[name] = digest
-		order = append(order, name)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return want, order
+	return want
 }
 
 // TestGoldenArtifacts pins every artifact of every experiment to a
@@ -115,9 +112,8 @@ func TestGoldenArtifacts(t *testing.T) {
 		t.Skipf("golden digests are recorded on amd64, not %s (FMA fusion changes rounding)", runtime.GOARCH)
 	}
 	var want map[string]string
-	var order []string
 	if !*updateGolden {
-		want, order = readGolden(t)
+		want = readGolden(t)
 	}
 	var lines []string
 	seen := map[string]bool{}
@@ -137,7 +133,7 @@ func TestGoldenArtifacts(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range order {
+	for name := range want {
 		if !seen[name] {
 			t.Errorf("%s: recorded digest for an artifact no experiment produces", name)
 		}

@@ -2,7 +2,6 @@ package intern
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -29,37 +28,5 @@ func TestSeedAndFirstUseOrder(t *testing.T) {
 	}
 	if len(tb.Names()) != 4 {
 		t.Fatalf("Lookup grew the table to %d", len(tb.Names()))
-	}
-}
-
-// TestConcurrentID: goroutines interning overlapping strings in
-// different orders all agree on each string's ID, and the ID names the
-// string back, including through a Names slice taken earlier.
-func TestConcurrentID(t *testing.T) {
-	const workers, n = 4, 300
-	tb := New[id]()
-	early := tb.Names()
-	got := make([][]id, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				got[w] = append(got[w], tb.ID(fmt.Sprint((i*(w+1))%n)))
-			}
-		}(w)
-	}
-	wg.Wait()
-	names := tb.Names()
-	if len(names) != n || len(early) != 0 {
-		t.Fatalf("%d names after interning %d strings (early snapshot %d)", len(names), n, len(early))
-	}
-	for w := range got {
-		for i, x := range got[w] {
-			if want := fmt.Sprint((i * (w + 1)) % n); names[x] != want {
-				t.Fatalf("worker %d: ID %d names %q, want %q", w, x, names[x], want)
-			}
-		}
 	}
 }
