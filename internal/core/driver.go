@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"morpheus/internal/nvme"
 	"morpheus/internal/ssd"
@@ -17,8 +18,9 @@ var (
 	fallbackName    = trace.Intern("fallback")
 	fallbackHost    = trace.Text("path=host")
 	fallbackReplica = trace.Text("path=replica")
-	submitKind      = trace.RegisterDetail(func(a [3]int64) string {
-		return fmt.Sprintf("op=%s cid=%d", nvme.Opcode(a[0]), uint16(a[1]))
+	submitKind      = trace.RegisterDetail(func(dst []byte, a [3]int64) []byte {
+		dst = append(append(append(dst, "op="...), nvme.Opcode(a[0]).String()...), " cid="...)
+		return strconv.AppendUint(dst, uint64(uint16(a[1])), 10)
 	})
 )
 

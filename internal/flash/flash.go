@@ -180,7 +180,7 @@ type Array struct {
 var (
 	readName    = trace.Intern("read")
 	programName = trace.Intern("program")
-	ppaKind     = trace.RegisterDetail(func(a [3]int64) string { return UnpackPPA(a[0]).String() })
+	ppaKind     = trace.RegisterDetail(func(dst []byte, a [3]int64) []byte { return append(dst, UnpackPPA(a[0]).String()...) })
 )
 
 func ppaDetail(addr PPA) trace.Detail {

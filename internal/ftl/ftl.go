@@ -76,8 +76,8 @@ type FTL struct {
 var (
 	ftlTrack = trace.Intern("ftl")
 	mapName  = trace.Intern("map")
-	mapKind  = trace.RegisterDetail(func(a [3]int64) string {
-		return fmt.Sprintf("lba=%d %v", LBA(a[0]), flash.UnpackPPA(a[1]))
+	mapKind  = trace.RegisterDetail(func(dst []byte, a [3]int64) []byte {
+		return fmt.Appendf(dst, "lba=%d %v", LBA(a[0]), flash.UnpackPPA(a[1]))
 	})
 )
 

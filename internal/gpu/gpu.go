@@ -77,8 +77,8 @@ type GPU struct {
 var (
 	smsTrack   = trace.Intern("gpu.sms")
 	kernelName = trace.Intern("kernel")
-	kernelKind = trace.RegisterDetail(func(a [3]int64) string {
-		return fmt.Sprintf("%s elements=%d", trace.Name(a[0]), a[1])
+	kernelKind = trace.RegisterDetail(func(dst []byte, a [3]int64) []byte {
+		return fmt.Appendf(dst, "%s elements=%d", trace.Name(a[0]), a[1])
 	})
 )
 

@@ -132,11 +132,11 @@ type Fabric struct {
 var (
 	dmaOutName = trace.Intern("dma-out")
 	dmaInName  = trace.Intern("dma-in")
-	dmaOutKind = trace.RegisterDetail(func(a [3]int64) string {
-		return fmt.Sprintf("%v -> %s", units.Bytes(a[0]), trace.Name(a[1]))
+	dmaOutKind = trace.RegisterDetail(func(dst []byte, a [3]int64) []byte {
+		return append(append(units.Bytes(a[0]).Append(dst), " -> "...), trace.Name(a[1]).String()...)
 	})
-	dmaInKind = trace.RegisterDetail(func(a [3]int64) string {
-		return fmt.Sprintf("%v <- %s", units.Bytes(a[0]), trace.Name(a[1]))
+	dmaInKind = trace.RegisterDetail(func(dst []byte, a [3]int64) []byte {
+		return append(append(units.Bytes(a[0]).Append(dst), " <- "...), trace.Name(a[1]).String()...)
 	})
 )
 

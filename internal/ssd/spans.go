@@ -3,6 +3,7 @@ package ssd
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"morpheus/internal/nvme"
 	"morpheus/internal/trace"
@@ -41,24 +42,28 @@ func opName(op nvme.Opcode) trace.Name {
 // Span details, one kind per format. Unsigned fields ride as their bits;
 // a cache hit packs its two 32-bit fields (instance, nlb) into one
 // argument, and the StorageApp's cycle count rides as its float64 bits.
+// The kinds every command records (nvme, parse) append with strconv, the
+// rarer ones through fmt.
 var (
-	nvmeKind = trace.RegisterDetail(func(a [3]int64) string {
-		return fmt.Sprintf("slba=%d nlb=%d status=0x%x", uint64(a[0]), uint32(a[1]), uint16(a[2]))
+	nvmeKind = trace.RegisterDetail(func(dst []byte, a [3]int64) []byte {
+		dst = strconv.AppendUint(append(dst, "slba="...), uint64(a[0]), 10)
+		dst = strconv.AppendUint(append(dst, " nlb="...), uint64(uint32(a[1])), 10)
+		return strconv.AppendUint(append(dst, " status=0x"...), uint64(uint16(a[2])), 16)
 	})
-	parseKind = trace.RegisterDetail(func(a [3]int64) string {
-		return fmt.Sprintf("instance=%d", uint32(a[0]))
+	parseKind = trace.RegisterDetail(func(dst []byte, a [3]int64) []byte {
+		return strconv.AppendUint(append(dst, "instance="...), uint64(uint32(a[0])), 10)
 	})
-	missKind = trace.RegisterDetail(func(a [3]int64) string {
-		return fmt.Sprintf("instance=%d slba=%d nlb=%d", uint32(a[0]), uint64(a[1]), uint32(a[2]))
+	missKind = trace.RegisterDetail(func(dst []byte, a [3]int64) []byte {
+		return fmt.Appendf(dst, "instance=%d slba=%d nlb=%d", uint32(a[0]), uint64(a[1]), uint32(a[2]))
 	})
-	hitKind = trace.RegisterDetail(func(a [3]int64) string {
-		return fmt.Sprintf("instance=%d slba=%d nlb=%d bytes=%d", uint32(a[0]>>32), uint64(a[1]), uint32(a[0]), a[2])
+	hitKind = trace.RegisterDetail(func(dst []byte, a [3]int64) []byte {
+		return fmt.Appendf(dst, "instance=%d slba=%d nlb=%d bytes=%d", uint32(a[0]>>32), uint64(a[1]), uint32(a[0]), a[2])
 	})
-	invalidateKind = trace.RegisterDetail(func(a [3]int64) string {
-		return fmt.Sprintf("slba=%d nlb=%d entries=%d", uint64(a[0]), uint32(a[1]), a[2])
+	invalidateKind = trace.RegisterDetail(func(dst []byte, a [3]int64) []byte {
+		return fmt.Appendf(dst, "slba=%d nlb=%d entries=%d", uint64(a[0]), uint32(a[1]), a[2])
 	})
-	storageAppKind = trace.RegisterDetail(func(a [3]int64) string {
-		return fmt.Sprintf("instance=%d chunk=%dB cycles=%.0f", uint32(a[0]), a[1], math.Float64frombits(uint64(a[2])))
+	storageAppKind = trace.RegisterDetail(func(dst []byte, a [3]int64) []byte {
+		return fmt.Appendf(dst, "instance=%d chunk=%dB cycles=%.0f", uint32(a[0]), a[1], math.Float64frombits(uint64(a[2])))
 	})
 )
 

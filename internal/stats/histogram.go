@@ -150,37 +150,37 @@ func (h *Histogram) Quantile(q float64) int64 {
 }
 
 func (d *histData) quantile(q float64) int64 {
-	return d.histSummary.quantile(q, func(i int) int64 { return d.buckets[i] })
+	var out [1]int64
+	d.quantiles([]float64{q}, d.bucket, out[:])
+	return out[0]
 }
 
-// quantile is Quantile for a histogram with summary s whose bucket i
-// holds bucket(i) observations.
-func (s *histSummary) quantile(q float64, bucket func(i int) int64) int64 {
+func (d *histData) bucket(i int) int64 { return d.buckets[i] }
+
+// quantiles sets out[j] to Quantile(qs[j]), for qs in ascending order, of
+// a histogram with summary s whose bucket i holds bucket(i) observations.
+// One pass over the buckets serves every q.
+func (s *histSummary) quantiles(qs []float64, bucket func(i int) int64, out []int64) {
 	if s.count == 0 {
-		return 0
+		clear(out)
+		return
 	}
-	rank := int64(math.Ceil(q * float64(s.count)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.count {
-		rank = s.count
-	}
-	var cum int64
-	for i := bucketOf(s.min); i < histBuckets; i++ {
+	j, cum := 0, int64(0)
+	for i := bucketOf(s.min); i < histBuckets && j < len(qs); i++ {
 		cum += bucket(i)
-		if cum >= rank {
-			v := bucketUpper(i)
-			if v < s.min {
-				v = s.min
-			}
-			if v > s.max {
-				v = s.max
-			}
-			return v
+		for ; j < len(qs) && cum >= s.rank(qs[j]); j++ {
+			out[j] = min(max(bucketUpper(i), s.min), s.max)
 		}
 	}
-	return s.max
+	for ; j < len(qs); j++ {
+		out[j] = s.max
+	}
+}
+
+// rank is the 1-based rank of the q-quantile's observation, ⌈q·count⌉
+// clamped to [1, count].
+func (s *histSummary) rank(q float64) int64 {
+	return min(max(int64(math.Ceil(q*float64(s.count))), 1), s.count)
 }
 
 // Merge adds every observation of o into h.
@@ -272,8 +272,6 @@ func (w *winHist) merge(o *winHist) {
 	}
 	w.fold(&o.histSummary)
 }
-
-func (w *winHist) quantile(q float64) int64 { return w.histSummary.quantile(q, w.bucket) }
 
 // Buckets returns the non-empty buckets as (upper bound, count) pairs in
 // ascending order, for rendering.

@@ -355,3 +355,30 @@ func TestWinHistMatchesHistData(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantilesOnePass holds the one-pass quantiles the writers use to
+// one quantile per pass, on histograms large enough that several
+// quantiles share a bucket below the last.
+func TestQuantilesOnePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 300; round++ {
+		var d histData
+		base := rng.Int63n(1 << 40)
+		for n := 1 + rng.Intn(2000); n > 0; n-- {
+			v := base + rng.Int63n(1+base/4)
+			if rng.Intn(50) == 0 {
+				v *= 64 // a tail a few buckets up
+			}
+			d.record(v)
+		}
+		for _, qs := range [][]float64{summaryQuantiles, {0, 0.25, 0.5, 0.9, 0.95, 0.99, 1}} {
+			got := make([]int64, len(qs))
+			d.quantiles(qs, d.bucket, got)
+			for j, q := range qs {
+				if want := d.quantile(q); got[j] != want {
+					t.Fatalf("round %d: q%v = %d in one pass, %d alone", round, q, got[j], want)
+				}
+			}
+		}
+	}
+}

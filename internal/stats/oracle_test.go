@@ -147,6 +147,14 @@ func oracleWriteJSON(r *Registry, w io.Writer) error {
 	}{counters, hists, gauges, slos})
 }
 
+// quantile is the q-quantile of a window histogram, one q per pass: the
+// writers ask for p50, p95 and p99 in one pass, which must agree.
+func (w *winHist) quantile(q float64) int64 {
+	var out [1]int64
+	w.quantiles([]float64{q}, w.bucket, out[:])
+	return out[0]
+}
+
 // oracleWriteSeriesJSON is the encoding/json rendering of
 // Registry.WriteSeriesJSON.
 func oracleWriteSeriesJSON(r *Registry, w io.Writer) error {

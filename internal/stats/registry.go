@@ -230,7 +230,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	for _, id := range ids {
 		jw.Key(names[id])
 		d := &r.lats[id].h.d
-		writeHist(jw, &d.histSummary, d.quantile, d.appendBuckets(nil))
+		writeHist(jw, metricsSummary, &d.histSummary, d.bucket, d.appendBuckets(nil))
 	}
 	jw.EndObject()
 	jw.Key("gauges")
@@ -239,7 +239,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	sortByName(ids)
 	for _, id := range ids {
 		jw.Key(names[id])
-		writeGauge(jw, &r.gauges[id].d)
+		writeGauge(jw, metricsSummary, &r.gauges[id].d)
 	}
 	jw.EndObject()
 	if len(r.slos) > 0 {
@@ -260,25 +260,57 @@ func presentIDs[T any](dst []metricID, s []*T) []metricID {
 	return dst
 }
 
-// writeHist writes a histogram's summary object and, when bs holds any,
-// its non-empty buckets: the run-wide artifact lists them, the
-// per-window rows do not.
-func writeHist(jw *jsonw.Writer, h *histSummary, quantile func(float64) int64, bs []BucketCount) {
+// summaryFields are the keys of the histogram, gauge and SLO window
+// summary objects at one depth.
+type summaryFields struct {
+	count, sum, min, max, p50, p95, p99    jsonw.Field
+	samples, last, mean                    jsonw.Field
+	total, violations, burnRate, violating jsonw.Field
+}
+
+func newSummaryFields(depth int) *summaryFields {
+	f := func(name string) jsonw.Field { return jsonw.NewField(depth, name) }
+	return &summaryFields{
+		count: f("count"), sum: f("sum"), min: f("min"), max: f("max"),
+		p50: f("p50"), p95: f("p95"), p99: f("p99"),
+		samples: f("samples"), last: f("last"), mean: f("mean"),
+		total: f("total"), violations: f("violations"), burnRate: f("burn_rate"), violating: f("violating"),
+	}
+}
+
+// A summary object sits three deep in the metrics artifact (document,
+// kind, metric) and five deep in a series window (document, windows,
+// window, kind, metric).
+var (
+	metricsSummary = newSummaryFields(3)
+	seriesSummary  = newSummaryFields(5)
+)
+
+// summaryQuantiles are the quantiles a histogram summary reports: p50,
+// p95 and p99.
+var summaryQuantiles = []float64{0.5, 0.95, 0.99}
+
+// writeHist writes a histogram's summary object, whose bucket i holds
+// bucket(i) observations, and, when bs holds any, its non-empty buckets:
+// the run-wide artifact lists them, the per-window rows do not.
+func writeHist(jw *jsonw.Writer, f *summaryFields, h *histSummary, bucket func(i int) int64, bs []BucketCount) {
+	var q [3]int64
+	h.quantiles(summaryQuantiles, bucket, q[:])
 	jw.BeginObject()
-	jw.Key("count")
+	jw.Field(f.count)
 	jw.Int(h.count)
-	jw.Key("sum")
+	jw.Field(f.sum)
 	jw.Int(h.sum)
-	jw.Key("min")
+	jw.Field(f.min)
 	jw.Int(h.min)
-	jw.Key("max")
+	jw.Field(f.max)
 	jw.Int(h.max)
-	jw.Key("p50")
-	jw.Int(quantile(0.5))
-	jw.Key("p95")
-	jw.Int(quantile(0.95))
-	jw.Key("p99")
-	jw.Int(quantile(0.99))
+	jw.Field(f.p50)
+	jw.Int(q[0])
+	jw.Field(f.p95)
+	jw.Int(q[1])
+	jw.Field(f.p99)
+	jw.Int(q[2])
 	if len(bs) > 0 {
 		jw.Key("buckets")
 		jw.BeginArray()
@@ -296,17 +328,17 @@ func writeHist(jw *jsonw.Writer, h *histSummary, quantile func(float64) int64, b
 }
 
 // writeGauge writes a gauge's summary object.
-func writeGauge(jw *jsonw.Writer, g *gaugeData) {
+func writeGauge(jw *jsonw.Writer, f *summaryFields, g *gaugeData) {
 	jw.BeginObject()
-	jw.Key("samples")
+	jw.Field(f.samples)
 	jw.Int(g.samples)
-	jw.Key("last")
+	jw.Field(f.last)
 	jw.Float(g.last)
-	jw.Key("min")
+	jw.Field(f.min)
 	jw.Float(g.min)
-	jw.Key("max")
+	jw.Field(f.max)
 	jw.Float(g.max)
-	jw.Key("mean")
+	jw.Field(f.mean)
 	jw.Float(g.mean())
 	jw.EndObject()
 }

@@ -3,7 +3,7 @@ package stats
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"morpheus/internal/jsonw"
 )
@@ -212,7 +212,7 @@ func (r *Registry) seriesWindowsLocked() []int64 {
 	for idx := range set {
 		out = append(out, idx)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -238,12 +238,13 @@ func markedIDs(marked []bool) []metricID {
 }
 
 // seriesKeys holds one write's order per metric kind, the IDs any window
-// holds sorted by name, and each metric's quoted name: names are sorted
-// and escaped once per write, not once per window.
+// holds sorted by name, and each metric's name as a key at its depth in a
+// window: names are sorted and escaped once per write, not once per
+// window.
 type seriesKeys struct {
 	counters, hists, gauges []metricID
-	quoted                  []string // by metricID
-	pos                     []int32  // writeCellBlock's scratch, by metricID
+	fields                  []jsonw.Field // by metricID
+	pos                     []int32       // writeCellBlock's scratch, by metricID
 }
 
 func (s *seriesData) keys() *seriesKeys {
@@ -256,19 +257,33 @@ func (s *seriesData) keys() *seriesKeys {
 	names := metricIDs.Names()
 	k := &seriesKeys{
 		counters: markedIDs(c), hists: markedIDs(h), gauges: markedIDs(g),
-		quoted: make([]string, len(names)), pos: make([]int32, len(names)),
+		fields: make([]jsonw.Field, len(names)), pos: make([]int32, len(names)),
 	}
 	for _, order := range [][]metricID{k.counters, k.hists, k.gauges} {
 		for _, id := range order {
-			k.quoted[id] = jsonw.Quote(names[id])
+			k.fields[id] = jsonw.NewField(windowDepth+1, names[id])
 		}
 	}
 	return k
 }
 
+// windowDepth is how deep a series window's keys sit: document, windows,
+// window.
+const windowDepth = 3
+
+// The keys of a series window.
+var (
+	startField      = jsonw.NewField(windowDepth, "start_ps")
+	endField        = jsonw.NewField(windowDepth, "end_ps")
+	countersField   = jsonw.NewField(windowDepth, "counters")
+	histogramsField = jsonw.NewField(windowDepth, "histograms")
+	gaugesField     = jsonw.NewField(windowDepth, "gauges")
+	slosField       = jsonw.NewField(windowDepth, "slos")
+)
+
 // writeCellBlock writes one window's entries of a kind as the object
 // key → {name: value}, in order, and nothing for an empty list.
-func writeCellBlock[T any](jw *jsonw.Writer, key string, l cellList[T], order []metricID, k *seriesKeys, write func(*T)) {
+func writeCellBlock[T any](jw *jsonw.Writer, key jsonw.Field, l cellList[T], order []metricID, k *seriesKeys, write func(*T)) {
 	if len(l) == 0 {
 		return
 	}
@@ -276,11 +291,11 @@ func writeCellBlock[T any](jw *jsonw.Writer, key string, l cellList[T], order []
 	for i, e := range l {
 		pos[e.id] = int32(i + 1)
 	}
-	jw.Key(key)
+	jw.Field(key)
 	jw.BeginObject()
 	for _, id := range order {
 		if i := pos[id]; i > 0 {
-			jw.QuotedKey(k.quoted[id])
+			jw.Field(k.fields[id])
 			write(&l[i-1].v)
 			pos[id] = 0
 		}
@@ -301,7 +316,18 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 	r.closeCounterWindowLocked()
 	s := r.series
 	sloKeys := sortedNames(nil, r.slos)
+	slos := make([]*sloState, len(sloKeys))
+	sloFields := make([]jsonw.Field, len(sloKeys))
+	// Each SLO's windows in ascending order, consumed alongside the
+	// window loop instead of looked up once per window and SLO.
+	sloWins := make([][]sloAt, len(sloKeys))
+	for i, key := range sloKeys {
+		slos[i] = r.slos[key]
+		sloFields[i] = jsonw.NewField(windowDepth+1, key)
+		sloWins[i] = slos[i].sortedWindows()
+	}
 	keys := s.keys()
+	f := seriesSummary
 	jw := jsonw.New(w)
 	jw.BeginObject()
 	jw.Key("window_ps")
@@ -310,37 +336,37 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 	jw.BeginArray()
 	for _, idx := range r.seriesWindowsLocked() {
 		jw.BeginObject()
-		jw.Key("start_ps")
+		jw.Field(startField)
 		jw.Int(idx * s.window)
-		jw.Key("end_ps")
+		jw.Field(endField)
 		jw.Int((idx + 1) * s.window)
 		if cell := s.cells[idx]; cell != nil {
-			writeCellBlock(jw, "counters", cell.counters, keys.counters, keys, func(v *int64) { jw.Int(*v) })
-			writeCellBlock(jw, "histograms", cell.hists, keys.hists, keys, func(h **winHist) { writeHist(jw, &(*h).histSummary, (*h).quantile, nil) })
-			writeCellBlock(jw, "gauges", cell.gauges, keys.gauges, keys, func(g *gaugeData) { writeGauge(jw, g) })
+			writeCellBlock(jw, countersField, cell.counters, keys.counters, keys, func(v *int64) { jw.Int(*v) })
+			writeCellBlock(jw, histogramsField, cell.hists, keys.hists, keys, func(h **winHist) { writeHist(jw, f, &(*h).histSummary, (*h).bucket, nil) })
+			writeCellBlock(jw, gaugesField, cell.gauges, keys.gauges, keys, func(g *gaugeData) { writeGauge(jw, f, g) })
 		}
 		opened := false
-		for _, key := range sloKeys {
-			st := r.slos[key]
-			sw := st.windows[idx]
-			if sw == nil {
+		for i, st := range slos {
+			if len(sloWins[i]) == 0 || sloWins[i][0].idx != idx {
 				continue
 			}
+			sw := sloWins[i][0].w
+			sloWins[i] = sloWins[i][1:]
 			if !opened {
-				jw.Key("slos")
+				jw.Field(slosField)
 				jw.BeginObject()
 				opened = true
 			}
-			jw.Key(key)
+			jw.Field(sloFields[i])
 			jw.BeginObject()
-			jw.Key("total")
+			jw.Field(f.total)
 			jw.Int(sw.total)
-			jw.Key("violations")
+			jw.Field(f.violations)
 			jw.Int(sw.bad)
-			jw.Key("burn_rate")
+			jw.Field(f.burnRate)
 			jw.Float(st.burnRate(sw))
 			if st.violating(sw) {
-				jw.Key("violating")
+				jw.Field(f.violating)
 				jw.Bool(true)
 			}
 			jw.EndObject()

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -182,6 +184,22 @@ func (r *Registry) SLOConfigs() []SLOConfig {
 	for _, key := range sortedNames(nil, r.slos) {
 		out = append(out, r.slos[key].cfg)
 	}
+	return out
+}
+
+// sloAt is one of an SLO's windows and its index.
+type sloAt struct {
+	idx int64
+	w   *sloWindow
+}
+
+// sortedWindows returns the SLO's windows by ascending index.
+func (s *sloState) sortedWindows() []sloAt {
+	out := make([]sloAt, 0, len(s.windows))
+	for idx, w := range s.windows {
+		out = append(out, sloAt{idx, w})
+	}
+	slices.SortFunc(out, func(a, b sloAt) int { return cmp.Compare(a.idx, b.idx) })
 	return out
 }
 

@@ -18,8 +18,9 @@ type Detail struct {
 	Args [3]int64
 }
 
-// DetailFormat renders a detail's arguments as the exported text.
-type DetailFormat func(args [3]int64) string
+// DetailFormat appends the exported text of a detail's arguments to dst
+// and returns the extended slice.
+type DetailFormat func(dst []byte, args [3]int64) []byte
 
 var (
 	detailFormats atomic.Pointer[[]DetailFormat] // by kind; index 0 unused
@@ -41,15 +42,19 @@ func RegisterDetail(f DetailFormat) DetailKind {
 	return DetailKind(len(fs) - 1)
 }
 
-// String formats the detail ("" for the zero kind).
-func (d Detail) String() string {
+// Append appends the formatted detail to dst (nothing for the zero kind)
+// and returns the extended slice.
+func (d Detail) Append(dst []byte) []byte {
 	if d.Kind == 0 {
-		return ""
+		return dst
 	}
-	return (*detailFormats.Load())[d.Kind](d.Args)
+	return (*detailFormats.Load())[d.Kind](dst, d.Args)
 }
 
-var textKind = RegisterDetail(func(a [3]int64) string { return Name(a[0]).String() })
+// String formats the detail ("" for the zero kind).
+func (d Detail) String() string { return string(d.Append(nil)) }
+
+var textKind = RegisterDetail(func(dst []byte, a [3]int64) []byte { return append(dst, Name(a[0]).String()...) })
 
 // Text returns a detail that renders as s. It interns s, so it suits a
 // fixed string resolved once, not one built per event.

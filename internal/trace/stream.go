@@ -2,15 +2,18 @@ package trace
 
 import (
 	"bufio"
-	"encoding/gob"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"morpheus/internal/jsonw"
+	"morpheus/internal/units"
 )
 
 // EventSink receives kept events as they are recorded. Install one on a
@@ -64,7 +67,7 @@ type ChromeStream struct {
 	chunkCap int
 	buf      []Event
 	spools   []*os.File
-	tracks   map[Name]bool
+	tracks   []bool // by Name: whether an event used it as its track
 	err      error
 	closed   bool
 }
@@ -72,7 +75,7 @@ type ChromeStream struct {
 // NewChromeStream returns a stream writing the merged trace to w on
 // Close. The caller owns w (the stream never closes it).
 func NewChromeStream(w io.Writer) *ChromeStream {
-	return &ChromeStream{w: w, chunkCap: defaultChunkCap, tracks: map[Name]bool{}}
+	return &ChromeStream{w: w, chunkCap: defaultChunkCap}
 }
 
 // Emit accepts one event. Never fails; spill errors surface from Close.
@@ -82,6 +85,9 @@ func (c *ChromeStream) Emit(e Event) {
 	if c.closed || c.err != nil {
 		return
 	}
+	if n := int(e.Track) + 1; n > len(c.tracks) {
+		c.tracks = append(c.tracks, make([]bool, n-len(c.tracks))...)
+	}
 	c.tracks[e.Track] = true
 	c.buf = append(c.buf, e)
 	if len(c.buf) >= c.chunkCap {
@@ -89,7 +95,8 @@ func (c *ChromeStream) Emit(e Event) {
 	}
 }
 
-// spillLocked sorts the in-memory chunk and writes it to a fresh spool.
+// spillLocked sorts the in-memory chunk and writes it to a fresh spool,
+// one fixed-size record per event.
 func (c *ChromeStream) spillLocked() error {
 	sortChunk(c.buf)
 	f, err := os.CreateTemp("", "morpheus-trace-*.spool")
@@ -97,13 +104,9 @@ func (c *ChromeStream) spillLocked() error {
 		return fmt.Errorf("trace stream: spill: %w", err)
 	}
 	bw := bufio.NewWriter(f)
-	enc := gob.NewEncoder(bw)
+	var rec [recordSize]byte
 	for _, e := range c.buf {
-		if err := enc.Encode(e); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return fmt.Errorf("trace stream: spill: %w", err)
-		}
+		bw.Write(putRecord(&rec, e)) // an error sticks in bw; Flush returns it
 	}
 	if err := bw.Flush(); err != nil {
 		f.Close()
@@ -113,6 +116,39 @@ func (c *ChromeStream) spillLocked() error {
 	c.spools = append(c.spools, f)
 	c.buf = c.buf[:0]
 	return nil
+}
+
+// recordSize is a spooled event's size: Event's fields, little-endian,
+// in declaration order.
+const recordSize = 4 + 4 + 4 + 3*8 + 8 + 8 + 8 + 8
+
+// putRecord encodes e into rec and returns it as a slice.
+func putRecord(rec *[recordSize]byte, e Event) []byte {
+	b := binary.LittleEndian.AppendUint32(rec[:0], uint32(e.Track))
+	b = binary.LittleEndian.AppendUint32(b, uint32(e.Name))
+	b = binary.LittleEndian.AppendUint32(b, uint32(e.Detail.Kind))
+	for _, a := range e.Detail.Args {
+		b = binary.LittleEndian.AppendUint64(b, uint64(a))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(e.Span))
+	b = binary.LittleEndian.AppendUint64(b, uint64(e.Parent))
+	b = binary.LittleEndian.AppendUint64(b, uint64(e.Start))
+	return binary.LittleEndian.AppendUint64(b, uint64(e.End))
+}
+
+// getRecord decodes putRecord's encoding.
+func getRecord(rec *[recordSize]byte) Event {
+	b := rec[:]
+	u32 := func() uint32 { v := binary.LittleEndian.Uint32(b); b = b[4:]; return v }
+	u64 := func() uint64 { v := binary.LittleEndian.Uint64(b); b = b[8:]; return v }
+	e := Event{Track: Name(u32()), Name: Name(u32())}
+	e.Detail.Kind = DetailKind(u32())
+	for i := range e.Detail.Args {
+		e.Detail.Args[i] = int64(u64())
+	}
+	e.Span, e.Parent = SpanID(u64()), SpanID(u64())
+	e.Start, e.End = units.Time(u64()), units.Time(u64())
+	return e
 }
 
 // trackUnit maps a track name to its owning unit: the prefix before the
@@ -148,13 +184,13 @@ const psPerMicro = 1e6 // units.Time is picoseconds; trace ts is µs
 // sortChunk stable-sorts events by start time, preserving emission order
 // within equal starts — the same ordering Tracer.Events() produces.
 func sortChunk(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Start < events[j].Start })
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Start, b.Start) })
 }
 
 // chunkCursor reads one sorted chunk back, either from a spool file or
 // the final in-memory chunk.
 type chunkCursor struct {
-	dec  *gob.Decoder // nil for the in-memory chunk
+	r    *bufio.Reader // nil for the in-memory chunk
 	mem  []Event
 	pos  int
 	head Event
@@ -162,7 +198,7 @@ type chunkCursor struct {
 }
 
 func (cc *chunkCursor) advance() error {
-	if cc.dec == nil {
+	if cc.r == nil {
 		if cc.pos >= len(cc.mem) {
 			cc.ok = false
 			return nil
@@ -172,10 +208,10 @@ func (cc *chunkCursor) advance() error {
 		cc.ok = true
 		return nil
 	}
-	var e Event
-	switch err := cc.dec.Decode(&e); err {
+	var rec [recordSize]byte
+	switch _, err := io.ReadFull(cc.r, rec[:]); err {
 	case nil:
-		cc.head = e
+		cc.head = getRecord(&rec)
 		cc.ok = true
 		return nil
 	case io.EOF:
@@ -219,7 +255,7 @@ func (c *ChromeStream) mergeLocked() error {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return fmt.Errorf("trace stream: merge: %w", err)
 		}
-		cursors = append(cursors, &chunkCursor{dec: gob.NewDecoder(bufio.NewReader(f))})
+		cursors = append(cursors, &chunkCursor{r: bufio.NewReader(f)})
 	}
 	cursors = append(cursors, &chunkCursor{mem: c.buf}) // newest chunk last
 	for _, cc := range cursors {
@@ -228,15 +264,20 @@ func (c *ChromeStream) mergeLocked() error {
 		}
 	}
 
-	tracks := make([]string, 0, len(c.tracks))
-	for tr := range c.tracks {
-		tracks = append(tracks, tr.String())
+	var tracks []string
+	for tr, used := range c.tracks {
+		if used {
+			tracks = append(tracks, Name(tr).String())
+		}
 	}
 	sort.Strings(tracks)
 	pidOf, tidOf, unitNames := chromeLayout(tracks)
-	ids := make(map[Name][2]int, len(tracks)) // track → pid, tid
+	x := &chromeExport{
+		ids:    make([][2]int, len(c.tracks)),
+		quoted: make([]string, len(names.Names())),
+	}
 	for _, track := range tracks {
-		ids[Intern(track)] = [2]int{pidOf[trackUnit(track)], tidOf[track]}
+		x.ids[Intern(track)] = [2]int{pidOf[trackUnit(track)], tidOf[track]}
 	}
 
 	jw := jsonw.New(c.w)
@@ -262,7 +303,7 @@ func (c *ChromeStream) mergeLocked() error {
 		if best < 0 {
 			break
 		}
-		writeChromeEvent(jw, cursors[best].head, ids)
+		x.writeEvent(jw, cursors[best].head)
 		if err := cursors[best].advance(); err != nil {
 			return err
 		}
@@ -277,20 +318,36 @@ func (c *ChromeStream) mergeLocked() error {
 	return nil
 }
 
+// The keys of a trace event, which sits three deep (document,
+// traceEvents, event), and of its args.
+var (
+	nameField   = jsonw.NewField(3, "name")
+	phField     = jsonw.NewField(3, "ph")
+	tsField     = jsonw.NewField(3, "ts")
+	durField    = jsonw.NewField(3, "dur")
+	pidField    = jsonw.NewField(3, "pid")
+	tidField    = jsonw.NewField(3, "tid")
+	scopeField  = jsonw.NewField(3, "s")
+	argsField   = jsonw.NewField(3, "args")
+	detailField = jsonw.NewField(4, "detail")
+	parentField = jsonw.NewField(4, "parent")
+	spanField   = jsonw.NewField(4, "span")
+)
+
 // writeChromeMeta writes one process_name or thread_name metadata event.
 func writeChromeMeta(jw *jsonw.Writer, name string, pid, tid int, arg string) {
 	jw.BeginObject()
-	jw.Key("name")
+	jw.Field(nameField)
 	jw.String(name)
-	jw.Key("ph")
+	jw.Field(phField)
 	jw.String("M")
-	jw.Key("ts")
+	jw.Field(tsField)
 	jw.Int(0)
-	jw.Key("pid")
+	jw.Field(pidField)
 	jw.Int(int64(pid))
-	jw.Key("tid")
+	jw.Field(tidField)
 	jw.Int(int64(tid))
-	jw.Key("args")
+	jw.Field(argsField)
 	jw.BeginObject()
 	jw.Key("name")
 	jw.String(arg)
@@ -298,51 +355,62 @@ func writeChromeMeta(jw *jsonw.Writer, name string, pid, tid int, arg string) {
 	jw.EndObject()
 }
 
-// writeChromeEvent writes one recorded event: spans are complete ("X")
-// events with a duration, instants thread-scoped ("i"), and args holds
-// the non-empty detail, non-zero parent and span in key order, so the
-// causal chain survives the export. It is the only place a detail is
-// formatted.
-func writeChromeEvent(jw *jsonw.Writer, e Event, ids map[Name][2]int) {
-	jw.BeginObject()
-	jw.Key("name")
-	jw.String(e.Name.String())
-	point := e.Point()
-	jw.Key("ph")
-	if point {
-		jw.String("i")
-	} else {
-		jw.String("X")
+// chromeExport is one Close's state for writing events.
+type chromeExport struct {
+	ids    [][2]int // by track Name: pid, tid
+	quoted []string // by Name: its JSON encoding, once an event used it
+	detail []byte   // scratch for formatting a detail
+}
+
+// writeEvent writes one recorded event: spans are complete ("X") events
+// with a duration, instants thread-scoped ("i"), and args holds the
+// non-empty detail, non-zero parent and span in key order, so the causal
+// chain survives the export. It is the only place a detail is formatted.
+func (x *chromeExport) writeEvent(jw *jsonw.Writer, e Event) {
+	q := x.quoted[e.Name]
+	if q == "" {
+		q = jsonw.Quote(e.Name.String())
+		x.quoted[e.Name] = q
 	}
-	jw.Key("ts")
+	jw.BeginObject()
+	jw.Field(nameField)
+	jw.QuotedString(q)
+	point := e.Point()
+	jw.Field(phField)
+	if point {
+		jw.QuotedString(`"i"`)
+	} else {
+		jw.QuotedString(`"X"`)
+	}
+	jw.Field(tsField)
 	jw.Float(float64(e.Start) / psPerMicro)
 	if !point {
-		jw.Key("dur")
+		jw.Field(durField)
 		jw.Float(float64(e.End-e.Start) / psPerMicro)
 	}
-	id := ids[e.Track]
-	jw.Key("pid")
+	id := x.ids[e.Track]
+	jw.Field(pidField)
 	jw.Int(int64(id[0]))
-	jw.Key("tid")
+	jw.Field(tidField)
 	jw.Int(int64(id[1]))
 	if point {
-		jw.Key("s")
-		jw.String("t")
+		jw.Field(scopeField)
+		jw.QuotedString(`"t"`)
 	}
-	detail := e.Detail.String()
-	if e.Span != 0 || e.Parent != 0 || detail != "" {
-		jw.Key("args")
+	x.detail = e.Detail.Append(x.detail[:0])
+	if e.Span != 0 || e.Parent != 0 || len(x.detail) > 0 {
+		jw.Field(argsField)
 		jw.BeginObject()
-		if detail != "" {
-			jw.Key("detail")
-			jw.String(detail)
+		if len(x.detail) > 0 {
+			jw.Field(detailField)
+			jw.StringBytes(x.detail)
 		}
 		if e.Parent != 0 {
-			jw.Key("parent")
+			jw.Field(parentField)
 			jw.Uint(uint64(e.Parent))
 		}
 		if e.Span != 0 {
-			jw.Key("span")
+			jw.Field(spanField)
 			jw.Uint(uint64(e.Span))
 		}
 		jw.EndObject()

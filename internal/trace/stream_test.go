@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"morpheus/internal/units"
@@ -109,7 +111,7 @@ func TestChromeStreamByteIdenticalToBuffered(t *testing.T) {
 // TestChromeStreamEscapedStrings: names, tracks and details that
 // encoding/json escapes (HTML characters, quotes, backslashes, control
 // bytes, non-ASCII, U+2028 and invalid UTF-8) must stream the same bytes
-// as the buffered exporter, including through gob-spilled chunks.
+// as the buffered exporter, including through spilled chunks.
 func TestChromeStreamEscapedStrings(t *testing.T) {
 	awkward := []string{
 		"a<b", "c>d", "a&b", `say "hi"`, `C:\path`, "tab\tnl\n", "\x00\x1f\x7f",
@@ -229,6 +231,112 @@ func TestChromeStreamCloseIdempotent(t *testing.T) {
 	if sb.Len() != n {
 		t.Fatal("Emit after Close wrote bytes")
 	}
+}
+
+// TestSpoolRecordRoundTrip sets every field of an Event to a distinct
+// value with its high bits set, so a field the spool record drops or
+// truncates, including one added to Event later, fails the round trip.
+func TestSpoolRecordRoundTrip(t *testing.T) {
+	var e Event
+	next := uint64(0x8000_0000_0000_0000)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Int32, reflect.Int64:
+			next += 0x0101_0101_0101_0101
+			v.SetInt(int64(next))
+		case reflect.Uint32, reflect.Uint64:
+			next += 0x0101_0101_0101_0101
+			v.SetUint(next)
+		default:
+			t.Fatalf("Event holds a %v the spool record does not encode", v.Type())
+		}
+	}
+	fill(reflect.ValueOf(&e).Elem())
+	var rec [recordSize]byte
+	if b := putRecord(&rec, e); len(b) != recordSize {
+		t.Fatalf("record is %d bytes, want %d", len(b), recordSize)
+	}
+	if got := getRecord(&rec); got != e {
+		t.Fatalf("round trip\n got %+v\nwant %+v", got, e)
+	}
+}
+
+// extremeKind is a detail kind that prints all three arguments whole,
+// so FuzzChromeStream can drive each one to its extremes.
+var extremeKind = RegisterDetail(func(dst []byte, a [3]int64) []byte {
+	return fmt.Appendf(dst, "a=%d <b>=%#x c&%v", a[0], uint64(a[1]), math.Float64frombits(uint64(a[2])))
+})
+
+var (
+	fuzzTracks  = []string{"host", "nvme", "ssd.core0", "ssd.<&>", "ünï.cödé", `q"t`, "", "a.b.c", "flash.ch1"}
+	fuzzEvNames = []string{"MREAD", "", "dma-out", "x<y>&z", "tab\there", "line\u2028sep", "bad\xffutf8", "🙂"}
+	extremes    = []int64{0, 1, -1, math.MaxInt64, math.MinInt64, math.MaxUint32, 1 << 31, 999_999, 1_000_000,
+		1e15 + 1, 1<<53 + 1, int64(math.Float64bits(math.NaN())), int64(math.Float64bits(math.Inf(-1))), int64(math.Float64bits(0.5))}
+)
+
+// fuzzEvents decodes data, eight bytes per event and at most 64 events,
+// into events over awkward tracks and names, every detail kind this test
+// binary registers with its arguments at extremes, points and spans, and
+// runs of equal start times.
+func fuzzEvents(data []byte) []Event {
+	kinds := len(*detailFormats.Load()) // kind 0 is no detail
+	var events []Event
+	var start units.Time
+	for ; len(data) >= 8 && len(events) < 64; data = data[8:] {
+		b := data[:8]
+		switch b[3] % 4 {
+		case 0: // same start as the previous event
+		case 1:
+			start += units.Time(b[3])
+		default:
+			start = units.Time(extremes[int(b[3])%len(extremes)] & (1<<62 - 1))
+		}
+		e := Event{
+			Track: Intern(fuzzTracks[int(b[0])%len(fuzzTracks)]),
+			Name:  Intern(fuzzEvNames[int(b[1])%len(fuzzEvNames)]),
+			Start: start,
+			End:   start + units.Time(b[4]%4)*units.Time(extremes[int(b[4])%len(extremes)]&(1<<40-1)),
+		}
+		d := Detail{Kind: DetailKind(int(b[2]) % kinds)}
+		for i := range d.Args {
+			d.Args[i] = extremes[int(b[5+i])%len(extremes)]
+		}
+		if d.Kind == textKind { // its argument is a Name
+			d.Args[0] = int64(Intern(fuzzEvNames[int(b[5])%len(fuzzEvNames)]))
+		}
+		e.Detail = d
+		if b[6]&1 != 0 {
+			e.Span = SpanID(extremes[int(b[7])%len(extremes)])
+		}
+		if b[6]&2 != 0 {
+			e.Parent = SpanID(extremes[int(b[5])%len(extremes)])
+		}
+		events = append(events, e)
+	}
+	return events
+}
+
+// FuzzChromeStream holds ChromeStream, spilling chunks of 1 to 8 events,
+// to the buffered encoding/json exporter over random event sets.
+func FuzzChromeStream(f *testing.F) {
+	f.Add([]byte("host-0-1host-0-1nvme12345678ssd.abcdefgh"), uint8(0))
+	f.Add([]byte{0, 1, 2, 0, 1, 2, 3, 4, 3, 3, 1, 0, 0, 5, 7, 9, 5, 4, 2, 2, 3, 1, 1, 1, 8, 7, 6, 5, 4, 3, 2, 1}, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		events := fuzzEvents(data)
+		chunkCap := int(chunk%8) + 1
+		if buffered, streamed := streamVsBuffered(t, events, chunkCap); buffered != streamed {
+			t.Fatalf("chunk cap %d, %d events %+v: streamed\n%s\nbuffered\n%s", chunkCap, len(events), events, streamed, buffered)
+		}
+	})
 }
 
 func min(a, b int) int {

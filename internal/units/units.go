@@ -5,7 +5,10 @@
 // (bandwidth, power).
 package units
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Time is a point on the simulated clock, in picoseconds. Picosecond
 // resolution keeps single CPU cycles exact (0.4 ns at 2.5 GHz = 400 ps)
@@ -76,17 +79,24 @@ const (
 )
 
 // String renders the size with an auto-selected binary unit.
-func (b Bytes) String() string {
+func (b Bytes) String() string { return string(b.Append(nil)) }
+
+// Append appends String's rendering to dst and returns the extended
+// slice.
+func (b Bytes) Append(dst []byte) []byte {
+	var unit Bytes
+	var name string
 	switch {
 	case b >= GiB:
-		return fmt.Sprintf("%.2fGiB", float64(b)/float64(GiB))
+		unit, name = GiB, "GiB"
 	case b >= MiB:
-		return fmt.Sprintf("%.2fMiB", float64(b)/float64(MiB))
+		unit, name = MiB, "MiB"
 	case b >= KiB:
-		return fmt.Sprintf("%.2fKiB", float64(b)/float64(KiB))
+		unit, name = KiB, "KiB"
 	default:
-		return fmt.Sprintf("%dB", int64(b))
+		return append(strconv.AppendInt(dst, int64(b), 10), 'B')
 	}
+	return append(strconv.AppendFloat(dst, float64(b)/float64(unit), 'f', 2, 64), name...)
 }
 
 // Bandwidth is a data rate in bytes per second.

@@ -1,6 +1,8 @@
 package units
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -70,6 +72,25 @@ func TestBytesString(t *testing.T) {
 	}
 	if s := Bytes(512).String(); s != "512B" {
 		t.Fatalf("got %q", s)
+	}
+	// The fmt expressions String used to run, at and around each unit
+	// boundary and at the int64 extremes.
+	old := func(b Bytes) string {
+		switch {
+		case b >= GiB:
+			return fmt.Sprintf("%.2fGiB", float64(b)/float64(GiB))
+		case b >= MiB:
+			return fmt.Sprintf("%.2fMiB", float64(b)/float64(MiB))
+		case b >= KiB:
+			return fmt.Sprintf("%.2fKiB", float64(b)/float64(KiB))
+		default:
+			return fmt.Sprintf("%dB", int64(b))
+		}
+	}
+	for _, b := range []Bytes{0, 1, -1, KiB - 1, KiB, KiB + 5, MiB - 1, MiB, 3*MiB + 5243, GiB - 1, GiB, 1 << 62, math.MaxInt64, math.MinInt64} {
+		if got, want := b.String(), old(b); got != want {
+			t.Errorf("Bytes(%d) = %q, want %q", int64(b), got, want)
+		}
 	}
 }
 
