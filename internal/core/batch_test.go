@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,6 +158,59 @@ func TestBatchedTrainReducesSubmitOverhead(t *testing.T) {
 	}
 }
 
+// oneAttempt is DefaultRetryPolicy cut to a single try under deadline.
+func oneAttempt(deadline units.Duration) RetryPolicy {
+	rp := DefaultRetryPolicy()
+	rp.MaxAttempts = 1
+	rp.Deadline = deadline
+	return rp
+}
+
+// mreadDeadlineTimes runs one traced invocation of intApp over the file
+// sys stages from data and returns, in CID order, each MREAD's latency
+// under the train's deadline rule: from its submission or from the
+// previous MREAD's completion, whichever is later. It also returns the
+// MINIT's latency and the longest submission-to-completion MREAD latency.
+func mreadDeadlineTimes(t *testing.T, sys *System, data []byte) (mread []units.Duration, minit, longest units.Duration) {
+	t.Helper()
+	f, err := sys.WriteFile("ints", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.ResetTimers()
+	tr := sys.EnableTrace(0)
+	if _, err := sys.InvokeStorageApp(0, InvokeOptions{App: intApp(true), File: f}); err != nil {
+		t.Fatal(err)
+	}
+	type cmd struct {
+		cid             int64
+		submitted, done units.Time
+	}
+	bySpan := map[trace.SpanID]*cmd{}
+	var cmds []*cmd
+	for _, e := range tr.Events() {
+		if e.Track.String() == "host" && e.Name.String() == "submit" && strings.Contains(e.Detail.String(), "op=MREAD") {
+			c := &cmd{cid: e.Detail.Args[1], submitted: e.Start}
+			bySpan[e.Span] = c
+			cmds = append(cmds, c)
+		}
+	}
+	for _, e := range tr.Events() {
+		if e.Track.String() == "nvme" && e.Name.String() == "MREAD" {
+			bySpan[e.Parent].done = e.End
+		}
+	}
+	slices.SortFunc(cmds, func(a, b *cmd) int { return int(a.cid - b.cid) })
+	var prev units.Time
+	for _, c := range cmds {
+		mread = append(mread, c.done.Sub(max(c.submitted, prev)))
+		prev = c.done
+	}
+	minit = units.Duration(sys.Metrics.Histogram("nvme.MINIT.latency_ps").Max())
+	longest = units.Duration(sys.Metrics.Histogram("nvme.MREAD.latency_ps").Max())
+	return mread, minit, longest
+}
+
 // TestBatchFlushCountsAllTimeouts: when a whole reaped batch blew its
 // deadline, every expired command must count into stats.CmdTimeouts —
 // not just the first one the error return happens to surface.
@@ -167,39 +221,27 @@ func TestBatchFlushCountsAllTimeouts(t *testing.T) {
 		c.SSD.MDTS = 32 * units.KiB
 	}
 
-	// Reference run: find the device-side latency band of the train's
+	// Reference run: find the deadline-rule latency band of the train's
 	// MREADs and of the MINIT, so the deadline can be pinned between them.
-	ref := newTestSystem(t, mutate)
-	f, err := ref.WriteFile("ints", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.ResetTimers()
-	res, err := ref.InvokeStorageApp(0, InvokeOptions{App: intApp(true), File: f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nchunks := res.Commands - 2 // minus MINIT and MDEINIT
+	mread, maxMInit, _ := mreadDeadlineTimes(t, newTestSystem(t, mutate), data)
+	nchunks := len(mread)
 	if nchunks < 4 {
 		t.Fatalf("train too short for the test: %d chunks", nchunks)
 	}
-	minMRead := ref.Metrics.Histogram("nvme.MREAD.latency_ps").Min()
-	maxMInit := ref.Metrics.Histogram("nvme.MINIT.latency_ps").Max()
+	minMRead := slices.Min(mread)
 	if maxMInit >= minMRead {
-		t.Fatalf("cannot pin a deadline between MINIT (%d ps) and MREAD (%d ps)", maxMInit, minMRead)
+		t.Fatalf("cannot pin a deadline between MINIT (%v) and MREAD (%v)", maxMInit, minMRead)
 	}
 
 	// Measured run: same data, deadline that every MREAD (and no MINIT)
 	// exceeds, one attempt so the train fails exactly once.
 	sys := newTestSystem(t, mutate)
-	if _, err := sys.WriteFile("ints", data); err != nil {
+	f, err := sys.WriteFile("ints", data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sys.ResetTimers()
-	_, err = sys.InvokeStorageApp(0, InvokeOptions{
-		App: intApp(true), File: f,
-		Retry: &RetryPolicy{MaxAttempts: 1, Deadline: units.Duration(minMRead - 1)},
-	})
+	_, err = sys.invoke(0, InvokeOptions{App: intApp(true), File: f}, oneAttempt(minMRead-1))
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
@@ -208,6 +250,39 @@ func TestBatchFlushCountsAllTimeouts(t *testing.T) {
 	}
 	if got := sys.Driver.inflight; got != 0 {
 		t.Errorf("failed train left %d commands in flight", got)
+	}
+}
+
+// TestDeepTrainMeetsDeadline: a train whose chunks queue behind each other
+// in one doorbell batch must not charge the wait to the later chunks'
+// deadlines. The deadline sits above every chunk's own device time but
+// below the whole train's, so the train is deeper than deadline ÷
+// per-chunk time; it must complete with no timeout.
+func TestDeepTrainMeetsDeadline(t *testing.T) {
+	data, _ := testInput(1<<15, 29)
+	mutate := func(c *SystemConfig) {
+		c.WithGPU = false
+		c.SSD.MDTS = 32 * units.KiB
+		c.BatchDepth = 256
+	}
+	mread, _, longest := mreadDeadlineTimes(t, newTestSystem(t, mutate), data)
+	deadline := slices.Max(mread)
+	if longest <= deadline || len(mread) < 4 {
+		t.Fatalf("%d chunks, longest MREAD %v, longest chunk %v: the train is not deep enough for the test",
+			len(mread), longest, deadline)
+	}
+
+	sys := newTestSystem(t, mutate)
+	f, err := sys.WriteFile("ints", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.ResetTimers()
+	if _, err := sys.invoke(0, InvokeOptions{App: intApp(true), File: f}, oneAttempt(deadline)); err != nil {
+		t.Fatalf("train of %d chunks under a %v deadline (longest MREAD %v): %v", len(mread), deadline, longest, err)
+	}
+	if got := sys.Counters.Get(stats.CmdTimeouts); got != 0 {
+		t.Errorf("CmdTimeouts = %d, want 0", got)
 	}
 }
 
@@ -230,10 +305,7 @@ func TestFailedBatchMReadFlaggedForSampler(t *testing.T) {
 	// Keep only a 1-event head: nothing else survives unless flagged.
 	tr.SetSamplePolicy(trace.SamplePolicy{Head: 1})
 	sys.SSD.Flash.SetFaultModel(flash.FaultModel{UncorrectablePerM: 1_000_000})
-	_, err = sys.InvokeStorageApp(0, InvokeOptions{
-		App: intApp(true), File: f,
-		Retry: &RetryPolicy{MaxAttempts: 1},
-	})
+	_, err = sys.invoke(0, InvokeOptions{App: intApp(true), File: f}, oneAttempt(DefaultRetryPolicy().Deadline))
 	if err == nil {
 		t.Fatal("MREAD train over damaged media succeeded")
 	}
@@ -300,7 +372,7 @@ func TestDeadlineUsesDeviceCompletion(t *testing.T) {
 	}
 	_ = f2
 	comp, _, err := sys2.Driver.SubmitRetry(t0, &sys2.metrics.readRetry,
-		RetryPolicy{MaxAttempts: 1, Deadline: devLat}, func() *ssd.CmdContext { return mkRead(uint64(dst2)) })
+		oneAttempt(devLat), func() *ssd.CmdContext { return mkRead(uint64(dst2)) })
 	if err != nil {
 		t.Fatalf("READ with deadline == device latency failed: %v", err)
 	}
@@ -318,7 +390,7 @@ func TestDeadlineUsesDeviceCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = sys3.Driver.SubmitRetry(t0, &sys3.metrics.readRetry,
-		RetryPolicy{MaxAttempts: 1, Deadline: devLat - 1}, func() *ssd.CmdContext { return mkRead(uint64(dst3)) })
+		oneAttempt(devLat-1), func() *ssd.CmdContext { return mkRead(uint64(dst3)) })
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}

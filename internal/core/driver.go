@@ -129,22 +129,6 @@ func (e *Engine) Fired() int64 { return e.fired }
 // Reset zeroes the count at the ResetTimers boundary.
 func (e *Engine) Reset() { e.fired = 0 }
 
-// recordSubmit attributes one doorbell's host-side cost: counter bumps
-// for the doorbell and the SQEs it published, and one overhead
-// observation per command of its share of the submission CPU time —
-// the driver-side analogue of the paper's OS-overhead measurement.
-func (d *Driver) recordSubmit(ready, done units.Time, n int) {
-	m := d.sys.metrics
-	at := int64(done)
-	m.doorbells.Add(at, 1)
-	m.sqes.Add(at, int64(n))
-	m.coalesced.Add(at, int64(n))
-	per := int64(done.Sub(ready)) / int64(n)
-	for i := 0; i < n; i++ {
-		m.submitOverhead.Observe(at, per)
-	}
-}
-
 // startCommand runs the shared second half of submission: it gives the
 // command the next CID, roots its causal chain, hands it to the device at
 // tCPU, and delivers its completion. The device model runs each command
@@ -164,15 +148,38 @@ func (d *Driver) startCommand(ready, tCPU units.Time, ctx *ssd.CmdContext) Pendi
 	return Pending{CID: cid, Comp: comp, Done: done, Submitted: ready, Op: ctx.Cmd.Opcode, Span: span}
 }
 
-// SubmitAsync submits one command without waiting: the host thread pays
-// the submission cost and continues; the returned Pending carries the
-// device-side completion time for a later Wait.
+// submit publishes ctxs with one doorbell ring and starts each command
+// into ps: the host builds every 64-byte SQE, then advances the tail once.
+// It is the one place a submission's host cost is charged — the CPU time,
+// the SQEs' memory traffic, counter bumps for the doorbell and the SQEs,
+// and one overhead observation per command of its share of the CPU time
+// (the driver-side analogue of the paper's OS-overhead measurement).
+func (d *Driver) submit(ready units.Time, ctxs []*ssd.CmdContext, ps []Pending) units.Time {
+	n := len(ctxs)
+	tCPU := d.sys.Host.ComputeCycles(ready, float64(n)*d.SQECycles+d.DoorbellCycles)
+	d.sys.Host.MemTraffic(ready, units.Bytes(n)*nvme.CommandSize)
+	m := d.sys.metrics
+	at := int64(tCPU)
+	m.doorbells.Add(at, 1)
+	m.sqes.Add(at, int64(n))
+	m.coalesced.Add(at, int64(n))
+	per := int64(tCPU.Sub(ready)) / int64(n)
+	for range n {
+		m.submitOverhead.Observe(at, per)
+	}
+	for i, ctx := range ctxs {
+		ps[i] = d.startCommand(ready, tCPU, ctx)
+	}
+	return tCPU
+}
+
+// SubmitAsync submits one command without waiting: a batch of one. The
+// host thread pays the submission cost and continues; the returned
+// Pending carries the device-side completion time for a later Wait.
 func (d *Driver) SubmitAsync(ready units.Time, ctx *ssd.CmdContext) (Pending, units.Time) {
-	// Host builds the 64-byte SQE and writes the doorbell.
-	tCPU := d.sys.Host.ComputeCycles(ready, d.SQECycles+d.DoorbellCycles)
-	d.sys.Host.MemTraffic(ready, nvme.CommandSize)
-	d.recordSubmit(ready, tCPU, 1)
-	return d.startCommand(ready, tCPU, ctx), tCPU
+	var p [1]Pending
+	t := d.submit(ready, []*ssd.CmdContext{ctx}, p[:])
+	return p[0], t
 }
 
 // SubmitBatch coalesces a batch of commands into one doorbell ring: the
@@ -189,14 +196,8 @@ func (d *Driver) SubmitBatch(ready units.Time, ctxs []*ssd.CmdContext) ([]Pendin
 	if len(ctxs) > queueDepth-1 {
 		return nil, ready, fmt.Errorf("core: submit batch of %d: %w", len(ctxs), nvme.ErrQueueFull)
 	}
-	tCPU := d.sys.Host.ComputeCycles(ready, float64(len(ctxs))*d.SQECycles+d.DoorbellCycles)
-	d.sys.Host.MemTraffic(ready, units.Bytes(len(ctxs))*nvme.CommandSize)
-	d.recordSubmit(ready, tCPU, len(ctxs))
 	ps := make([]Pending, len(ctxs))
-	for i, ctx := range ctxs {
-		ps[i] = d.startCommand(ready, tCPU, ctx)
-	}
-	return ps, tCPU, nil
+	return ps, d.submit(ready, ctxs, ps), nil
 }
 
 // reaped accounts one command leaving the queue: the per-opcode latency
@@ -219,6 +220,8 @@ func (d *Driver) Wait(ready units.Time, p Pending) (nvme.Completion, units.Time)
 		t = ready
 	}
 	t = d.sys.Host.ComputeCycles(t, d.ReapCycles)
+	// Unlike ReapWindow, Wait counts the CQE's memory traffic before the
+	// latency observation; the series windows depend on that order.
 	d.sys.Host.MemTraffic(t, nvme.CompletionSize)
 	d.reaped(p)
 	d.sys.sampleGauges(t)

@@ -147,12 +147,11 @@ func TestFailedInvocationsLeakNothing(t *testing.T) {
 
 	t.Run("deadline", func(t *testing.T) {
 		sys, f := stage(t, nil)
-		rp := RetryPolicy{
-			MaxAttempts: 2,
-			Backoff:     units.Microsecond,
-			Deadline:    units.Nanosecond, // nothing completes this fast
-		}
-		_, err := sys.InvokeStorageApp(0, InvokeOptions{App: intApp(true), File: f, Retry: &rp})
+		rp := DefaultRetryPolicy()
+		rp.MaxAttempts = 2
+		rp.Backoff = units.Microsecond
+		rp.Deadline = units.Nanosecond // nothing completes this fast
+		_, err := sys.invoke(0, InvokeOptions{App: intApp(true), File: f}, rp)
 		if !errors.Is(err, ErrDeadline) {
 			t.Fatalf("want ErrDeadline, got: %v", err)
 		}

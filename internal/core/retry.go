@@ -10,10 +10,10 @@ import (
 
 // RetryPolicy bounds how stubbornly the runtime re-submits failed device
 // work. Backoff is charged on the virtual clock, so the latency cost of
-// resilience shows up in every experiment that enables faults.
+// resilience shows up in every experiment that enables faults. Every
+// production path runs DefaultRetryPolicy.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries including the first.
-	// Zero means the DefaultRetryPolicy value.
 	MaxAttempts int
 	// Backoff is the delay before the second attempt; each further attempt
 	// multiplies it by Multiplier, clamped to MaxBackoff.
@@ -39,28 +39,9 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// withDefaults fills zero fields from DefaultRetryPolicy. Deadline is left
-// alone: zero legitimately means "no deadline".
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	def := DefaultRetryPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = def.MaxAttempts
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = def.Backoff
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = def.Multiplier
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = def.MaxBackoff
-	}
-	return p
-}
-
 // BackoffBudget returns the total virtual-clock delay the policy's
 // retries insert before the final attempt: the sum of the exponential
-// backoffs between attempt 1 and attempt MaxAttempts, defaults applied.
+// backoffs between attempt 1 and attempt MaxAttempts.
 // This is the provable lookahead floor conservative-window executors
 // lean on (array.RunTrafficParallel): a retryable device failure cannot
 // surface as a degraded-mode replica re-fetch earlier than BackoffBudget
@@ -68,7 +49,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // virtual clock first — on top of the PCIe SQE/doorbell submission and
 // NVMe processing latency of the attempts themselves.
 func (p RetryPolicy) BackoffBudget() units.Duration {
-	p = p.withDefaults()
 	var total units.Duration
 	b := p.Backoff
 	for attempt := 1; attempt < p.MaxAttempts; attempt++ {
@@ -87,10 +67,10 @@ func (p RetryPolicy) next(backoff units.Duration) units.Duration {
 	return b
 }
 
-// expired reports whether a command submitted at submitted and completed
-// at done blew the per-command deadline.
-func (p RetryPolicy) expired(submitted, done units.Time) bool {
-	return p.Deadline > 0 && done.Sub(submitted) > p.Deadline
+// expired reports whether a command whose device time started at start
+// and that completed at done blew the per-command deadline.
+func (p RetryPolicy) expired(start, done units.Time) bool {
+	return p.Deadline > 0 && done.Sub(start) > p.Deadline
 }
 
 // SubmitRetry submits one command under a retry policy: retryable failure
@@ -101,7 +81,6 @@ func (p RetryPolicy) expired(submitted, done units.Time) bool {
 // system's resolved MINIT or READ operation (sysMetrics), which names the
 // command in errors and carries its latency handles.
 func (d *Driver) SubmitRetry(ready units.Time, op *retryOp, p RetryPolicy, makeCtx func() *ssd.CmdContext) (nvme.Completion, units.Time, error) {
-	p = p.withDefaults()
 	backoff := p.Backoff
 	t := ready
 	var lastErr error

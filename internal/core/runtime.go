@@ -125,8 +125,6 @@ type InvokeOptions struct {
 	// Dest is where objects go. A zero Target allocates a host DMA
 	// buffer; set OnGPU for the NVMe-P2P path (requires EnableP2P).
 	Dest Target
-	// Retry overrides DefaultRetryPolicy for this invocation.
-	Retry *RetryPolicy
 	// Fallback, when set, lets the runtime serve the request on the host
 	// after the device path fails (degraded mode). Fallback output always
 	// lands in host memory, even when Dest.OnGPU was requested.
@@ -149,15 +147,14 @@ type InvokeOptions struct {
 // path instead. It returns when the host thread observed the final
 // completion of whichever path served.
 func (s *System) InvokeStorageApp(ready units.Time, opt InvokeOptions) (*InvokeResult, error) {
+	return s.invoke(ready, opt, DefaultRetryPolicy())
+}
+
+// invoke is InvokeStorageApp under retry policy rp.
+func (s *System) invoke(ready units.Time, opt InvokeOptions, rp RetryPolicy) (*InvokeResult, error) {
 	if opt.App == nil || opt.File == nil {
 		return nil, fmt.Errorf("core: InvokeStorageApp needs an app and a file")
 	}
-	rp := DefaultRetryPolicy()
-	if opt.Retry != nil {
-		rp = *opt.Retry
-	}
-	rp = rp.withDefaults()
-
 	t := ready
 	var lastErr error
 	attempts := 0
@@ -324,15 +321,22 @@ func (s *System) invokeMorpheusOnce(ready units.Time, opt InvokeOptions, rp Retr
 	}
 	var pending []Pending
 	var stage []*ssd.CmdContext
+	// prevDone is when the train's last reaped command completed.
+	var prevDone units.Time
 	// checkReaped inspects a reaped prefix. Every failed-status and every
 	// expired command is flagged for the tail sampler (a failed train must
 	// stay visible in a sampled trace), and every expired command counts
 	// into the timeout counter — not just the first one hit. The first
-	// failure, in reap order, becomes the train's error.
+	// failure, in reap order, becomes the train's error. A command's
+	// deadline runs from its submission or from the completion of the
+	// train command before it, whichever is later: the chunks queued ahead
+	// of it in its own train are not its latency.
 	checkReaped := func(ps []Pending) error {
 		var firstErr error
 		expired := int64(0)
 		for _, p := range ps {
+			start := max(p.Submitted, prevDone)
+			prevDone = p.Done
 			if serr := p.Comp.Status.Err(); serr != nil {
 				s.tracer.Flag(p.Span)
 				if firstErr == nil {
@@ -340,12 +344,12 @@ func (s *System) invokeMorpheusOnce(ready units.Time, opt InvokeOptions, rp Retr
 				}
 				continue
 			}
-			if rp.expired(p.Submitted, p.Done) {
+			if rp.expired(start, p.Done) {
 				expired++
 				s.tracer.Flag(p.Span)
 				if firstErr == nil {
 					firstErr = fmt.Errorf("core: MREAD took %v, past its %v deadline: %w",
-						p.Done.Sub(p.Submitted), rp.Deadline, ErrDeadline)
+						p.Done.Sub(start), rp.Deadline, ErrDeadline)
 				}
 			}
 		}

@@ -3,12 +3,11 @@ package host
 import (
 	"testing"
 
-	"morpheus/internal/stats"
 	"morpheus/internal/units"
 )
 
 func TestCoRunnerDelaysWork(t *testing.T) {
-	h, _ := New(DefaultCPU(), DefaultOSCosts(), DefaultMem(), stats.NewSet(), nil)
+	h, _ := newHost(t)
 	cr := DefaultCoRunner(h, 0.5)
 	cr.Occupy(h, units.Second)
 	// 100 ms of CPU work, charged in sub-quantum pieces as the parse loop
@@ -25,7 +24,7 @@ func TestCoRunnerDelaysWork(t *testing.T) {
 }
 
 func TestCoRunnerZeroLoadIsFree(t *testing.T) {
-	h, _ := New(DefaultCPU(), DefaultOSCosts(), DefaultMem(), stats.NewSet(), nil)
+	h, _ := newHost(t)
 	CoRunner{Cores: []int{0}, Load: 0, Quantum: 4 * units.Millisecond}.Occupy(h, units.Second)
 	end := h.ComputeOn(0, 0, 2.5e8)
 	if units.Duration(end) != 100*units.Millisecond {
@@ -34,7 +33,7 @@ func TestCoRunnerZeroLoadIsFree(t *testing.T) {
 }
 
 func TestCoRunnerLoadClamped(t *testing.T) {
-	h, _ := New(DefaultCPU(), DefaultOSCosts(), DefaultMem(), stats.NewSet(), nil)
+	h, _ := newHost(t)
 	cr := DefaultCoRunner(h, 5.0) // clamps to 1.0: cores fully occupied
 	cr.Occupy(h, 100*units.Millisecond)
 	end := h.ComputeOn(0, 0, 2.5e6) // 1 ms of work

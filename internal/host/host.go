@@ -80,7 +80,6 @@ type Host struct {
 	// The counters the host writes, resolved once from Counters.
 	memBus, syscalls, ctxSwitches, pageFaults stats.Counter
 
-	fabric     *pcie.Fabric
 	dramWindow *pcie.Window
 	allocNext  pcie.Addr
 	pinned     map[pcie.Addr]units.Bytes
@@ -92,9 +91,7 @@ const EndpointName = "host"
 // DRAMBase is where host DRAM lives in the fabric address map.
 const DRAMBase pcie.Addr = 0x0000_0000_0000
 
-// New builds a host and registers its DRAM window on the fabric. Passing a
-// nil fabric is allowed for experiments that never touch PCIe (Figure 3's
-// RAM-drive runs).
+// New builds a host and registers its DRAM window on the fabric.
 func New(cpu CPUConfig, osCosts OSCosts, mem MemConfig, counters *stats.Set, fabric *pcie.Fabric) (*Host, error) {
 	h := &Host{
 		CPU:         cpu,
@@ -109,22 +106,19 @@ func New(cpu CPUConfig, osCosts OSCosts, mem MemConfig, counters *stats.Set, fab
 		pageFaults:  counters.Counter(stats.PageFaults),
 		pinned:      make(map[pcie.Addr]units.Bytes),
 	}
-	if fabric != nil {
-		h.fabric = fabric
-		fabric.Attach(EndpointName, pcie.Gen3x16, 200*units.Nanosecond)
-		w, err := fabric.MapWindow(pcie.Window{
-			Name:     "host-dram",
-			Base:     DRAMBase,
-			Size:     uint64(mem.Size),
-			Endpoint: EndpointName,
-			Sink:     pcie.SinkFunc(h.deliverDRAM),
-		})
-		if err != nil {
-			return nil, err
-		}
-		h.dramWindow = w
-		h.allocNext = DRAMBase + 0x10000 // keep page zero unmapped
+	fabric.Attach(EndpointName, pcie.Gen3x16, 200*units.Nanosecond)
+	w, err := fabric.MapWindow(pcie.Window{
+		Name:     "host-dram",
+		Base:     DRAMBase,
+		Size:     uint64(mem.Size),
+		Endpoint: EndpointName,
+		Sink:     pcie.SinkFunc(h.deliverDRAM),
+	})
+	if err != nil {
+		return nil, err
 	}
+	h.dramWindow = w
+	h.allocNext = DRAMBase + 0x10000 // keep page zero unmapped
 	return h, nil
 }
 
@@ -141,9 +135,6 @@ func (h *Host) deliverDRAM(ready units.Time, n units.Bytes) units.Time {
 // system calls ... to make these memory addresses available for the
 // Morpheus-SSD to access through DMA"). Pinning costs a syscall.
 func (h *Host) AllocDMA(ready units.Time, size units.Bytes) (pcie.Addr, units.Time, error) {
-	if h.dramWindow == nil {
-		return 0, ready, fmt.Errorf("host: no fabric attached")
-	}
 	if uint64(h.allocNext-DRAMBase)+uint64(size) > h.dramWindow.Size {
 		return 0, ready, fmt.Errorf("host: DMA allocator exhausted")
 	}
@@ -246,6 +237,3 @@ func (h *Host) PageFault(ready units.Time) units.Time {
 	h.pageFaults.Add(1)
 	return ready.Add(h.OS.PageFault)
 }
-
-// Fabric returns the PCIe fabric the host is attached to (nil if none).
-func (h *Host) Fabric() *pcie.Fabric { return h.fabric }

@@ -105,19 +105,6 @@ func TestAllocDMADistinctRanges(t *testing.T) {
 	}
 }
 
-func TestHostWithoutFabric(t *testing.T) {
-	h, err := New(DefaultCPU(), DefaultOSCosts(), DefaultMem(), stats.NewSet(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := h.AllocDMA(0, 4096); err == nil {
-		t.Fatal("DMA allocation without a fabric must fail")
-	}
-	if h.Fabric() != nil {
-		t.Fatal("fabric must be nil")
-	}
-}
-
 func TestMediaTiming(t *testing.T) {
 	h, _ := newHost(t)
 	hdd := NewHDD(h)

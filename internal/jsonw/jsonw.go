@@ -17,7 +17,6 @@ import (
 	"math"
 	"reflect"
 	"strconv"
-	"sync/atomic"
 )
 
 // flushAt is how many bytes the Writer gathers before writing them out:
@@ -90,44 +89,23 @@ func (w *Writer) Key(k string) {
 	w.afterKey = true
 }
 
-// Field is an object key encoded ahead of time for one nesting depth: the
-// newline, the indentation, the quoted name and the ": " that Key writes
-// for it there. A caller writing the same keys many times builds their
-// Fields once.
-type Field struct {
-	name  string
-	depth int
-	enc   string
+// Field is an object key encoded ahead of time: the quoted name and the
+// ": " that Key writes for it. A caller writing the same keys many times
+// builds their Fields once.
+type Field struct{ enc string }
+
+// NewField returns key name's encoding.
+func NewField(name string) Field {
+	return Field{enc: string(append(appendQuoted(nil, name), ": "...))}
 }
 
-// NewField returns key name's encoding for an object nested depth deep:
-// 1 for the keys of the document's top-level object, one more per
-// enclosing container.
-func NewField(depth int, name string) Field {
-	b := appendQuoted(appendNewline(nil, depth), name)
-	return Field{name: name, depth: depth, enc: string(append(b, ": "...))}
-}
-
-// fieldFallbacks counts Field calls written at a depth other than their
-// own. The bytes stay right, so only this count shows that a writer's
-// Fields no longer match how deeply its objects nest; tests hold the
-// production writers to zero.
-var fieldFallbacks atomic.Int64
-
-// Field writes the next object key from its pre-encoded form; the next
-// call writes its value. Written at any depth other than its own, it
-// writes what Key(name) would, so the output never depends on the caller
-// having built it for the right depth.
+// Field writes the next object key from its pre-encoded form, as Key
+// would write it; the next call writes its value.
 func (w *Writer) Field(f Field) {
 	if w.err != nil {
 		return
 	}
-	if f.depth != len(w.open) {
-		fieldFallbacks.Add(1)
-		w.Key(f.name)
-		return
-	}
-	w.separate()
+	w.element()
 	w.buf = append(w.buf, f.enc...)
 	w.afterKey = true
 }

@@ -215,22 +215,9 @@ func TestFieldMatchesKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Built for the right depth, Field writes the pre-encoded key; for
-		// a wrong one it falls back to Key. Either way the bytes match.
-		// Only the wrong depths count as fallbacks.
-		for _, built := range []int{depth, depth - 1, depth + 1} {
-			before := fieldFallbacks.Load()
-			got, err := nested(depth, func(w *Writer, name string) { w.Field(NewField(built, name)) })
-			if err != nil || got != want {
-				t.Fatalf("depth %d, Field built for %d: error %v, got\n%q\nwant\n%q", depth, built, err, got, want)
-			}
-			wantFallbacks := int64(len(awkwardStrings))
-			if built == depth {
-				wantFallbacks = 0
-			}
-			if n := fieldFallbacks.Load() - before; n != wantFallbacks {
-				t.Fatalf("depth %d, Field built for %d: %d fallbacks, want %d", depth, built, n, wantFallbacks)
-			}
+		got, err := nested(depth, func(w *Writer, name string) { w.Field(NewField(name)) })
+		if err != nil || got != want {
+			t.Fatalf("depth %d: error %v, got\n%q\nwant\n%q", depth, err, got, want)
 		}
 	}
 }
@@ -239,9 +226,9 @@ func TestNaNAfterFieldFailsClose(t *testing.T) {
 	var b bytes.Buffer
 	w := New(&b)
 	w.BeginObject()
-	w.Field(NewField(1, "g"))
+	w.Field(NewField("g"))
 	w.Float(math.NaN())
-	w.Field(NewField(1, "h"))
+	w.Field(NewField("h"))
 	w.Int(1)
 	w.EndObject()
 	var ue *json.UnsupportedValueError

@@ -1,24 +1,26 @@
-// Package nvme implements the NVM Express wire protocol used between the
-// simulated host and the simulated SSD: 64-byte submission commands,
-// 16-byte completions, and the four Morpheus extension opcodes (MINIT, MREAD, MWRITE, MDEINIT)
-// the paper adds in the vendor-specific opcode space.
+// Package nvme defines the NVM Express commands exchanged between the
+// simulated host and the simulated SSD: typed submission commands and
+// completions, the Identify page, and the four Morpheus extension opcodes
+// (MINIT, MREAD, MWRITE, MDEINIT) the paper adds in the vendor-specific
+// opcode space.
 //
-// Encoding follows the NVMe 1.2 layout the paper targets: commands are
-// little-endian with the opcode in byte 0, the command identifier in bytes
-// 2-3, NSID in dwords 1, PRP entries in dwords 6-9, and CDW10-15 in dwords
-// 10-15. Round-tripping through the wire format is property-tested.
+// Commands are passed as typed values, not as wire bytes. Their fields
+// carry the NVMe 1.2 dwords the paper assigns (PRP1/PRP2, CDW10-13; see
+// the builders below), and the host model charges the 64-byte SQE and
+// 16-byte CQE sizes as submission and completion cost.
 package nvme
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
-// CommandSize is the size of an NVMe submission queue entry.
+// CommandSize is the size of an NVMe submission queue entry, charged as
+// host memory traffic and PCIe fetch per command.
 const CommandSize = 64
 
-// CompletionSize is the size of an NVMe completion queue entry.
+// CompletionSize is the size of an NVMe completion queue entry, charged
+// as PCIe post and host memory traffic per completion.
 const CompletionSize = 16
 
 // ErrQueueFull reports a submission larger than the submission queue can
@@ -88,15 +90,12 @@ func (op Opcode) String() string {
 	}
 }
 
-// Command is a decoded 64-byte NVMe submission queue entry. As the paper
-// describes, "each command uses 4 bytes for the header and [60] bytes for
-// the payload"; the fields below are the standard dword layout.
+// Command is one NVMe submission queue entry. As the paper describes,
+// "each command uses 4 bytes for the header and [60] bytes for the
+// payload"; the fields below are the dwords the simulator's commands use.
 type Command struct {
 	Opcode Opcode
-	Flags  uint8
 	CID    uint16 // command identifier
-	NSID   uint32 // namespace
-	MPTR   uint64 // metadata pointer (unused here, kept for fidelity)
 	PRP1   uint64 // data pointer 1: DMA target (host DRAM or peer BAR)
 	PRP2   uint64 // data pointer 2
 	CDW10  uint32
@@ -105,45 +104,6 @@ type Command struct {
 	CDW13  uint32
 	CDW14  uint32
 	CDW15  uint32
-}
-
-// Marshal encodes the command into its 64-byte wire format.
-func (c *Command) Marshal() [CommandSize]byte {
-	var b [CommandSize]byte
-	b[0] = byte(c.Opcode)
-	b[1] = c.Flags
-	binary.LittleEndian.PutUint16(b[2:4], c.CID)
-	binary.LittleEndian.PutUint32(b[4:8], c.NSID)
-	// dwords 2-3 reserved
-	binary.LittleEndian.PutUint64(b[16:24], c.MPTR)
-	binary.LittleEndian.PutUint64(b[24:32], c.PRP1)
-	binary.LittleEndian.PutUint64(b[32:40], c.PRP2)
-	binary.LittleEndian.PutUint32(b[40:44], c.CDW10)
-	binary.LittleEndian.PutUint32(b[44:48], c.CDW11)
-	binary.LittleEndian.PutUint32(b[48:52], c.CDW12)
-	binary.LittleEndian.PutUint32(b[52:56], c.CDW13)
-	binary.LittleEndian.PutUint32(b[56:60], c.CDW14)
-	binary.LittleEndian.PutUint32(b[60:64], c.CDW15)
-	return b
-}
-
-// Unmarshal decodes a 64-byte wire command.
-func Unmarshal(b [CommandSize]byte) Command {
-	return Command{
-		Opcode: Opcode(b[0]),
-		Flags:  b[1],
-		CID:    binary.LittleEndian.Uint16(b[2:4]),
-		NSID:   binary.LittleEndian.Uint32(b[4:8]),
-		MPTR:   binary.LittleEndian.Uint64(b[16:24]),
-		PRP1:   binary.LittleEndian.Uint64(b[24:32]),
-		PRP2:   binary.LittleEndian.Uint64(b[32:40]),
-		CDW10:  binary.LittleEndian.Uint32(b[40:44]),
-		CDW11:  binary.LittleEndian.Uint32(b[44:48]),
-		CDW12:  binary.LittleEndian.Uint32(b[48:52]),
-		CDW13:  binary.LittleEndian.Uint32(b[52:56]),
-		CDW14:  binary.LittleEndian.Uint32(b[56:60]),
-		CDW15:  binary.LittleEndian.Uint32(b[60:64]),
-	}
 }
 
 // Status is an NVMe completion status code (0 = success).
@@ -179,42 +139,11 @@ func (s Status) Err() error {
 	return fmt.Errorf("%w (status 0x%X)", s.sentinel(), uint16(s))
 }
 
-// Completion is a decoded 16-byte completion queue entry.
+// Completion is one NVMe completion queue entry.
 type Completion struct {
 	Result uint32 // DW0: command-specific result (StorageApp return value)
-	SQHead uint16
-	SQID   uint16
 	CID    uint16
-	Phase  bool
 	Status Status
-}
-
-// Marshal encodes the completion into its 16-byte wire format.
-func (c *Completion) Marshal() [CompletionSize]byte {
-	var b [CompletionSize]byte
-	binary.LittleEndian.PutUint32(b[0:4], c.Result)
-	binary.LittleEndian.PutUint16(b[8:10], c.SQHead)
-	binary.LittleEndian.PutUint16(b[10:12], c.SQID)
-	binary.LittleEndian.PutUint16(b[12:14], c.CID)
-	sf := uint16(c.Status) << 1
-	if c.Phase {
-		sf |= 1
-	}
-	binary.LittleEndian.PutUint16(b[14:16], sf)
-	return b
-}
-
-// UnmarshalCompletion decodes a 16-byte completion entry.
-func UnmarshalCompletion(b [CompletionSize]byte) Completion {
-	sf := binary.LittleEndian.Uint16(b[14:16])
-	return Completion{
-		Result: binary.LittleEndian.Uint32(b[0:4]),
-		SQHead: binary.LittleEndian.Uint16(b[8:10]),
-		SQID:   binary.LittleEndian.Uint16(b[10:12]),
-		CID:    binary.LittleEndian.Uint16(b[12:14]),
-		Phase:  sf&1 != 0,
-		Status: Status(sf >> 1),
-	}
 }
 
 // LBASize is the logical block size the simulated namespace exposes.

@@ -1,57 +1,29 @@
 package nvme
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestCommandRoundTripProperty(t *testing.T) {
-	f := func(op, flags uint8, cid uint16, nsid uint32, mptr, prp1, prp2 uint64, d10, d11, d12, d13, d14, d15 uint32) bool {
-		c := Command{
-			Opcode: Opcode(op), Flags: flags, CID: cid, NSID: nsid,
-			MPTR: mptr, PRP1: prp1, PRP2: prp2,
-			CDW10: d10, CDW11: d11, CDW12: d12, CDW13: d13, CDW14: d14, CDW15: d15,
-		}
-		return Unmarshal(c.Marshal()) == c
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCompletionRoundTripProperty(t *testing.T) {
-	f := func(result uint32, sqHead, sqID, cid uint16, phase bool, status uint16) bool {
-		c := Completion{
-			Result: result, SQHead: sqHead, SQID: sqID, CID: cid,
-			Phase: phase, Status: Status(status & 0x7FFF),
-		}
-		return UnmarshalCompletion(c.Marshal()) == c
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCommandWireLayout(t *testing.T) {
-	// Byte 0 is the opcode; bytes 2-3 the CID, little endian — the layout
-	// the paper's one-byte-opcode observation depends on.
-	c := BuildMRead(0x1234, 0x55, 8, 7, 0xDEAD)
-	w := c.Marshal()
-	if w[0] != byte(OpMRead) {
-		t.Fatalf("opcode byte = %#x", w[0])
-	}
-	if w[2] != 0x34 || w[3] != 0x12 {
-		t.Fatalf("cid bytes = %#x %#x", w[2], w[3])
-	}
-	if len(w) != 64 {
-		t.Fatalf("command size = %d", len(w))
-	}
-}
+import "testing"
 
 func TestMorpheusBuilders(t *testing.T) {
+	// The §IV-A dword assignments, field by field.
+	for _, tc := range []struct {
+		got, want Command
+	}{
+		{BuildMInit(1, 0x1000, 512, 9, 2, 0x2000),
+			Command{Opcode: OpMInit, CID: 1, PRP1: 0x1000, PRP2: 0x2000, CDW10: 512, CDW11: 9, CDW12: 2}},
+		{BuildMRead(2, 0x1_0000_0001, 32, 5, 0xBEEF),
+			Command{Opcode: OpMRead, CID: 2, PRP1: 0xBEEF, CDW10: 1, CDW11: 1, CDW12: 31, CDW13: 5}},
+		{BuildMWrite(3, 7, 4, 6, 0xCAFE),
+			Command{Opcode: OpMWrite, CID: 3, PRP1: 0xCAFE, CDW10: 7, CDW12: 3, CDW13: 6}},
+		{BuildMDeinit(4, 11), Command{Opcode: OpMDeinit, CID: 4, CDW11: 11}},
+		{BuildRead(5, 99, 8, 0xC000), Command{Opcode: OpRead, CID: 5, PRP1: 0xC000, CDW10: 99, CDW12: 7}},
+		{BuildWrite(6, 100, 1, 0xC800), Command{Opcode: OpWrite, CID: 6, PRP1: 0xC800, CDW10: 100}},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%v: got %+v, want %+v", tc.want.Opcode, tc.got, tc.want)
+		}
+	}
 	minit := BuildMInit(1, 0x1000, 512, 9, 2, 0x2000)
-	if minit.Opcode != OpMInit || minit.Instance() != 9 || minit.CDW10 != 512 {
-		t.Fatalf("minit = %+v", minit)
+	if minit.Instance() != 9 {
+		t.Fatalf("minit instance = %d", minit.Instance())
 	}
 	mread := BuildMRead(2, 0x1_0000_0001, 32, 5, 0xBEEF)
 	if mread.SLBA() != 0x1_0000_0001 {
@@ -63,12 +35,10 @@ func TestMorpheusBuilders(t *testing.T) {
 	if mread.Instance() != 5 {
 		t.Fatalf("instance = %d", mread.Instance())
 	}
-	mwrite := BuildMWrite(3, 7, 4, 6, 0xCAFE)
-	if mwrite.Instance() != 6 || mwrite.PRP1 != 0xCAFE {
-		t.Fatalf("mwrite = %+v", mwrite)
+	if mwrite := BuildMWrite(3, 7, 4, 6, 0xCAFE); mwrite.Instance() != 6 {
+		t.Fatalf("mwrite instance = %d", mwrite.Instance())
 	}
-	mdeinit := BuildMDeinit(4, 11)
-	if mdeinit.Instance() != 11 {
+	if mdeinit := BuildMDeinit(4, 11); mdeinit.Instance() != 11 {
 		t.Fatalf("mdeinit instance = %d", mdeinit.Instance())
 	}
 	for _, op := range []Opcode{OpMInit, OpMRead, OpMWrite, OpMDeinit} {

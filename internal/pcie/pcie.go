@@ -248,7 +248,8 @@ func (f *Fabric) count(dev string, w *Window, n units.Bytes) {
 
 // WriteTo DMAs n bytes from endpoint dev into the window containing dst:
 // the device's upstream link, then the target's downstream link (unless
-// the target is host DRAM, whose sink models the memory path).
+// the target is host DRAM, whose sink models the memory path). An
+// unmapped dst is an error, and the time returned is then ready.
 func (f *Fabric) WriteTo(ready units.Time, dev string, dst Addr, n units.Bytes) (units.Time, error) {
 	src := f.Endpoint(dev)
 	w, err := f.Resolve(dst)
@@ -268,6 +269,7 @@ func (f *Fabric) WriteTo(ready units.Time, dev string, dst Addr, n units.Bytes) 
 }
 
 // ReadFrom DMAs n bytes from the window containing src into endpoint dev.
+// An unmapped src is an error, and the time returned is then ready.
 func (f *Fabric) ReadFrom(ready units.Time, dev string, src Addr, n units.Bytes) (units.Time, error) {
 	dst := f.Endpoint(dev)
 	w, err := f.Resolve(src)

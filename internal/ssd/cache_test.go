@@ -8,7 +8,6 @@ import (
 
 	"morpheus/internal/flash"
 	"morpheus/internal/nvme"
-	"morpheus/internal/pcie"
 	"morpheus/internal/serial"
 	"morpheus/internal/stats"
 	"morpheus/internal/units"
@@ -25,23 +24,6 @@ StorageApp int ser(ms_stream s) {
 	return 42;
 }
 `
-
-// testFabric builds a minimal PCIe fabric with a 1 MiB host-DRAM window at
-// address 0 (covering the SQE/CQE ring addresses the controller touches),
-// so tests can aim PRPs at mapped and unmapped addresses.
-func testFabric(counters *stats.Set) *pcie.Fabric {
-	f := pcie.NewFabric(counters, "host")
-	f.Attach("host", pcie.Gen3x4, 300*units.Nanosecond)
-	if _, err := f.MapWindow(pcie.Window{
-		Name: "host-dram", Base: 0, Size: 1 << 20, Endpoint: "host", Sink: pcie.NullSink,
-	}); err != nil {
-		panic(err)
-	}
-	return f
-}
-
-// unmappedAddr lies outside every window testFabric maps.
-const unmappedAddr = 0x4000_0000
 
 func cacheConfigMutate(sampled bool) func(*Config) {
 	return func(cfg *Config) {
@@ -359,12 +341,7 @@ func TestMInitEvictsCacheUnderDRAMPressure(t *testing.T) {
 }
 
 func TestMInitUnmappedCodePointerFails(t *testing.T) {
-	counters := stats.NewSet()
-	cfg := testConfig()
-	c, err := New(cfg, counters, testFabric(counters))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newController(t, nil)
 	img := compile(t, intAppSrc)
 	comp, _ := c.Submit(0, &CmdContext{
 		Cmd: nvme.BuildMInit(0, unmappedAddr, uint32(len(img)), 1, 0, 0), Code: img,
@@ -388,12 +365,7 @@ func TestMInitUnmappedCodePointerFails(t *testing.T) {
 }
 
 func TestMWriteUnmappedSourceFails(t *testing.T) {
-	counters := stats.NewSet()
-	cfg := testConfig()
-	c, err := New(cfg, counters, testFabric(counters))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newController(t, nil)
 	img := compile(t, serAppSrc)
 	comp, _ := c.Submit(0, &CmdContext{Cmd: nvme.BuildMInit(0, 0x8000, uint32(len(img)), 1, 0, 0), Code: img})
 	if comp.Status != nvme.StatusSuccess {
@@ -412,7 +384,7 @@ func TestMWriteUnmappedSourceFails(t *testing.T) {
 	if sinkFired {
 		t.Fatal("failed MWRITE must not deliver data")
 	}
-	if cyc := counters.Get(stats.StorageAppCyc); cyc != 0 {
+	if cyc := c.counters.Get(stats.StorageAppCyc); cyc != 0 {
 		t.Fatalf("failed MWRITE charged %d StorageApp cycles", cyc)
 	}
 	if c.Instances() != 1 {

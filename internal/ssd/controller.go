@@ -14,10 +14,9 @@ import (
 	"morpheus/internal/units"
 )
 
-// CmdContext pairs an NVMe command with its data-plane payload. The wire
-// command carries addresses and lengths (and round-trips through the real
-// 64-byte encoding); the payload fields carry the actual bytes, which in
-// hardware would sit behind the PRP pointers.
+// CmdContext pairs an NVMe command with its data-plane payload. The
+// command carries addresses and lengths; the payload fields carry the
+// actual bytes, which in hardware would sit behind the PRP pointers.
 type CmdContext struct {
 	Cmd nvme.Command
 
@@ -109,9 +108,8 @@ func newCtrlCounters(s *stats.Set) ctrlCounters {
 	}
 }
 
-// New builds an SSD and attaches it to the fabric (fabric may be nil for
-// standalone unit tests; DMA then has zero cost and no traffic is
-// counted).
+// New builds an SSD and attaches it to the fabric, which every DMA, SQE
+// fetch and CQE post crosses.
 func New(cfg Config, counters *stats.Set, fabric *pcie.Fabric) (*Controller, error) {
 	arr, err := flash.New(cfg.Geometry, cfg.Timing)
 	if err != nil {
@@ -143,9 +141,7 @@ func New(cfg Config, counters *stats.Set, fabric *pcie.Fabric) (*Controller, err
 		}
 		c.cache = newObjectCache(size)
 	}
-	if fabric != nil {
-		fabric.Attach(EndpointName, cfg.LinkBandwidth, cfg.LinkLatency)
-	}
+	fabric.Attach(EndpointName, cfg.LinkBandwidth, cfg.LinkLatency)
 	return c, nil
 }
 
@@ -159,9 +155,7 @@ func (c *Controller) SetTracer(t *trace.Tracer) {
 	c.tracer = t
 	c.FTL.SetTracer(t)
 	c.Flash.SetTracer(t)
-	if c.fabric != nil {
-		c.fabric.SetTracer(t)
-	}
+	c.fabric.SetTracer(t)
 }
 
 // Cores exposes the embedded-core resources (for utilization reports).
@@ -288,26 +282,18 @@ func (c *Controller) Submit(ready units.Time, ctx *CmdContext) (nvme.Completion,
 		// its duration rather than threading it through every signature.
 		c.FTL.SetSpan(ctx.Span)
 		c.Flash.SetSpan(ctx.Span)
-		if c.fabric != nil {
-			c.fabric.SetSpan(ctx.Span)
-		}
+		c.fabric.SetSpan(ctx.Span)
 		defer func() {
 			c.FTL.SetSpan(0)
 			c.Flash.SetSpan(0)
-			if c.fabric != nil {
-				c.fabric.SetSpan(0)
-			}
+			c.fabric.SetSpan(0)
 		}()
 	}
-	// Fetch the 64-byte SQE from the host ring.
-	t := ready
-	if c.fabric != nil {
-		var err error
-		t, err = c.fabric.ReadFrom(ready, EndpointName, pcie.Addr(0x1000), nvme.CommandSize)
-		if err != nil {
-			t = ready
-		}
-	}
+	// Fetch the 64-byte SQE from the host ring. The ring and CQE addresses
+	// lie in host DRAM; if a fabric leaves them unmapped, the command still
+	// runs and only the transfer cost is skipped, so both errors are
+	// dropped.
+	t, _ := c.fabric.ReadFrom(ready, EndpointName, pcie.Addr(0x1000), nvme.CommandSize)
 	if cmd.Opcode.IsMorpheus() && !c.cfg.MorpheusSupported {
 		// A stock controller treats the vendor opcodes as unknown.
 		return nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidOpcode}, t
@@ -338,11 +324,7 @@ func (c *Controller) Submit(ready units.Time, ctx *CmdContext) (nvme.Completion,
 		done = t
 	}
 	// Post the 16-byte CQE to the host.
-	if c.fabric != nil {
-		if end, err := c.fabric.WriteTo(done, EndpointName, pcie.Addr(0x2000), nvme.CompletionSize); err == nil {
-			done = end
-		}
-	}
+	done, _ = c.fabric.WriteTo(done, EndpointName, pcie.Addr(0x2000), nvme.CompletionSize)
 	if c.tracer != nil {
 		c.tracer.Span(nvmeTrack, opName(cmd.Opcode),
 			nvmeDetail(cmd.SLBA(), cmd.NLB(), status), ctx.Span, ready, done)
@@ -429,11 +411,9 @@ func (c *Controller) doIdentify(ready units.Time, ctx *CmdContext) (nvme.Status,
 	_, t := c.frontend.Acquire(ready, c.cfg.FirmwareCmdCost)
 	page := c.Identify().Marshal()
 	_, t = c.dram.Transfer(t, nvme.IdentifySize)
-	if c.fabric != nil {
-		if e, err := c.fabric.WriteTo(t, EndpointName, pcie.Addr(ctx.Cmd.PRP1), nvme.IdentifySize); err == nil {
-			t = e
-		}
-	}
+	// The page reaches the host through Sink either way; an unmapped PRP1
+	// only skips the DMA cost.
+	t, _ = c.fabric.WriteTo(t, EndpointName, pcie.Addr(ctx.Cmd.PRP1), nvme.IdentifySize)
 	if ctx.Sink != nil {
 		ctx.Sink(page)
 	}
@@ -447,14 +427,9 @@ func (c *Controller) doRead(ready units.Time, ctx *CmdContext) (nvme.Status, uni
 	status, done := c.readPages(t, ctx.Cmd.SLBA(), ctx.Cmd.NLB(), func(data []byte, at units.Time) units.Time {
 		// DRAM -> DMA out.
 		_, outReady := c.dram.Transfer(at, units.Bytes(len(data)))
-		end := outReady
-		if c.fabric != nil {
-			e, err := c.fabric.WriteTo(outReady, EndpointName, dst, units.Bytes(len(data)))
-			if err != nil {
-				dmaErr = err
-			} else {
-				end = e
-			}
+		end, err := c.fabric.WriteTo(outReady, EndpointName, dst, units.Bytes(len(data)))
+		if err != nil {
+			dmaErr = err
 		}
 		if ctx.Sink != nil {
 			ctx.Sink(data)
@@ -474,12 +449,9 @@ func (c *Controller) doWrite(ready units.Time, ctx *CmdContext) (nvme.Status, un
 	// unmapped PRP means no payload ever arrived: fail before touching
 	// flash, like doMRead's DMA-out path.
 	n := units.Bytes(ctx.Cmd.NLB()) * nvme.LBASize
-	if c.fabric != nil {
-		e, err := c.fabric.ReadFrom(t, EndpointName, pcie.Addr(ctx.Cmd.PRP1), n)
-		if err != nil {
-			return nvme.StatusInvalidField, t
-		}
-		t = e
+	t, err := c.fabric.ReadFrom(t, EndpointName, pcie.Addr(ctx.Cmd.PRP1), n)
+	if err != nil {
+		return nvme.StatusInvalidField, t
 	}
 	_, t = c.dram.Transfer(t, n)
 	st, end := c.writePages(t, ctx.Cmd.SLBA(), ctx.Cmd.NLB(), ctx.Data)
@@ -580,13 +552,9 @@ func (c *Controller) doMInit(ready units.Time, ctx *CmdContext) (nvme.Status, un
 	// first ensures that the StorageApp code resides in the I-SRAM").
 	// An unmapped PRP means the image never arrived: fail before the slot
 	// and its DRAM reservation are committed, so nothing leaks.
-	t := ready
-	if c.fabric != nil {
-		e, err := c.fabric.ReadFrom(ready, EndpointName, pcie.Addr(ctx.Cmd.PRP1), units.Bytes(len(ctx.Code)))
-		if err != nil {
-			return nvme.StatusInvalidField, ready
-		}
-		t = e
+	t, err := c.fabric.ReadFrom(ready, EndpointName, pcie.Addr(ctx.Cmd.PRP1), units.Bytes(len(ctx.Code)))
+	if err != nil {
+		return nvme.StatusInvalidField, ready
 	}
 	if c.cache != nil {
 		in.appHash = appIdentity(ctx.Code, ctx.Args, in.sampled, c.cfg.SampleWindow)
@@ -688,12 +656,8 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 	// DMA the produced objects to the destination (host DRAM or GPU BAR).
 	if len(res.out) > 0 {
 		_, end = c.dram.Transfer(end, units.Bytes(len(res.out)))
-		if c.fabric != nil {
-			e, err := c.fabric.WriteTo(end, EndpointName, dst, units.Bytes(len(res.out)))
-			if err != nil {
-				return nvme.StatusInvalidField, end // unmapped DMA target
-			}
-			end = e
+		if end, err = c.fabric.WriteTo(end, EndpointName, dst, units.Bytes(len(res.out))); err != nil {
+			return nvme.StatusInvalidField, end // unmapped DMA target
 		}
 		if ctx.Sink != nil {
 			ctx.Sink(res.out)
@@ -743,12 +707,9 @@ func (c *Controller) serveCached(t units.Time, ctx *CmdContext, in *instance, e 
 	end := t
 	if len(e.out) > 0 {
 		_, end = c.dram.Transfer(end, units.Bytes(len(e.out)))
-		if c.fabric != nil {
-			dmaEnd, err := c.fabric.WriteTo(end, EndpointName, dst, units.Bytes(len(e.out)))
-			if err != nil {
-				return nvme.StatusInvalidField, end // unmapped DMA target
-			}
-			end = dmaEnd
+		var err error
+		if end, err = c.fabric.WriteTo(end, EndpointName, dst, units.Bytes(len(e.out))); err != nil {
+			return nvme.StatusInvalidField, end // unmapped DMA target
 		}
 		if ctx.Sink != nil {
 			ctx.Sink(e.out) // borrowed: the entry owns its clone
@@ -768,14 +729,11 @@ func (c *Controller) doMWrite(ready units.Time, ctx *CmdContext) (nvme.Status, u
 	core := c.cores[in.coreIdx]
 	_, t := c.frontend.Acquire(ready, c.cfg.FirmwareCmdCost)
 	n := units.Bytes(len(ctx.Data))
-	if c.fabric != nil {
-		// An unmapped PRP means the serialization payload never arrived:
-		// fail before feeding garbage to the StorageApp.
-		e, err := c.fabric.ReadFrom(t, EndpointName, pcie.Addr(ctx.Cmd.PRP1), n)
-		if err != nil {
-			return nvme.StatusInvalidField, t
-		}
-		t = e
+	// An unmapped PRP means the serialization payload never arrived: fail
+	// before feeding garbage to the StorageApp.
+	t, err := c.fabric.ReadFrom(t, EndpointName, pcie.Addr(ctx.Cmd.PRP1), n)
+	if err != nil {
+		return nvme.StatusInvalidField, t
 	}
 	_, t = c.dram.Transfer(t, n)
 	// MWRITE always interprets (serialization volumes are small; the

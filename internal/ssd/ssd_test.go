@@ -8,6 +8,7 @@ import (
 	"morpheus/internal/morphc"
 	"morpheus/internal/mvm"
 	"morpheus/internal/nvme"
+	"morpheus/internal/pcie"
 	"morpheus/internal/serial"
 	"morpheus/internal/stats"
 	"morpheus/internal/units"
@@ -22,13 +23,32 @@ func testConfig() Config {
 	return cfg
 }
 
+// testFabric builds a minimal PCIe fabric with a 256 MiB host-DRAM window
+// at address 0 (covering the SQE/CQE ring addresses the controller touches
+// and every buffer the tests DMA to), so tests can aim PRPs at mapped and
+// unmapped addresses.
+func testFabric(counters *stats.Set) *pcie.Fabric {
+	f := pcie.NewFabric(counters, "host")
+	f.Attach("host", pcie.Gen3x4, 300*units.Nanosecond)
+	if _, err := f.MapWindow(pcie.Window{
+		Name: "host-dram", Base: 0, Size: 256 << 20, Endpoint: "host", Sink: pcie.NullSink,
+	}); err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// unmappedAddr lies outside every window testFabric maps.
+const unmappedAddr = 0x4000_0000
+
 func newController(t *testing.T, mutate func(*Config)) *Controller {
 	t.Helper()
 	cfg := testConfig()
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	c, err := New(cfg, stats.NewSet(), nil)
+	counters := stats.NewSet()
+	c, err := New(cfg, counters, testFabric(counters))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,7 +230,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	for _, id := range ids {
 		jw.Key(names[id])
 		d := &r.lats[id].h.d
-		writeHist(jw, metricsSummary, &d.histSummary, d.bucket, d.appendBuckets(nil))
+		writeHist(jw, &d.histSummary, d.bucket, d.appendBuckets(nil))
 	}
 	jw.EndObject()
 	jw.Key("gauges")
@@ -239,7 +239,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	sortByName(ids)
 	for _, id := range ids {
 		jw.Key(names[id])
-		writeGauge(jw, metricsSummary, &r.gauges[id].d)
+		writeGauge(jw, &r.gauges[id].d)
 	}
 	jw.EndObject()
 	if len(r.slos) > 0 {
@@ -260,31 +260,20 @@ func presentIDs[T any](dst []metricID, s []*T) []metricID {
 	return dst
 }
 
-// summaryFields are the keys of the histogram, gauge and SLO window
-// summary objects at one depth.
-type summaryFields struct {
+// summary holds the keys of the histogram, gauge and SLO window summary
+// objects.
+var summary = struct {
 	count, sum, min, max, p50, p95, p99    jsonw.Field
 	samples, last, mean                    jsonw.Field
 	total, violations, burnRate, violating jsonw.Field
+}{
+	count: jsonw.NewField("count"), sum: jsonw.NewField("sum"),
+	min: jsonw.NewField("min"), max: jsonw.NewField("max"),
+	p50: jsonw.NewField("p50"), p95: jsonw.NewField("p95"), p99: jsonw.NewField("p99"),
+	samples: jsonw.NewField("samples"), last: jsonw.NewField("last"), mean: jsonw.NewField("mean"),
+	total: jsonw.NewField("total"), violations: jsonw.NewField("violations"),
+	burnRate: jsonw.NewField("burn_rate"), violating: jsonw.NewField("violating"),
 }
-
-func newSummaryFields(depth int) *summaryFields {
-	f := func(name string) jsonw.Field { return jsonw.NewField(depth, name) }
-	return &summaryFields{
-		count: f("count"), sum: f("sum"), min: f("min"), max: f("max"),
-		p50: f("p50"), p95: f("p95"), p99: f("p99"),
-		samples: f("samples"), last: f("last"), mean: f("mean"),
-		total: f("total"), violations: f("violations"), burnRate: f("burn_rate"), violating: f("violating"),
-	}
-}
-
-// A summary object sits three deep in the metrics artifact (document,
-// kind, metric) and five deep in a series window (document, windows,
-// window, kind, metric).
-var (
-	metricsSummary = newSummaryFields(3)
-	seriesSummary  = newSummaryFields(5)
-)
 
 // summaryQuantiles are the quantiles a histogram summary reports: p50,
 // p95 and p99.
@@ -293,23 +282,23 @@ var summaryQuantiles = []float64{0.5, 0.95, 0.99}
 // writeHist writes a histogram's summary object, whose bucket i holds
 // bucket(i) observations, and, when bs holds any, its non-empty buckets:
 // the run-wide artifact lists them, the per-window rows do not.
-func writeHist(jw *jsonw.Writer, f *summaryFields, h *histSummary, bucket func(i int) int64, bs []BucketCount) {
+func writeHist(jw *jsonw.Writer, h *histSummary, bucket func(i int) int64, bs []BucketCount) {
 	var q [3]int64
 	h.quantiles(summaryQuantiles, bucket, q[:])
 	jw.BeginObject()
-	jw.Field(f.count)
+	jw.Field(summary.count)
 	jw.Int(h.count)
-	jw.Field(f.sum)
+	jw.Field(summary.sum)
 	jw.Int(h.sum)
-	jw.Field(f.min)
+	jw.Field(summary.min)
 	jw.Int(h.min)
-	jw.Field(f.max)
+	jw.Field(summary.max)
 	jw.Int(h.max)
-	jw.Field(f.p50)
+	jw.Field(summary.p50)
 	jw.Int(q[0])
-	jw.Field(f.p95)
+	jw.Field(summary.p95)
 	jw.Int(q[1])
-	jw.Field(f.p99)
+	jw.Field(summary.p99)
 	jw.Int(q[2])
 	if len(bs) > 0 {
 		jw.Key("buckets")
@@ -328,17 +317,17 @@ func writeHist(jw *jsonw.Writer, f *summaryFields, h *histSummary, bucket func(i
 }
 
 // writeGauge writes a gauge's summary object.
-func writeGauge(jw *jsonw.Writer, f *summaryFields, g *gaugeData) {
+func writeGauge(jw *jsonw.Writer, g *gaugeData) {
 	jw.BeginObject()
-	jw.Field(f.samples)
+	jw.Field(summary.samples)
 	jw.Int(g.samples)
-	jw.Field(f.last)
+	jw.Field(summary.last)
 	jw.Float(g.last)
-	jw.Field(f.min)
+	jw.Field(summary.min)
 	jw.Float(g.min)
-	jw.Field(f.max)
+	jw.Field(summary.max)
 	jw.Float(g.max)
-	jw.Field(f.mean)
+	jw.Field(summary.mean)
 	jw.Float(g.mean())
 	jw.EndObject()
 }

@@ -238,9 +238,8 @@ func markedIDs(marked []bool) []metricID {
 }
 
 // seriesKeys holds one write's order per metric kind, the IDs any window
-// holds sorted by name, and each metric's name as a key at its depth in a
-// window: names are sorted and escaped once per write, not once per
-// window.
+// holds sorted by name, and each metric's name as a key: names are sorted
+// and escaped once per write, not once per window.
 type seriesKeys struct {
 	counters, hists, gauges []metricID
 	fields                  []jsonw.Field // by metricID
@@ -261,24 +260,20 @@ func (s *seriesData) keys() *seriesKeys {
 	}
 	for _, order := range [][]metricID{k.counters, k.hists, k.gauges} {
 		for _, id := range order {
-			k.fields[id] = jsonw.NewField(windowDepth+1, names[id])
+			k.fields[id] = jsonw.NewField(names[id])
 		}
 	}
 	return k
 }
 
-// windowDepth is how deep a series window's keys sit: document, windows,
-// window.
-const windowDepth = 3
-
 // The keys of a series window.
 var (
-	startField      = jsonw.NewField(windowDepth, "start_ps")
-	endField        = jsonw.NewField(windowDepth, "end_ps")
-	countersField   = jsonw.NewField(windowDepth, "counters")
-	histogramsField = jsonw.NewField(windowDepth, "histograms")
-	gaugesField     = jsonw.NewField(windowDepth, "gauges")
-	slosField       = jsonw.NewField(windowDepth, "slos")
+	startField      = jsonw.NewField("start_ps")
+	endField        = jsonw.NewField("end_ps")
+	countersField   = jsonw.NewField("counters")
+	histogramsField = jsonw.NewField("histograms")
+	gaugesField     = jsonw.NewField("gauges")
+	slosField       = jsonw.NewField("slos")
 )
 
 // writeCellBlock writes one window's entries of a kind as the object
@@ -323,11 +318,10 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 	sloWins := make([][]sloAt, len(sloKeys))
 	for i, key := range sloKeys {
 		slos[i] = r.slos[key]
-		sloFields[i] = jsonw.NewField(windowDepth+1, key)
+		sloFields[i] = jsonw.NewField(key)
 		sloWins[i] = slos[i].sortedWindows()
 	}
 	keys := s.keys()
-	f := seriesSummary
 	jw := jsonw.New(w)
 	jw.BeginObject()
 	jw.Key("window_ps")
@@ -342,8 +336,8 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 		jw.Int((idx + 1) * s.window)
 		if cell := s.cells[idx]; cell != nil {
 			writeCellBlock(jw, countersField, cell.counters, keys.counters, keys, func(v *int64) { jw.Int(*v) })
-			writeCellBlock(jw, histogramsField, cell.hists, keys.hists, keys, func(h **winHist) { writeHist(jw, f, &(*h).histSummary, (*h).bucket, nil) })
-			writeCellBlock(jw, gaugesField, cell.gauges, keys.gauges, keys, func(g *gaugeData) { writeGauge(jw, f, g) })
+			writeCellBlock(jw, histogramsField, cell.hists, keys.hists, keys, func(h **winHist) { writeHist(jw, &(*h).histSummary, (*h).bucket, nil) })
+			writeCellBlock(jw, gaugesField, cell.gauges, keys.gauges, keys, func(g *gaugeData) { writeGauge(jw, g) })
 		}
 		opened := false
 		for i, st := range slos {
@@ -359,14 +353,14 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 			}
 			jw.Field(sloFields[i])
 			jw.BeginObject()
-			jw.Field(f.total)
+			jw.Field(summary.total)
 			jw.Int(sw.total)
-			jw.Field(f.violations)
+			jw.Field(summary.violations)
 			jw.Int(sw.bad)
-			jw.Field(f.burnRate)
+			jw.Field(summary.burnRate)
 			jw.Float(st.burnRate(sw))
 			if st.violating(sw) {
-				jw.Field(f.violating)
+				jw.Field(summary.violating)
 				jw.Bool(true)
 			}
 			jw.EndObject()

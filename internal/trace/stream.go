@@ -318,20 +318,19 @@ func (c *ChromeStream) mergeLocked() error {
 	return nil
 }
 
-// The keys of a trace event, which sits three deep (document,
-// traceEvents, event), and of its args.
+// The keys of a trace event and of its args.
 var (
-	nameField   = jsonw.NewField(3, "name")
-	phField     = jsonw.NewField(3, "ph")
-	tsField     = jsonw.NewField(3, "ts")
-	durField    = jsonw.NewField(3, "dur")
-	pidField    = jsonw.NewField(3, "pid")
-	tidField    = jsonw.NewField(3, "tid")
-	scopeField  = jsonw.NewField(3, "s")
-	argsField   = jsonw.NewField(3, "args")
-	detailField = jsonw.NewField(4, "detail")
-	parentField = jsonw.NewField(4, "parent")
-	spanField   = jsonw.NewField(4, "span")
+	nameField   = jsonw.NewField("name")
+	phField     = jsonw.NewField("ph")
+	tsField     = jsonw.NewField("ts")
+	durField    = jsonw.NewField("dur")
+	pidField    = jsonw.NewField("pid")
+	tidField    = jsonw.NewField("tid")
+	scopeField  = jsonw.NewField("s")
+	argsField   = jsonw.NewField("args")
+	detailField = jsonw.NewField("detail")
+	parentField = jsonw.NewField("parent")
+	spanField   = jsonw.NewField("span")
 )
 
 // writeChromeMeta writes one process_name or thread_name metadata event.
