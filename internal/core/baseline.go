@@ -183,7 +183,7 @@ func (s *System) DeserializeConventional(ready units.Time, f *File, parser HostP
 		before := t
 		t = s.Host.ComputeOn(coreIdx, t, cpb*float64(len(raw)))
 		s.Host.MemTraffic(t, units.Bytes(len(raw))+units.Bytes(len(objs)))
-		s.metrics.parseCycles.Add(int64(cpb * float64(len(raw))))
+		s.metrics.parseCycles.Add(int64(before), int64(cpb*float64(len(raw))))
 		// Timeslice preemption: a CPU-bound parse loop sharing a
 		// multiprogrammed host gets descheduled once per quantum.
 		cpuAccum += t.Sub(before)

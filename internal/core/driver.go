@@ -208,23 +208,11 @@ func (d *Driver) reaped(p Pending) {
 	d.sys.metrics.opLatency(p.Op).Observe(int64(p.Done), int64(p.Done.Sub(p.Submitted)))
 }
 
-// Wait blocks the host thread until the pending command completes,
-// charging the context switches and interrupt of a blocking wait plus the
-// completion-reaping CPU work, and returns the completion.
+// Wait blocks the host thread until the pending command completes — a
+// reap of that one command — and returns the completion.
 func (d *Driver) Wait(ready units.Time, p Pending) (nvme.Completion, units.Time) {
-	var t units.Time
-	if p.Done > ready {
-		t = d.sys.Host.BlockingWait(ready, p.Done)
-	} else {
-		// Already complete: polled from the CQ without blocking.
-		t = ready
-	}
-	t = d.sys.Host.ComputeCycles(t, d.ReapCycles)
-	// Unlike ReapWindow, Wait counts the CQE's memory traffic before the
-	// latency observation; the series windows depend on that order.
-	d.sys.Host.MemTraffic(t, nvme.CompletionSize)
-	d.reaped(p)
-	d.sys.sampleGauges(t)
+	ps := [1]Pending{p}
+	_, t := d.ReapWindow(ready, ps[:], 1)
 	return p.Comp, t
 }
 

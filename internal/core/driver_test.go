@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 	"testing"
@@ -227,4 +228,44 @@ func TestDriverCIDs(t *testing.T) {
 			t.Fatalf("CIDs across the wrap = %v, want %v", got, want)
 		}
 	})
+}
+
+// TestWaitIsOneCommandReap: reaping one command with Wait and with a
+// one-command ReapWindow, on identical systems, charges the same costs at
+// the same times, so the two series artifacts are byte-equal.
+func TestWaitIsOneCommandReap(t *testing.T) {
+	series := func(reap func(sys *System, ready units.Time, p Pending) units.Time) []byte {
+		sys := newTestSystem(t, func(c *SystemConfig) { c.WithGPU = false })
+		data, _ := testInput(1<<12, 1)
+		f, err := sys.WriteFile("f", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.ResetTimers()
+		sys.Metrics.EnableSeries(int64(units.Microsecond))
+		ctx := &ssd.CmdContext{Cmd: nvme.BuildRead(0, f.SLBA, f.NLB, 0x100000)}
+		p, tNow := sys.Driver.SubmitAsync(0, ctx)
+		if end := reap(sys, tNow, p); end <= p.Done {
+			t.Fatalf("reap ended at %v, before the completion at %v", end, p.Done)
+		}
+		var buf bytes.Buffer
+		if err := sys.Metrics.WriteSeriesJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	wait := series(func(sys *System, ready units.Time, p Pending) units.Time {
+		_, end := sys.Driver.Wait(ready, p)
+		return end
+	})
+	window := series(func(sys *System, ready units.Time, p Pending) units.Time {
+		n, end := sys.Driver.ReapWindow(ready, []Pending{p}, 1)
+		if n != 1 {
+			t.Fatalf("ReapWindow reaped %d commands, want 1", n)
+		}
+		return end
+	})
+	if !bytes.Equal(wait, window) {
+		t.Fatalf("Wait and a one-command ReapWindow write different series:\n%s\nvs\n%s", wait, window)
+	}
 }

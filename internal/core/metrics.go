@@ -25,7 +25,7 @@ type sysMetrics struct {
 	invoke                                             [PathReplicaFallback + 1]stats.Latency
 	attempts                                           stats.Latency
 	phases                                             [len(phaseOrder)]stats.Latency
-	parseCycles                                        stats.Counter
+	parseCycles                                        stats.TimedCounter
 
 	// Gauges sampled at command completion points (sampleGauges).
 	queueDepth, slotsInUse, slotsUtil, channelUtil, linkUtil, cpuUtil, cacheOccupancy stats.Sampler
@@ -68,7 +68,7 @@ func newSysMetrics(reg *stats.Registry) *sysMetrics {
 		minitRetry:       newRetryOp(reg, "MINIT"),
 		readRetry:        newRetryOp(reg, "READ"),
 		attempts:         reg.Latency("core.invoke.attempts"),
-		parseCycles:      reg.Counters().Counter(stats.HostParseCyc),
+		parseCycles:      reg.TimedCounter(stats.HostParseCyc),
 		queueDepth:       reg.Sampler("nvme.queue_depth"),
 		slotsInUse:       reg.Sampler("ssd.slots_in_use"),
 		slotsUtil:        reg.Sampler("ssd.slots_util"),

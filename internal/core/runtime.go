@@ -158,7 +158,7 @@ func (s *System) invoke(ready units.Time, opt InvokeOptions, rp RetryPolicy) (*I
 	t := ready
 	var lastErr error
 	attempts := 0
-	if s.Identify != nil && !s.Identify.Morpheus.Supported {
+	if !s.Identify.Morpheus.Supported {
 		lastErr = ErrNoMorpheus
 	} else {
 		backoff := rp.Backoff
@@ -565,7 +565,7 @@ type SerializeResult struct {
 // stateful, so a mid-train failure aborts the instance and surfaces a
 // typed error rather than retrying blind.
 func (s *System) SerializeStorageApp(ready units.Time, app *StorageApp, f *File, data []byte, args []int64) (res *SerializeResult, err error) {
-	if s.Identify != nil && !s.Identify.Morpheus.Supported {
+	if !s.Identify.Morpheus.Supported {
 		return nil, ErrNoMorpheus
 	}
 	prog, err := app.Compile()

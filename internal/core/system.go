@@ -75,8 +75,8 @@ type File struct {
 type System struct {
 	Cfg SystemConfig
 	// Metrics joins every counter, latency histogram, and utilization
-	// gauge the testbed records; Counters is its counter set (the models
-	// write counters through it directly, as they always have).
+	// gauge the testbed records; Counters is its counter set, the read
+	// side of the models' timed counter writes.
 	Metrics  *stats.Registry
 	Counters *stats.Set
 	Fabric   *pcie.Fabric
@@ -112,20 +112,19 @@ type System struct {
 // NewSystem builds the testbed.
 func NewSystem(cfg SystemConfig) (*System, error) {
 	metrics := stats.NewRegistry()
-	counters := metrics.Counters()
-	fabric := pcie.NewFabric(counters, host.EndpointName)
-	h, err := host.New(cfg.CPU, cfg.OS, cfg.Mem, counters, fabric)
+	fabric := pcie.NewFabric(metrics, host.EndpointName)
+	h, err := host.New(cfg.CPU, cfg.OS, cfg.Mem, metrics, fabric)
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := ssd.New(cfg.SSD, counters, fabric)
+	ctrl, err := ssd.New(cfg.SSD, metrics, fabric)
 	if err != nil {
 		return nil, err
 	}
 	sys := &System{
 		Cfg:      cfg,
 		Metrics:  metrics,
-		Counters: counters,
+		Counters: metrics.Counters(),
 		Fabric:   fabric,
 		Host:     h,
 		SSD:      ctrl,

@@ -2,10 +2,13 @@ package exp
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"hash"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -57,21 +60,60 @@ func artifactDigests(t *testing.T, e Experiment) map[string]string {
 		t.Fatalf("%s: trace: %v", e.Name, err)
 	}
 	metricsHash, seriesHash := sha256.New(), sha256.New()
-	if err := opts.Metrics.WriteJSON(metricsHash); err != nil {
+	var metrics, series bytes.Buffer
+	if err := opts.Metrics.WriteJSON(io.MultiWriter(metricsHash, &metrics)); err != nil {
 		t.Fatalf("%s: metrics: %v", e.Name, err)
 	}
 	// As in morpheusbench: an experiment that builds no system leaves the
 	// aggregate without a window, so its series is empty, not missing.
 	opts.Metrics.EnableSeries(int64(opts.MetricsWindow))
-	if err := opts.Metrics.WriteSeriesJSON(seriesHash); err != nil {
+	if err := opts.Metrics.WriteSeriesJSON(io.MultiWriter(seriesHash, &series)); err != nil {
 		t.Fatalf("%s: series: %v", e.Name, err)
 	}
+	checkCountersConserved(t, e.Name, metrics.Bytes(), series.Bytes())
 	hexOf := func(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
 	return map[string]string{
 		e.Name + "/tables.txt":   hexOf(tableHash),
 		e.Name + "/metrics.json": hexOf(metricsHash),
 		e.Name + "/series.json":  hexOf(seriesHash),
 		e.Name + "/trace.json":   hexOf(traceHash),
+	}
+}
+
+// checkCountersConserved fails unless each counter's window values in the
+// series artifact sum to its whole-run total in the metrics artifact:
+// every increment is charged to exactly one window.
+func checkCountersConserved(t *testing.T, exp string, metrics, series []byte) {
+	t.Helper()
+	var m struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	var s struct {
+		Windows []struct {
+			Counters map[string]int64 `json:"counters"`
+		} `json:"windows"`
+	}
+	if err := json.Unmarshal(metrics, &m); err != nil {
+		t.Fatalf("%s: metrics: %v", exp, err)
+	}
+	if err := json.Unmarshal(series, &s); err != nil {
+		t.Fatalf("%s: series: %v", exp, err)
+	}
+	sums := map[string]int64{}
+	for _, w := range s.Windows {
+		for name, v := range w.Counters {
+			sums[name] += v
+		}
+	}
+	for name, total := range m.Counters {
+		if sums[name] != total {
+			t.Errorf("%s: counter %s: windows sum to %d, whole-run total is %d", exp, name, sums[name], total)
+		}
+	}
+	for name, sum := range sums {
+		if _, ok := m.Counters[name]; !ok {
+			t.Errorf("%s: counter %s: windows sum to %d, absent from the whole-run metrics", exp, name, sum)
+		}
 	}
 }
 

@@ -257,7 +257,7 @@ func TestRunPointsOrderAndFold(t *testing.T) {
 	// The gauge's `last` is the most recent fold's value, so sampling the
 	// point index and reading it back after every merge exposes the order.
 	vals, err := runPoints(o, 16, func(i int, po Options) (int, error) {
-		po.Metrics.Counters().Add("points", 1)
+		po.Metrics.TimedCounter("points").Add(0, 1)
 		po.Metrics.Gauge("order").Sample(int64(i), float64(i))
 		po.Trace.Span(trace.Intern("t"), trace.Intern("p"), trace.Detail{}, 0, 0, 1)
 		mu.Lock()
@@ -324,7 +324,7 @@ func TestRunPointsSequentialIsolation(t *testing.T) {
 		if po.Metrics == shared {
 			atomic.AddInt32(&sawShared, 1)
 		}
-		po.Metrics.Counters().Add("n", 1)
+		po.Metrics.TimedCounter("n").Add(0, 1)
 		return i, nil
 	})
 	if err != nil {

@@ -10,11 +10,11 @@ import (
 
 func newGPU(t *testing.T) (*GPU, *pcie.Fabric, *stats.Set) {
 	t.Helper()
-	counters := stats.NewSet()
-	fabric := pcie.NewFabric(counters, "host")
+	reg := stats.NewRegistry()
+	fabric := pcie.NewFabric(reg, "host")
 	fabric.Attach("host", pcie.Gen3x16, 0)
 	fabric.MapWindow(pcie.Window{Name: "dram", Base: 0, Size: 1 << 32, Endpoint: "host", Sink: pcie.NullSink})
-	return New(DefaultConfig(), fabric), fabric, counters
+	return New(DefaultConfig(), fabric), fabric, reg.Counters()
 }
 
 func TestAllocAndCapacity(t *testing.T) {
@@ -60,8 +60,7 @@ func TestPeerBARLifecycle(t *testing.T) {
 }
 
 func TestBARUnsupported(t *testing.T) {
-	counters := stats.NewSet()
-	fabric := pcie.NewFabric(counters, "host")
+	fabric := pcie.NewFabric(stats.NewRegistry(), "host")
 	cfg := DefaultConfig()
 	cfg.BARSupported = false
 	g := New(cfg, fabric)

@@ -74,11 +74,10 @@ type Host struct {
 	OS  OSCosts
 	Mem MemConfig
 
-	Cores    *sim.Pool
-	MemBus   *sim.Pipe
-	Counters *stats.Set
-	// The counters the host writes, resolved once from Counters.
-	memBus, syscalls, ctxSwitches, pageFaults stats.Counter
+	Cores  *sim.Pool
+	MemBus *sim.Pipe
+	// The counters the host writes, each charged at its call's ready time.
+	memBus, syscalls, ctxSwitches, pageFaults stats.TimedCounter
 
 	dramWindow *pcie.Window
 	allocNext  pcie.Addr
@@ -92,18 +91,17 @@ const EndpointName = "host"
 const DRAMBase pcie.Addr = 0x0000_0000_0000
 
 // New builds a host and registers its DRAM window on the fabric.
-func New(cpu CPUConfig, osCosts OSCosts, mem MemConfig, counters *stats.Set, fabric *pcie.Fabric) (*Host, error) {
+func New(cpu CPUConfig, osCosts OSCosts, mem MemConfig, reg *stats.Registry, fabric *pcie.Fabric) (*Host, error) {
 	h := &Host{
 		CPU:         cpu,
 		OS:          osCosts,
 		Mem:         mem,
 		Cores:       sim.NewPool("cpu", cpu.Cores),
 		MemBus:      sim.NewPipe("membus", mem.Latency, mem.BusBandwidth),
-		Counters:    counters,
-		memBus:      counters.Counter(stats.MemBusBytes),
-		syscalls:    counters.Counter(stats.Syscalls),
-		ctxSwitches: counters.Counter(stats.CtxSwitches),
-		pageFaults:  counters.Counter(stats.PageFaults),
+		memBus:      reg.TimedCounter(stats.MemBusBytes),
+		syscalls:    reg.TimedCounter(stats.Syscalls),
+		ctxSwitches: reg.TimedCounter(stats.CtxSwitches),
+		pageFaults:  reg.TimedCounter(stats.PageFaults),
 		pinned:      make(map[pcie.Addr]units.Bytes),
 	}
 	fabric.Attach(EndpointName, pcie.Gen3x16, 200*units.Nanosecond)
@@ -126,7 +124,7 @@ func New(cpu CPUConfig, osCosts OSCosts, mem MemConfig, counters *stats.Set, fab
 // memory bus and is counted as memory traffic.
 func (h *Host) deliverDRAM(ready units.Time, n units.Bytes) units.Time {
 	_, end := h.MemBus.Transfer(ready, n)
-	h.memBus.AddBytes(n)
+	h.memBus.Add(int64(ready), int64(n))
 	return end
 }
 
@@ -202,19 +200,19 @@ func (h *Host) ComputeOn(core int, ready units.Time, cycles float64) units.Time 
 // and returns when the bus is done with it.
 func (h *Host) MemTraffic(ready units.Time, n units.Bytes) units.Time {
 	_, end := h.MemBus.Transfer(ready, n)
-	h.memBus.AddBytes(n)
+	h.memBus.Add(int64(ready), int64(n))
 	return end
 }
 
 // Syscall charges one system-call entry/exit.
 func (h *Host) Syscall(ready units.Time) units.Time {
-	h.syscalls.Add(1)
+	h.syscalls.Add(int64(ready), 1)
 	return ready.Add(h.OS.Syscall)
 }
 
 // ContextSwitch charges one context switch.
 func (h *Host) ContextSwitch(ready units.Time) units.Time {
-	h.ctxSwitches.Add(1)
+	h.ctxSwitches.Add(int64(ready), 1)
 	return ready.Add(h.OS.ContextSwitch)
 }
 
@@ -234,6 +232,6 @@ func (h *Host) BlockingWait(ready, t units.Time) units.Time {
 
 // PageFault charges one minor page fault.
 func (h *Host) PageFault(ready units.Time) units.Time {
-	h.pageFaults.Add(1)
+	h.pageFaults.Add(int64(ready), 1)
 	return ready.Add(h.OS.PageFault)
 }

@@ -10,13 +10,13 @@ import (
 
 func newHost(t *testing.T) (*Host, *stats.Set) {
 	t.Helper()
-	counters := stats.NewSet()
-	fabric := pcie.NewFabric(counters, EndpointName)
-	h, err := New(DefaultCPU(), DefaultOSCosts(), DefaultMem(), counters, fabric)
+	reg := stats.NewRegistry()
+	fabric := pcie.NewFabric(reg, EndpointName)
+	h, err := New(DefaultCPU(), DefaultOSCosts(), DefaultMem(), reg, fabric)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h, counters
+	return h, reg.Counters()
 }
 
 func TestComputeScalesWithFrequencyAndIPC(t *testing.T) {

@@ -114,9 +114,9 @@ func (e *Endpoint) ResetTimers() {
 type Fabric struct {
 	endpoints map[string]*Endpoint
 	windows   []*Window
-	// hostBytes, p2pBytes and transfers are the traffic counters,
-	// resolved once from the counter set.
-	hostBytes, p2pBytes, transfers stats.Counter
+	// hostBytes, p2pBytes and transfers are the traffic counters, charged
+	// at the time each transfer is issued.
+	hostBytes, p2pBytes, transfers stats.TimedCounter
 
 	// HostName identifies the root-complex endpoint; traffic to or from
 	// windows owned by it is counted as host traffic, everything else as
@@ -151,13 +151,13 @@ func (f *Fabric) SetTracer(t *trace.Tracer) { f.tracer = t }
 // (the in-flight NVMe command's span; see flash.Array.SetSpan).
 func (f *Fabric) SetSpan(s trace.SpanID) { f.span = s }
 
-// NewFabric returns a fabric counting traffic into the given counter set.
-func NewFabric(counters *stats.Set, hostName string) *Fabric {
+// NewFabric returns a fabric counting traffic into the given registry.
+func NewFabric(reg *stats.Registry, hostName string) *Fabric {
 	return &Fabric{
 		endpoints: make(map[string]*Endpoint),
-		hostBytes: counters.Counter(stats.PCIeHostBytes),
-		p2pBytes:  counters.Counter(stats.PCIeP2PBytes),
-		transfers: counters.Counter(stats.DMATransfers),
+		hostBytes: reg.TimedCounter(stats.PCIeHostBytes),
+		p2pBytes:  reg.TimedCounter(stats.PCIeP2PBytes),
+		transfers: reg.TimedCounter(stats.DMATransfers),
 		hostName:  hostName,
 	}
 }
@@ -237,13 +237,16 @@ func (f *Fabric) Resolve(a Addr) (*Window, error) {
 	return nil, fmt.Errorf("pcie: unmapped address 0x%X", uint64(a))
 }
 
-func (f *Fabric) count(dev string, w *Window, n units.Bytes) {
+// count charges one transfer of n bytes, issued at ready, to the traffic
+// counters.
+func (f *Fabric) count(ready units.Time, dev string, w *Window, n units.Bytes) {
+	at := int64(ready)
 	if w.Endpoint == f.hostName || dev == f.hostName {
-		f.hostBytes.AddBytes(n)
+		f.hostBytes.Add(at, int64(n))
 	} else {
-		f.p2pBytes.AddBytes(n)
+		f.p2pBytes.Add(at, int64(n))
 	}
-	f.transfers.Add(1)
+	f.transfers.Add(at, 1)
 }
 
 // WriteTo DMAs n bytes from endpoint dev into the window containing dst:
@@ -261,7 +264,7 @@ func (f *Fabric) WriteTo(ready units.Time, dev string, dst Addr, n units.Bytes) 
 		_, t = f.Endpoint(w.Endpoint).down.Transfer(t, wireBytes(n))
 	}
 	t = w.Sink.Deliver(t, n)
-	f.count(dev, w, n)
+	f.count(ready, dev, w, n)
 	if f.tracer != nil {
 		f.tracer.Span(src.track, dmaOutName, dmaDetail(dmaOutKind, n, w), f.span, ready, t)
 	}
@@ -281,7 +284,7 @@ func (f *Fabric) ReadFrom(ready units.Time, dev string, src Addr, n units.Bytes)
 		_, t = f.Endpoint(w.Endpoint).up.Transfer(t, wireBytes(n))
 	}
 	_, t = dst.down.Transfer(t, wireBytes(n))
-	f.count(dev, w, n)
+	f.count(ready, dev, w, n)
 	if f.tracer != nil {
 		f.tracer.Span(dst.track, dmaInName, dmaDetail(dmaInKind, n, w), f.span, ready, t)
 	}

@@ -8,9 +8,8 @@ import (
 )
 
 func newFabric() (*Fabric, *stats.Set) {
-	c := stats.NewSet()
-	f := NewFabric(c, "host")
-	return f, c
+	reg := stats.NewRegistry()
+	return NewFabric(reg, "host"), reg.Counters()
 }
 
 func TestWindowMappingAndResolve(t *testing.T) {

@@ -88,36 +88,36 @@ type Controller struct {
 }
 
 // ctrlCounters are the controller's counter handles, resolved once from
-// the counter set New is given, which stays embedded for readers.
+// the registry New is given, whose counter set stays embedded for readers.
 type ctrlCounters struct {
 	*stats.Set
-	commands, morphCommands, storageAppCycles                  stats.Counter
-	cacheHits, cacheMisses, cacheEvictions, cacheInvalidations stats.Counter
+	commands, morphCommands, storageAppCycles                  stats.TimedCounter
+	cacheHits, cacheMisses, cacheEvictions, cacheInvalidations stats.TimedCounter
 }
 
-func newCtrlCounters(s *stats.Set) ctrlCounters {
+func newCtrlCounters(reg *stats.Registry) ctrlCounters {
 	return ctrlCounters{
-		Set:                s,
-		commands:           s.Counter(stats.NVMeCommands),
-		morphCommands:      s.Counter(stats.MorphCommands),
-		storageAppCycles:   s.Counter(stats.StorageAppCyc),
-		cacheHits:          s.Counter(stats.SSDCacheHits),
-		cacheMisses:        s.Counter(stats.SSDCacheMisses),
-		cacheEvictions:     s.Counter(stats.SSDCacheEvictions),
-		cacheInvalidations: s.Counter(stats.SSDCacheInvalidations),
+		Set:                reg.Counters(),
+		commands:           reg.TimedCounter(stats.NVMeCommands),
+		morphCommands:      reg.TimedCounter(stats.MorphCommands),
+		storageAppCycles:   reg.TimedCounter(stats.StorageAppCyc),
+		cacheHits:          reg.TimedCounter(stats.SSDCacheHits),
+		cacheMisses:        reg.TimedCounter(stats.SSDCacheMisses),
+		cacheEvictions:     reg.TimedCounter(stats.SSDCacheEvictions),
+		cacheInvalidations: reg.TimedCounter(stats.SSDCacheInvalidations),
 	}
 }
 
 // New builds an SSD and attaches it to the fabric, which every DMA, SQE
 // fetch and CQE post crosses.
-func New(cfg Config, counters *stats.Set, fabric *pcie.Fabric) (*Controller, error) {
+func New(cfg Config, reg *stats.Registry, fabric *pcie.Fabric) (*Controller, error) {
 	arr, err := flash.New(cfg.Geometry, cfg.Timing)
 	if err != nil {
 		return nil, err
 	}
 	c := &Controller{
 		cfg:       cfg,
-		counters:  newCtrlCounters(counters),
+		counters:  newCtrlCounters(reg),
 		fabric:    fabric,
 		Flash:     arr,
 		FTL:       ftl.New(arr, cfg.FTL),
@@ -232,7 +232,7 @@ func (c *Controller) invalidateCache(span trace.SpanID, slba uint64, nlb uint32,
 	last := ((int64(slba)+int64(nlb)-1)/lpp + 1) * lpp
 	n := c.cache.invalidate(uint64(first), uint32(last-first))
 	if n > 0 {
-		c.counters.cacheInvalidations.Add(int64(n))
+		c.counters.cacheInvalidations.Add(int64(at), int64(n))
 		if c.tracer != nil {
 			c.tracer.Span(cacheTrack, invalidateName, invalidateDetail(slba, nlb, n), span, at, at)
 		}
@@ -271,10 +271,10 @@ func (c *Controller) lbasPerPage() int64 { return int64(c.pageSize) / nvme.LBASi
 // driver model in internal/core) charges doorbell/interrupt costs and
 // host-side completion handling.
 func (c *Controller) Submit(ready units.Time, ctx *CmdContext) (nvme.Completion, units.Time) {
-	c.counters.commands.Add(1)
+	c.counters.commands.Add(int64(ready), 1)
 	cmd := &ctx.Cmd
 	if cmd.Opcode.IsMorpheus() {
-		c.counters.morphCommands.Add(1)
+		c.counters.morphCommands.Add(int64(ready), 1)
 	}
 	if c.tracer != nil {
 		// Command processing is synchronous within this call, so the FTL,
@@ -524,7 +524,7 @@ func (c *Controller) doMInit(ready units.Time, ctx *CmdContext) (nvme.Status, un
 		// objects: shrink the cache before refusing the slot.
 		if c.cache != nil {
 			if n := c.cache.evictFor(need - c.cfg.DRAMSize); n > 0 {
-				c.counters.cacheEvictions.Add(int64(n))
+				c.counters.cacheEvictions.Add(int64(ready), int64(n))
 			}
 		}
 		if c.dramReserved+c.CacheBytes()+c.instanceBufSize() > c.cfg.DRAMSize {
@@ -597,7 +597,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 		if e, hit := c.cache.get(key); hit {
 			return c.serveCached(t, ctx, in, e, key, dst)
 		}
-		c.counters.cacheMisses.Add(1)
+		c.counters.cacheMisses.Add(int64(t), 1)
 		if c.tracer != nil {
 			c.tracer.Span(cacheTrack, missName, missDetail(in.id, key.slba, key.nlb), ctx.Span, t, t)
 		}
@@ -652,7 +652,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 		c.tracer.Span(c.coreTracks[in.coreIdx], storageAppName,
 			storageAppDetail(in.id, len(chunk), res.cycles), ctx.Span, vmStart, end)
 	}
-	c.counters.storageAppCycles.Add(int64(res.cycles))
+	c.counters.storageAppCycles.Add(int64(dataAt), int64(res.cycles))
 	// DMA the produced objects to the destination (host DRAM or GPU BAR).
 	if len(res.out) > 0 {
 		_, end = c.dram.Transfer(end, units.Bytes(len(res.out)))
@@ -681,7 +681,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 			extents:  append([]extent(nil), in.extents...),
 		}
 		if n := c.cache.put(e, c.cacheSpareDRAM()); n > 0 {
-			c.counters.cacheEvictions.Add(int64(n))
+			c.counters.cacheEvictions.Add(int64(end), int64(n))
 		}
 	}
 	return nvme.StatusSuccess, end
@@ -692,7 +692,7 @@ func (c *Controller) doMRead(ready units.Time, ctx *CmdContext) (nvme.Status, un
 // observable outcome — object bytes, instance accounting, completion
 // status — is identical to the miss path's by construction.
 func (c *Controller) serveCached(t units.Time, ctx *CmdContext, in *instance, e *cacheEntry, key cacheKey, dst pcie.Addr) (nvme.Status, units.Time) {
-	c.counters.cacheHits.Add(1)
+	c.counters.cacheHits.Add(int64(t), 1)
 	// Chunks of one instance complete in stream order even when served
 	// from cache.
 	if t < in.lastVMEnd {
@@ -779,7 +779,7 @@ func (c *Controller) doMWrite(ready units.Time, ctx *CmdContext) (nvme.Status, u
 	// Commit instance state only once the data is durably on flash.
 	in.cycles += res.cycles
 	in.outBytes += int64(len(res.out))
-	c.counters.storageAppCycles.Add(int64(res.cycles))
+	c.counters.storageAppCycles.Add(int64(t), int64(res.cycles))
 	if res.halted {
 		in.finished = true
 		in.retVal = in.vm.ReturnValue()

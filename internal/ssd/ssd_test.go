@@ -27,8 +27,8 @@ func testConfig() Config {
 // at address 0 (covering the SQE/CQE ring addresses the controller touches
 // and every buffer the tests DMA to), so tests can aim PRPs at mapped and
 // unmapped addresses.
-func testFabric(counters *stats.Set) *pcie.Fabric {
-	f := pcie.NewFabric(counters, "host")
+func testFabric(reg *stats.Registry) *pcie.Fabric {
+	f := pcie.NewFabric(reg, "host")
 	f.Attach("host", pcie.Gen3x4, 300*units.Nanosecond)
 	if _, err := f.MapWindow(pcie.Window{
 		Name: "host-dram", Base: 0, Size: 256 << 20, Endpoint: "host", Sink: pcie.NullSink,
@@ -47,8 +47,8 @@ func newController(t *testing.T, mutate func(*Config)) *Controller {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	counters := stats.NewSet()
-	c, err := New(cfg, counters, testFabric(counters))
+	reg := stats.NewRegistry()
+	c, err := New(cfg, reg, testFabric(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

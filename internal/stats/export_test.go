@@ -43,23 +43,21 @@ func buildExportRegistry(data []byte, nan bool) *Registry {
 		r.EnableSeries(int64(1 + next()*50))
 	}
 	for len(data) > 0 {
-		op := next() % 8
+		op := next() % 7
 		name := exportNames[next()%len(exportNames)]
 		t := int64(next() * 37)
 		i := exportInts[next()%len(exportInts)]
 		f := exportFloats[next()%len(exportFloats)]
 		switch op {
 		case 0:
-			r.Counters().Add(name, i)
-		case 1:
 			r.TimedCounter(name).Add(t, i)
-		case 2:
+		case 1:
 			r.Latency(name).Observe(t, i)
-		case 3:
+		case 2:
 			r.Sampler(name).Sample(t, f)
-		case 4:
+		case 3:
 			r.Histogram(name).Record(i)
-		case 5:
+		case 4:
 			r.Gauge(name).Sample(t, f)
 		default:
 			r.AddSLO(SLOConfig{
@@ -130,7 +128,6 @@ func TestMergeAllocsIndependentOfWindows(t *testing.T) {
 		src.AddSLO(SLOConfig{Name: "all", Metric: "lat", TargetPS: 50, Budget: 0.1})
 		for i := 0; i < windows; i++ {
 			at := int64(i * 10)
-			src.Counters().Add("raw", 1)
 			src.TimedCounter("timed").Add(at, 1)
 			src.Latency("lat").Observe(at, int64(i%100))
 			src.Sampler("util").Sample(at, float64(i%7)/7)

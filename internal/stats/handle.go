@@ -28,7 +28,7 @@ func (l Latency) Observe(t, v int64) {
 	r.histLocked(m).d.record(v)
 	widx := int64(0)
 	if s := r.series; s != nil {
-		widx = r.advanceLocked(t)
+		widx = s.windowIdx(t)
 		s.cell(widx).hist(m.id).record(v)
 	}
 	for _, o := range m.slos {
@@ -53,13 +53,13 @@ func (p Sampler) Sample(t int64, v float64) {
 	defer r.mu.Unlock()
 	r.gaugeLocked(p.id).d.sample(t, v)
 	if s := r.series; s != nil {
-		widx := r.advanceLocked(t)
-		s.cell(widx).gauge(p.id).sample(t, v)
+		s.cell(s.windowIdx(t)).gauge(p.id).sample(t, v)
 	}
 }
 
 // TimedCounter is a resolved handle on one counter of a registry,
-// written with the virtual time of each increment.
+// written with the virtual time of each increment. It is the only way to
+// write a registry's counters; Counters is their read side.
 type TimedCounter struct {
 	r  *Registry
 	id metricID
@@ -70,20 +70,15 @@ func (r *Registry) TimedCounter(name string) TimedCounter {
 	return TimedCounter{r: r, id: metricIDs.ID(name)}
 }
 
-// Add increments the counter by v at virtual time t. Identical to a raw
-// Set write when the series is off; with it on, the increment is
-// attributed exactly to t's window (unlike raw Set writes, which are
-// charged to windows by boundary deltas), and the boundary snapshot is
-// advanced past it so the delta mechanism never double-counts it.
+// Add increments the counter by v at virtual time t. With the series on,
+// the increment is also charged to t's window, whatever order the writes
+// come in.
 func (c TimedCounter) Add(t, v int64) {
 	r := c.r
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s := r.series; s != nil {
-		widx := r.advanceLocked(t)
-		s.cell(widx).addCounter(c.id, v)
-		s.lastSnap = grow(s.lastSnap, c.id, len(r.counters.vals))
-		s.lastSnap[c.id] += v
+		s.cell(s.windowIdx(t)).addCounter(c.id, v)
 	}
 	r.counters.slot(c.id).add(v)
 }

@@ -5,8 +5,6 @@ import (
 	"io"
 	"math/rand"
 	"testing"
-
-	"morpheus/internal/units"
 )
 
 // scriptTarget is what a registry script drives: a Registry through
@@ -14,8 +12,6 @@ import (
 // call, or the refRegistry model.
 type scriptTarget interface {
 	enableSeries(windowPS int64)
-	add(name string, v int64) // a raw Set write
-	addBytes(name string, v units.Bytes)
 	addAt(name string, t, v int64)
 	observe(name string, t, v int64)
 	sample(name string, t int64, v float64)
@@ -27,8 +23,8 @@ type scriptTarget interface {
 
 // runScript runs a registry script from data on a fresh target. The first
 // bytes choose whether the series is on and its width, then each group of
-// bytes is one operation: raw Set writes, timed counter writes, latency
-// observations and gauge samples at out-of-order times, SLO
+// bytes is one operation: counter writes, latency observations and gauge
+// samples at out-of-order times, SLO
 // registrations, an occasional Reset, and a Merge of 1–4 sources built
 // from the bytes that follow, folded in order.
 func runScript(data []byte, fresh func() scriptTarget) scriptTarget {
@@ -45,27 +41,23 @@ func runScript(data []byte, fresh func() scriptTarget) scriptTarget {
 		r.enableSeries(int64(1 + next()*50))
 	}
 	for len(data) > 0 {
-		op := next() % 9
+		op := next() % 7
 		name := exportNames[next()%len(exportNames)]
 		t := int64(next() * 37)
 		i := exportInts[next()%len(exportInts)]
 		f := exportFloats[next()%len(exportFloats)]
 		switch op {
 		case 0:
-			r.add(name, i)
-		case 1:
-			r.addBytes(name, units.Bytes(i))
-		case 2:
 			r.addAt(name, t, i)
-		case 3:
+		case 1:
 			r.observe(name, t, i)
-		case 4:
+		case 2:
 			r.sample(name, t, f)
-		case 5:
+		case 3:
 			if i%3 == 0 {
 				r.reset()
 			}
-		case 6:
+		case 4:
 			for n := 1 + int(t)%4; n > 0; n-- {
 				size := min(next()%16, len(data))
 				r.merge(runScript(data[:size], fresh))
@@ -91,7 +83,6 @@ type regScript struct {
 }
 
 type scriptHandles struct {
-	raw   Counter
 	timed TimedCounter
 	lat   Latency
 	gauge Sampler
@@ -102,29 +93,13 @@ func newRegScript(handles bool) scriptTarget {
 	if handles {
 		s.handles = map[string]scriptHandles{}
 		for _, n := range exportNames {
-			s.handles[n] = scriptHandles{s.r.Counters().Counter(n), s.r.TimedCounter(n), s.r.Latency(n), s.r.Sampler(n)}
+			s.handles[n] = scriptHandles{s.r.TimedCounter(n), s.r.Latency(n), s.r.Sampler(n)}
 		}
 	}
 	return s
 }
 
 func (s *regScript) enableSeries(w int64) { s.r.EnableSeries(w) }
-
-func (s *regScript) add(name string, v int64) {
-	if h, ok := s.handles[name]; ok {
-		h.raw.Add(v)
-	} else {
-		s.r.Counters().Add(name, v)
-	}
-}
-
-func (s *regScript) addBytes(name string, v units.Bytes) {
-	if h, ok := s.handles[name]; ok {
-		h.raw.AddBytes(v)
-	} else {
-		s.r.Counters().AddBytes(name, v)
-	}
-}
 
 func (s *regScript) addAt(name string, t, v int64) {
 	if h, ok := s.handles[name]; ok {
@@ -222,21 +197,19 @@ func TestRegistryHandlesMatchModel(t *testing.T) {
 }
 
 // TestObserveAllocsZero: with the series and an SLO on, observing,
-// sampling and counting through handles inside an open window allocates
-// nothing — no name is built or hashed, and the window's entries are
-// reached through the cached open cell.
+// sampling and counting through handles in a window already touched
+// allocates nothing — no name is built or hashed, and the window's entries
+// are reached through the cached last cell.
 func TestObserveAllocsZero(t *testing.T) {
 	r := NewRegistry()
 	r.EnableSeries(1000)
 	r.AddSLO(SLOConfig{Name: "all", Metric: "lat", TargetPS: 50, Budget: 0.1})
 	lat, gauge, timed := r.Latency("lat"), r.Sampler("util"), r.TimedCounter("timed")
-	raw := r.Counters().Counter("raw")
 	const at = 5*1000 + 10
 	step := func() {
 		lat.Observe(at, 42)
 		gauge.Sample(at, 0.5)
 		timed.Add(at, 1)
-		raw.Add(1)
 	}
 	step() // opens window 5 and creates its entries
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {

@@ -214,17 +214,19 @@ func TestGaugeMergeLastIsTemporal(t *testing.T) {
 }
 
 func TestSetMergeAndSnapshot(t *testing.T) {
-	a, b := NewSet(), NewSet()
-	a.Add("x", 1)
-	b.Add("x", 2)
-	b.Add("y", 5)
-	a.Merge(b)
+	ra, rb := NewRegistry(), NewRegistry()
+	ra.TimedCounter("x").Add(0, 1)
+	rb.TimedCounter("x").Add(0, 2)
+	rb.TimedCounter("y").Add(0, 5)
+	a := NewSet()
+	a.Merge(ra.Counters())
+	a.Merge(rb.Counters())
 	a.Merge(nil)
 	if a.Get("x") != 3 || a.Get("y") != 5 {
 		t.Fatalf("merge: x=%d y=%d", a.Get("x"), a.Get("y"))
 	}
 	snap := a.Snapshot()
-	a.Add("x", 100)
+	a.Merge(ra.Counters())
 	if snap.Get("x") != 3 {
 		t.Fatal("snapshot must not see later writes")
 	}
@@ -252,8 +254,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 
 func TestRegistryMerge(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Counters().Add("c", 1)
-	b.Counters().Add("c", 2)
+	a.TimedCounter("c").Add(0, 1)
+	b.TimedCounter("c").Add(0, 2)
 	a.Histogram("h").Record(10)
 	b.Histogram("h").Record(20)
 	b.Gauge("g").Sample(0, 1)
@@ -272,7 +274,7 @@ func TestRegistryMerge(t *testing.T) {
 
 func TestWriteJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counters().Add("c", 7)
+	r.TimedCounter("c").Add(0, 7)
 	r.Histogram("h").Record(100)
 	r.Gauge("g").Sample(10, 2.5)
 	var buf bytes.Buffer

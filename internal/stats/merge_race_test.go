@@ -11,8 +11,8 @@ import (
 // makeRegistry builds a registry with every metric kind populated.
 func makeRegistry(n int64) *Registry {
 	r := NewRegistry()
-	r.Counters().Add("c.a", n)
-	r.Counters().Add("c.b", 2*n)
+	r.TimedCounter("c.a").Add(n, n)
+	r.TimedCounter("c.b").Add(n, 2*n)
 	r.Histogram("h").Record(n)
 	r.Gauge("g").Sample(n, float64(n))
 	return r
@@ -195,7 +195,7 @@ func TestMergeSelfIsNoop(t *testing.T) {
 func TestMergeFoldOrderMatchesSequential(t *testing.T) {
 	point := func(i int64) *Registry {
 		p := NewRegistry()
-		p.Counters().Add("c", i)
+		p.TimedCounter("c").Add(i, i)
 		p.Histogram("h").Record(i * 10)
 		// Several samples per point, so the gauge's time-weighted
 		// integral is exercised through the merge.

@@ -5,17 +5,14 @@ import (
 	"io"
 	"math"
 	"sort"
-
-	"morpheus/internal/units"
 )
 
 // refRegistry is a map-keyed model of a Registry, the oracle the handle
 // fuzzer holds registries to. It keys every metric by name and every
-// series window by index in plain maps, keeps each latency metric's raw
-// observations instead of buckets, and charges raw counter writes to
-// windows by diffing a name-keyed boundary snapshot, so it shares none of
-// the registry's dense storage, window lists or counter-slice diff. Only
-// gauges reuse the standalone Gauge, whose float fold is the artifact's.
+// series window by index in plain maps and keeps each latency metric's raw
+// observations instead of buckets, so it shares none of the registry's
+// dense storage, window lists or window cache. Only gauges reuse the
+// standalone Gauge, whose float fold is the artifact's.
 type refRegistry struct {
 	counters map[string]int64
 	hists    map[string][]int64
@@ -25,10 +22,8 @@ type refRegistry struct {
 }
 
 type refSeries struct {
-	window   int64
-	cells    map[int64]*refCell
-	lastSnap map[string]int64 // counter values at the last closed boundary
-	cur      int64            // open window index
+	window int64
+	cells  map[int64]*refCell
 }
 
 type refCell struct {
@@ -48,7 +43,7 @@ func newRefRegistry() *refRegistry {
 }
 
 func newRefSeries(window int64) *refSeries {
-	return &refSeries{window: window, cells: map[int64]*refCell{}, lastSnap: map[string]int64{}}
+	return &refSeries{window: window, cells: map[int64]*refCell{}}
 }
 
 func (s *refSeries) cell(idx int64) *refCell {
@@ -76,37 +71,12 @@ func (r *refRegistry) enableSeries(window int64) {
 	}
 }
 
-// advance rolls the open window forward to t's, charging raw counter
-// writes since the last boundary to the window it closes, and returns
-// t's window.
-func (r *refRegistry) advance(t int64) int64 {
-	s := r.series
-	idx := max(t, 0) / s.window
-	if idx > s.cur {
-		r.closeWindow()
-		s.cur = idx
-	}
-	return idx
-}
-
-func (r *refRegistry) closeWindow() {
-	s := r.series
-	for name, v := range r.counters {
-		if d := v - s.lastSnap[name]; d != 0 {
-			s.cell(s.cur).counters[name] += d
-			s.lastSnap[name] = v
-		}
-	}
-}
-
-func (r *refRegistry) add(name string, v int64) { r.counters[name] += v }
-
-func (r *refRegistry) addBytes(name string, v units.Bytes) { r.add(name, int64(v)) }
+// cellAt returns the cell of t's window.
+func (s *refSeries) cellAt(t int64) *refCell { return s.cell(max(t, 0) / s.window) }
 
 func (r *refRegistry) addAt(name string, t, v int64) {
 	if s := r.series; s != nil {
-		s.cell(r.advance(t)).counters[name] += v
-		s.lastSnap[name] += v
+		s.cellAt(t).counters[name] += v
 	}
 	r.counters[name] += v
 }
@@ -115,7 +85,7 @@ func (r *refRegistry) observe(name string, t, v int64) {
 	r.hists[name] = append(r.hists[name], v)
 	widx := int64(0)
 	if s := r.series; s != nil {
-		widx = r.advance(t)
+		widx = max(t, 0) / s.window
 		c := s.cell(widx)
 		c.hists[name] = append(c.hists[name], v)
 	}
@@ -135,7 +105,7 @@ func (r *refRegistry) observe(name string, t, v int64) {
 func (r *refRegistry) sample(name string, t int64, v float64) {
 	gaugeIn(r.gauges, name).Sample(t, v)
 	if s := r.series; s != nil {
-		gaugeIn(s.cell(r.advance(t)).gauges, name).Sample(t, v)
+		gaugeIn(s.cellAt(t).gauges, name).Sample(t, v)
 	}
 }
 
@@ -175,13 +145,11 @@ func (r *refRegistry) reset() {
 	}
 }
 
-// merge folds o, another refRegistry, into r: o's windows (after closing
-// its open counter window) into r's by index, its counters into r's and,
-// so r never charges them to a window again, into r's boundary snapshot.
+// merge folds o, another refRegistry, into r: o's windows into r's by
+// index and its run-wide metrics into r's.
 func (r *refRegistry) merge(src scriptTarget) {
 	o := src.(*refRegistry)
 	if so := o.series; so != nil {
-		o.closeWindow()
 		if r.series == nil {
 			r.series = newRefSeries(so.window)
 		}
@@ -200,9 +168,6 @@ func (r *refRegistry) merge(src scriptTarget) {
 	}
 	for name, v := range o.counters {
 		r.counters[name] += v
-		if r.series != nil {
-			r.series.lastSnap[name] += v
-		}
 	}
 	for _, src := range o.slos {
 		dst := r.slo(src.cfg)
@@ -319,7 +284,6 @@ func (r *refRegistry) writeSeriesJSON(w io.Writer) error {
 	if s == nil {
 		return ErrNoSeries
 	}
-	r.closeWindow()
 	seen := map[int64]bool{}
 	for idx := range s.cells {
 		seen[idx] = true

@@ -163,7 +163,6 @@ func oracleWriteSeriesJSON(r *Registry, w io.Writer) error {
 	if r.series == nil {
 		return ErrNoSeries
 	}
-	r.closeCounterWindowLocked()
 	s := r.series
 	out := seriesFileJSON{WindowPS: s.window, Windows: []seriesWindowJSON{}}
 	for _, idx := range r.seriesWindowsLocked() {

@@ -16,9 +16,9 @@ import (
 // Safe for concurrent use.
 //
 // Metrics live in dense slices indexed by interned metric ID. Hot paths
-// resolve a name once to a handle (Latency, Sampler, TimedCounter, or
-// Set.Counter for raw counter writes) and observe through it: one lock,
-// no name hashing. A caller that writes rarely may resolve per call
+// resolve a name once to a handle (Latency, Sampler, TimedCounter) and
+// observe through it: one lock, no name hashing. Every write carries its
+// virtual time. A caller that writes rarely may resolve per call
 // (Latency(name).Observe). Resolving a handle adds nothing to any
 // artifact; only an observation does.
 type Registry struct {
@@ -50,8 +50,8 @@ func NewRegistry() *Registry {
 	return &Registry{seq: registrySeq.Add(1), counters: NewSet()}
 }
 
-// Counters returns the registry's counter set. The models write to it
-// directly; Set is the same type they always used.
+// Counters returns the registry's counter set, the read side of its
+// TimedCounter writes.
 func (r *Registry) Counters() *Set { return r.counters }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -131,7 +131,6 @@ func (r *Registry) Merge(o *Registry) {
 	defer second.mu.Unlock()
 
 	if so := o.series; so != nil {
-		o.closeCounterWindowLocked()
 		if r.series == nil {
 			r.series = newSeries(so.window)
 		}
@@ -139,19 +138,7 @@ func (r *Registry) Merge(o *Registry) {
 			r.series.mergeCell(idx, src)
 		}
 	}
-	for id, c := range o.counters.vals {
-		if !c.set {
-			continue
-		}
-		r.counters.slot(metricID(id)).add(c.v)
-		if s := r.series; s != nil {
-			// The source already attributed these totals to windows;
-			// raise the receiver's boundary snapshot past them so its
-			// own next window close doesn't re-attribute them.
-			s.lastSnap = grow(s.lastSnap, metricID(id), 0)
-			s.lastSnap[id] += c.v
-		}
-	}
+	r.counters.Merge(o.counters)
 	for _, src := range o.slos {
 		r.addSLOLocked(src.cfg).merge(src)
 	}

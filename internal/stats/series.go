@@ -9,37 +9,25 @@ import (
 )
 
 // seriesData is the windowed time-series collector a Registry grows when
-// EnableSeries is called: every latency observation, gauge sample, and
-// counter delta is additionally attributed to a fixed-width window of the
-// virtual clock (window k covers [k*W, (k+1)*W) picoseconds). Windows are
-// purely index-keyed, so merging registries from several systems — each
-// with its own virtual clock starting at zero — folds window k into
-// window k, which is exactly what the -parallel in-order fold and the
-// multi-tenant aggregation need for byte-identical emission.
-//
-// Counters have no per-write timestamps (the models write a bare *Set),
-// so windowed counter rows are boundary deltas: whenever a timed record
-// crosses into a later window, the registry diffs its counter slice
-// against the snapshot taken at the previous boundary and charges the
-// delta to the window being closed. Attribution granularity therefore
-// follows the timed-record rate (for the driver, command completions),
-// and is deterministic because each simulated system is single-threaded
-// on a deterministic clock.
+// EnableSeries is called: every counter increment, latency observation and
+// gauge sample is additionally charged to the fixed-width window of the
+// virtual clock its own time falls in (window k covers [k*W, (k+1)*W)
+// picoseconds), so where a record lands never depends on the order it was
+// written in. Windows are purely index-keyed, so merging registries from
+// several systems — each with its own virtual clock starting at zero —
+// folds window k into window k, which is exactly what the -parallel
+// in-order fold and the multi-tenant aggregation need for byte-identical
+// emission.
 //
 // All access is guarded by the owning Registry's mutex; seriesData has no
 // lock of its own.
 type seriesData struct {
 	window int64 // window width in picoseconds (> 0)
 	cells  map[int64]*seriesCell
-	// lastSnap holds the counter values at the last closed boundary (plus
-	// every merged-in source's totals, so a receiver's own deltas never
-	// re-attribute counters a Merge already placed into windows), by
-	// metricID.
-	lastSnap []int64
-	cur      int64 // open window index (monotone)
-	// curCell is cells[cur] once it exists: in-order observations reach
-	// the open window without a map lookup.
-	curCell *seriesCell
+	// lastCell is cells[lastIdx], the window last touched: a run of
+	// records in one window reaches it without a map lookup.
+	lastIdx  int64
+	lastCell *seriesCell
 }
 
 // seriesCell is one window's worth of metrics: for each kind, only the
@@ -145,51 +133,16 @@ func (s *seriesData) windowIdx(t int64) int64 {
 
 // cell returns window idx's cell, creating it on first use.
 func (s *seriesData) cell(idx int64) *seriesCell {
-	if idx == s.cur && s.curCell != nil {
-		return s.curCell
+	if idx == s.lastIdx && s.lastCell != nil {
+		return s.lastCell
 	}
 	c := s.cells[idx]
 	if c == nil {
 		c = &seriesCell{}
 		s.cells[idx] = c
 	}
-	if idx == s.cur {
-		s.curCell = c
-	}
+	s.lastIdx, s.lastCell = idx, c
 	return c
-}
-
-// advanceLocked rolls the open counter window forward to the one holding
-// t, charging the counter delta since the last boundary to the window
-// being closed, and returns t's window index. Caller holds r.mu.
-func (r *Registry) advanceLocked(t int64) int64 {
-	s := r.series
-	idx := s.windowIdx(t)
-	if idx > s.cur {
-		r.closeCounterWindowLocked()
-		s.cur, s.curCell = idx, nil
-	}
-	return idx
-}
-
-// closeCounterWindowLocked charges counters accumulated since the last
-// boundary to the currently open window: a diff of the counter slice
-// against the boundary snapshot. Caller holds r.mu.
-func (r *Registry) closeCounterWindowLocked() {
-	s := r.series
-	vals := r.counters.vals
-	for id, c := range vals {
-		var last int64
-		if id < len(s.lastSnap) {
-			last = s.lastSnap[id]
-		}
-		if !c.set || c.v == last {
-			continue
-		}
-		s.cell(s.cur).addCounter(metricID(id), c.v-last)
-		s.lastSnap = grow(s.lastSnap, metricID(id), len(vals))
-		s.lastSnap[id] = c.v
-	}
 }
 
 // ErrNoSeries is returned by WriteSeriesJSON when windowed collection was
@@ -308,7 +261,6 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 	if r.series == nil {
 		return ErrNoSeries
 	}
-	r.closeCounterWindowLocked()
 	s := r.series
 	sloKeys := sortedNames(nil, r.slos)
 	slos := make([]*sloState, len(sloKeys))

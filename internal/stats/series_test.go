@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -68,42 +69,38 @@ func TestSeriesWindowAttribution(t *testing.T) {
 	}
 }
 
-func TestSeriesCounterDeltas(t *testing.T) {
+// TestSeriesCounterOwnWindows: counter increments written out of time
+// order, interleaved with latency observations that jump between windows,
+// each land in the window of their own time, and the windows sum to the
+// run-wide counter.
+func TestSeriesCounterOwnWindows(t *testing.T) {
 	r := NewRegistry()
 	r.EnableSeries(100)
-	// Models bump the raw counter set without timestamps; the timed
-	// records carry the clock that closes windows.
-	r.Counters().Add("cmds", 3)
-	r.Latency("lat").Observe(50, 1) // still window 0
-	r.Counters().Add("cmds", 4)
-	r.TimedCounter("retries").Add(150, 1) // crossing into window 1 closes window 0
-	r.Counters().Add("cmds", 5)
-	r.Latency("lat").Observe(450, 1) // crossing into window 4 closes window 1
+	cmds, lat := r.TimedCounter("cmds"), r.Latency("lat")
+	cmds.Add(250, 3)
+	lat.Observe(450, 1)
+	cmds.Add(50, 4) // behind the latest observation
+	lat.Observe(10, 1)
+	cmds.Add(460, 5)
+	cmds.Add(120, 6)
+	lat.Observe(130, 1)
+	cmds.Add(-5, 7) // a negative time lands in window 0
+	cmds.Add(199, 2)
 	f := decodeSeries(t, r)
-	byStart := map[int64]seriesWindowJSON{}
-	for _, w := range f.Windows {
-		byStart[w.StartPS] = w
-	}
-	if got := byStart[0].Counters["cmds"]; got != 7 {
-		t.Fatalf("window 0 cmds delta = %d, want 7 (3 pre + 4 until boundary)", got)
-	}
-	if got := byStart[100].Counters["cmds"]; got != 5 {
-		t.Fatalf("window 1 cmds delta = %d, want 5", got)
-	}
-	// A timed counter lands in t's own window, not the one open before it.
-	if got := byStart[100].Counters["retries"]; got != 1 {
-		t.Fatalf("window 1 retries = %d, want 1", got)
-	}
-	if got, ok := byStart[0].Counters["retries"]; ok {
-		t.Fatalf("window 0 retries = %d, want none", got)
-	}
-	// Window deltas must sum to the cumulative counter.
+	got := map[int64]int64{}
 	var sum int64
 	for _, w := range f.Windows {
-		sum += w.Counters["cmds"]
+		if v, ok := w.Counters["cmds"]; ok {
+			got[w.StartPS] = v
+			sum += v
+		}
 	}
-	if sum != r.Counters().Get("cmds") {
-		t.Fatalf("window deltas sum %d != cumulative %d", sum, r.Counters().Get("cmds"))
+	want := map[int64]int64{0: 11, 100: 8, 200: 3, 400: 5}
+	if !maps.Equal(got, want) {
+		t.Fatalf("cmds by window start = %v, want %v", got, want)
+	}
+	if total := r.Counters().Get("cmds"); sum != total {
+		t.Fatalf("windows sum to %d, run-wide counter is %d", sum, total)
 	}
 }
 
@@ -151,7 +148,7 @@ func TestSeriesMergeDeterministicBytes(t *testing.T) {
 			p.Latency("a.lat").Observe(i*30, i)
 			p.Latency("b.lat").Observe(i*40, i*3)
 			p.Sampler("g").Sample(i*25, float64(i)/2)
-			p.Counters().Add("n", i)
+			p.TimedCounter("n").Add(i*20, i)
 			p.TimedCounter("m").Add(i*30, 1)
 			agg.Merge(p)
 		}
@@ -209,7 +206,7 @@ func TestSchemaUnchangedWhenSeriesOff(t *testing.T) {
 	// A default registry's JSON must not mention the new keys at all.
 	r := NewRegistry()
 	r.Histogram("h").Record(1)
-	r.Counters().Add("c", 1)
+	r.TimedCounter("c").Add(1, 1)
 	r.Gauge("g").Sample(1, 1)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {

@@ -16,19 +16,17 @@ import (
 // Counter names used across the simulator. Models may define additional
 // ad-hoc counters; these are the ones the experiment harness depends on.
 const (
-	CtxSwitches     = "os.context_switches"
-	Syscalls        = "os.syscalls"
-	PageFaults      = "os.page_faults"
-	PCIeHostBytes   = "pcie.host_bytes"   // device <-> host DRAM
-	PCIeP2PBytes    = "pcie.p2p_bytes"    // device <-> device
-	MemBusBytes     = "membus.bytes"      // CPU-memory bus traffic
-	FlashReadBytes  = "flash.read_bytes"  // bytes read from NAND
-	FlashWriteBytes = "flash.write_bytes" // bytes programmed to NAND
-	NVMeCommands    = "nvme.commands"
-	MorphCommands   = "nvme.morpheus_commands"
-	StorageAppCyc   = "ssd.storageapp_cycles"
-	HostParseCyc    = "host.parse_cycles"
-	DMATransfers    = "dma.transfers"
+	CtxSwitches   = "os.context_switches"
+	Syscalls      = "os.syscalls"
+	PageFaults    = "os.page_faults"
+	PCIeHostBytes = "pcie.host_bytes" // device <-> host DRAM
+	PCIeP2PBytes  = "pcie.p2p_bytes"  // device <-> device
+	MemBusBytes   = "membus.bytes"    // CPU-memory bus traffic
+	NVMeCommands  = "nvme.commands"
+	MorphCommands = "nvme.morpheus_commands"
+	StorageAppCyc = "ssd.storageapp_cycles"
+	HostParseCyc  = "host.parse_cycles"
+	DMATransfers  = "dma.transfers"
 
 	// Hot-extent object cache (internal/ssd/cache.go). Written only when
 	// the cache is enabled, so default-off runs keep their exact schema.
@@ -59,10 +57,10 @@ const (
 const HostSubmitOverhead = "host.submit.overhead_ps"
 
 // Set is a bag of named int64 counters, stored densely by interned metric
-// ID. The zero value is not usable; call NewSet. A Set is NOT safe for
-// concurrent use: each simulated system writes its own set
-// single-threaded, and cross-set aggregation goes through Registry.Merge,
-// which synchronizes at the registry level.
+// ID: the read side of a registry's counters, which are written only
+// through TimedCounter, and a plain accumulator for folding several
+// systems' counters (Merge). The zero value is not usable; call NewSet. A
+// Set is NOT safe for concurrent use.
 type Set struct {
 	vals []counterVal // by metricID
 }
@@ -90,33 +88,6 @@ func (s *Set) slot(id metricID) *counterVal {
 	return &s.vals[id]
 }
 
-// Counter is a resolved handle on one counter of a Set: Add is a slice
-// index, with no name hashing. Resolving does not write the counter, so
-// it appears in no artifact until the first Add.
-type Counter struct {
-	s  *Set
-	id metricID
-}
-
-// Counter resolves counter name to a handle.
-func (s *Set) Counter(name string) Counter {
-	id := metricIDs.ID(name)
-	s.slot(id)
-	return Counter{s: s, id: id}
-}
-
-// Add increments the counter by v.
-func (c Counter) Add(v int64) { c.s.vals[c.id].add(v) }
-
-// AddBytes increments the counter by a byte count.
-func (c Counter) AddBytes(v units.Bytes) { c.s.vals[c.id].add(int64(v)) }
-
-// Add increments counter name by v.
-func (s *Set) Add(name string, v int64) { s.slot(metricIDs.ID(name)).add(v) }
-
-// AddBytes increments counter name by a byte count.
-func (s *Set) AddBytes(name string, v units.Bytes) { s.Add(name, int64(v)) }
-
 // Get returns the value of counter name (zero if never written).
 func (s *Set) Get(name string) int64 { return getCounter(s.vals, name) }
 
@@ -130,7 +101,7 @@ func getCounter(vals []counterVal, name string) int64 {
 	return 0
 }
 
-// Reset clears all counters. Resolved handles stay valid.
+// Reset clears all counters.
 func (s *Set) Reset() { clear(s.vals) }
 
 // Merge adds every counter from o into s. Aggregating per-tenant sets

@@ -8,10 +8,11 @@ import (
 )
 
 func TestCounters(t *testing.T) {
-	s := NewSet()
-	s.Add(CtxSwitches, 3)
-	s.Add(CtxSwitches, 4)
-	s.AddBytes(MemBusBytes, 1024)
+	r := NewRegistry()
+	s := r.Counters()
+	r.TimedCounter(CtxSwitches).Add(0, 3)
+	r.TimedCounter(CtxSwitches).Add(10, 4)
+	r.TimedCounter(MemBusBytes).Add(20, 1024)
 	if s.Get(CtxSwitches) != 7 {
 		t.Fatalf("ctx = %d", s.Get(CtxSwitches))
 	}
@@ -28,9 +29,10 @@ func TestCounters(t *testing.T) {
 }
 
 func TestNamesSortedAndString(t *testing.T) {
-	s := NewSet()
-	s.Add("b.counter", 1)
-	s.Add("a.counter", 2)
+	r := NewRegistry()
+	r.TimedCounter("b.counter").Add(0, 1)
+	r.TimedCounter("a.counter").Add(0, 2)
+	s := r.Counters()
 	names := s.Names()
 	if len(names) != 2 || names[0] != "a.counter" || names[1] != "b.counter" {
 		t.Fatalf("names = %v", names)
