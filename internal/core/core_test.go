@@ -253,6 +253,18 @@ func TestP2PRequiresBAR(t *testing.T) {
 	}
 }
 
+// TestNoCoresIsAnError: a host CPU without cores is a configuration
+// error from NewSystem, not a panic from building its core pool.
+func TestNoCoresIsAnError(t *testing.T) {
+	for _, cores := range []int{0, -1} {
+		cfg := DefaultSystemConfig()
+		cfg.CPU.Cores = cores
+		if sys, err := NewSystem(cfg); err == nil || sys != nil {
+			t.Errorf("NewSystem with %d cores = %v, %v; want an error", cores, sys, err)
+		}
+	}
+}
+
 func TestSerializeStorageApp(t *testing.T) {
 	// MWRITE direction: binary int32 objects -> decimal text on flash.
 	serSrc := `

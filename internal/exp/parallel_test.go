@@ -66,8 +66,9 @@ func renderTables(tables []*Table) string {
 }
 
 // observedRun executes one experiment with a tracer and registry wired in
-// and returns the rendered tables, the metrics JSON, and the trace events.
-func observedRun(t *testing.T, run func(Options) ([]*Table, error), o Options) (string, []byte, []trace.Event) {
+// and returns the rendered tables, the metrics JSON, the series JSON (nil
+// unless o.MetricsWindow is set), and the trace events.
+func observedRun(t *testing.T, run func(Options) ([]*Table, error), o Options) (string, []byte, []byte, []trace.Event) {
 	t.Helper()
 	o.Trace = trace.New(0)
 	o.Metrics = stats.NewRegistry()
@@ -79,7 +80,13 @@ func observedRun(t *testing.T, run func(Options) ([]*Table, error), o Options) (
 	if err := o.Metrics.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	return renderTables(tables), js.Bytes(), o.Trace.Events()
+	var series bytes.Buffer
+	if o.MetricsWindow > 0 {
+		if err := o.Metrics.WriteSeriesJSON(&series); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return renderTables(tables), js.Bytes(), series.Bytes(), o.Trace.Events()
 }
 
 // TestParallelMatchesSequential is the contract the -parallel flag
@@ -112,9 +119,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 				o.Array = tc.array
 
 				o.Parallel = 1
-				seqTable, seqJSON, seqEvents := observedRun(t, run, o)
+				seqTable, seqJSON, _, seqEvents := observedRun(t, run, o)
 				o.Parallel = 8
-				parTable, parJSON, parEvents := observedRun(t, run, o)
+				parTable, parJSON, _, parEvents := observedRun(t, run, o)
 
 				if seqTable != parTable {
 					t.Errorf("table diverged:\nsequential:\n%s\nparallel:\n%s", seqTable, parTable)
@@ -258,7 +265,7 @@ func TestRunPointsOrderAndFold(t *testing.T) {
 	// point index and reading it back after every merge exposes the order.
 	vals, err := runPoints(o, 16, func(i int, po Options) (int, error) {
 		po.Metrics.TimedCounter("points").Add(0, 1)
-		po.Metrics.Gauge("order").Sample(int64(i), float64(i))
+		po.Metrics.Sampler("order").Sample(int64(i), float64(i))
 		po.Trace.Span(trace.Intern("t"), trace.Intern("p"), trace.Detail{}, 0, 0, 1)
 		mu.Lock()
 		foldOrder = append(foldOrder, int64(i))

@@ -8,6 +8,7 @@ import (
 
 	"morpheus/internal/sim"
 	"morpheus/internal/trace"
+	"morpheus/internal/units"
 )
 
 // shardParArray is the E17 slice the shard-parallel battery runs: a
@@ -23,23 +24,29 @@ func shardParArray(o Options) ([]*Table, error) {
 
 // TestShardParallelMatches is the experiment-level arm of the
 // conservative-window contract: E17 renders the same table, the same
-// aggregate metrics JSON, and the same adopted trace (span IDs included)
-// whether its worker budget leaves every shard on one slot or funds all
-// eight, and under the point fan-out too, so the shared budget is
-// exercised with both layers live.
+// aggregate metrics and series JSON, and the same adopted trace (span IDs
+// included) whether its worker budget leaves every shard on one slot or
+// funds all eight, and under the point fan-out too, so the shared budget
+// is exercised with both layers live.
+//
+// It is also the race battery for single-writer registries: with eight
+// tokens, eight shard goroutines each write counters, latencies, gauges,
+// series windows and SLO windows into their own registry with no lock,
+// and -race fails if any two goroutines ever share one.
 func TestShardParallelMatches(t *testing.T) {
 	o := testOptions()
 	o.Scale = 1.0 / 8192
+	o.MetricsWindow = 100 * units.Microsecond
 
 	var wantTable string
-	var wantJSON []byte
+	var wantJSON, wantSeries []byte
 	var wantEvents []trace.Event
 	for _, tokens := range []int{1, 8} {
 		for _, par := range []int{1, 4} {
 			label := fmt.Sprintf("budget=%d parallel=%d", tokens, par)
 			o.Parallel = par
 			o.budget = sim.NewWorkerBudget(tokens)
-			table, js, events := observedRun(t, shardParArray, o)
+			table, js, series, events := observedRun(t, shardParArray, o)
 			if tokens == 8 && par == 1 {
 				// One point at a time holds one token and scavenges the
 				// other seven for its shards.
@@ -48,7 +55,7 @@ func TestShardParallelMatches(t *testing.T) {
 				}
 			}
 			if wantJSON == nil {
-				wantTable, wantJSON, wantEvents = table, js, events
+				wantTable, wantJSON, wantSeries, wantEvents = table, js, series, events
 				continue
 			}
 			if table != wantTable {
@@ -57,9 +64,17 @@ func TestShardParallelMatches(t *testing.T) {
 			if !bytes.Equal(js, wantJSON) {
 				t.Errorf("%s: metrics JSON diverged", label)
 			}
+			if !bytes.Equal(series, wantSeries) {
+				t.Errorf("%s: series JSON diverged", label)
+			}
 			if !reflect.DeepEqual(events, wantEvents) {
 				t.Errorf("%s: trace diverged", label)
 			}
+		}
+	}
+	for _, kind := range []string{"counters", "histograms", "gauges", "slos"} {
+		if !bytes.Contains(wantSeries, []byte(`"`+kind+`": {`)) {
+			t.Errorf("no series window holds %s, so the race battery does not write them", kind)
 		}
 	}
 }

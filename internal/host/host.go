@@ -90,8 +90,12 @@ const EndpointName = "host"
 // DRAMBase is where host DRAM lives in the fabric address map.
 const DRAMBase pcie.Addr = 0x0000_0000_0000
 
-// New builds a host and registers its DRAM window on the fabric.
+// New builds a host and registers its DRAM window on the fabric. A CPU
+// without cores is an error.
 func New(cpu CPUConfig, osCosts OSCosts, mem MemConfig, reg *stats.Registry, fabric *pcie.Fabric) (*Host, error) {
+	if cpu.Cores <= 0 {
+		return nil, fmt.Errorf("host: CPU needs at least one core, got %d", cpu.Cores)
+	}
 	h := &Host{
 		CPU:         cpu,
 		OS:          osCosts,

@@ -27,8 +27,9 @@ var (
 
 // buildExportRegistry turns fuzz bytes into a registry: the first bytes
 // choose whether the series is on and its width, then each group of
-// bytes is one observation, sample, counter write or SLO registration.
-// With nan set, one gauge sample is NaN.
+// bytes is one observation, sample, counter write, SLO registration, or a
+// histogram or gauge view resolved without a write (which exports as an
+// empty metric). With nan set, one gauge sample is NaN.
 func buildExportRegistry(data []byte, nan bool) *Registry {
 	next := func() int {
 		if len(data) == 0 {
@@ -56,9 +57,9 @@ func buildExportRegistry(data []byte, nan bool) *Registry {
 		case 2:
 			r.Sampler(name).Sample(t, f)
 		case 3:
-			r.Histogram(name).Record(i)
+			r.Histogram(name)
 		case 4:
-			r.Gauge(name).Sample(t, f)
+			r.Gauge(name)
 		default:
 			r.AddSLO(SLOConfig{
 				Name: name, Metric: exportNames[next()%len(exportNames)],

@@ -10,24 +10,19 @@ type Latency struct {
 
 // Latency resolves latency metric name to a handle.
 func (r *Registry) Latency(name string) Latency {
-	id := metricIDs.ID(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Latency{r: r, m: r.latLocked(id)}
+	return Latency{r: r, m: r.lat(metricIDs.ID(name))}
 }
 
 // Observe records one latency observation v (picoseconds) at virtual time
 // t into the run-wide histogram, the window's histogram (when the series
-// is enabled), and every SLO watching the metric, under the registry's
-// one lock. With the series and SLOs off it is exactly a Record on the
-// run-wide histogram, so default runs keep their schema.
+// is enabled), and every SLO watching the metric. With the series and
+// SLOs off it touches only the run-wide histogram, so default runs keep
+// their schema.
 func (l Latency) Observe(t, v int64) {
-	r, m := l.r, l.m
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.histLocked(m).d.record(v)
+	m := l.m
+	m.hist().d.record(v)
 	widx := int64(0)
-	if s := r.series; s != nil {
+	if s := l.r.series; s != nil {
 		widx = s.windowIdx(t)
 		s.cell(widx).hist(m.id).record(v)
 	}
@@ -49,9 +44,7 @@ func (r *Registry) Sampler(name string) Sampler { return Sampler{r: r, id: metri
 // series is enabled, the window's gauge summary.
 func (p Sampler) Sample(t int64, v float64) {
 	r := p.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gaugeLocked(p.id).d.sample(t, v)
+	r.gauge(p.id).d.sample(t, v)
 	if s := r.series; s != nil {
 		s.cell(s.windowIdx(t)).gauge(p.id).sample(t, v)
 	}
@@ -75,8 +68,6 @@ func (r *Registry) TimedCounter(name string) TimedCounter {
 // come in.
 func (c TimedCounter) Add(t, v int64) {
 	r := c.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if s := r.series; s != nil {
 		s.cell(s.windowIdx(t)).addCounter(c.id, v)
 	}

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // histBuckets is one bucket per power of two of an int64, plus bucket 0
@@ -15,17 +14,17 @@ const histBuckets = 65
 // the bucket the quantile lands in (i.e. at most the true value itself,
 // since bucket width < bucket lower bound). Values are int64 — by
 // convention picoseconds for latency metrics, but any non-negative
-// quantity works. Safe for concurrent use; the zero value is ready.
+// quantity works.
 //
-// A registry's histograms share the registry's lock (reg), so a handle
-// observation takes that one lock and writes the data directly.
+// A Histogram is a read-only view of a latency metric: Latency.Observe
+// writes it through its registry, and Merge folds whole histograms, so
+// the zero value can aggregate several registries' histograms. Like its
+// registry it has one writer and takes no lock.
 type Histogram struct {
-	mu  sync.Mutex
-	reg *sync.Mutex // the owning registry's lock; nil for a standalone histogram
-	d   histData
+	d histData
 }
 
-// histData is a histogram's state without a lock; Histogram wraps it.
+// histData is a histogram's state; Histogram views it.
 type histData struct {
 	buckets [histBuckets]int64
 	histSummary
@@ -65,17 +64,6 @@ func (s *histSummary) fold(o *histSummary) {
 	s.sum += o.sum
 }
 
-// locked takes the histogram's lock and returns it for the deferred
-// unlock.
-func (h *Histogram) locked() *sync.Mutex {
-	l := &h.mu
-	if h.reg != nil {
-		l = h.reg
-	}
-	l.Lock()
-	return l
-}
-
 // bucketOf maps a value to its bucket index.
 func bucketOf(v int64) int {
 	if v <= 0 {
@@ -95,44 +83,25 @@ func bucketUpper(i int) int64 {
 	return int64(1)<<i - 1
 }
 
-// Record adds one observation.
-func (h *Histogram) Record(v int64) {
-	defer h.locked().Unlock()
-	h.d.record(v)
-}
-
 func (d *histData) record(v int64) {
 	d.buckets[bucketOf(v)]++
 	d.note(v)
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	defer h.locked().Unlock()
-	return h.d.count
-}
+func (h *Histogram) Count() int64 { return h.d.count }
 
 // Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 {
-	defer h.locked().Unlock()
-	return h.d.sum
-}
+func (h *Histogram) Sum() int64 { return h.d.sum }
 
 // Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() int64 {
-	defer h.locked().Unlock()
-	return h.d.min
-}
+func (h *Histogram) Min() int64 { return h.d.min }
 
 // Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() int64 {
-	defer h.locked().Unlock()
-	return h.d.max
-}
+func (h *Histogram) Max() int64 { return h.d.max }
 
 // Mean returns the average observation (0 when empty).
 func (h *Histogram) Mean() float64 {
-	defer h.locked().Unlock()
 	if h.d.count == 0 {
 		return 0
 	}
@@ -144,10 +113,7 @@ func (h *Histogram) Mean() float64 {
 // observed [min, max]. The estimate never undershoots the true quantile
 // by more than zero and never overshoots it by more than the bucket
 // width, and is monotone in q. Returns 0 when empty.
-func (h *Histogram) Quantile(q float64) int64 {
-	defer h.locked().Unlock()
-	return h.d.quantile(q)
-}
+func (h *Histogram) Quantile(q float64) int64 { return h.d.quantile(q) }
 
 func (d *histData) quantile(q float64) int64 {
 	var out [1]int64
@@ -185,14 +151,9 @@ func (s *histSummary) rank(q float64) int64 {
 
 // Merge adds every observation of o into h.
 func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
+	if o != nil {
+		h.d.merge(&o.d)
 	}
-	l := o.locked()
-	src := o.d
-	l.Unlock()
-	defer h.locked().Unlock()
-	h.d.merge(&src)
 }
 
 func (d *histData) merge(o *histData) {
@@ -275,10 +236,7 @@ func (w *winHist) merge(o *winHist) {
 
 // Buckets returns the non-empty buckets as (upper bound, count) pairs in
 // ascending order, for rendering.
-func (h *Histogram) Buckets() []BucketCount {
-	defer h.locked().Unlock()
-	return h.d.appendBuckets(nil)
-}
+func (h *Histogram) Buckets() []BucketCount { return h.d.appendBuckets(nil) }
 
 func (d *histData) appendBuckets(out []BucketCount) []BucketCount {
 	for i, c := range d.buckets {
@@ -297,15 +255,13 @@ type BucketCount struct {
 
 // Gauge tracks a sampled quantity over virtual time: the last value, the
 // range, and the time-weighted mean (each sample holds until the next).
-// Safe for concurrent use; the zero value is ready. Like Histogram, a
-// registry's gauges share the registry's lock.
+// A Gauge is a read-only view of a registry's gauge, written through a
+// Sampler handle.
 type Gauge struct {
-	mu  sync.Mutex
-	reg *sync.Mutex // the owning registry's lock; nil for a standalone gauge
-	d   gaugeData
+	d gaugeData
 }
 
-// gaugeData is a gauge's state without a lock.
+// gaugeData is a gauge's state; Gauge views it.
 type gaugeData struct {
 	samples  int64
 	last     float64
@@ -316,24 +272,9 @@ type gaugeData struct {
 	lastT    int64
 }
 
-// locked takes the gauge's lock and returns it for the deferred unlock.
-func (g *Gauge) locked() *sync.Mutex {
-	l := &g.mu
-	if g.reg != nil {
-		l = g.reg
-	}
-	l.Lock()
-	return l
-}
-
-// Sample records value v at virtual time t (picoseconds). Out-of-order
+// sample records value v at virtual time t (picoseconds). Out-of-order
 // samples (t before the previous sample) update the value without
 // accumulating negative weight.
-func (g *Gauge) Sample(t int64, v float64) {
-	defer g.locked().Unlock()
-	g.d.sample(t, v)
-}
-
 func (g *gaugeData) sample(t int64, v float64) {
 	if g.samples == 0 {
 		g.firstT = t
@@ -357,35 +298,20 @@ func (g *gaugeData) sample(t int64, v float64) {
 }
 
 // Samples returns the number of recorded samples.
-func (g *Gauge) Samples() int64 {
-	defer g.locked().Unlock()
-	return g.d.samples
-}
+func (g *Gauge) Samples() int64 { return g.d.samples }
 
 // Last returns the most recent sample value.
-func (g *Gauge) Last() float64 {
-	defer g.locked().Unlock()
-	return g.d.last
-}
+func (g *Gauge) Last() float64 { return g.d.last }
 
 // Min returns the smallest sample value.
-func (g *Gauge) Min() float64 {
-	defer g.locked().Unlock()
-	return g.d.min
-}
+func (g *Gauge) Min() float64 { return g.d.min }
 
 // Max returns the largest sample value.
-func (g *Gauge) Max() float64 {
-	defer g.locked().Unlock()
-	return g.d.max
-}
+func (g *Gauge) Max() float64 { return g.d.max }
 
 // Mean returns the time-weighted mean over the sampled interval, or the
 // plain last value when the interval is empty.
-func (g *Gauge) Mean() float64 {
-	defer g.locked().Unlock()
-	return g.d.mean()
-}
+func (g *Gauge) Mean() float64 { return g.d.mean() }
 
 func (g *gaugeData) mean() float64 {
 	span := g.lastT - g.firstT
@@ -395,7 +321,7 @@ func (g *gaugeData) mean() float64 {
 	return g.weighted / float64(span)
 }
 
-// Merge folds o's samples into g as summary statistics: counts add, the
+// merge folds o's samples into g as summary statistics: counts add, the
 // range widens, and the time-weighted integrals concatenate so the merged
 // mean weights each gauge by its own sampled interval. The merged last
 // value is temporal, not call-ordered: it comes from whichever gauge
@@ -403,17 +329,6 @@ func (g *gaugeData) mean() float64 {
 // the same instant have no temporal order at all, so ties resolve to the
 // larger value — a commutative rule, which is what keeps an N-way fold
 // (shards sharing one virtual clock) identical under any merge order.
-func (g *Gauge) Merge(o *Gauge) {
-	if o == nil {
-		return
-	}
-	l := o.locked()
-	src := o.d
-	l.Unlock()
-	defer g.locked().Unlock()
-	g.d.merge(&src)
-}
-
 func (g *gaugeData) merge(o *gaugeData) {
 	if o.samples == 0 {
 		return

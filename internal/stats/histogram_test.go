@@ -6,9 +6,19 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 )
+
+// observed returns the histogram view of a metric that saw vals, written
+// through a Latency handle.
+func observed(vals ...int64) *Histogram {
+	r := NewRegistry()
+	l := r.Latency("h")
+	for _, v := range vals {
+		l.Observe(0, v)
+	}
+	return r.Histogram("h")
+}
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
@@ -22,8 +32,7 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 func TestHistogramSingleValue(t *testing.T) {
-	var h Histogram
-	h.Record(1000)
+	h := observed(1000)
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		if got := h.Quantile(q); got != 1000 {
 			t.Fatalf("Quantile(%v) = %d, want 1000 (clamped to min=max)", q, got)
@@ -55,15 +64,13 @@ func trueQuantile(sorted []int64, q float64) int64 {
 func TestHistogramQuantileProperties(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var h Histogram
 		n := 100 + rng.Intn(2000)
 		vals := make([]int64, n)
 		for i := range vals {
 			// Mix of magnitudes, like latencies spanning ns..ms in ps.
-			v := rng.Int63n(int64(1) << uint(10+rng.Intn(35)))
-			vals[i] = v
-			h.Record(v)
+			vals[i] = rng.Int63n(int64(1) << uint(10+rng.Intn(35)))
 		}
+		h := observed(vals...)
 		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 
 		p50, p95, p99, max := h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99), h.Max()
@@ -91,18 +98,19 @@ func TestHistogramQuantileProperties(t *testing.T) {
 }
 
 func TestHistogramMerge(t *testing.T) {
-	var a, b, whole Histogram
+	var all, even, odd []int64
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
 		v := rng.Int63n(1 << 30)
-		whole.Record(v)
+		all = append(all, v)
 		if i%2 == 0 {
-			a.Record(v)
+			even = append(even, v)
 		} else {
-			b.Record(v)
+			odd = append(odd, v)
 		}
 	}
-	a.Merge(&b)
+	a, whole := observed(even...), observed(all...)
+	a.Merge(observed(odd...))
 	a.Merge(nil) // no-op
 	var empty Histogram
 	a.Merge(&empty) // merging empty changes nothing
@@ -118,30 +126,20 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestHistogramConcurrent(t *testing.T) {
-	var h Histogram
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 1; i <= 1000; i++ {
-				h.Record(int64(i))
-			}
-		}(w)
+// sampled returns the gauge view of a metric that saw the samples, each a
+// (virtual time, value) pair, written through a Sampler handle.
+func sampled(samples ...[2]float64) *Gauge {
+	r := NewRegistry()
+	p := r.Sampler("g")
+	for _, s := range samples {
+		p.Sample(int64(s[0]), s[1])
 	}
-	wg.Wait()
-	if h.Count() != 4000 {
-		t.Fatalf("count = %d", h.Count())
-	}
+	return r.Gauge("g")
 }
 
 func TestGaugeTimeWeightedMean(t *testing.T) {
-	var g Gauge
 	// Value 1.0 for 10 time units, then 3.0 for 30: mean = (10+90)/40 = 2.5.
-	g.Sample(0, 1)
-	g.Sample(10, 3)
-	g.Sample(40, 5)
+	g := sampled([2]float64{0, 1}, [2]float64{10, 3}, [2]float64{40, 5})
 	if m := g.Mean(); m != 2.5 {
 		t.Fatalf("mean = %v, want 2.5", m)
 	}
@@ -151,28 +149,26 @@ func TestGaugeTimeWeightedMean(t *testing.T) {
 }
 
 func TestGaugeOutOfOrderSamples(t *testing.T) {
-	var g Gauge
-	g.Sample(100, 2)
-	g.Sample(50, 8) // out of order: must not add negative weight
-	g.Sample(200, 2)
+	// The sample at 50 is out of order: it must not add negative weight.
+	g := sampled([2]float64{100, 2}, [2]float64{50, 8}, [2]float64{200, 2})
 	if m := g.Mean(); m < 0 || m > 8 {
 		t.Fatalf("mean %v escaped the sampled range after out-of-order sample", m)
 	}
 }
 
 func TestGaugeMerge(t *testing.T) {
-	var a, b Gauge
-	a.Sample(0, 2)
-	a.Sample(100, 2)
-	b.Sample(100, 4)
-	b.Sample(200, 4)
-	a.Merge(&b)
-	a.Merge(nil)
-	if a.Samples() != 4 || a.Min() != 2 || a.Max() != 4 {
-		t.Fatalf("samples/min/max = %d/%v/%v", a.Samples(), a.Min(), a.Max())
+	var a, b gaugeData
+	a.sample(0, 2)
+	a.sample(100, 2)
+	b.sample(100, 4)
+	b.sample(200, 4)
+	a.merge(&b)
+	a.merge(&gaugeData{}) // merging empty changes nothing
+	if a.samples != 4 || a.min != 2 || a.max != 4 {
+		t.Fatalf("samples/min/max = %d/%v/%v", a.samples, a.min, a.max)
 	}
 	// Two equal-length intervals at 2 and 4 average to 3.
-	if m := a.Mean(); m != 3 {
+	if m := a.mean(); m != 3 {
 		t.Fatalf("merged mean = %v, want 3", m)
 	}
 }
@@ -183,33 +179,33 @@ func TestGaugeMerge(t *testing.T) {
 // unconditionally, so folding an earlier-ending interval clobbered the
 // utilization a later interval left behind.)
 func TestGaugeMergeLastIsTemporal(t *testing.T) {
-	late := func() *Gauge { g := &Gauge{}; g.Sample(200, 9); return g }
-	early := func() *Gauge { g := &Gauge{}; g.Sample(100, 5); return g }
+	mk := func(t int64, v float64) *gaugeData { g := &gaugeData{}; g.sample(t, v); return g }
+	late := func() *gaugeData { return mk(200, 9) }
+	early := func() *gaugeData { return mk(100, 5) }
 
 	a := late()
-	a.Merge(early()) // late.Merge(early): last must stay the later sample
-	if a.Last() != 9 {
-		t.Fatalf("late.Merge(early).Last() = %g, want 9", a.Last())
+	a.merge(early()) // late.merge(early): last must stay the later sample
+	if a.last != 9 {
+		t.Fatalf("late.merge(early).last = %g, want 9", a.last)
 	}
 	b := early()
-	b.Merge(late()) // either direction agrees
-	if b.Last() != 9 {
-		t.Fatalf("early.Merge(late).Last() = %g, want 9", b.Last())
+	b.merge(late()) // either direction agrees
+	if b.last != 9 {
+		t.Fatalf("early.merge(late).last = %g, want 9", b.last)
 	}
 	// Equal timestamps carry no temporal order between sources, so the
 	// tie must resolve the same way in either merge direction (the larger
 	// value) — N shards folding one virtual clock would otherwise leave
 	// the outcome to merge order.
-	mk := func(v float64) *Gauge { g := &Gauge{}; g.Sample(100, v); return g }
-	c := mk(1)
-	c.Merge(mk(2))
-	if c.Last() != 2 {
-		t.Fatalf("tie merge Last() = %g, want 2", c.Last())
+	c := mk(100, 1)
+	c.merge(mk(100, 2))
+	if c.last != 2 {
+		t.Fatalf("tie merge last = %g, want 2", c.last)
 	}
-	d := mk(2)
-	d.Merge(mk(1))
-	if d.Last() != 2 {
-		t.Fatalf("reversed tie merge Last() = %g, want 2", d.Last())
+	d := mk(100, 2)
+	d.merge(mk(100, 1))
+	if d.last != 2 {
+		t.Fatalf("reversed tie merge last = %g, want 2", d.last)
 	}
 }
 
@@ -238,8 +234,8 @@ func TestSetMergeAndSnapshot(t *testing.T) {
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
 	h1 := r.Histogram("a.lat")
-	h1.Record(7)
-	if r.Histogram("a.lat") != h1 {
+	r.Latency("a.lat").Observe(0, 7)
+	if r.Histogram("a.lat") != h1 || h1.Count() != 1 {
 		t.Fatal("Histogram must return the same instance per name")
 	}
 	g1 := r.Gauge("a.util")
@@ -256,9 +252,9 @@ func TestRegistryMerge(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.TimedCounter("c").Add(0, 1)
 	b.TimedCounter("c").Add(0, 2)
-	a.Histogram("h").Record(10)
-	b.Histogram("h").Record(20)
-	b.Gauge("g").Sample(0, 1)
+	a.Latency("h").Observe(0, 10)
+	b.Latency("h").Observe(0, 20)
+	b.Sampler("g").Sample(0, 1)
 	a.Merge(b)
 	a.Merge(nil)
 	if a.Counters().Get("c") != 3 {
@@ -275,8 +271,8 @@ func TestRegistryMerge(t *testing.T) {
 func TestWriteJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.TimedCounter("c").Add(0, 7)
-	r.Histogram("h").Record(100)
-	r.Gauge("g").Sample(10, 2.5)
+	r.Latency("h").Observe(0, 100)
+	r.Sampler("g").Sample(10, 2.5)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // makeRegistry builds a registry with every metric kind populated.
@@ -13,8 +12,8 @@ func makeRegistry(n int64) *Registry {
 	r := NewRegistry()
 	r.TimedCounter("c.a").Add(n, n)
 	r.TimedCounter("c.b").Add(n, 2*n)
-	r.Histogram("h").Record(n)
-	r.Gauge("g").Sample(n, float64(n))
+	r.Latency("h").Observe(n, n)
+	r.Sampler("g").Sample(n, float64(n))
 	return r
 }
 
@@ -31,9 +30,9 @@ func makeSeriesRegistry(n int64) *Registry {
 }
 
 // TestConcurrentMergeIntoOneRegistry is the parallel runner's hazard: many
-// goroutines folding per-point registries into one aggregate. Run under
-// -race; before the lock-ordering fix the unsynchronized counter-map
-// writes raced (and could corrupt the map outright).
+// goroutines folding per-point registries into one aggregate, the one
+// concurrent use a registry supports. Run under -race; it fails if Merge
+// stops locking its destination.
 func TestConcurrentMergeIntoOneRegistry(t *testing.T) {
 	agg := NewRegistry()
 	const workers = 8
@@ -54,33 +53,6 @@ func TestConcurrentMergeIntoOneRegistry(t *testing.T) {
 	if agg.Counters().Get("c.b") != 2*agg.Counters().Get("c.a") {
 		t.Fatalf("counter invariant broken: a=%d b=%d",
 			agg.Counters().Get("c.a"), agg.Counters().Get("c.b"))
-	}
-}
-
-// TestConcurrentAddAt: a timed counter resolved per call and one resolved
-// once, on one registry from two goroutines. Run under -race; the counter-set write used to
-// happen after the registry lock was released.
-func TestConcurrentAddAt(t *testing.T) {
-	r := NewRegistry()
-	r.EnableSeries(64)
-	h := r.TimedCounter("c.at")
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				if w == 0 {
-					r.TimedCounter("c.at").Add(int64(i), 1)
-				} else {
-					h.Add(int64(i), 1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := r.Counters().Get("c.at"); got != 2000 {
-		t.Fatalf("counter = %d after 2,000 increments", got)
 	}
 }
 
@@ -118,19 +90,6 @@ func TestConcurrentIntern(t *testing.T) {
 	}
 }
 
-// TestCrossMergeDoesNotDeadlock: a.Merge(b) while b.Merge(a) must finish
-// (Merge takes the two registries' locks in creation order).
-func TestCrossMergeDoesNotDeadlock(t *testing.T) {
-	a, b := makeRegistry(1), makeRegistry(2)
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(2)
-		go func() { defer wg.Done(); a.Merge(b) }()
-		go func() { defer wg.Done(); b.Merge(a) }()
-	}
-	wg.Wait() // the test is that this returns
-}
-
 // TestConcurrentSeriesMerge: the same hazards with windowed series and
 // SLOs enabled — per-point registries with per-window cells folding into
 // one aggregate under -race.
@@ -154,20 +113,6 @@ func TestConcurrentSeriesMerge(t *testing.T) {
 	if agg.SeriesWindow() != 64 {
 		t.Fatalf("aggregate lost series config: %d", agg.SeriesWindow())
 	}
-}
-
-// TestCrossMergeSeriesDoesNotDeadlock: a.Merge(b) alongside b.Merge(a)
-// with series + SLO state on both sides — the gauge-integral and window
-// folds run under the same fixed lock order.
-func TestCrossMergeSeriesDoesNotDeadlock(t *testing.T) {
-	a, b := makeSeriesRegistry(1), makeSeriesRegistry(2)
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(2)
-		go func() { defer wg.Done(); a.Merge(b) }()
-		go func() { defer wg.Done(); b.Merge(a) }()
-	}
-	wg.Wait() // the test is that this returns
 }
 
 // TestMergeSelfIsNoop: folding a registry into itself must not double its
@@ -196,11 +141,11 @@ func TestMergeFoldOrderMatchesSequential(t *testing.T) {
 	point := func(i int64) *Registry {
 		p := NewRegistry()
 		p.TimedCounter("c").Add(i, i)
-		p.Histogram("h").Record(i * 10)
+		p.Latency("h").Observe(i, i*10)
 		// Several samples per point, so the gauge's time-weighted
 		// integral is exercised through the merge.
-		p.Gauge("g").Sample(i*100, float64(i))
-		p.Gauge("g").Sample(i*100+50, float64(i+1))
+		p.Sampler("g").Sample(i*100, float64(i))
+		p.Sampler("g").Sample(i*100+50, float64(i+1))
 		return p
 	}
 	sequential := NewRegistry()
@@ -223,36 +168,5 @@ func TestMergeFoldOrderMatchesSequential(t *testing.T) {
 	}
 	if m := sequential.Gauge("g").Mean(); m == 0 {
 		t.Fatal("gauge integral lost in merge")
-	}
-}
-
-// TestCrossMergeLockOrder: many a.Merge(b) alongside many b.Merge(a), so
-// the two folds overlap often enough that taking the locks in call order
-// instead of creation order would deadlock.
-func TestCrossMergeLockOrder(t *testing.T) {
-	a, b := makeSeriesRegistry(1), makeSeriesRegistry(2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				a.Merge(b)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				b.Merge(a)
-			}
-		}()
-		wg.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatal("a.Merge(b) alongside b.Merge(a) did not finish: lock-order deadlock")
 	}
 }

@@ -11,12 +11,12 @@ import (
 // fuzzer holds registries to. It keys every metric by name and every
 // series window by index in plain maps and keeps each latency metric's raw
 // observations instead of buckets, so it shares none of the registry's
-// dense storage, window lists or window cache. Only gauges reuse the
-// standalone Gauge, whose float fold is the artifact's.
+// dense storage, window lists or window cache. Only gauges reuse
+// gaugeData, whose float fold is the artifact's.
 type refRegistry struct {
 	counters map[string]int64
 	hists    map[string][]int64
-	gauges   map[string]*Gauge
+	gauges   map[string]*gaugeData
 	series   *refSeries
 	slos     map[string]*refSLO
 }
@@ -29,7 +29,7 @@ type refSeries struct {
 type refCell struct {
 	counters map[string]int64
 	hists    map[string][]int64
-	gauges   map[string]*Gauge
+	gauges   map[string]*gaugeData
 }
 
 type refSLO struct {
@@ -39,7 +39,7 @@ type refSLO struct {
 }
 
 func newRefRegistry() *refRegistry {
-	return &refRegistry{counters: map[string]int64{}, hists: map[string][]int64{}, gauges: map[string]*Gauge{}}
+	return &refRegistry{counters: map[string]int64{}, hists: map[string][]int64{}, gauges: map[string]*gaugeData{}}
 }
 
 func newRefSeries(window int64) *refSeries {
@@ -49,17 +49,17 @@ func newRefSeries(window int64) *refSeries {
 func (s *refSeries) cell(idx int64) *refCell {
 	c := s.cells[idx]
 	if c == nil {
-		c = &refCell{counters: map[string]int64{}, hists: map[string][]int64{}, gauges: map[string]*Gauge{}}
+		c = &refCell{counters: map[string]int64{}, hists: map[string][]int64{}, gauges: map[string]*gaugeData{}}
 		s.cells[idx] = c
 	}
 	return c
 }
 
 // gaugeIn returns m's gauge name, creating it.
-func gaugeIn(m map[string]*Gauge, name string) *Gauge {
+func gaugeIn(m map[string]*gaugeData, name string) *gaugeData {
 	g := m[name]
 	if g == nil {
-		g = &Gauge{}
+		g = &gaugeData{}
 		m[name] = g
 	}
 	return g
@@ -103,9 +103,9 @@ func (r *refRegistry) observe(name string, t, v int64) {
 }
 
 func (r *refRegistry) sample(name string, t int64, v float64) {
-	gaugeIn(r.gauges, name).Sample(t, v)
+	gaugeIn(r.gauges, name).sample(t, v)
 	if s := r.series; s != nil {
-		gaugeIn(s.cellAt(t).gauges, name).Sample(t, v)
+		gaugeIn(s.cellAt(t).gauges, name).sample(t, v)
 	}
 }
 
@@ -136,7 +136,7 @@ func (r *refRegistry) slo(cfg SLOConfig) *refSLO {
 }
 
 func (r *refRegistry) reset() {
-	r.counters, r.hists, r.gauges = map[string]int64{}, map[string][]int64{}, map[string]*Gauge{}
+	r.counters, r.hists, r.gauges = map[string]int64{}, map[string][]int64{}, map[string]*gaugeData{}
 	if r.series != nil {
 		r.series = newRefSeries(r.series.window)
 	}
@@ -162,7 +162,7 @@ func (r *refRegistry) merge(src scriptTarget) {
 				dst.hists[name] = append(dst.hists[name], vs...)
 			}
 			for name, g := range src.gauges {
-				gaugeIn(dst.gauges, name).Merge(g)
+				gaugeIn(dst.gauges, name).merge(g)
 			}
 		}
 	}
@@ -183,7 +183,7 @@ func (r *refRegistry) merge(src scriptTarget) {
 		r.hists[name] = append(r.hists[name], vs...)
 	}
 	for name, g := range o.gauges {
-		gaugeIn(r.gauges, name).Merge(g)
+		gaugeIn(r.gauges, name).merge(g)
 	}
 }
 
@@ -211,10 +211,6 @@ func refHist(vals []int64) (h histJSON) {
 		}
 	}
 	return h
-}
-
-func refGauge(g *Gauge) gaugeJSON {
-	return gaugeJSON{Samples: g.Samples(), Last: g.Last(), Min: g.Min(), Max: g.Max(), Mean: g.Mean()}
 }
 
 func refBurn(o *refSLO, w *sloWindow) (burn float64, violating bool) {
@@ -265,7 +261,7 @@ func (r *refRegistry) writeJSON(w io.Writer) error {
 	}
 	gauges := map[string]gaugeJSON{}
 	for name, g := range r.gauges {
-		gauges[name] = refGauge(g)
+		gauges[name] = gaugeRow(g)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -318,7 +314,7 @@ func (r *refRegistry) writeSeriesJSON(w io.Writer) error {
 				if wj.Gauges == nil {
 					wj.Gauges = map[string]gaugeJSON{}
 				}
-				wj.Gauges[name] = refGauge(g)
+				wj.Gauges[name] = gaugeRow(g)
 			}
 		}
 		for key, o := range r.slos {

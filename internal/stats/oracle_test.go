@@ -117,7 +117,6 @@ func presentMap[T any](s []*T) map[string]*T {
 
 // oracleWriteJSON is the encoding/json rendering of Registry.WriteJSON.
 func oracleWriteJSON(r *Registry, w io.Writer) error {
-	r.mu.Lock()
 	counters := counterMap(r.counters.vals)
 	hists := map[string]histJSON{}
 	for _, m := range r.lats {
@@ -135,8 +134,7 @@ func oracleWriteJSON(r *Registry, w io.Writer) error {
 	for n, g := range presentMap(r.gauges) {
 		gauges[n] = gaugeRow(&g.d)
 	}
-	slos := oracleSLOSummaryLocked(r)
-	r.mu.Unlock()
+	slos := oracleSLOSummary(r)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(struct {
@@ -158,14 +156,12 @@ func (w *winHist) quantile(q float64) int64 {
 // oracleWriteSeriesJSON is the encoding/json rendering of
 // Registry.WriteSeriesJSON.
 func oracleWriteSeriesJSON(r *Registry, w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.series == nil {
 		return ErrNoSeries
 	}
 	s := r.series
 	out := seriesFileJSON{WindowPS: s.window, Windows: []seriesWindowJSON{}}
-	for _, idx := range r.seriesWindowsLocked() {
+	for _, idx := range r.seriesWindows() {
 		wj := seriesWindowJSON{StartPS: idx * s.window, EndPS: (idx + 1) * s.window}
 		if cell := s.cells[idx]; cell != nil {
 			if counters := listMap(cell.counters); len(counters) > 0 {
@@ -202,15 +198,15 @@ func oracleWriteSeriesJSON(r *Registry, w io.Writer) error {
 		}
 		out.Windows = append(out.Windows, wj)
 	}
-	out.SLOs = oracleSLOSummaryLocked(r)
+	out.SLOs = oracleSLOSummary(r)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
 }
 
-// oracleSLOSummaryLocked renders the run-wide SLO block (nil when no SLOs
-// are registered). Caller holds r.mu.
-func oracleSLOSummaryLocked(r *Registry) map[string]sloJSON {
+// oracleSLOSummary renders the run-wide SLO block (nil when no SLOs are
+// registered).
+func oracleSLOSummary(r *Registry) map[string]sloJSON {
 	if len(r.slos) == 0 {
 		return nil
 	}
@@ -224,7 +220,7 @@ func oracleSLOSummaryLocked(r *Registry) map[string]sloJSON {
 			Violations:        s.bad,
 			BurnRate:          s.burnRate(&sloWindow{total: s.total, bad: s.bad}),
 			WindowsViolating:  violating,
-			TimeInViolationPS: violating * r.seriesWindowLocked(),
+			TimeInViolationPS: violating * r.SeriesWindow(),
 		}
 	}
 	return out

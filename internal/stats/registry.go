@@ -4,7 +4,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"morpheus/internal/jsonw"
 )
@@ -13,17 +12,22 @@ import (
 // histograms, and sampled gauges — under one namespace so experiments
 // and the bench binary can emit them together. Names follow the
 // `unit.metric` convention ("nvme.MREAD.latency_ps", "flash.channel_util").
-// Safe for concurrent use.
+//
+// A registry has one writer: the goroutine that runs its system. Writes,
+// handle resolution, Reset, configuration and export take no lock, and
+// the race detector, not a mutex, holds callers to that. Merge is the one
+// operation several goroutines may call at once on the same destination;
+// it locks the destination (mu) and reads a source whose writer has
+// finished.
 //
 // Metrics live in dense slices indexed by interned metric ID. Hot paths
 // resolve a name once to a handle (Latency, Sampler, TimedCounter) and
-// observe through it: one lock, no name hashing. Every write carries its
+// observe through it, with no name hashing. Every write carries its
 // virtual time. A caller that writes rarely may resolve per call
 // (Latency(name).Observe). Resolving a handle adds nothing to any
 // artifact; only an observation does.
 type Registry struct {
-	mu       sync.Mutex
-	seq      uint64 // creation order, for Merge's lock order
+	mu       sync.Mutex // held by Merge into this registry
 	counters *Set
 	lats     []*latMetric // by metricID; nil until resolved
 	gauges   []*Gauge     // by metricID; nil until sampled
@@ -46,9 +50,7 @@ type latMetric struct {
 }
 
 // NewRegistry returns an empty registry with a fresh counter set.
-func NewRegistry() *Registry {
-	return &Registry{seq: registrySeq.Add(1), counters: NewSet()}
-}
+func NewRegistry() *Registry { return &Registry{counters: NewSet()} }
 
 // Counters returns the registry's counter set, the read side of its
 // TimedCounter writes.
@@ -56,14 +58,11 @@ func (r *Registry) Counters() *Set { return r.counters }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	id := metricIDs.ID(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.histLocked(r.latLocked(id))
+	return r.lat(metricIDs.ID(name)).hist()
 }
 
-// latLocked returns id's latency slot, creating it. Caller holds r.mu.
-func (r *Registry) latLocked(id metricID) *latMetric {
+// lat returns id's latency slot, creating it.
+func (r *Registry) lat(id metricID) *latMetric {
 	r.lats = grow(r.lats, id, 0)
 	m := r.lats[id]
 	if m == nil {
@@ -73,45 +72,35 @@ func (r *Registry) latLocked(id metricID) *latMetric {
 	return m
 }
 
-// histLocked returns m's run-wide histogram, creating it. Caller holds
-// r.mu.
-func (r *Registry) histLocked(m *latMetric) *Histogram {
+// hist returns m's run-wide histogram, creating it.
+func (m *latMetric) hist() *Histogram {
 	if m.h == nil {
-		m.h = &Histogram{reg: &r.mu}
+		m.h = &Histogram{}
 	}
 	return m.h
 }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	id := metricIDs.ID(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gaugeLocked(id)
-}
+func (r *Registry) Gauge(name string) *Gauge { return r.gauge(metricIDs.ID(name)) }
 
-// gaugeLocked returns gauge id, creating it. Caller holds r.mu.
-func (r *Registry) gaugeLocked(id metricID) *Gauge {
+// gauge returns gauge id, creating it.
+func (r *Registry) gauge(id metricID) *Gauge {
 	r.gauges = grow(r.gauges, id, 0)
 	g := r.gauges[id]
 	if g == nil {
-		g = &Gauge{reg: &r.mu}
+		g = &Gauge{}
 		r.gauges[id] = g
 	}
 	return g
 }
 
-// registrySeq numbers registries in creation order; Merge locks the
-// lower-numbered of two registries first.
-var registrySeq atomic.Uint64
-
 // Merge folds every metric of o into r: counters add, histograms merge
 // bucket-wise, gauges merge as summaries, series windows and SLO counts
 // add window by window. Used by experiments that run several systems
 // (tenants, modes, parallel sweep points) and want one aggregate
-// emission. Both registries are locked for the fold, always the older one
-// (by creation) first, so concurrent merges, even a.Merge(b) alongside
-// b.Merge(a), cannot deadlock.
+// emission. Several goroutines may merge into r at once: the fold holds
+// r's lock. o must be quiescent, its writer finished with it; o itself is
+// only read.
 //
 // The fold walks o's dense slices and adds index by index. Every metric
 // of r receives at most one add from o, so the walk order cannot change a
@@ -121,14 +110,8 @@ func (r *Registry) Merge(o *Registry) {
 	if o == nil || o == r {
 		return
 	}
-	first, second := r, o
-	if o.seq < r.seq {
-		first, second = o, r
-	}
-	first.mu.Lock()
-	defer first.mu.Unlock()
-	second.mu.Lock()
-	defer second.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 
 	if so := o.series; so != nil {
 		if r.series == nil {
@@ -139,17 +122,18 @@ func (r *Registry) Merge(o *Registry) {
 		}
 	}
 	r.counters.Merge(o.counters)
-	for _, src := range o.slos {
-		r.addSLOLocked(src.cfg).merge(src)
+	for key, src := range o.slos {
+		r.AddSLO(src.cfg)
+		r.slos[key].merge(src)
 	}
 	for _, m := range o.lats {
 		if m != nil && m.h != nil {
-			r.histLocked(r.latLocked(m.id)).d.merge(&m.h.d)
+			r.lat(m.id).hist().d.merge(&m.h.d)
 		}
 	}
 	for id, g := range o.gauges {
 		if g != nil {
-			r.gaugeLocked(metricID(id)).d.merge(&g.d)
+			r.gauge(metricID(id)).d.merge(&g.d)
 		}
 	}
 }
@@ -159,8 +143,6 @@ func (r *Registry) Merge(o *Registry) {
 // their collected windows and counts are cleared. Resolved handles stay
 // valid.
 func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.counters.Reset()
 	for _, m := range r.lats {
 		if m != nil {
@@ -191,8 +173,6 @@ func sortedNames[V any](dst []string, m map[string]V) []string {
 // registered, the SLO summary, each keyed by metric name in sorted order.
 // A NaN or infinite gauge value fails it with *json.UnsupportedValueError.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	names := metricIDs.Names()
 	jw := jsonw.New(w)
 	jw.BeginObject()
@@ -231,7 +211,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	jw.EndObject()
 	if len(r.slos) > 0 {
 		jw.Key("slos")
-		r.writeSLOSummaryLocked(jw)
+		r.writeSLOSummary(jw)
 	}
 	jw.EndObject()
 	return jw.Close()

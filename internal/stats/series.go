@@ -19,8 +19,7 @@ import (
 // in-order fold and the multi-tenant aggregation need for byte-identical
 // emission.
 //
-// All access is guarded by the owning Registry's mutex; seriesData has no
-// lock of its own.
+// Like its registry, a seriesData has one writer and no lock.
 type seriesData struct {
 	window int64 // window width in picoseconds (> 0)
 	cells  map[int64]*seriesCell
@@ -96,8 +95,6 @@ func (r *Registry) EnableSeries(windowPS int64) {
 	if windowPS <= 0 {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.series != nil && r.series.window == windowPS {
 		return
 	}
@@ -110,13 +107,6 @@ func newSeries(windowPS int64) *seriesData {
 
 // SeriesWindow reports the configured window width (0 = series off).
 func (r *Registry) SeriesWindow() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seriesWindowLocked()
-}
-
-// seriesWindowLocked is SeriesWindow for a caller holding r.mu.
-func (r *Registry) seriesWindowLocked() int64 {
 	if r.series == nil {
 		return 0
 	}
@@ -149,9 +139,9 @@ func (s *seriesData) cell(idx int64) *seriesCell {
 // never enabled.
 var ErrNoSeries = fmt.Errorf("stats: windowed series collection is not enabled")
 
-// seriesWindowsLocked returns the sorted union of window indices holding
-// metric cells or SLO windows. Caller holds r.mu.
-func (r *Registry) seriesWindowsLocked() []int64 {
+// seriesWindows returns the sorted union of window indices holding
+// metric cells or SLO windows.
+func (r *Registry) seriesWindows() []int64 {
 	set := map[int64]bool{}
 	for idx := range r.series.cells {
 		set[idx] = true
@@ -256,8 +246,6 @@ func writeCellBlock[T any](jw *jsonw.Writer, key jsonw.Field, l cellList[T], ord
 // histogram quantiles, gauge summaries, SLO burn), and the SLO summary.
 // Metric names are sorted within each window, so output is deterministic.
 func (r *Registry) WriteSeriesJSON(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.series == nil {
 		return ErrNoSeries
 	}
@@ -280,7 +268,7 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 	jw.Int(s.window)
 	jw.Key("windows")
 	jw.BeginArray()
-	for _, idx := range r.seriesWindowsLocked() {
+	for _, idx := range r.seriesWindows() {
 		jw.BeginObject()
 		jw.Field(startField)
 		jw.Int(idx * s.window)
@@ -325,7 +313,7 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 	jw.EndArray()
 	if len(r.slos) > 0 {
 		jw.Key("slo_summary")
-		r.writeSLOSummaryLocked(jw)
+		r.writeSLOSummary(jw)
 	}
 	jw.EndObject()
 	return jw.Close()

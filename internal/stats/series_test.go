@@ -205,9 +205,9 @@ func TestSeriesWritersDisabled(t *testing.T) {
 func TestSchemaUnchangedWhenSeriesOff(t *testing.T) {
 	// A default registry's JSON must not mention the new keys at all.
 	r := NewRegistry()
-	r.Histogram("h").Record(1)
+	r.Latency("h").Observe(1, 1)
 	r.TimedCounter("c").Add(1, 1)
-	r.Gauge("g").Sample(1, 1)
+	r.Sampler("g").Sample(1, 1)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -68,7 +68,7 @@ func ParseSLO(s string, parseDur func(string) (int64, error)) (SLOConfig, error)
 
 // sloState is one objective's accumulated counts: run-wide and per
 // series window (window 0 stands in for the whole run when the series is
-// off). Guarded by the owning Registry's mutex.
+// off).
 type sloState struct {
 	cfg     SLOConfig
 	total   int64
@@ -151,35 +151,26 @@ func (s *sloState) violating(w *sloWindow) bool {
 // counts. Observations reach SLOs only through Latency handles,
 // including handles resolved before the objective was added.
 func (r *Registry) AddSLO(cfg SLOConfig) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.addSLOLocked(cfg)
-}
-
-func (r *Registry) addSLOLocked(cfg SLOConfig) *sloState {
 	if r.slos == nil {
 		r.slos = map[string]*sloState{}
 	}
 	key := cfg.Key()
 	if s := r.slos[key]; s != nil {
 		s.cfg = cfg
-		return s
+		return
 	}
 	s := newSLOState(cfg)
 	r.slos[key] = s
 	// The watched metric's handles carry its objectives. Keep that list
 	// in key order so any emission or fold that walks it is
 	// deterministic.
-	m := r.latLocked(metricIDs.ID(cfg.Metric))
+	m := r.lat(metricIDs.ID(cfg.Metric))
 	m.slos = append(m.slos, s)
 	sort.Slice(m.slos, func(i, j int) bool { return m.slos[i].cfg.Key() < m.slos[j].cfg.Key() })
-	return s
 }
 
 // SLOConfigs returns the registered objectives sorted by key.
 func (r *Registry) SLOConfigs() []SLOConfig {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]SLOConfig, 0, len(r.slos))
 	for _, key := range sortedNames(nil, r.slos) {
 		out = append(out, r.slos[key].cfg)
@@ -214,9 +205,9 @@ func (s *sloState) windowsViolating() int64 {
 	return n
 }
 
-// writeSLOSummaryLocked writes the run-wide SLO block, one object per
-// objective keyed "name|metric". Caller holds r.mu.
-func (r *Registry) writeSLOSummaryLocked(jw *jsonw.Writer) {
+// writeSLOSummary writes the run-wide SLO block, one object per
+// objective keyed "name|metric".
+func (r *Registry) writeSLOSummary(jw *jsonw.Writer) {
 	jw.BeginObject()
 	for _, key := range sortedNames(nil, r.slos) {
 		s := r.slos[key]
@@ -236,7 +227,7 @@ func (r *Registry) writeSLOSummaryLocked(jw *jsonw.Writer) {
 		jw.Key("windows_violating")
 		jw.Int(violating)
 		jw.Key("time_in_violation_ps")
-		jw.Int(violating * r.seriesWindowLocked())
+		jw.Int(violating * r.SeriesWindow())
 		jw.EndObject()
 	}
 	jw.EndObject()
