@@ -68,9 +68,9 @@
 // -parallel sets the worker budget. An experiment's independent sweep
 // points (one per application) fan out across it, and within one array
 // (E17) point the shards run on whatever workers the budget has free,
-// advancing in conservative time windows bounded by the replica-retry
-// lookahead with cross-shard re-fetches exchanged serially at window
-// barriers (see internal/array/parallel.go and DESIGN.md §7). Results — tables, -metrics-out, -timeseries-out,
+// each system serving its requests and replica re-fetches in global
+// sequence order (see internal/array/parallel.go and DESIGN.md §7).
+// Results — tables, -metrics-out, -timeseries-out,
 // -trace-out — are byte-identical at every worker count: each point runs
 // on an isolated system with private observation sinks, and the harness
 // folds them back in point order (see internal/exp/parallel.go).

@@ -31,14 +31,11 @@ type Config struct {
 	// Replicas is how many distinct shards hold each object (1 = no
 	// redundancy; clamped to Shards).
 	Replicas int
-	// VNodes is the number of virtual nodes each shard projects onto the
-	// hash ring (<= 0 uses 64). More vnodes smooth placement.
-	VNodes int
-	// SlotLimit bounds admitted-but-unfinished requests per shard (the
-	// admission-control window). <= 0 derives each shard's StorageApp
-	// slot count (ssd.Config.MaxInstances).
-	SlotLimit int
 }
+
+// vnodes is the number of virtual nodes each shard projects onto the
+// hash ring; more vnodes smooth placement.
+const vnodes = 64
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Shards < 1 {
@@ -49,9 +46,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Replicas > c.Shards {
 		c.Replicas = c.Shards
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
 	}
 	return c, nil
 }
@@ -106,9 +100,9 @@ func New(cfg Config, build func(shard int) (*core.System, error)) (*Array, error
 			remoteReads: sys.Metrics.TimedCounter("array.replica.remote_reads"),
 		})
 	}
-	a.ring = make([]ringPoint, 0, cfg.Shards*cfg.VNodes)
+	a.ring = make([]ringPoint, 0, cfg.Shards*vnodes)
 	for i := 0; i < cfg.Shards; i++ {
-		for v := 0; v < cfg.VNodes; v++ {
+		for v := 0; v < vnodes; v++ {
 			a.ring = append(a.ring, ringPoint{
 				hash:  hash64(fmt.Sprintf("shard%d#%d", i, v)),
 				shard: i,
@@ -210,21 +204,31 @@ func (a *Array) AttachTracer(t *trace.Tracer) {
 	}
 }
 
-// shardFetcher routes shard self's degraded-mode replica re-fetches to
-// the first live holder of the object, in placement order. The read runs
-// on the holder's system (core.System.ReadRaw), so its driver, flash
-// channels, and clock are the ones charged.
+// shardFetcher routes shard self's degraded-mode replica re-fetches
+// through readReplica.
 type shardFetcher struct {
 	a    *Array
 	self int
 }
 
 func (f *shardFetcher) FetchReplica(ready units.Time, name string) ([]byte, units.Time, bool) {
-	for _, id := range f.a.Place(name) {
-		if id == f.self || f.a.Shards[id].Down {
+	return f.a.readReplica(f.self, ready, name, nil)
+}
+
+// readReplica reads name's replica for shard self off the first live
+// holder, in placement order, that can serve it. The read runs on the
+// holder's system (core.System.ReadRaw), so its driver, flash channels,
+// and clock are the ones charged. before, when non-nil, runs ahead of
+// each holder touched.
+func (a *Array) readReplica(self int, ready units.Time, name string, before func(holder int)) ([]byte, units.Time, bool) {
+	for _, id := range a.Place(name) {
+		if id == self || a.Shards[id].Down {
 			continue
 		}
-		sh := f.a.Shards[id]
+		if before != nil {
+			before(id)
+		}
+		sh := a.Shards[id]
 		file, err := sh.Sys.OpenFile(name)
 		if err != nil {
 			continue

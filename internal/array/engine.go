@@ -112,14 +112,10 @@ type TrafficResult struct {
 	FairnessShards  float64
 	// Horizon is the latest completion on the virtual clock.
 	Horizon units.Time
-	// Conservative-window protocol accounting: Windows is the number of
-	// non-empty lookahead windows the schedule spanned, Rounds the total
-	// barrier rounds (>= Windows; each re-fetch wave inside a window adds one),
-	// DeferredFetches the replica re-fetches served by exchange phases,
-	// and EarlyFetches how many of those surfaced in less than one
-	// lookahead (a non-retryable failure shortcut; delivery stays
-	// deterministic, the counter just records that the backoff-budget
-	// bound did not cover them).
+	// DeferredFetches counts the replica re-fetches the run made, each a
+	// read on another shard (RunTrafficParallel). Windows, Rounds and
+	// EarlyFetches are always zero; they stay only because the benchmark
+	// still reads them (ROADMAP item 1 drops them).
 	Windows         int
 	Rounds          int
 	DeferredFetches int
@@ -283,10 +279,7 @@ func serveOne(a *Array, tc *TrafficConfig, classes []Class, m *shardMetrics, rq 
 
 	// Admission control: reap completed slots, then gate on the
 	// shard's StorageApp slot window.
-	limit := a.Cfg.SlotLimit
-	if limit <= 0 {
-		limit = sh.Sys.SSD.MaxInstances()
-	}
+	limit := sh.Sys.SSD.MaxInstances()
 	live := (*inflight)[:0]
 	for _, done := range *inflight {
 		if done > rq.at {

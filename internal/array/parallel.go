@@ -1,40 +1,43 @@
-// Conservative-window parallel shard execution (DESIGN.md §7). A fleet
-// point steps N independent core.Systems; the only cross-shard causality
-// edge is the degraded-mode replica re-fetch (core.ReplicaFetcher), and
-// that edge carries a provable nonzero lookahead: a retryable media
-// failure burns the full retry backoff budget on the virtual clock —
-// on top of the PCIe SQE/doorbell and NVMe processing latency of the
-// attempts — before the runtime falls back and asks another shard for
-// the bytes. RunTrafficParallel exploits exactly that gap: each shard
-// runs on its own goroutine and the fleet advances in windows one
-// lookahead wide, with every re-fetch deferred to a sequenced exchange
-// phase at the window barrier.
+// Parallel shard execution in global sequence order (DESIGN.md §7). A
+// fleet point steps N independent core.Systems, each shard on its own
+// goroutine. The only cross-shard edge is the degraded-mode replica
+// re-fetch (core.ReplicaFetcher): a shard that lost its copy reads the
+// bytes off a holder's media, charging the holder's driver and clock.
+// RunTrafficParallel keeps every system's operations in the order the
+// inline oracle — one goroutine serving the schedule in arrival order —
+// gives them, so its output equals that oracle's.
 //
-// The determinism argument:
+// The rule:
 //
-//   - The request schedule (arrival times, tenant picks, object names,
-//     primary routing) is a pure function of the TrafficConfig and the
-//     fleet layout, materialized before any shard moves (buildSchedule).
-//   - Within a window, shards touch only their own System — schedules
-//     are partitioned by primary, placement is pre-warmed, and the
-//     deferring fetcher turns the one cross-shard call into a parked
-//     request — so per-shard execution is single-threaded and identical
-//     at any worker-slot count.
-//   - Deferred fetches execute in the barrier's serial exchange phase,
-//     single-threaded, sorted by global request sequence, against
-//     holder systems that have quiesced at the same barrier. Delivery
-//     order is therefore a protocol constant — independent of which
-//     goroutine arrived last and of GOMAXPROCS.
-//   - Per-shard results, registries, and child tracers fold back in
-//     shard order, the same grouping every run uses.
+//   - Fetchers, the shards that can re-fetch a replica, are fixed when a
+//     run begins: a shard that is Down, has a flash fault model with
+//     UncorrectablePerM > 0, or has lost FTL pages to an earlier fault.
+//     Any other shard that fetches fails the run with an error naming it.
+//   - Every shard s publishes next[s], the sequence of its first
+//     unfinished request (MaxInt once it has none).
+//   - An operation at sequence q on holder h by shard r — r's own
+//     request (h = r) or r's replica read of h — waits until h (when
+//     h != r) and every fetcher other than r have next > q. Nobody reads
+//     a Down shard, so a Down shard's own requests wait on nothing. A
+//     fleet with no fetchers never waits.
 //
-// Together: tables, metrics JSON, windowed series, SLO burn, and traces
-// are byte-identical at any slot count, so the experiment harness sizes
-// the slots from whatever its -parallel worker budget has free.
+// Every operation on a system at sequence below q therefore finishes
+// before the one at q starts, so each system sees the inline order.
+// Every wait is on a shard whose first unfinished request has a smaller
+// sequence, so the lowest unfinished request never waits and the run
+// cannot deadlock. The schedule is a pure function of the TrafficConfig
+// (buildSchedule), per-shard results, registries and child tracers fold
+// back in shard order, and worker slots only bound how many shards
+// simulate at once (a waiting shard gives its slot up). Together:
+// tables, metrics JSON, windowed series, SLO burn and traces are
+// byte-identical at any slot count, so the experiment harness sizes the
+// slots from whatever its -parallel worker budget has free.
 package array
 
 import (
-	"sort"
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"morpheus/internal/core"
@@ -43,177 +46,144 @@ import (
 	"morpheus/internal/units"
 )
 
-// ReplicaLookahead is the provable minimum virtual-time distance between
-// a request's submission and the earliest instant its replica re-fetch
-// can reach another shard: the traffic path serves requests under
-// core.DefaultRetryPolicy, and a retryable device failure charges every
-// backoff of that policy on the virtual clock before the host fallback
-// path runs and fetches the replica. The window width of
-// RunTrafficParallel equals this bound, so any fetch parked inside a
-// window is provably ready at or past the window's end — checked at
-// runtime, since a non-retryable failure (an immediate-fallback
-// shortcut) would void the derivation.
-func ReplicaLookahead() units.Duration {
-	return core.DefaultRetryPolicy().BackoffBudget()
-}
-
-// execShard is one shard's private executor state. Everything here is
-// touched only by the shard's own goroutine, except the park slot
-// (seq/name/ready in, data/done/fok out), which the exchange phase
-// reads and writes strictly between barrier arrivals.
+// execShard is one shard's private executor state, touched only by the
+// shard's own goroutine until the run's WaitGroup releases it.
 type execShard struct {
 	id       int
 	reqs     []schedReq // this shard's slice of the schedule, seq order
-	cursor   int
+	seq      int        // the request being served
 	inflight []units.Time
 	refs     map[string][]byte
 	scratch  []byte         // serveOne's recycled result buffer
 	metrics  *shardMetrics  // the shard's serving handles
 	res      *TrafficResult // per-shard partial, merged in shard order
-	end      units.Time     // current window barrier
+	fetches  int            // replica re-fetches this shard made
 
-	// Park slot. A shard serves one request at a time, so at most one
-	// deferred fetch is outstanding per shard per exchange round.
-	parked bool
-	seq    int // global sequence of the parking request
-	name   string
-	ready  units.Time
-	data   []byte
-	done   units.Time
-	fok    bool
-
-	// First hard error (lowest seq, since requests run in seq order).
-	failed bool
-	errSeq int
-	err    error
+	// err is the shard's first hard error, raised serving request seq.
+	// The shard's orderedFetcher sets it too, since a fetcher can only
+	// answer "no replica".
+	err error
 }
 
-func (es *execShard) fail(seq int, err error) {
-	if es.failed {
-		return
-	}
-	es.failed = true
-	es.errSeq = seq
-	es.err = err
-}
-
-// trafficExec coordinates one windowed run.
+// trafficExec coordinates one run.
 type trafficExec struct {
 	a       *Array
 	tc      *TrafficConfig
 	classes []Class
-	window  units.Duration
-	ends    []units.Time // barriers of the non-empty windows, ascending
+	slots   *sim.WorkerBudget // bounds shards simulating concurrently
+	shards  []*execShard
 
-	rz    *sim.Rendezvous   // one party per shard
-	slots *sim.WorkerBudget // bounds shards simulating concurrently
+	fetchers []int // shards that may re-fetch a replica this run, ascending
 
-	shards []*execShard
-	more   bool // serial-phase verdict: another round in this window
-
-	// Protocol accounting, written only in serial phases; folded into
-	// the merged TrafficResult.
-	rounds   int
-	deferred int
-	early    int
+	mu   sync.Mutex
+	cond *sync.Cond
+	next []int // by shard: seq of its first unfinished request
 }
 
-// parkingFetcher is the ReplicaFetcher installed on every shard for the
-// duration of a windowed run: instead of reading the holder inline (a
-// cross-shard touch that would race and reorder), it parks the request
-// at the barrier and hands the fetch to the exchange phase.
-type parkingFetcher struct {
+// mayFetch reports whether sh can take the degraded path to a replica:
+// it is down, its media fails reads, or it lost pages to an earlier
+// fault (those stay lost after the fault model is cleared).
+func mayFetch(sh *Shard) bool {
+	return sh.Down || sh.Sys.SSD.Flash.FaultModel().UncorrectablePerM > 0 || sh.Sys.SSD.FTL.LostPages() > 0
+}
+
+// passed reports whether shard r may run its operation at seq q on
+// holder h. Call with ex.mu held.
+func (ex *trafficExec) passed(r, h, q int) bool {
+	if h != r && ex.next[h] <= q {
+		return false
+	}
+	for _, f := range ex.fetchers {
+		if f != r && ex.next[f] <= q {
+			return false
+		}
+	}
+	return true
+}
+
+// await blocks shard r's operation at seq q on holder h until the rule
+// lets it run, giving up r's worker slot while it blocks.
+func (ex *trafficExec) await(r, h, q int) {
+	if len(ex.fetchers) == 0 {
+		return
+	}
+	ex.mu.Lock()
+	if ex.passed(r, h, q) {
+		ex.mu.Unlock()
+		return
+	}
+	ex.slots.Release(1)
+	for !ex.passed(r, h, q) {
+		ex.cond.Wait()
+	}
+	ex.mu.Unlock()
+	ex.slots.Acquire()
+}
+
+// publish sets shard s's frontier to next.
+func (ex *trafficExec) publish(s, next int) {
+	if len(ex.fetchers) == 0 {
+		return
+	}
+	ex.mu.Lock()
+	ex.next[s] = next
+	ex.mu.Unlock()
+	ex.cond.Broadcast()
+}
+
+// orderedFetcher is the ReplicaFetcher installed on every shard for the
+// duration of a run: it reads the holder directly, each holder touch
+// waiting its turn in global sequence order.
+type orderedFetcher struct {
 	ex *trafficExec
 	es *execShard
 }
 
-func (f *parkingFetcher) FetchReplica(ready units.Time, name string) ([]byte, units.Time, bool) {
-	es, ex := f.es, f.ex
-	es.name, es.ready = name, ready
-	es.parked = true
-	end := es.end
-	// Quiesce: give up the CPU slot so another shard can run, join the
-	// barrier, and let the last arriver run the exchange.
-	ex.slots.Release(1)
-	ex.rz.Arrive(func() { ex.exchange(end) })
-	ex.slots.Acquire()
-	return es.data, es.done, es.fok
+func (f *orderedFetcher) FetchReplica(ready units.Time, name string) ([]byte, units.Time, bool) {
+	ex, es := f.ex, f.es
+	if !slices.Contains(ex.fetchers, es.id) {
+		es.err = fmt.Errorf("array: shard %d re-fetched a replica of %q but was neither down, faulted nor short of pages when the run began",
+			es.id, name)
+		return nil, 0, false
+	}
+	es.fetches++
+	return ex.a.readReplica(es.id, ready, name, func(h int) { ex.await(es.id, h, es.seq) })
 }
 
-// exchange is the barrier's serial phase: every shard has either
-// finished its window or parked on a fetch, so the coordinator-of-the-
-// round executes all parked fetches single-threaded against the (now
-// quiesced) holder systems, sorted by global request sequence — the
-// ordering that makes delivery scheduling-independent.
-func (ex *trafficExec) exchange(end units.Time) {
-	var parked []*execShard
-	for _, es := range ex.shards {
-		if es.parked {
-			parked = append(parked, es)
-		}
-	}
-	sort.Slice(parked, func(i, j int) bool { return parked[i].seq < parked[j].seq })
-	for _, es := range parked {
-		es.parked = false
-		if es.ready < end {
-			// The backoff-budget bound covers the retryable path; a
-			// non-retryable shortcut (e.g. the LBA retired after the first
-			// uncorrectable read turns the retry terminal) surfaces its
-			// fetch in under one lookahead. Delivery order and the
-			// holder's interval ledgers do not care — they place an
-			// acquire at a past ready in its earliest gap, as they do
-			// whenever the holder's clock runs ahead — so this is
-			// accounting, not an error.
-			ex.early++
-		}
-		f := shardFetcher{a: ex.a, self: es.id}
-		es.data, es.done, es.fok = f.FetchReplica(es.ready, es.name)
-	}
-	ex.rounds++
-	ex.deferred += len(parked)
-	ex.more = len(parked) > 0
-}
-
-// runShard advances one shard through every window: serve the window's
-// requests (parking inside the fetcher when one goes degraded) and
-// rendezvous. A shard is quiesced once its requests return, since every
-// command's completion is delivered inline. Rounds repeat within a
-// window until an exchange finds nothing parked.
+// runShard serves one shard's slice of the schedule in seq order,
+// publishing its frontier after each request.
 func (ex *trafficExec) runShard(es *execShard) {
-	for _, end := range ex.ends {
-		es.end = end
-		for {
-			if !es.failed && es.cursor < len(es.reqs) && es.reqs[es.cursor].at < end {
-				ex.slots.Acquire()
-				for !es.failed && es.cursor < len(es.reqs) && es.reqs[es.cursor].at < end {
-					rq := es.reqs[es.cursor]
-					es.seq = rq.seq
-					if err := serveOne(ex.a, ex.tc, ex.classes, es.metrics, rq, es.res, &es.inflight, es.refs, &es.scratch); err != nil {
-						es.fail(rq.seq, err)
-						break
-					}
-					es.cursor++
-				}
-				ex.slots.Release(1)
-			}
-			ex.rz.Arrive(func() { ex.exchange(end) })
-			if !ex.more {
-				break
-			}
+	ex.slots.Acquire()
+	defer ex.slots.Release(1)
+	down := ex.a.Shards[es.id].Down
+	for i, rq := range es.reqs {
+		es.seq = rq.seq
+		if !down {
+			ex.await(es.id, es.id, rq.seq)
+		}
+		if err := serveOne(ex.a, ex.tc, ex.classes, es.metrics, rq, es.res, &es.inflight, es.refs, &es.scratch); err != nil {
+			es.err = err
+		}
+		if es.err != nil {
+			break
+		}
+		if i+1 < len(es.reqs) {
+			ex.publish(es.id, es.reqs[i+1].seq)
 		}
 	}
+	ex.publish(es.id, math.MaxInt)
 }
 
 // RunTrafficParallel drives one open-loop request stream against the
 // fleet. Each request is routed to its object's primary shard,
 // admission-checked against that shard's slot window, and served at its
-// own arrival time (serveOne). Shards advance under the
-// conservative-window protocol, every shard on its own goroutine with at
-// most slots of them simulating at once. Output is
-// byte-identical at any slots value (1 included); see the package
-// comment at the top of this file for the argument. slots only caps
-// host CPU concurrency — it is clamped to [1, shards] and is safe to
-// size best-effort from a shared sim.WorkerBudget.
+// own arrival time (serveOne). Every shard runs on its own goroutine,
+// with at most slots of them simulating at once, under the sequence
+// rule in the comment at the top of this file. Output is byte-identical
+// at any slots value (1 included) and equals serving the schedule in
+// arrival order on one goroutine. slots only caps host CPU concurrency —
+// it is clamped to [1, shards] and is safe to size best-effort from a
+// shared sim.WorkerBudget.
 //
 // The fleet-level tracer attached via AttachTracer (if any) is swapped
 // for per-shard children during the run and re-adopted in shard order,
@@ -224,45 +194,38 @@ func RunTrafficParallel(a *Array, tc TrafficConfig, slots int) (*TrafficResult, 
 	if err != nil {
 		return nil, err
 	}
-	if slots < 1 {
-		slots = 1
-	}
-	if slots > len(a.Shards) {
-		slots = len(a.Shards)
-	}
-	window := ReplicaLookahead()
+	slots = min(max(slots, 1), len(a.Shards))
 	reqs := buildSchedule(a, &tc, classes)
 
 	ex := &trafficExec{
 		a:       a,
 		tc:      &tc,
 		classes: classes,
-		window:  window,
-		rz:      sim.NewRendezvous(len(a.Shards)),
 		slots:   sim.NewWorkerBudget(slots),
+		next:    make([]int, len(a.Shards)),
 	}
-	for i := range a.Shards {
+	ex.cond = sync.NewCond(&ex.mu)
+	for i, sh := range a.Shards {
 		ex.shards = append(ex.shards, &execShard{
 			id:      i,
 			res:     newTrafficResult(a, &tc, classes),
 			refs:    map[string][]byte{},
-			metrics: newShardMetrics(a.Shards[i].Sys.Metrics, classes),
+			metrics: newShardMetrics(sh.Sys.Metrics, classes),
 		})
-	}
-	// Arrivals are monotone, so the distinct window barriers come out
-	// ascending; windows nobody arrives in are skipped fleet-wide.
-	lastEnd := units.Time(-1)
-	for _, rq := range reqs {
-		end := units.Time((int64(rq.at)/int64(window) + 1) * int64(window))
-		if end != lastEnd {
-			ex.ends = append(ex.ends, end)
-			lastEnd = end
+		if mayFetch(sh) {
+			ex.fetchers = append(ex.fetchers, i)
 		}
+		ex.next[i] = math.MaxInt
+	}
+	for _, rq := range reqs {
 		es := ex.shards[rq.primary]
+		if len(es.reqs) == 0 {
+			ex.next[rq.primary] = rq.seq
+		}
 		es.reqs = append(es.reqs, rq)
 	}
 
-	// Interpose: deferring fetchers and per-shard child tracers, both
+	// Interpose: ordered fetchers and per-shard child tracers, both
 	// restored on the way out. The fleet shares one tracer (AttachTracer),
 	// so shard 0's is the point tracer to fold back into.
 	shared := a.Shards[0].Sys.Tracer()
@@ -270,7 +233,7 @@ func RunTrafficParallel(a *Array, tc TrafficConfig, slots int) (*TrafficResult, 
 	saved := make([]core.ReplicaFetcher, len(a.Shards))
 	for i, sh := range a.Shards {
 		saved[i] = sh.Sys.ReplicaFetcher()
-		sh.Sys.SetReplicaFetcher(&parkingFetcher{ex: ex, es: ex.shards[i]})
+		sh.Sys.SetReplicaFetcher(&orderedFetcher{ex: ex, es: ex.shards[i]})
 		if shared != nil {
 			children[i] = shared.Child()
 			sh.Sys.AttachTracer(children[i])
@@ -300,8 +263,8 @@ func RunTrafficParallel(a *Array, tc TrafficConfig, slots int) (*TrafficResult, 
 	var firstErr error
 	firstSeq := -1
 	for _, es := range ex.shards {
-		if es.failed && (firstSeq < 0 || es.errSeq < firstSeq) {
-			firstSeq, firstErr = es.errSeq, es.err
+		if es.err != nil && (firstSeq < 0 || es.seq < firstSeq) {
+			firstSeq, firstErr = es.seq, es.err
 		}
 	}
 	if firstErr != nil {
@@ -333,12 +296,9 @@ func RunTrafficParallel(a *Array, tc TrafficConfig, slots int) (*TrafficResult, 
 		if p.Horizon > res.Horizon {
 			res.Horizon = p.Horizon
 		}
+		res.DeferredFetches += es.fetches
 	}
 	res.FairnessTenants = jainPositive(res.TenantServed)
 	res.FairnessShards = jain(res.ShardServed)
-	res.Windows = len(ex.ends)
-	res.Rounds = ex.rounds
-	res.DeferredFetches = ex.deferred
-	res.EarlyFetches = ex.early
 	return res, nil
 }

@@ -9,17 +9,17 @@ import (
 
 	"morpheus/internal/apps"
 	"morpheus/internal/core"
+	"morpheus/internal/flash"
 	"morpheus/internal/nvme"
 	"morpheus/internal/ssd"
 	"morpheus/internal/trace"
 	"morpheus/internal/units"
 )
 
-// windowTraffic spans several conservative windows: 60 arrivals at a
-// 200 µs mean cover ~12 ms of virtual time against the ~3 ms lookahead
-// window, so degraded-mode re-fetches are forced across window
-// boundaries rather than all landing inside the first one.
-func windowTraffic(app *apps.App, objects int, seed int64) TrafficConfig {
+// fleetTraffic spans about 12 ms of virtual time (60 arrivals at a
+// 200 µs mean), long enough that a killed primary's replica re-fetches
+// interleave with the holders' own traffic.
+func fleetTraffic(app *apps.App, objects int, seed int64) TrafficConfig {
 	return TrafficConfig{
 		Tenants:  48,
 		Requests: 60,
@@ -33,7 +33,7 @@ func windowTraffic(app *apps.App, objects int, seed int64) TrafficConfig {
 	}
 }
 
-// parArtifacts is everything one windowed run emits that the
+// parArtifacts is everything one executor run emits that the
 // byte-identity contract covers.
 type parArtifacts struct {
 	res     *TrafficResult
@@ -52,31 +52,35 @@ func fleetMetricsJSON(t *testing.T, a *Array) []byte {
 	return buf.Bytes()
 }
 
-// runWindowed builds a fresh fleet, optionally kills the busiest
-// primary, and runs the conservative-window executor at the given slot
-// count with a tracer attached.
-func runWindowed(t *testing.T, slots int, kill bool, seed int64) parArtifacts {
+// killBusiest kills the shard that is primary for the most of the first
+// objects objects, like the E17 loss point: the shard whose loss
+// degrades the most traffic.
+func killBusiest(a *Array, objects int) {
+	counts := make([]int, len(a.Shards))
+	for i := 0; i < objects; i++ {
+		counts[a.Place(ObjectName(i))[0]]++
+	}
+	best := 0
+	for i, c := range counts {
+		if c > counts[best] {
+			best = i
+		}
+	}
+	a.KillShard(best)
+}
+
+// runFleet builds a fresh fleet, optionally kills the busiest primary,
+// and runs the executor at the given slot count with a tracer attached.
+func runFleet(t *testing.T, slots int, kill bool, seed int64) parArtifacts {
 	t.Helper()
 	const objects = 8
 	a, app := testFleet(t, 4, 2, objects)
 	tr := trace.New(0)
 	a.AttachTracer(tr)
 	if kill {
-		// The busiest primary, like the E17 loss point: the shard whose
-		// loss degrades the most traffic.
-		counts := make([]int, len(a.Shards))
-		for i := 0; i < objects; i++ {
-			counts[a.Place(ObjectName(i))[0]]++
-		}
-		best := 0
-		for i, c := range counts {
-			if c > counts[best] {
-				best = i
-			}
-		}
-		a.KillShard(best)
+		killBusiest(a, objects)
 	}
-	res, err := RunTrafficParallel(a, windowTraffic(app, objects, seed), slots)
+	res, err := RunTrafficParallel(a, fleetTraffic(app, objects, seed), slots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,19 +100,10 @@ func diffArtifacts(t *testing.T, label string, want, got parArtifacts) {
 	}
 }
 
-// TestLookaheadPositive pins the windowing precondition: the retry
-// backoff budget that funds the conservative window is provably nonzero
-// (3 ms under the default policy: 1 ms + 2 ms before the final attempt).
-func TestLookaheadPositive(t *testing.T) {
-	if l := ReplicaLookahead(); l != 3*units.Millisecond {
-		t.Fatalf("ReplicaLookahead = %v, want 3ms from the default retry policy", l)
-	}
-}
-
 // inlineTraffic is the test-only serving oracle: it issues the schedule
-// strictly in global arrival order on one goroutine, with no windows and
-// no parked re-fetches. On a healthy fleet there are no cross-shard
-// edges, so the windowed executor must reproduce it exactly.
+// strictly in global arrival order on one goroutine, through the
+// fleet's own replica routers. The executor must reproduce it exactly,
+// on a healthy fleet and on a degraded one.
 func inlineTraffic(a *Array, tc TrafficConfig) (*TrafficResult, error) {
 	classes, err := checkTraffic(&tc)
 	if err != nil {
@@ -132,36 +127,147 @@ func inlineTraffic(a *Array, tc TrafficConfig) (*TrafficResult, error) {
 	return res, nil
 }
 
+// scrubProtocol returns res without the fields only the executor fills:
+// the replica re-fetch count and the three fields that are always zero.
+func scrubProtocol(res *TrafficResult) *TrafficResult {
+	s := *res
+	s.Windows, s.Rounds, s.DeferredFetches, s.EarlyFetches = 0, 0, 0, 0
+	return &s
+}
+
+// matchInline runs tc on inline through inlineTraffic and on exec
+// through RunTrafficParallel, and fails unless the two agree on the
+// scrubbed result and on every shard's metrics JSON. exec's result is
+// returned.
+func matchInline(t *testing.T, label string, inline, exec *Array, tc TrafficConfig, slots int) *TrafficResult {
+	t.Helper()
+	want, err := inlineTraffic(inline, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunTrafficParallel(exec, tc, slots)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !reflect.DeepEqual(want, scrubProtocol(got)) {
+		t.Errorf("%s: executor result diverged from inline:\n%+v\nvs\n%+v", label, want, got)
+	}
+	if w, g := fleetMetricsJSON(t, inline), fleetMetricsJSON(t, exec); !bytes.Equal(w, g) {
+		t.Errorf("%s: executor shard metrics diverged from inline (%d vs %d bytes)", label, len(w), len(g))
+	}
+	if want.Admitted == 0 {
+		t.Fatalf("%s: traffic admitted nothing", label)
+	}
+	return got
+}
+
 // TestParallelTrafficMatchesInlineWhenHealthy: with no degraded-mode
-// traffic there are no cross-shard edges at all, and the windowed
-// executor must reproduce the inline oracle's results and per-shard
-// metrics exactly — the window protocol may only matter for contended
-// re-fetch ordering, never for independent serving.
+// traffic there are no cross-shard edges at all, and the executor must
+// reproduce the inline oracle's results and per-shard metrics exactly.
 func TestParallelTrafficMatchesInlineWhenHealthy(t *testing.T) {
 	const objects = 8
 	a, app := testFleet(t, 4, 2, objects)
-	inline, err := inlineTraffic(a, windowTraffic(app, objects, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inlineJSON := fleetMetricsJSON(t, a)
-
 	b, _ := testFleet(t, 4, 2, objects)
-	windowed, err := RunTrafficParallel(b, windowTraffic(app, objects, 7), 4)
-	if err != nil {
-		t.Fatal(err)
+	got := matchInline(t, "healthy", a, b, fleetTraffic(app, objects, 7), 4)
+	if got.DeferredFetches != 0 {
+		t.Fatalf("healthy run made %d replica re-fetches", got.DeferredFetches)
 	}
-	// Protocol accounting is the only thing the oracle never populates.
-	scrubbed := *windowed
-	scrubbed.Windows, scrubbed.Rounds = 0, 0
-	if !reflect.DeepEqual(inline, &scrubbed) {
-		t.Fatalf("healthy windowed run diverged from inline:\n%+v\nvs\n%+v", inline, windowed)
+}
+
+// TestParallelTrafficMatchesInlineWhenDegraded: with the busiest primary
+// dead, every re-fetch lands in the holder's ledgers where the inline
+// oracle puts it, so results and every shard's metrics match at any slot
+// count.
+func TestParallelTrafficMatchesInlineWhenDegraded(t *testing.T) {
+	const objects = 8
+	for _, seed := range []int64{7, 11, 13} {
+		for _, slots := range []int{1, 4} {
+			a, app := testFleet(t, 4, 2, objects)
+			b, _ := testFleet(t, 4, 2, objects)
+			killBusiest(a, objects)
+			killBusiest(b, objects)
+			label := fmt.Sprintf("seed=%d slots=%d", seed, slots)
+			got := matchInline(t, label, a, b, fleetTraffic(app, objects, seed), slots)
+			if got.Path[core.PathReplicaFallback] == 0 || got.DeferredFetches == 0 {
+				t.Fatalf("%s: no replica re-fetch; the comparison is vacuous", label)
+			}
+		}
 	}
-	if got := fleetMetricsJSON(t, b); !bytes.Equal(inlineJSON, got) {
-		t.Fatal("healthy windowed run's shard metrics diverged from inline")
+}
+
+// TestParallelTrafficMatchesInlineAfterLostPages: a live shard with
+// uncorrectable media retires blocks and loses pages. After its fault
+// model is cleared and the fleet reset, it still fetches those pages'
+// objects from a replica, so it must still count as a fetcher: both
+// runs match inline.
+func TestParallelTrafficMatchesInlineAfterLostPages(t *testing.T) {
+	const objects = 8
+	a, app := testFleet(t, 4, 2, objects)
+	b, _ := testFleet(t, 4, 2, objects)
+	faulty := a.Place(ObjectName(0))[0]
+	for _, f := range []*Array{a, b} {
+		f.Shards[faulty].Sys.SSD.Flash.SetFaultModel(flash.FaultModel{UncorrectablePerM: 300_000, Seed: 5})
 	}
-	if windowed.Admitted == 0 {
-		t.Fatal("traffic admitted nothing")
+	matchInline(t, "faulted", a, b, fleetTraffic(app, objects, 7), 4)
+	if b.Shards[faulty].Sys.SSD.FTL.LostPages() == 0 {
+		t.Fatal("the faulted run lost no pages; the second run is vacuous")
+	}
+	for _, f := range []*Array{a, b} {
+		f.Shards[faulty].Sys.SSD.Flash.SetFaultModel(flash.FaultModel{})
+		f.ResetTimers()
+	}
+	got := matchInline(t, "lost pages", a, b, fleetTraffic(app, objects, 11), 4)
+	if got.DeferredFetches == 0 {
+		t.Fatal("no replica re-fetch after the fault model was cleared; the second run is vacuous")
+	}
+}
+
+// FuzzTrafficMatchesInline holds the executor to the inline oracle over
+// fleet shapes: 1–6 shards, 1–3 replicas, any set of killed shards, one
+// optional live shard with uncorrectable media, and the seed, arrival
+// mix and slot count. Results and every shard's metrics JSON must match.
+func FuzzTrafficMatchesInline(f *testing.F) {
+	f.Add(uint8(4), uint8(2), uint8(0b0001), int8(-1), uint32(0), int64(7), uint8(0), uint8(4))
+	f.Add(uint8(5), uint8(3), uint8(0b00101), int8(1), uint32(100_000), int64(11), uint8(1), uint8(2))
+	f.Add(uint8(6), uint8(1), uint8(0), int8(3), uint32(500_000), int64(13), uint8(2), uint8(8))
+	f.Add(uint8(2), uint8(2), uint8(0b11), int8(-1), uint32(0), int64(3), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, shards, replicas, kill uint8, faulty int8, rate uint32, seed int64, mix, slots uint8) {
+		const objects = 6
+		n := 1 + int(shards)%6
+		a, app := testFleet(t, n, 1+int(replicas)%3, objects)
+		b, _ := testFleet(t, n, 1+int(replicas)%3, objects)
+		for _, f := range []*Array{a, b} {
+			for i := 0; i < n; i++ {
+				if kill&(1<<i) != 0 {
+					f.KillShard(i)
+				}
+			}
+			if faulty >= 0 && !f.Shards[int(faulty)%n].Down {
+				f.Shards[int(faulty)%n].Sys.SSD.Flash.SetFaultModel(flash.FaultModel{
+					UncorrectablePerM: 1 + int64(rate%1_000_000), Seed: uint64(seed),
+				})
+			}
+		}
+		tc := fleetTraffic(app, objects, seed)
+		tc.Requests = 32
+		tc.Mix = Mix(mix % 3)
+		matchInline(t, "fuzz", a, b, tc, 1+int(slots)%8)
+	})
+}
+
+// TestUnexpectedFetcherFailsNamingShard: a re-fetch by a shard outside
+// the run's fetcher set would break the ordering rule, so it is reported
+// as an error naming the shard instead of being served.
+func TestUnexpectedFetcherFailsNamingShard(t *testing.T) {
+	a, _ := testFleet(t, 3, 2, 1)
+	ex := &trafficExec{a: a}
+	es := &execShard{id: 2}
+	f := &orderedFetcher{ex: ex, es: es}
+	if _, _, ok := f.FetchReplica(0, ObjectName(0)); ok {
+		t.Fatal("a shard outside the fetcher set was served a replica")
+	}
+	if es.err == nil || !strings.Contains(es.err.Error(), "shard 2 ") {
+		t.Fatalf("error %v does not name shard 2", es.err)
 	}
 }
 
@@ -171,45 +277,35 @@ func TestParallelTrafficMatchesInlineWhenHealthy(t *testing.T) {
 // trace, span IDs included. The test job runs this under -race, so the
 // slot>1 runs also prove the executor free of data races.
 func TestParallelTrafficByteIdenticalAcrossSlots(t *testing.T) {
-	want := runWindowed(t, 1, false, 7)
+	want := runFleet(t, 1, false, 7)
 	if want.res.Admitted == 0 {
 		t.Fatal("traffic admitted nothing")
 	}
-	// A healthy run still walks the window protocol, but with no
-	// degraded traffic there are no cross-shard edges, so nothing parks.
-	if want.res.Windows == 0 || want.res.Rounds == 0 {
-		t.Fatalf("run recorded no protocol activity: %d windows, %d rounds", want.res.Windows, want.res.Rounds)
-	}
-	if want.res.DeferredFetches != 0 || want.res.EarlyFetches != 0 {
-		t.Fatalf("healthy run deferred %d fetches (%d early); there are no cross-shard edges to defer",
-			want.res.DeferredFetches, want.res.EarlyFetches)
+	if r := want.res; r.Windows != 0 || r.Rounds != 0 || r.EarlyFetches != 0 || r.DeferredFetches != 0 {
+		t.Fatalf("healthy run reported %d windows, %d rounds, %d early and %d replica re-fetches; want all zero",
+			r.Windows, r.Rounds, r.EarlyFetches, r.DeferredFetches)
 	}
 	for _, slots := range []int{4, 8} {
-		got := runWindowed(t, slots, false, 7)
+		got := runFleet(t, slots, false, 7)
 		diffArtifacts(t, fmt.Sprintf("slots=%d", slots), want, got)
 	}
 }
 
-// TestKillShardDuringWindow is the loss battery: a whole shard dies
+// TestKillShardAcrossSlots is the loss battery: a whole shard dies
 // before traffic, so every request routed to it burns the retry budget
-// and parks a replica re-fetch at a window barrier — across multiple
-// windows, at slot counts 1/4/8, everything must stay byte-identical,
-// and the degraded path must actually have been taken.
-func TestKillShardDuringWindow(t *testing.T) {
-	want := runWindowed(t, 1, true, 7)
+// and re-fetches a replica from a live holder. At slot counts 1/4/8
+// everything must stay byte-identical, and the degraded path must
+// actually have been taken.
+func TestKillShardAcrossSlots(t *testing.T) {
+	want := runFleet(t, 1, true, 7)
 	if got := want.res.Path[core.PathReplicaFallback]; got == 0 {
 		t.Fatal("shard loss produced no replica-fallback serves; the battery is vacuous")
 	}
 	if want.res.DeferredFetches == 0 {
-		t.Fatal("no replica fetch parked at a window barrier; the battery is vacuous")
-	}
-	// The schedule must span multiple conservative windows, or "across a
-	// window boundary" is untested.
-	if span := want.res.Horizon; span < 2*units.Time(ReplicaLookahead()) {
-		t.Fatalf("traffic horizon %v inside two %v windows; widen the schedule", span, ReplicaLookahead())
+		t.Fatal("no replica re-fetch counted; the battery is vacuous")
 	}
 	for _, slots := range []int{4, 8} {
-		got := runWindowed(t, slots, true, 7)
+		got := runFleet(t, slots, true, 7)
 		diffArtifacts(t, fmt.Sprintf("slots=%d", slots), want, got)
 	}
 }
@@ -217,23 +313,23 @@ func TestKillShardDuringWindow(t *testing.T) {
 // TestParallelTrafficRestoresAndReuses: the executor must leave the
 // fleet exactly as it found it — replica routers and tracer restored —
 // so a reset fleet reruns as if fresh, and a single degraded request
-// after a windowed run still routes its re-fetch through the real
-// shardFetcher rather than a leaked parking fetcher.
+// after an executor run still routes its re-fetch through the real
+// shardFetcher rather than a leaked ordered fetcher.
 func TestParallelTrafficRestoresAndReuses(t *testing.T) {
 	const objects = 8
 	fresh, app := testFleet(t, 3, 2, objects)
-	want, err := RunTrafficParallel(fresh, windowTraffic(app, objects, 7), 4)
+	want, err := RunTrafficParallel(fresh, fleetTraffic(app, objects, 7), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantJSON := fleetMetricsJSON(t, fresh)
 
 	reused, _ := testFleet(t, 3, 2, objects)
-	if _, err := RunTrafficParallel(reused, windowTraffic(app, objects, 11), 4); err != nil {
+	if _, err := RunTrafficParallel(reused, fleetTraffic(app, objects, 11), 4); err != nil {
 		t.Fatal(err)
 	}
 	reused.ResetTimers()
-	got, err := RunTrafficParallel(reused, windowTraffic(app, objects, 7), 4)
+	got, err := RunTrafficParallel(reused, fleetTraffic(app, objects, 7), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +340,7 @@ func TestParallelTrafficRestoresAndReuses(t *testing.T) {
 		t.Fatal("reused fleet metrics differ from a fresh fleet's")
 	}
 
-	// Degraded mode outside the executor still works after a windowed
+	// Degraded mode outside the executor still works after an executor
 	// run: the real replica router was restored.
 	reused.ResetTimers()
 	name := ObjectName(0)
@@ -261,7 +357,7 @@ func TestParallelTrafficRestoresAndReuses(t *testing.T) {
 		Fallback: &core.Fallback{Parser: app.HostParser, Spec: app.Spec},
 	})
 	if err != nil {
-		t.Fatalf("degraded request after a windowed run failed: %v", err)
+		t.Fatalf("degraded request after an executor run failed: %v", err)
 	}
 	if inv.Path != core.PathReplicaFallback {
 		t.Fatalf("served via %v, want %v", inv.Path, core.PathReplicaFallback)
@@ -294,7 +390,7 @@ func newRecycleShard(t *testing.T) *recycleShard {
 		}
 	}
 	a.ResetTimers()
-	r := &recycleShard{a: a, tc: windowTraffic(app, 2, 1), refs: map[string][]byte{}, dataB: dataB}
+	r := &recycleShard{a: a, tc: fleetTraffic(app, 2, 1), refs: map[string][]byte{}, dataB: dataB}
 	var err error
 	if r.classes, err = checkTraffic(&r.tc); err != nil {
 		t.Fatal(err)

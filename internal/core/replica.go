@@ -25,9 +25,10 @@ type ReplicaFetcher interface {
 func (s *System) SetReplicaFetcher(rf ReplicaFetcher) { s.replicaFetcher = rf }
 
 // ReplicaFetcher returns the installed router (nil if none). Executors
-// that interpose on the degraded path — the conservative-window shard
-// executor defers fetches to its exchange phase — save the original
-// through this and restore it when the run ends.
+// that interpose on the degraded path — the parallel shard executor
+// holds each re-fetch until the holder reaches the request's place in
+// global sequence order — save the original through this and restore it
+// when the run ends.
 func (s *System) ReplicaFetcher() ReplicaFetcher { return s.replicaFetcher }
 
 // ReadRaw streams a staged extent back to the host through conventional

@@ -39,25 +39,6 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// BackoffBudget returns the total virtual-clock delay the policy's
-// retries insert before the final attempt: the sum of the exponential
-// backoffs between attempt 1 and attempt MaxAttempts.
-// This is the provable lookahead floor conservative-window executors
-// lean on (array.RunTrafficParallel): a retryable device failure cannot
-// surface as a degraded-mode replica re-fetch earlier than BackoffBudget
-// past its submission time, because every backoff is charged on the
-// virtual clock first — on top of the PCIe SQE/doorbell submission and
-// NVMe processing latency of the attempts themselves.
-func (p RetryPolicy) BackoffBudget() units.Duration {
-	var total units.Duration
-	b := p.Backoff
-	for attempt := 1; attempt < p.MaxAttempts; attempt++ {
-		total += b
-		b = p.next(b)
-	}
-	return total
-}
-
 // next advances a backoff value one step.
 func (p RetryPolicy) next(backoff units.Duration) units.Duration {
 	b := units.Duration(float64(backoff) * p.Multiplier)

@@ -45,7 +45,7 @@ var parallelCases = []struct {
 	{name: "cachesweep"},
 	{name: "serve"},
 	{name: "endtoend"},
-	// Every array point runs its shards through the conservative-window
+	// Every array point runs its shards through the parallel shard
 	// executor on slots from the same worker budget, so the point fan-out
 	// and the shard fan-out must compose byte-identically.
 	{name: "array", array: ArraySweep{Tenants: 64, Requests: 48, Objects: 8}},

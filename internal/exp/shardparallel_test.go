@@ -13,7 +13,8 @@ import (
 
 // shardParArray is the E17 slice the shard-parallel battery runs: a
 // single 8-shard point (healthy + loss) with enough traffic that the
-// loss point's degraded re-fetches cross several conservative windows.
+// loss point's degraded re-fetches interleave with the holders' own
+// requests.
 func shardParArray(o Options) ([]*Table, error) {
 	o.Array = ArraySweep{
 		Shards: 8, Replicas: 2,
@@ -22,8 +23,8 @@ func shardParArray(o Options) ([]*Table, error) {
 	return oneTable(RunArray)(o)
 }
 
-// TestShardParallelMatches is the experiment-level arm of the
-// conservative-window contract: E17 renders the same table, the same
+// TestShardParallelMatches is the experiment-level arm of the shard
+// executor's contract: E17 renders the same table, the same
 // aggregate metrics and series JSON, and the same adopted trace (span IDs
 // included) whether its worker budget leaves every shard on one slot or
 // funds all eight, and under the point fan-out too, so the shared budget

@@ -50,6 +50,9 @@ func (a *Array) SetFaultModel(m FaultModel) {
 	a.faults = m
 }
 
+// FaultModel returns the installed fault model.
+func (a *Array) FaultModel() FaultModel { return a.faults }
+
 // FaultStats reports injected-fault activity on the read path.
 func (a *Array) FaultStats() (correctable, uncorrectable int64) {
 	return a.correctable, a.uncorrectable

@@ -1,8 +1,7 @@
 // Package sim provides the transaction-level simulation substrate used by
 // every hardware model in the repository: interval-ledger resources with
-// earliest-gap placement, bandwidth pipes, and the conservative-window
-// primitives (rendezvous barrier, worker budget) the array executor
-// builds on.
+// earliest-gap placement, bandwidth pipes, and the worker budget the
+// array executor draws its shard slots from.
 //
 // The central abstraction is the Resource: a serially-reusable unit (a CPU
 // core, a flash channel, a DMA engine, a PCIe link) whose occupancy is an
