@@ -1,12 +1,12 @@
-// Package morpheus's benchmark harness: one testing.B per table and
-// figure of the paper's evaluation. Each benchmark regenerates its
+// Package morpheus's benchmark harness: one testing.B per experiment of
+// the paper's evaluation. Each benchmark regenerates its
 // experiment on the simulated testbed, prints the same rows/series the
 // paper reports (with -v), and publishes the headline statistic as a
 // custom benchmark metric so regressions in the *shape* of the
 // reproduction are visible in benchstat output.
 //
 //	go test -bench=. -benchmem            # everything
-//	go test -bench=Fig8 -v                # one figure, with the table
+//	go test -bench=Apps -v                # Figures 2 and 8-10, §VII-A/B, with the tables
 //
 // The -scale knob of cmd/morpheusbench applies here through
 // MORPHEUS_BENCH_SCALE (a fraction of the Table I input sizes; default
@@ -58,23 +58,6 @@ func BenchmarkTable1Inventory(b *testing.B) {
 	}
 }
 
-// BenchmarkFig2Breakdown regenerates Figure 2 (E2): the conventional
-// model's execution-time breakdown. Metric: average deserialization share
-// (paper: 0.64).
-func BenchmarkFig2Breakdown(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		r, err := exp.RunFig2(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, r.Table())
-			b.ReportMetric(r.AvgDeserFrac, "deser-frac")
-		}
-	}
-}
-
 // BenchmarkFig3EffectiveBandwidth regenerates Figure 3 (E3): effective
 // deserialization bandwidth across media and CPU frequencies. Metrics:
 // NVMe/HDD ratio at 2.5 GHz (paper: ~1.5) and RamDrive/NVMe (paper: ~1.0).
@@ -111,93 +94,40 @@ func BenchmarkHostParseProfile(b *testing.B) {
 	}
 }
 
-// BenchmarkFig8DeserSpeedup regenerates Figure 8 (E5): per-application
-// deserialization speedup with Morpheus-SSD. Metrics: average (paper:
-// 1.66x), max (paper: 2.3x), and SpMV (paper: ~1.1x).
-func BenchmarkFig8DeserSpeedup(b *testing.B) {
+// BenchmarkApps regenerates the per-application evaluation from one set
+// of runs per application: Figure 2 (E2), Figure 8 (E5), Figure 9 (E6),
+// Figure 10 (E7), the §VII-A traffic (E8) and the §VII-B end-to-end
+// comparison (E9). Metrics: average deserialization share (paper: 0.64);
+// deserialization speedup average (paper: 1.66x), max (paper: 2.3x) and
+// SpMV (paper: ~1.1x); average power saving (paper: 7%), max (paper:
+// 17%) and average energy saving (paper: 42%); context-switch frequency
+// and count reductions (paper: 98% / 97%); PCIe reduction (paper: 22%)
+// and memory-bus reduction (paper: 58%); end-to-end speedup (paper:
+// 1.32x) and with NVMe-P2P (paper: 1.39x).
+func BenchmarkApps(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunFig8(o)
+		r, err := exp.RunApps(o)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			logTable(b, r.Table())
-			b.ReportMetric(r.Avg, "avg-x")
-			b.ReportMetric(r.Max, "max-x")
-			b.ReportMetric(r.SpMV, "spmv-x")
-		}
-	}
-}
-
-// BenchmarkFig9PowerEnergy regenerates Figure 9 (E6): normalized power
-// and energy during deserialization. Metrics: average power saving
-// (paper: 7%), max (paper: 17%), average energy saving (paper: 42%).
-func BenchmarkFig9PowerEnergy(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		r, err := exp.RunFig9(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, r.Table())
-			b.ReportMetric(r.AvgPowerSaving, "power-saving")
-			b.ReportMetric(r.MaxPowerSaving, "power-saving-max")
-			b.ReportMetric(r.AvgEnergySaving, "energy-saving")
-		}
-	}
-}
-
-// BenchmarkFig10ContextSwitches regenerates Figure 10 (E7). Metrics:
-// context-switch frequency and count reductions (paper: 98% / 97%).
-func BenchmarkFig10ContextSwitches(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		r, err := exp.RunFig10(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, r.Table())
-			b.ReportMetric(r.AvgFreqReduction, "freq-reduction")
-			b.ReportMetric(r.AvgCountReduction, "count-reduction")
-		}
-	}
-}
-
-// BenchmarkTrafficReduction regenerates the §VII-A traffic numbers (E8).
-// Metrics: PCIe reduction (paper: 22%) and memory-bus reduction (paper:
-// 58%).
-func BenchmarkTrafficReduction(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		r, err := exp.RunTraffic(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, r.Table())
-			b.ReportMetric(r.AvgPCIeReduction, "pcie-reduction")
-			b.ReportMetric(r.AvgMemBusReduction, "membus-reduction")
-		}
-	}
-}
-
-// BenchmarkEndToEnd regenerates the §VII-B end-to-end comparison (E9).
-// Metrics: average speedup (paper: 1.32x) and with NVMe-P2P (paper:
-// 1.39x).
-func BenchmarkEndToEnd(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		r, err := exp.RunEndToEnd(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, r.Table())
-			b.ReportMetric(r.AvgSpeedup, "e2e-x")
-			b.ReportMetric(r.AvgSpeedupP2P, "e2e-p2p-x")
+			for _, t := range r.Tables() {
+				logTable(b, t)
+			}
+			b.ReportMetric(r.Fig2.AvgDeserFrac, "deser-frac")
+			b.ReportMetric(r.Fig8.Avg, "avg-x")
+			b.ReportMetric(r.Fig8.Max, "max-x")
+			b.ReportMetric(r.Fig8.SpMV, "spmv-x")
+			b.ReportMetric(r.Fig9.AvgPowerSaving, "power-saving")
+			b.ReportMetric(r.Fig9.MaxPowerSaving, "power-saving-max")
+			b.ReportMetric(r.Fig9.AvgEnergySaving, "energy-saving")
+			b.ReportMetric(r.Fig10.AvgFreqReduction, "freq-reduction")
+			b.ReportMetric(r.Fig10.AvgCountReduction, "count-reduction")
+			b.ReportMetric(r.Traffic.AvgPCIeReduction, "pcie-reduction")
+			b.ReportMetric(r.Traffic.AvgMemBusReduction, "membus-reduction")
+			b.ReportMetric(r.EndToEnd.AvgSpeedup, "e2e-x")
+			b.ReportMetric(r.EndToEnd.AvgSpeedupP2P, "e2e-p2p-x")
 		}
 	}
 }

@@ -27,10 +27,10 @@ var flagSets = []struct {
 	name string
 	args []string
 }{
-	{"fig8-telemetry", []string{"-exp", "fig8",
+	{"apps-telemetry", []string{"-exp", "apps",
 		"-slo", "metric=nvme.MREAD.latency_ps,target=10ms,budget=0.05",
 		"-trace-sample", "head=64,lat=50ms"}},
-	{"fig8-batch", []string{"-exp", "fig8", "-batch-depth", "16"}},
+	{"apps-batch", []string{"-exp", "apps", "-batch-depth", "16"}},
 	{"array-8-shards", []string{"-exp", "array", "-shards", "8", "-replicas", "2"}},
 	{"array-bursty", []string{"-exp", "array", "-shards", "3", "-replicas", "2", "-arrival", "bursty:20us"}},
 }

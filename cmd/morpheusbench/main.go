@@ -4,10 +4,10 @@
 // Usage:
 //
 //	morpheusbench -exp all                 # everything
-//	morpheusbench -exp fig8               # one experiment
-//	morpheusbench -exp endtoend -scale 0.01 -seed 7
-//	morpheusbench -exp fig8 -trace-out trace.json -metrics-out metrics.json
-//	morpheusbench -exp fig8 -parallel 8   # fan sweep points across 8 workers
+//	morpheusbench -exp apps               # Figures 2, 8, 9, 10 and §VII-A/B
+//	morpheusbench -exp apps -scale 0.01 -seed 7
+//	morpheusbench -exp apps -trace-out trace.json -metrics-out metrics.json
+//	morpheusbench -exp apps -parallel 8   # fan sweep points across 8 workers
 //	morpheusbench -list                   # show the experiment index
 //
 // -exp takes one experiment name, a comma-separated list, or all; the

@@ -101,10 +101,10 @@ func TestList(t *testing.T) {
 		t.Fatalf("-list exited %d: %s", code, stderr.String())
 	}
 	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
-	if len(lines) != 17 {
-		t.Fatalf("-list printed %d lines, want 17:\n%s", len(lines), stdout.String())
+	if len(lines) != 12 {
+		t.Fatalf("-list printed %d lines, want 12:\n%s", len(lines), stdout.String())
 	}
-	if want := "  fig8       Figure 8 — deserialization speedup with Morpheus-SSD"; lines[4] != want {
+	if want := "  slowhost   slower-server sensitivity (1.2 GHz host)"; lines[4] != want {
 		t.Errorf("-list line 5 = %q, want %q", lines[4], want)
 	}
 }

@@ -24,7 +24,7 @@ type sysMetrics struct {
 	minitRetry, readRetry                              retryOp
 	invoke                                             [PathReplicaFallback + 1]stats.Latency
 	attempts                                           stats.Latency
-	phases                                             [len(phaseOrder)]stats.Latency
+	phases                                             [stats.NumPhases]stats.Latency
 	parseCycles                                        stats.TimedCounter
 
 	// Gauges sampled at command completion points (sampleGauges).
@@ -47,12 +47,6 @@ const (
 	outcomeRecovered
 	outcomeFailed
 )
-
-// phaseOrder is the Figure 2 legend, the index of sysMetrics.phases.
-var phaseOrder = [...]stats.Phase{
-	stats.PhaseDeserialize, stats.PhaseCPUCompute, stats.PhaseGPUCopy,
-	stats.PhaseGPUKernel, stats.PhaseSerialize,
-}
 
 func newSysMetrics(reg *stats.Registry) *sysMetrics {
 	m := &sysMetrics{
@@ -80,8 +74,8 @@ func newSysMetrics(reg *stats.Registry) *sysMetrics {
 	for p := range m.invoke {
 		m.invoke[p] = reg.Latency("core.invoke.latency_ps." + ServePath(p).String())
 	}
-	for i, p := range phaseOrder {
-		m.phases[i] = reg.Latency("phase." + string(p) + "_ps")
+	for p := range m.phases {
+		m.phases[p] = reg.Latency("phase." + stats.Phase(p).String() + "_ps")
 	}
 	return m
 }
@@ -104,13 +98,5 @@ func (m *sysMetrics) opLatency(op nvme.Opcode) stats.Latency {
 }
 
 // PhaseLatency returns the system's "phase.<p>_ps" latency handle,
-// resolved when the system was built. p must be one of the Figure 2
-// phases.
-func (s *System) PhaseLatency(p stats.Phase) stats.Latency {
-	for i, q := range phaseOrder {
-		if q == p {
-			return s.metrics.phases[i]
-		}
-	}
-	panic("core: unknown phase " + string(p))
-}
+// resolved when the system was built.
+func (s *System) PhaseLatency(p stats.Phase) stats.Latency { return s.metrics.phases[p] }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"morpheus/internal/apps"
 	"morpheus/internal/units"
 )
@@ -26,44 +24,30 @@ type E2EResult struct {
 	AvgSpeedupP2P float64 // over all apps (non-GPU apps use plain Morpheus)
 }
 
-// RunEndToEnd regenerates the end-to-end evaluation across the three
-// configurations.
-func RunEndToEnd(o Options) (*E2EResult, error) {
-	rows, err := runApps(o, func(app *apps.App, po Options) (E2ERow, error) {
-		base, _, err := runApp(app, apps.ModeBaseline, po)
-		if err != nil {
-			return E2ERow{}, fmt.Errorf("endtoend %s baseline: %w", app.Name, err)
-		}
-		morph, _, err := runApp(app, apps.ModeMorpheus, po)
-		if err != nil {
-			return E2ERow{}, fmt.Errorf("endtoend %s morpheus: %w", app.Name, err)
-		}
-		row := E2ERow{
-			App:      app.Name,
-			Baseline: base.Total,
-			Morpheus: morph.Total,
-			Speedup:  float64(base.Total) / float64(morph.Total),
-		}
-		row.SpeedupP2P = row.Speedup
-		if app.UsesGPU {
-			p2p, _, err := runApp(app, apps.ModeMorpheusP2P, po)
-			if err != nil {
-				return E2ERow{}, fmt.Errorf("endtoend %s p2p: %w", app.Name, err)
-			}
-			row.MorpheusP2P = p2p.Total
-			row.SpeedupP2P = float64(base.Total) / float64(p2p.Total)
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
+// e2eRow is one application's end-to-end comparison across the three
+// configurations; p2p is nil for an application without a GPU.
+func e2eRow(app string, base, morph, p2p *apps.Report) E2ERow {
+	row := E2ERow{
+		App:      app,
+		Baseline: base.Total,
+		Morpheus: morph.Total,
+		Speedup:  float64(base.Total) / float64(morph.Total),
 	}
+	row.SpeedupP2P = row.Speedup
+	if p2p != nil {
+		row.MorpheusP2P = p2p.Total
+		row.SpeedupP2P = float64(base.Total) / float64(p2p.Total)
+	}
+	return row
+}
+
+func newE2EResult(rows []E2ERow) *E2EResult {
 	var sp, spP2P []float64
 	for _, row := range rows {
 		sp = append(sp, row.Speedup)
 		spP2P = append(spP2P, row.SpeedupP2P)
 	}
-	return &E2EResult{Rows: rows, AvgSpeedup: mean(sp), AvgSpeedupP2P: mean(spP2P)}, nil
+	return &E2EResult{Rows: rows, AvgSpeedup: mean(sp), AvgSpeedupP2P: mean(spP2P)}
 }
 
 // Table renders the experiment.
@@ -98,17 +82,17 @@ type SlowHostResult struct {
 func RunSlowHost(o Options) (*SlowHostResult, error) {
 	fastOpts := o
 	fastOpts.CPUFreq = 2.5 * units.GHz
-	fast, err := RunEndToEnd(fastOpts)
+	fast, err := RunApps(fastOpts)
 	if err != nil {
 		return nil, err
 	}
 	slowOpts := o
 	slowOpts.CPUFreq = 1.2 * units.GHz
-	slow, err := RunEndToEnd(slowOpts)
+	slow, err := RunApps(slowOpts)
 	if err != nil {
 		return nil, err
 	}
-	return &SlowHostResult{Fast: fast, Slow: slow}, nil
+	return &SlowHostResult{Fast: fast.EndToEnd, Slow: slow.EndToEnd}, nil
 }
 
 // Table renders the comparison.

@@ -1,8 +1,9 @@
-// Package exp is the experiment harness: one runner per table/figure of
-// the paper's evaluation (plus the ablations DESIGN.md calls out), each
-// regenerating the same rows/series the paper reports. Experiments lists
-// them all; the cmd/morpheusbench binary and the repository's testing.B
-// benchmarks are thin wrappers over this package.
+// Package exp is the experiment harness: runners that regenerate the rows
+// and series of the paper's tables and figures (plus the ablations
+// DESIGN.md calls out). One runner, RunApps, reads Figures 2, 8, 9 and
+// 10 and the §VII-A/B numbers off one set of runs per application.
+// Experiments lists them all; the cmd/morpheusbench binary and the
+// repository's testing.B benchmarks are thin wrappers over this package.
 package exp
 
 import (

@@ -25,36 +25,26 @@ type Fig10Result struct {
 	AvgCountReduction float64
 }
 
-// RunFig10 regenerates Figure 10: context-switch frequencies (and total
-// counts) during object deserialization.
-func RunFig10(o Options) (*Fig10Result, error) {
-	rows, err := runApps(o, func(app *apps.App, po Options) (Fig10Row, error) {
-		base, _, err := runApp(app, apps.ModeBaseline, po)
-		if err != nil {
-			return Fig10Row{}, fmt.Errorf("fig10 %s baseline: %w", app.Name, err)
-		}
-		morph, _, err := runApp(app, apps.ModeMorpheus, po)
-		if err != nil {
-			return Fig10Row{}, fmt.Errorf("fig10 %s morpheus: %w", app.Name, err)
-		}
-		row := Fig10Row{
-			App:         app.Name,
-			BaseCount:   base.DeserCtxSwitches,
-			MorphCount:  morph.DeserCtxSwitches,
-			BaseFreqHz:  float64(base.DeserCtxSwitches) / base.Deser.Seconds(),
-			MorphFreqHz: float64(morph.DeserCtxSwitches) / morph.Deser.Seconds(),
-		}
-		if row.BaseFreqHz > 0 {
-			row.FreqReduction = 1 - row.MorphFreqHz/row.BaseFreqHz
-		}
-		if row.BaseCount > 0 {
-			row.CountReduction = 1 - float64(row.MorphCount)/float64(row.BaseCount)
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
+// fig10Row is one application's pair of Figure 10 bars: context-switch
+// frequencies (and total counts) during object deserialization.
+func fig10Row(app string, base, morph *apps.Report) Fig10Row {
+	row := Fig10Row{
+		App:         app,
+		BaseCount:   base.DeserCtxSwitches,
+		MorphCount:  morph.DeserCtxSwitches,
+		BaseFreqHz:  float64(base.DeserCtxSwitches) / base.Deser.Seconds(),
+		MorphFreqHz: float64(morph.DeserCtxSwitches) / morph.Deser.Seconds(),
 	}
+	if row.BaseFreqHz > 0 {
+		row.FreqReduction = 1 - row.MorphFreqHz/row.BaseFreqHz
+	}
+	if row.BaseCount > 0 {
+		row.CountReduction = 1 - float64(row.MorphCount)/float64(row.BaseCount)
+	}
+	return row
+}
+
+func newFig10Result(rows []Fig10Row) *Fig10Result {
 	res := &Fig10Result{Rows: rows}
 	var fRed, cRed []float64
 	for _, row := range rows {
@@ -63,7 +53,7 @@ func RunFig10(o Options) (*Fig10Result, error) {
 	}
 	res.AvgFreqReduction = mean(fRed)
 	res.AvgCountReduction = mean(cRed)
-	return res, nil
+	return res
 }
 
 // Table renders the figure.

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"morpheus/internal/apps"
 	"morpheus/internal/units"
 )
@@ -24,41 +22,35 @@ type Fig2Result struct {
 	AvgDeserFrac float64
 }
 
-// RunFig2 regenerates Figure 2: normalized execution-time breakdowns of
-// the conventional model ("Other CPU computation / Deserialization /
-// GPU-CPU Data Copy / GPU Kernels").
-func RunFig2(o Options) (*Fig2Result, error) {
-	rows, err := runApps(o, func(app *apps.App, po Options) (Fig2Row, error) {
-		rep, _, err := runApp(app, apps.ModeBaseline, po)
-		if err != nil {
-			return Fig2Row{}, fmt.Errorf("fig2 %s: %w", app.Name, err)
-		}
-		// For CPU (MPI) applications the computation kernel is CPU work;
-		// Figure 2's legend folds it into "Other CPU computation".
-		other := rep.OtherCPU
-		gpuKernel := rep.GPUKernel
-		if !app.UsesGPU {
-			other += rep.GPUKernel
-			gpuKernel = 0
-		}
-		return Fig2Row{
-			App:       app.Name,
-			Deser:     rep.Deser,
-			OtherCPU:  other,
-			GPUCopy:   rep.GPUCopy,
-			GPUKernel: gpuKernel,
-			Total:     rep.Total,
-			DeserFrac: rep.DeserFraction(),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+// fig2Row is one application's Figure 2 bar, from its conventional run:
+// normalized execution-time breakdowns ("Other CPU computation /
+// Deserialization / GPU-CPU Data Copy / GPU Kernels").
+func fig2Row(app *apps.App, rep *apps.Report) Fig2Row {
+	// For CPU (MPI) applications the computation kernel is CPU work;
+	// Figure 2's legend folds it into "Other CPU computation".
+	other := rep.OtherCPU
+	gpuKernel := rep.GPUKernel
+	if !app.UsesGPU {
+		other += rep.GPUKernel
+		gpuKernel = 0
 	}
+	return Fig2Row{
+		App:       app.Name,
+		Deser:     rep.Deser,
+		OtherCPU:  other,
+		GPUCopy:   rep.GPUCopy,
+		GPUKernel: gpuKernel,
+		Total:     rep.Total,
+		DeserFrac: rep.DeserFraction(),
+	}
+}
+
+func newFig2Result(rows []Fig2Row) *Fig2Result {
 	var fracs []float64
 	for _, row := range rows {
 		fracs = append(fracs, row.DeserFrac)
 	}
-	return &Fig2Result{Rows: rows, AvgDeserFrac: mean(fracs)}, nil
+	return &Fig2Result{Rows: rows, AvgDeserFrac: mean(fracs)}
 }
 
 // Table renders the figure as normalized stacked fractions.

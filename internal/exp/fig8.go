@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"morpheus/internal/apps"
 	"morpheus/internal/units"
 )
@@ -25,32 +23,18 @@ type Fig8Result struct {
 	SpMV float64
 }
 
-// RunFig8 regenerates Figure 8. Applications are independent sweep
-// points, so they fan out across the worker pool.
-func RunFig8(o Options) (*Fig8Result, error) {
-	rows, err := runApps(o, func(app *apps.App, po Options) (Fig8Row, error) {
-		base, _, err := runApp(app, apps.ModeBaseline, po)
-		if err != nil {
-			return Fig8Row{}, fmt.Errorf("fig8 %s baseline: %w", app.Name, err)
-		}
-		morph, _, err := runApp(app, apps.ModeMorpheus, po)
-		if err != nil {
-			return Fig8Row{}, fmt.Errorf("fig8 %s morpheus: %w", app.Name, err)
-		}
-		if err := apps.VerifyObjects(base, morph); err != nil {
-			return Fig8Row{}, fmt.Errorf("fig8 %s: object mismatch: %w", app.Name, err)
-		}
-		return Fig8Row{
-			App:           app.Name,
-			BaselineDeser: base.Deser,
-			MorpheusDeser: morph.Deser,
-			Speedup:       float64(base.Deser) / float64(morph.Deser),
-			CyclesPerByte: morph.CyclesPerByte,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+// fig8Row is one application's Figure 8 bar.
+func fig8Row(app string, base, morph *apps.Report) Fig8Row {
+	return Fig8Row{
+		App:           app,
+		BaselineDeser: base.Deser,
+		MorpheusDeser: morph.Deser,
+		Speedup:       float64(base.Deser) / float64(morph.Deser),
+		CyclesPerByte: morph.CyclesPerByte,
 	}
+}
+
+func newFig8Result(rows []Fig8Row) *Fig8Result {
 	res := &Fig8Result{Rows: rows}
 	var speedups []float64
 	for _, row := range rows {
@@ -63,7 +47,7 @@ func RunFig8(o Options) (*Fig8Result, error) {
 		}
 	}
 	res.Avg = mean(speedups)
-	return res, nil
+	return res
 }
 
 // Table renders the figure.

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"morpheus/internal/apps"
 	"morpheus/internal/power"
 	"morpheus/internal/units"
@@ -41,35 +39,25 @@ func deserLoad(rep *apps.Report, freq units.Frequency) power.Load {
 	}
 }
 
-// RunFig9 regenerates Figure 9: normalized total-system power and energy
-// consumption during object deserialization.
-func RunFig9(o Options) (*Fig9Result, error) {
+// fig9Row is one application's pair of Figure 9 bars: total-system power
+// and energy during object deserialization.
+func fig9Row(app string, base, morph appRun) Fig9Row {
 	model := power.DefaultModel()
-	rows, err := runApps(o, func(app *apps.App, po Options) (Fig9Row, error) {
-		base, sysB, err := runApp(app, apps.ModeBaseline, po)
-		if err != nil {
-			return Fig9Row{}, fmt.Errorf("fig9 %s baseline: %w", app.Name, err)
-		}
-		morph, sysM, err := runApp(app, apps.ModeMorpheus, po)
-		if err != nil {
-			return Fig9Row{}, fmt.Errorf("fig9 %s morpheus: %w", app.Name, err)
-		}
-		bl := deserLoad(base, sysB.Host.CPU.Freq)
-		ml := deserLoad(morph, sysM.Host.CPU.Freq)
-		row := Fig9Row{
-			App:         app.Name,
-			BasePower:   model.AveragePower(bl),
-			MorphPower:  model.AveragePower(ml),
-			BaseEnergy:  model.Energy(bl),
-			MorphEnergy: model.Energy(ml),
-		}
-		row.NormPower = float64(row.MorphPower) / float64(row.BasePower)
-		row.NormEnergy = float64(row.MorphEnergy) / float64(row.BaseEnergy)
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
+	bl := deserLoad(base.rep, base.freq)
+	ml := deserLoad(morph.rep, morph.freq)
+	row := Fig9Row{
+		App:         app,
+		BasePower:   model.AveragePower(bl),
+		MorphPower:  model.AveragePower(ml),
+		BaseEnergy:  model.Energy(bl),
+		MorphEnergy: model.Energy(ml),
 	}
+	row.NormPower = float64(row.MorphPower) / float64(row.BasePower)
+	row.NormEnergy = float64(row.MorphEnergy) / float64(row.BaseEnergy)
+	return row
+}
+
+func newFig9Result(rows []Fig9Row) *Fig9Result {
 	res := &Fig9Result{Rows: rows}
 	var pSav, eSav []float64
 	for _, row := range rows {
@@ -81,7 +69,7 @@ func RunFig9(o Options) (*Fig9Result, error) {
 	}
 	res.AvgPowerSaving = mean(pSav)
 	res.AvgEnergySaving = mean(eSav)
-	return res, nil
+	return res
 }
 
 // Table renders the figure.

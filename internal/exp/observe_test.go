@@ -18,7 +18,7 @@ func TestOptionsObservability(t *testing.T) {
 	o := testOptions()
 	o.Trace = trace.New(1 << 18)
 	o.Metrics = stats.NewRegistry()
-	if _, err := RunFig8(o); err != nil {
+	if _, err := RunApps(o); err != nil {
 		t.Fatal(err)
 	}
 	if o.Trace.Len() == 0 {
@@ -66,31 +66,25 @@ func TestOptionsObservability(t *testing.T) {
 // TestObservabilityOffByDefault: a nil Trace/Metrics must cost nothing
 // and change nothing.
 func TestObservabilityOffByDefault(t *testing.T) {
-	r1, err := RunFig8(testOptions())
+	r1, err := RunApps(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := testOptions()
 	o.Trace = trace.New(1 << 18)
 	o.Metrics = stats.NewRegistry()
-	r2, err := RunFig8(o)
+	r2, err := RunApps(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Observability is passive: identical speedups with and without it.
-	if len(r1.Rows) != len(r2.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(r1.Rows), len(r2.Rows))
-	}
-	for i := range r1.Rows {
-		if r1.Rows[i].Speedup != r2.Rows[i].Speedup {
-			t.Errorf("%s: speedup changed when observed: %v vs %v",
-				r1.Rows[i].App, r1.Rows[i].Speedup, r2.Rows[i].Speedup)
-		}
+	// Observability is passive: identical tables with and without it.
+	if a, b := renderTables(r1.Tables()), renderTables(r2.Tables()); a != b {
+		t.Errorf("tables changed when observed:\n%s\nvs:\n%s", a, b)
 	}
 }
 
 // TestTailSamplingSoak is the system-level arm of the tail sampler's
-// bounded-memory claim: a fig8 run at 16x the suite's usual input scale
+// bounded-memory claim: an apps run at 16x the suite's usual input scale
 // pushes well over 10x the usual command volume through the tracer, yet
 // the kept trace stays O(head + interesting + pending) instead of
 // O(commands).
@@ -98,10 +92,10 @@ func TestTailSamplingSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak-length run")
 	}
-	// Reference volume: the usual suite-scale fig8 run, fully traced.
+	// Reference volume: the usual suite-scale apps run, fully traced.
 	small := testOptions()
 	small.Trace = trace.New(0)
-	if _, err := RunFig8(small); err != nil {
+	if _, err := RunApps(small); err != nil {
 		t.Fatal(err)
 	}
 	smallVol := small.Trace.Recorded()
@@ -119,12 +113,12 @@ func TestTailSamplingSoak(t *testing.T) {
 	})
 	o.Metrics = stats.NewRegistry()
 	o.MetricsWindow = 100 * units.Microsecond
-	if _, err := RunFig8(o); err != nil {
+	if _, err := RunApps(o); err != nil {
 		t.Fatal(err)
 	}
 	recorded, kept, out := o.Trace.Recorded(), int64(o.Trace.Len()), o.Trace.SampledOut()
 	if recorded < 10*smallVol {
-		t.Fatalf("soak recorded %d events, want >=10x the usual fig8 volume (%d)", recorded, smallVol)
+		t.Fatalf("soak recorded %d events, want >=10x the usual apps volume (%d)", recorded, smallVol)
 	}
 	// Bounded memory: the kept trace is a sliver of what was offered.
 	if kept > recorded/10 {

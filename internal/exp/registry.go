@@ -19,19 +19,25 @@ func oneTable[R interface{ Table() *Table }](run func(Options) (R, error)) func(
 	}
 }
 
+// tables adapts a runner whose result renders as several tables.
+func tables[R interface{ Tables() []*Table }](run func(Options) (R, error)) func(Options) ([]*Table, error) {
+	return func(o Options) ([]*Table, error) {
+		r, err := run(o)
+		if err != nil {
+			return nil, err
+		}
+		return r.Tables(), nil
+	}
+}
+
 // Experiments lists every experiment in presentation order: the paper's
 // tables and figures first, then the extensions.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"table1", "Table I — benchmark applications and inputs", oneTable(RunTable1)},
-		{"fig2", "Figure 2 — baseline execution-time breakdown", oneTable(RunFig2)},
 		{"fig3", "Figure 3 — effective bandwidth vs storage device and CPU frequency", oneTable(RunFig3)},
 		{"profile", "§II — parse-cost profile (conversion vs OS overhead)", oneTable(RunProfile)},
-		{"fig8", "Figure 8 — deserialization speedup with Morpheus-SSD", oneTable(RunFig8)},
-		{"fig9", "Figure 9 — normalized power and energy", oneTable(RunFig9)},
-		{"fig10", "Figure 10 — context switches", oneTable(RunFig10)},
-		{"traffic", "§VII-A — PCIe and memory-bus traffic", oneTable(RunTraffic)},
-		{"endtoend", "§VII-B — end-to-end speedups (incl. NVMe-P2P)", oneTable(RunEndToEnd)},
+		{"apps", "Figures 2, 8, 9, 10 and §VII-A/B — per-application conventional vs Morpheus-SSD", tables(RunApps)},
 		{"slowhost", "slower-server sensitivity (1.2 GHz host)", oneTable(RunSlowHost)},
 		{"multiprog", "multiprogrammed environment (E12, extension of §III)", oneTable(RunMultiprog)},
 		{"serialize", "MWRITE serialization (E13, extension)", oneTable(RunSerialize)},
@@ -39,12 +45,6 @@ func Experiments() []Experiment {
 		{"cachesweep", "SSD object-cache sweep (E15, extension)", oneTable(RunCachesweep)},
 		{"serve", "batched submission sweep (E16, extension)", oneTable(RunServe)},
 		{"array", "sharded array serving sweep (E17, extension)", oneTable(RunArray)},
-		{"ablation", "design-choice ablations (DESIGN.md §4)", func(o Options) ([]*Table, error) {
-			r, err := RunAblation(o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Tables(), nil
-		}},
+		{"ablation", "design-choice ablations (DESIGN.md §4)", tables(RunAblation)},
 	}
 }

@@ -9,9 +9,8 @@ import (
 // and a runner, and the registry keeps the order `morpheusbench -list`
 // has always printed (the paper's artifacts first, then the extensions).
 func TestExperimentsRegistry(t *testing.T) {
-	want := []string{"table1", "fig2", "fig3", "profile", "fig8", "fig9", "fig10",
-		"traffic", "endtoend", "slowhost", "multiprog", "serialize", "faults",
-		"cachesweep", "serve", "array", "ablation"}
+	want := []string{"table1", "fig3", "profile", "apps", "slowhost", "multiprog",
+		"serialize", "faults", "cachesweep", "serve", "array", "ablation"}
 	var got []string
 	seen := map[string]bool{}
 	for _, e := range Experiments() {

@@ -5,9 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"morpheus/internal/apps"
 	"morpheus/internal/array"
-	"morpheus/internal/stats"
 	"morpheus/internal/units"
 )
 
@@ -60,45 +58,32 @@ type TrafficResult struct {
 	AvgMemBusReduction float64
 }
 
-// RunTraffic regenerates the §VII-A traffic measurements over the full
-// runs (deserialization + kernel).
-func RunTraffic(o Options) (*TrafficResult, error) {
-	rows, err := runApps(o, func(app *apps.App, po Options) (TrafficRow, error) {
-		_, sysB, err := runApp(app, apps.ModeBaseline, po)
-		if err != nil {
-			return TrafficRow{}, fmt.Errorf("traffic %s baseline: %w", app.Name, err)
-		}
-		_, sysM, err := runApp(app, apps.ModeMorpheus, po)
-		if err != nil {
-			return TrafficRow{}, fmt.Errorf("traffic %s morpheus: %w", app.Name, err)
-		}
-		// Read through point-in-time snapshots so later activity on the
-		// systems (or a tenant sharing the set) cannot skew the rows.
-		cb, cm := sysB.Counters.Snapshot(), sysM.Counters.Snapshot()
-		row := TrafficRow{
-			App:         app.Name,
-			BasePCIe:    cb.Bytes(stats.PCIeHostBytes) + cb.Bytes(stats.PCIeP2PBytes),
-			MorphPCIe:   cm.Bytes(stats.PCIeHostBytes) + cm.Bytes(stats.PCIeP2PBytes),
-			BaseMemBus:  cb.Bytes(stats.MemBusBytes),
-			MorphMemBus: cm.Bytes(stats.MemBusBytes),
-		}
-		if row.BasePCIe > 0 {
-			row.PCIeReduction = 1 - float64(row.MorphPCIe)/float64(row.BasePCIe)
-		}
-		if row.BaseMemBus > 0 {
-			row.MemBusReduction = 1 - float64(row.MorphMemBus)/float64(row.BaseMemBus)
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
+// trafficRow is one application's §VII-A traffic over the full runs
+// (deserialization + kernel).
+func trafficRow(app string, base, morph appRun) TrafficRow {
+	row := TrafficRow{
+		App:         app,
+		BasePCIe:    base.pcie,
+		MorphPCIe:   morph.pcie,
+		BaseMemBus:  base.memBus,
+		MorphMemBus: morph.memBus,
 	}
+	if row.BasePCIe > 0 {
+		row.PCIeReduction = 1 - float64(row.MorphPCIe)/float64(row.BasePCIe)
+	}
+	if row.BaseMemBus > 0 {
+		row.MemBusReduction = 1 - float64(row.MorphMemBus)/float64(row.BaseMemBus)
+	}
+	return row
+}
+
+func newTrafficResult(rows []TrafficRow) *TrafficResult {
 	var pcieRed, memRed []float64
 	for _, row := range rows {
 		pcieRed = append(pcieRed, row.PCIeReduction)
 		memRed = append(memRed, row.MemBusReduction)
 	}
-	return &TrafficResult{Rows: rows, AvgPCIeReduction: mean(pcieRed), AvgMemBusReduction: mean(memRed)}, nil
+	return &TrafficResult{Rows: rows, AvgPCIeReduction: mean(pcieRed), AvgMemBusReduction: mean(memRed)}
 }
 
 // Table renders the experiment.

@@ -185,18 +185,6 @@ func (r *Resource) Waited() units.Duration { return r.waited }
 // Acquires reports how many times the resource was acquired.
 func (r *Resource) Acquires() int64 { return r.acquires }
 
-// Utilization reports busyTime / horizon, clamped to [0,1].
-func (r *Resource) Utilization(horizon units.Duration) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	u := float64(r.busyTime) / float64(horizon)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
 // Reset returns the resource to idle at time zero, clearing statistics
 // and the Retire watermark.
 func (r *Resource) Reset() {

@@ -88,7 +88,7 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 }
 
 // TestResourceBusyTimeProperty: busy time equals the sum of requested
-// durations, and utilization never exceeds 1 over the span.
+// durations and never exceeds the span the resource was busy over.
 func TestResourceBusyTimeProperty(t *testing.T) {
 	f := func(durs []uint8) bool {
 		r := NewResource("prop")
@@ -100,10 +100,7 @@ func TestResourceBusyTimeProperty(t *testing.T) {
 		if r.BusyTime() != want {
 			return false
 		}
-		if want > 0 && r.Utilization(units.Duration(r.BusyUntil())) > 1.0000001 {
-			return false
-		}
-		return true
+		return r.BusyTime() <= units.Duration(r.BusyUntil())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -194,14 +191,5 @@ func TestResourceAccessors(t *testing.T) {
 	r.Acquire(5, 10)
 	if r.Name() != "r" || r.Acquires() != 1 || r.BusyUntil() != 15 {
 		t.Fatalf("accessors: %v %v %v", r.Name(), r.Acquires(), r.BusyUntil())
-	}
-	if u := r.Utilization(20); u != 0.5 {
-		t.Fatalf("utilization = %v", u)
-	}
-	if u := r.Utilization(0); u != 0 {
-		t.Fatal("zero-horizon utilization must be 0")
-	}
-	if u := r.Utilization(5); u != 1 {
-		t.Fatal("utilization clamps at 1")
 	}
 }

@@ -167,72 +167,25 @@ func (s *Set) String() string {
 	return b.String()
 }
 
-// Phase identifies a section of application execution time. These match
-// the legend of Figure 2 in the paper.
-type Phase string
+// Phase identifies a section of application execution time: the legend
+// of Figure 2 in the paper, plus the write direction's serialization.
+type Phase int
 
 // Phases of the Figure 2 breakdown.
 const (
-	PhaseDeserialize Phase = "deserialization"
-	PhaseCPUCompute  Phase = "other_cpu"
-	PhaseGPUCopy     Phase = "gpu_cpu_copy"
-	PhaseGPUKernel   Phase = "gpu_kernel"
-	PhaseSerialize   Phase = "serialization"
+	PhaseDeserialize Phase = iota
+	PhaseCPUCompute
+	PhaseGPUCopy
+	PhaseGPUKernel
+	PhaseSerialize
+	NumPhases // the number of phases, not a phase
 )
 
-// Breakdown accumulates wall-clock (simulated) time per phase.
-type Breakdown struct {
-	phases map[Phase]units.Duration
-}
+// phaseNames name the phases in their "phase.<name>_ps" metrics.
+var phaseNames = [NumPhases]string{"deserialization", "other_cpu", "gpu_cpu_copy", "gpu_kernel", "serialization"}
 
-// NewBreakdown returns an empty breakdown.
-func NewBreakdown() *Breakdown { return &Breakdown{phases: make(map[Phase]units.Duration)} }
-
-// Add charges d to phase p.
-func (b *Breakdown) Add(p Phase, d units.Duration) { b.phases[p] += d }
-
-// Get returns the accumulated time of phase p.
-func (b *Breakdown) Get(p Phase) units.Duration { return b.phases[p] }
-
-// Total returns the sum over all phases.
-func (b *Breakdown) Total() units.Duration {
-	var t units.Duration
-	for _, d := range b.phases {
-		t += d
-	}
-	return t
-}
-
-// Fraction returns phase p's share of the total, or 0 for an empty
-// breakdown.
-func (b *Breakdown) Fraction(p Phase) float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(b.phases[p]) / float64(t)
-}
-
-// Phases returns the phases present, in a fixed canonical order.
-func (b *Breakdown) Phases() []Phase {
-	order := []Phase{PhaseDeserialize, PhaseCPUCompute, PhaseGPUCopy, PhaseGPUKernel, PhaseSerialize}
-	var out []Phase
-	for _, p := range order {
-		if _, ok := b.phases[p]; ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// String renders the breakdown as "phase=dur (pct)" terms.
-func (b *Breakdown) String() string {
-	var parts []string
-	for _, p := range b.Phases() {
-		parts = append(parts, fmt.Sprintf("%s=%v (%.0f%%)", p, b.phases[p], 100*b.Fraction(p)))
-	}
-	return strings.Join(parts, " ")
-}
+// String returns the phase's metric name.
+func (p Phase) String() string { return phaseNames[p] }
 
 // metricID is a metric name's process-wide interned index. Every registry
 // and counter set stores its metrics in dense slices indexed by it, so a

@@ -3,8 +3,6 @@ package stats
 import (
 	"strings"
 	"testing"
-
-	"morpheus/internal/units"
 )
 
 func TestCounters(t *testing.T) {
@@ -40,37 +38,5 @@ func TestNamesSortedAndString(t *testing.T) {
 	out := s.String()
 	if !strings.Contains(out, "a.counter=2") || !strings.Contains(out, "b.counter=1") {
 		t.Fatalf("string = %q", out)
-	}
-}
-
-func TestBreakdown(t *testing.T) {
-	b := NewBreakdown()
-	b.Add(PhaseDeserialize, 64*units.Millisecond)
-	b.Add(PhaseCPUCompute, 36*units.Millisecond)
-	if b.Total() != 100*units.Millisecond {
-		t.Fatalf("total = %v", b.Total())
-	}
-	if f := b.Fraction(PhaseDeserialize); f != 0.64 {
-		t.Fatalf("deser fraction = %v", f)
-	}
-	if f := b.Fraction(PhaseGPUKernel); f != 0 {
-		t.Fatalf("absent phase fraction = %v", f)
-	}
-	phases := b.Phases()
-	if len(phases) != 2 || phases[0] != PhaseDeserialize {
-		t.Fatalf("phases = %v", phases)
-	}
-	if !strings.Contains(b.String(), "64%") {
-		t.Fatalf("string = %q", b.String())
-	}
-}
-
-func TestEmptyBreakdown(t *testing.T) {
-	b := NewBreakdown()
-	if b.Fraction(PhaseDeserialize) != 0 {
-		t.Fatal("empty breakdown fraction must be 0")
-	}
-	if b.Total() != 0 {
-		t.Fatal("empty total must be 0")
 	}
 }

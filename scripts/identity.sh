@@ -11,7 +11,7 @@
 # prints the four SHA-256s. A flag set without -metrics-window gets
 # -metrics-window 100us, so every run writes a series.
 #
-#   scripts/identity.sh fig8 -scale 0.01 -batch-depth 16
+#   scripts/identity.sh apps -scale 0.01 -batch-depth 16
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
