@@ -47,7 +47,8 @@ func TestShardParallelMatches(t *testing.T) {
 			label := fmt.Sprintf("budget=%d parallel=%d", tokens, par)
 			o.Parallel = par
 			o.budget = sim.NewWorkerBudget(tokens)
-			table, js, series, events := observedRun(t, shardParArray, o)
+			tables, js, series, events := observedRun(t, shardParArray, o)
+			table := renderTables(tables)
 			if tokens == 8 && par == 1 {
 				// One point at a time holds one token and scavenges the
 				// other seven for its shards.
