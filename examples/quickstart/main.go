@@ -12,7 +12,6 @@ import (
 
 	"morpheus/internal/core"
 	"morpheus/internal/serial"
-	"morpheus/internal/ssd"
 	"morpheus/internal/workload"
 )
 
@@ -65,10 +64,8 @@ func main() {
 	app := &core.StorageApp{
 		Name:   "inputapplet",
 		Source: inputApplet,
-		NativeFactory: func() ssd.NativeFunc {
-			return func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
-				return serial.AppendTokens(dst, chunk, serial.FieldInt32)
-			}
+		Native: func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
+			return serial.AppendTokens(dst, chunk, serial.FieldInt32)
 		},
 	}
 	tracer := sys.EnableTrace(4096)

@@ -12,7 +12,6 @@ import (
 
 	"morpheus/internal/core"
 	"morpheus/internal/serial"
-	"morpheus/internal/ssd"
 	"morpheus/internal/units"
 	"morpheus/internal/workload"
 )
@@ -58,21 +57,20 @@ type App struct {
 // continuation) for this application.
 func (a *App) StorageApp() *core.StorageApp {
 	fields := a.Fields
+	native := func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
+		return serial.AppendRecords(dst, chunk, fields)
+	}
+	if len(fields) == 1 {
+		kind := fields[0]
+		native = func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
+			return serial.AppendTokens(dst, chunk, kind)
+		}
+	}
 	return &core.StorageApp{
 		Name:       a.Name,
 		Source:     a.StorageSrc,
 		EntryPoint: a.Entry,
-		NativeFactory: func() ssd.NativeFunc {
-			if len(fields) == 1 {
-				kind := fields[0]
-				return func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
-					return serial.AppendTokens(dst, chunk, kind)
-				}
-			}
-			return func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
-				return serial.AppendRecords(dst, chunk, fields)
-			}
-		},
+		Native:     native,
 	}
 }
 

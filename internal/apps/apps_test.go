@@ -106,7 +106,7 @@ func TestStorageAppMatchesHostParser(t *testing.T) {
 				t.Fatalf("StorageApp output (%d bytes) != host parser output (%d bytes)", len(vmOut), len(hostOut))
 			}
 			// And the native continuation equals both.
-			nativeOut, err := app.StorageApp().NativeFactory()(nil, shard, true, nil)
+			nativeOut, err := app.StorageApp().Native(nil, shard, true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

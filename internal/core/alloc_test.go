@@ -6,7 +6,6 @@ import (
 
 	"morpheus/internal/nvme"
 	"morpheus/internal/serial"
-	"morpheus/internal/ssd"
 	"morpheus/internal/units"
 	"morpheus/internal/workload"
 )
@@ -29,10 +28,8 @@ func grepApp() *StorageApp {
 	return &StorageApp{
 		Name:   "grep",
 		Source: grepDeserSrc,
-		NativeFactory: func() ssd.NativeFunc {
-			return func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
-				return serial.AppendTokens(dst, chunk, serial.FieldInt64)
-			}
+		Native: func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
+			return serial.AppendTokens(dst, chunk, serial.FieldInt64)
 		},
 	}
 }

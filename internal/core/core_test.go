@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"morpheus/internal/serial"
-	"morpheus/internal/ssd"
 	"morpheus/internal/stats"
 	"morpheus/internal/units"
 )
@@ -29,10 +28,8 @@ StorageApp int inputapplet(ms_stream s) {
 func intApp(sampled bool) *StorageApp {
 	app := &StorageApp{Name: "inputapplet", Source: intDeserSrc}
 	if sampled {
-		app.NativeFactory = func() ssd.NativeFunc {
-			return func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
-				return serial.AppendTokens(dst, chunk, serial.FieldInt32)
-			}
+		app.Native = func(dst, chunk []byte, final bool, args []int64) ([]byte, error) {
+			return serial.AppendTokens(dst, chunk, serial.FieldInt32)
 		}
 	}
 	return app

@@ -77,11 +77,7 @@ func TestFailedInvocationsLeakNothing(t *testing.T) {
 		// Occupy the only execution slot by hand; the invocation's MINIT
 		// sees StatusNoSlots, retries (slots could free), then gives up.
 		sys, f := stage(t, func(c *SystemConfig) { c.SSD.MaxInstances = 1 })
-		prog, err := intApp(false).Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		image, err := prog.MarshalBinary()
+		image, err := intApp(false).Image()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,21 +28,37 @@ type StorageApp struct {
 	// EntryPoint selects the StorageApp function when Source declares
 	// several ("" = the only one).
 	EntryPoint string
-	// NativeFactory builds a fresh native data-plane continuation per
-	// invocation (nil forces exact interpretation).
-	NativeFactory func() ssd.NativeFunc
+	// Native is the data-plane continuation sampled execution runs (nil
+	// forces exact interpretation). It is shared by every invocation, so
+	// it must be stateless (see ssd.NativeFunc).
+	Native ssd.NativeFunc
 
 	once     sync.Once
 	compiled *mvm.Program
+	image    []byte // compiled's MINIT image
 	compErr  error
 }
 
 // Compile compiles (once) and returns the device program.
 func (a *StorageApp) Compile() (*mvm.Program, error) {
+	a.compile()
+	return a.compiled, a.compErr
+}
+
+// Image compiles (once) and returns the device program's MINIT image. The
+// image is shared by every invocation and must not be modified.
+func (a *StorageApp) Image() ([]byte, error) {
+	a.compile()
+	return a.image, a.compErr
+}
+
+func (a *StorageApp) compile() {
 	a.once.Do(func() {
 		a.compiled, a.compErr = morphc.Compile(a.Source, a.EntryPoint)
+		if a.compErr == nil {
+			a.image, a.compErr = a.compiled.MarshalBinary()
+		}
 	})
-	return a.compiled, a.compErr
 }
 
 // Target is a DMA destination for StorageApp output: host DRAM (default)
@@ -209,11 +225,7 @@ func (s *System) recordInvoke(ready units.Time, res *InvokeResult) {
 // allocated, so a failed attempt leaves no residue; the returned time is
 // when the host finished cleaning up.
 func (s *System) invokeMorpheusOnce(ready units.Time, opt InvokeOptions, rp RetryPolicy) (res *InvokeResult, end units.Time, err error) {
-	prog, err := opt.App.Compile()
-	if err != nil {
-		return nil, ready, err
-	}
-	image, err := prog.MarshalBinary()
+	image, err := opt.App.Image()
 	if err != nil {
 		return nil, ready, err
 	}
@@ -277,16 +289,12 @@ func (s *System) invokeMorpheusOnce(ready units.Time, opt InvokeOptions, rp Retr
 		}
 	}()
 
-	var native ssd.NativeFunc
-	if opt.App.NativeFactory != nil {
-		native = opt.App.NativeFactory()
-	}
 	comp, t, err := s.Driver.SubmitRetry(t, &s.metrics.minitRetry, rp, func() *ssd.CmdContext {
 		return &ssd.CmdContext{
 			Cmd:    nvme.BuildMInit(0, uint64(codeAddr), uint32(len(image)), id, uint32(len(opt.Args)), 0),
 			Code:   image,
 			Args:   opt.Args,
-			Native: native,
+			Native: opt.App.Native,
 		}
 	})
 	end = t
@@ -568,11 +576,7 @@ func (s *System) SerializeStorageApp(ready units.Time, app *StorageApp, f *File,
 	if !s.Identify.Morpheus.Supported {
 		return nil, ErrNoMorpheus
 	}
-	prog, err := app.Compile()
-	if err != nil {
-		return nil, err
-	}
-	image, err := prog.MarshalBinary()
+	image, err := app.Image()
 	if err != nil {
 		return nil, err
 	}

@@ -34,8 +34,8 @@ func (f *FTL) RetireBlock(ready units.Time, blk flash.BlockAddr) (units.Time, er
 	bs, tracked := pl.blocks[blk]
 	if !tracked {
 		// A free (or unknown) block: just make sure it is never handed out.
-		for i, fb := range pl.free {
-			if *fb == blk {
+		for i, b := range pl.free {
+			if int(b) == blk.Block {
 				pl.free = append(pl.free[:i], pl.free[i+1:]...)
 				break
 			}

@@ -46,8 +46,11 @@ type blockState struct {
 	lbas     []LBA // lba per page, -1 = invalid/unused
 }
 
+// plane is one flash plane's allocation state. The free list holds block
+// numbers only, in FIFO order; at gives their full addresses.
 type plane struct {
-	free   []*flash.BlockAddr
+	addr   flash.BlockAddr // the plane's channel, die and plane; Block unused
+	free   []int32
 	active *blockState
 	blocks map[flash.BlockAddr]*blockState // full or active blocks
 }
@@ -105,12 +108,15 @@ func New(array *flash.Array, cfg Config) *FTL {
 	for c := 0; c < geo.Channels; c++ {
 		for d := 0; d < geo.DiesPerChannel; d++ {
 			for p := 0; p < geo.PlanesPerDie; p++ {
-				pl := &plane{blocks: make(map[flash.BlockAddr]*blockState)}
-				for b := 0; b < geo.BlocksPerPlane; b++ {
-					addr := flash.BlockAddr{Channel: c, Die: d, Plane: p, Block: b}
-					pl.free = append(pl.free, &addr)
-					total++
+				pl := &plane{
+					addr:   flash.BlockAddr{Channel: c, Die: d, Plane: p},
+					free:   make([]int32, geo.BlocksPerPlane),
+					blocks: make(map[flash.BlockAddr]*blockState),
 				}
+				for b := range pl.free {
+					pl.free[b] = int32(b)
+				}
+				total += int64(geo.BlocksPerPlane)
 				f.planes = append(f.planes, pl)
 			}
 		}
@@ -209,6 +215,13 @@ func (f *FTL) invalidate(ppa flash.PPA) {
 	}
 }
 
+// at returns the address of block b on the plane.
+func (pl *plane) at(b int32) flash.BlockAddr {
+	a := pl.addr
+	a.Block = int(b)
+	return a
+}
+
 func (f *FTL) planeOf(b flash.BlockAddr) *plane {
 	geo := f.array.Geometry()
 	idx := ((b.Channel*geo.DiesPerChannel)+b.Die)*geo.PlanesPerDie + b.Plane
@@ -258,13 +271,13 @@ func (f *FTL) allocate(ready units.Time) (*plane, units.Time, error) {
 // block state.
 func (f *FTL) openBlock(pl *plane) *blockState {
 	geo := f.array.Geometry()
-	for len(pl.free) > 0 && f.badBlocks[*pl.free[0]] {
+	for len(pl.free) > 0 && f.badBlocks[pl.at(pl.free[0])] {
 		pl.free = pl.free[1:]
 	}
 	if len(pl.free) == 0 {
 		return nil
 	}
-	addr := *pl.free[0]
+	addr := pl.at(pl.free[0])
 	pl.free = pl.free[1:]
 	bs := &blockState{addr: addr, lbas: make([]LBA, geo.PagesPerBlock)}
 	for i := range bs.lbas {
@@ -331,8 +344,7 @@ func (f *FTL) collect(ready units.Time, pl *plane) (units.Time, error) {
 		return ready, err
 	}
 	delete(pl.blocks, victim.addr)
-	addr := victim.addr
-	pl.free = append(pl.free, &addr)
+	pl.free = append(pl.free, int32(victim.addr.Block))
 	pl.active = dst
 	return done, nil
 }

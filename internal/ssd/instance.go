@@ -16,10 +16,13 @@ import (
 // slice. An error means the StorageApp would have trapped; the controller
 // then reaps the instance. The chunk is borrowed: it is read-only and only
 // valid until the call returns. dst is a controller-owned buffer shared by
-// all instances, so the function must not keep it either. Correctness
-// tests assert NativeFunc ≡ the interpreted StorageApp on whole inputs.
-// Implementations may be stateful closures; a fresh one is created per
-// MINIT.
+// all instances, so the function must not keep it either.
+//
+// A NativeFunc must be a pure function of (chunk, final, args), equivalent
+// to the code image it is shipped with: the object cache and the rig memo
+// replay a chunk's recorded output instead of calling it again, and skip
+// calls mid-stream. Correctness tests assert NativeFunc ≡ the interpreted
+// StorageApp on whole inputs.
 type NativeFunc func(dst, chunk []byte, final bool, args []int64) ([]byte, error)
 
 // instance is one StorageApp execution (one MINIT..MDEINIT lifetime),
@@ -132,8 +135,8 @@ type chunkResult struct {
 // instances. A controller runs on one goroutine and no buffer outlives the
 // command that fills it, so one set serves every instance: chunk holds the
 // MREAD's pages, aligned joins an instance's carried partial record with
-// the chunk, and out receives the native parser's objects (the bytes the
-// command's Sink borrows).
+// the chunk, and out receives the native parser's objects, or a copy of
+// the rig memo's recorded ones (the bytes the command's Sink borrows).
 type stagingBufs struct {
 	chunk, aligned, out []byte
 }
@@ -158,22 +161,36 @@ func (in *instance) processChunk(chunk []byte, final bool, sampleWindow int64, s
 		return res, err
 	}
 	// Sampled mode: keep the timing rig running over the sample window.
+	// node is the memo node this chunk led to, taken before updateCPB,
+	// which drops it when the rig halts.
+	var node *rigNode
 	if !in.rigDone && in.rig.consumed < sampleWindow {
 		if err := in.advanceRig(chunk, final); err != nil {
 			return chunkResult{}, err
 		}
+		node = in.node
 	}
 	in.updateCPB()
 	cyc := in.cpb * float64(len(chunk))
-	aligned := serial.AlignRecords(&in.carry, &st.aligned, chunk, final)
 	out := st.out[:0]
-	if len(aligned) > 0 || final {
-		var err error
-		if out, err = in.native(out, aligned, final, in.args); err != nil {
-			return chunkResult{}, fmt.Errorf("ssd: StorageApp %q native data plane: %w", in.prog.Name, err)
+	if node != nil && node.plane != nil {
+		// A recorded data plane: copy it into staging, so the Sink
+		// borrows controller memory and never the memo's.
+		out = append(out, node.plane.out...)
+		in.carry = append(in.carry[:0], node.plane.carry...)
+	} else {
+		aligned := serial.AlignRecords(&in.carry, &st.aligned, chunk, final)
+		if len(aligned) > 0 || final {
+			var err error
+			if out, err = in.native(out, aligned, final, in.args); err != nil {
+				return chunkResult{}, fmt.Errorf("ssd: StorageApp %q native data plane: %w", in.prog.Name, err)
+			}
 		}
-		st.out = out
+		if node != nil {
+			in.memo.record(node, out, in.carry)
+		}
 	}
+	st.out = out
 	in.cycles += cyc
 	in.outBytes += int64(len(out))
 	if final {

@@ -7,9 +7,10 @@ import (
 )
 
 // rigMemoCap bounds the bytes a controller's rig memo holds: code images,
-// argument vectors and the chunk bytes its trie edges are keyed by. Once
-// it is reached no new entries are inserted; streams that leave the trie
-// run live.
+// argument vectors, the chunk bytes its trie edges are keyed by and the
+// data-plane results recorded on them. Once it is reached nothing new is
+// inserted or recorded; streams that leave the trie run live, and chunks
+// without a recorded result are parsed.
 const rigMemoCap = 16 << 20
 
 // rigMemo memoizes the sampled-execution timing rig per controller
@@ -22,11 +23,18 @@ const rigMemoCap = 16 << 20
 // views instead of running the VM. Only completed transitions (NeedInput
 // or Halted) are stored; a chunk that traps always runs live.
 //
+// Each edge also records its data-plane result once (rigPlane): the native
+// parser's output for the chunk and the carried partial record after it.
+// Both are a pure function of the same path, because a NativeFunc is a
+// pure function of its chunk, final flag and arguments, equivalent to the
+// code image. So a stream that reaches a recorded node inside the sample
+// window skips the parse as well as the VM.
+//
 // The memo is host-side only: nothing the model reports depends on
-// whether a view came from the trie or from a live VM.
+// whether a view or an output came from the trie or was computed live.
 type rigMemo struct {
 	progs map[string]*rigProg // by exact code image
-	bytes int64               // code, argument and edge chunk bytes held
+	bytes int64               // code, argument, edge chunk and plane bytes held
 }
 
 // rigProg is one code image: its decoded Program, shared by every VM the
@@ -44,15 +52,23 @@ type rigView struct {
 	state    mvm.State
 }
 
+// rigPlane is the data plane's result for one edge: the native output for
+// the chunk and the instance's carry after it.
+type rigPlane struct {
+	out, carry []byte
+}
+
 // rigNode is the rig after the chunks on the path from its root. Roots
 // carry the argument vector; other nodes the chunk and final flag of the
-// edge that leads to them.
+// edge that leads to them, the rig's view after it and, once a stream has
+// parsed the chunk live here, the edge's data-plane result (nil before).
 type rigNode struct {
 	args   []int64
 	parent *rigNode
 	chunk  string
 	final  bool
 	view   rigView
+	plane  *rigPlane
 	// next holds the children, keyed by the exact chunk bytes, in two
 	// maps by the final flag. m[string(b)] lookups do not allocate, and
 	// keys compare full bytes, so two streams share a node only if they
@@ -134,4 +150,16 @@ func (m *rigMemo) insert(n *rigNode, chunk []byte, final bool, v rigView) *rigNo
 	n.next[i][key] = c
 	m.bytes += int64(len(chunk))
 	return c
+}
+
+// record stores the data-plane result a stream computed live for the edge
+// into n, which has none, unless the cap is reached. out and carry are
+// cloned: both live in buffers the next chunk overwrites.
+func (m *rigMemo) record(n *rigNode, out, carry []byte) {
+	size := int64(len(out) + len(carry))
+	if m.bytes+size > rigMemoCap {
+		return
+	}
+	n.plane = &rigPlane{out: slices.Clone(out), carry: slices.Clone(carry)}
+	m.bytes += size
 }
